@@ -702,6 +702,11 @@ def main(argv=None):
     except ResourceError as e:
         print("resource limit: %s" % e, file=sys.stderr)
         return 3
+    except RecursionError:
+        print("resource limit: input nesting exceeds the recursion limit "
+              "(sys.getrecursionlimit() = %d)" % sys.getrecursionlimit(),
+              file=sys.stderr)
+        return 3
     except ContractError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

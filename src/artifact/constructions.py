@@ -26,8 +26,9 @@ from .regular import (
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
     enumerate_outputs, eval_deterministic, normalize_general,
-    normalize_outputs_stay, out, trace_productive, _automaton_like,
-    _choice_map, _productive_configs, _successors, _topo_from,
+    normalize_outputs_stay, out, trace_productive, _applicable_all,
+    _automaton_like, _choice_map, _productive_configs, _successors,
+    _topo_from,
 )
 
 
@@ -96,11 +97,8 @@ def productive_configs_nondet(M):
     """Per-tree map to the set of configurations from which some finite
     complete computation exists (any-rule semantics)."""
     def compute(t):
-        opts = {}
-        for u in addresses(t):
-            for q in M.states:
-                opts[(q, u)] = [_successors(r, t, u)
-                                for r in M.applicable_rules(q, t, u)]
+        opts = {cfg: [_successors(r, t, cfg[1]) for r in rs]
+                for cfg, rs in _applicable_all(M, t)}
         prod = set()
         changed = True
         while changed:
@@ -561,19 +559,6 @@ class ChildProfileTest(NodeTest):
 
     def __repr__(self):
         return "ChildProfileTest(%s, %r)" % (self.symbol, self.profiles)
-
-
-def _zero_projection(aut):
-    """Project an automaton over a marked alphabet to the base alphabet by
-    keeping only the transitions of unmarked symbols."""
-    base = aut.alphabet.base
-    delta = {}
-    for (name, combo), tgt in aut.delta.items():
-        b, bit = split_marked_name(name)
-        if bit == 0:
-            delta[(b, combo)] = tgt
-    return BottomUpAutomaton(base, aut.states, aut.finals, delta,
-                             check_total=False)
 
 
 def _marked_product(tests, base):

@@ -178,7 +178,18 @@ class Tree:
                 or self.label != other.label
                 or len(self.children) != len(other.children)):
             return False
-        return all(a == b for a, b in zip(self.children, other.children))
+        # the same checks on every pair of nodes below, with an explicit
+        # stack so that deep trees do not exhaust the recursion limit
+        stack = list(zip(self.children, other.children))
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a._hash != b._hash or a.size != b.size or a.label != b.label
+                    or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __lt__(self, other):
         """Order by (size, serialized text) — the canonical tie-break used

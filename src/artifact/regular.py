@@ -740,6 +740,77 @@ def eval_test(test, t, u):
     return test.eval(t, u)
 
 
+def eval_test_all(test, t):
+    """Evaluate an automaton-backed test at every node of t at once.
+
+    Returns a dict from the address of each node at which
+    ``eval_test(test, t, u)`` answers to that answer, or None for a test
+    without an automaton (an oracle).  A node where ``eval_test`` raises
+    (a label outside the automaton's alphabet, or a run that hits a
+    transition the automaton lacks) has no entry; which nodes those are
+    differs from node to node for sub-tests and partial automata.
+
+    A ``SubTest`` needs only the bottom-up run.  An ``AutomatonTest`` runs
+    bottom-up once with every label unmarked, then passes top-down, per
+    node, the outcome each state of that node's subtree would lead to at
+    the root; the verdict at u is the outcome of the state u's subtree
+    takes when u is marked (look-around by relabeling, Bloem and
+    Engelfriet).  Both passes are iterative."""
+    if not isinstance(test, (AutomatonTest, SubTest)):
+        return None
+    aut = test.aut
+    delta = aut.delta
+    marked = isinstance(test, AutomatonTest)
+    # breadth-first order: parents before children, each node's children
+    # contiguous
+    nodes, addrs, kids = [t], [()], []
+    for node, u in zip(nodes, addrs):
+        kids.append(range(len(nodes), len(nodes) + len(node.children)))
+        nodes.extend(node.children)
+        addrs.extend(u + (i,) for i in range(1, len(node.children) + 1))
+    labels = [marked_name(n.label, 0) if marked else n.label for n in nodes]
+    if marked and any(name not in aut.alphabet for name in labels):
+        return {}  # every marked run reads the whole tree
+    # state[i] is None where the run on node i's subtree raises
+    state = [None] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        combo = tuple(state[j] for j in kids[i])
+        if labels[i] in aut.alphabet and None not in combo:
+            state[i] = delta.get((labels[i], combo))
+    if not marked:
+        return {u: p in aut.finals
+                for u, p in zip(addrs, state) if p is not None}
+    # up[i] maps a state of node i's subtree to whether the run then ends
+    # in a final state; a state whose run up hits a missing transition has
+    # no entry.  Nodes share these maps: one is built per distinct (map
+    # above, parent label, sibling states around the hole), and every map
+    # stays referenced from ``made`` so that the ids in its keys stay
+    # unique.
+    up = [{p: p in aut.finals for p in aut.states}] + [None] * (len(nodes) - 1)
+    made = {}
+    table = {}
+    for i, cs in enumerate(kids):
+        above, name = up[i], labels[i]
+        combo = [state[j] for j in cs]
+        p = delta.get((marked_name(nodes[i].label, 1), tuple(combo)))
+        if p in above:
+            table[addrs[i]] = above[p]
+        for k, j in enumerate(cs):
+            combo[k] = None
+            key = (id(above), name, tuple(combo))
+            ctx = made.get(key)
+            if ctx is None:
+                ctx = made[key] = {}
+                for q in aut.states:
+                    combo[k] = q
+                    r = delta.get((name, tuple(combo)))
+                    if r in above:
+                        ctx[q] = above[r]
+            up[j] = ctx
+            combo[k] = state[j]
+    return table
+
+
 def sub_test(aut):
     return SubTest(aut)
 

@@ -20,7 +20,7 @@ from .core import (
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, RegularTreeGrammar, SubTest,
-    eval_test, to_automaton_test,
+    eval_test, eval_test_all, to_automaton_test,
 )
 
 
@@ -501,17 +501,41 @@ def classify(M, finitary_asserted=False, corpus_bound=6):
 # ---------------------------------------------------------------------------
 # Configuration grammar and bounded enumeration
 
+def _applicable_all(M, t):
+    """Yield ((q, u), the rules applicable there) for every configuration
+    of M on t, addresses in pre-order and states in ``M.states`` order.
+
+    Each automaton or sub-test guard is evaluated for all nodes of t at
+    once, the first time a rule asks about it (``eval_test_all``).  Oracle
+    guards go to ``eval_test`` per node, and so does a node the table
+    leaves out, where ``eval_test`` raises its own exception."""
+    tables = {}
+
+    def holds(test, u):
+        if test is None:
+            return True
+        if test not in tables:
+            tables[test] = eval_test_all(test, t) or {}
+        verdict = tables[test].get(u)
+        return eval_test(test, t, u) if verdict is None else verdict
+
+    for u in addresses(t):
+        node = subtree_at(t, u)
+        j = child_number(u)
+        for q in M.states:
+            yield (q, u), [r for r in M.rules_at(q, node.label, j)
+                           if holds(r.test, u)]
+
+
 def config_grammar(M, t):
     """The regular tree grammar over output terminals whose nonterminals
     are the configurations (state, address) of M on t and whose language is
     exactly the set of outputs of M on t."""
-    addrs = addresses(t)
-    nts = set(itertools.product(M.states, map(tuple, addrs)))
+    nts = set()
     rules = []
-    for u in addrs:
-        for q in M.states:
-            for r in M.applicable_rules(q, t, u):
-                rules.append(((q, u), _instantiate(r.rhs, t, u)))
+    for cfg, rs in _applicable_all(M, t):
+        nts.add(cfg)
+        rules.extend((cfg, _instantiate(r.rhs, t, cfg[1])) for r in rs)
     initials = {(q0, ()) for q0 in M.initials}
     return RegularTreeGrammar(nts, M.output_alphabet, initials, rules)
 
@@ -546,27 +570,20 @@ def _choice_map(M, t, run=None):
     to apply and is validated against applicability.
     """
     rmap = {}
-    for u in addresses(t):
-        node = subtree_at(t, u)
-        j = child_number(u)
-        for q in M.states:
-            cands = [r for r in M.rules_at(q, node.label, j)
-                     if eval_test(r.test, t, u)]
-            cfg = (q, u)
-            if run is not None and cfg in run:
-                if run[cfg] not in cands:
-                    raise ContractError(
-                        "run chooses an inapplicable rule at %r" % (cfg,))
-                rmap[cfg] = run[cfg]
-            elif len(cands) > 1:
-                if run is not None:
-                    raise ContractError(
-                        "ambiguous configuration %r needs a run choice"
-                        % (cfg,))
+    for cfg, cands in _applicable_all(M, t):
+        if run is not None and cfg in run:
+            if run[cfg] not in cands:
                 raise ContractError(
-                    "two rules applicable at configuration %r" % (cfg,))
-            elif cands:
-                rmap[cfg] = cands[0]
+                    "run chooses an inapplicable rule at %r" % (cfg,))
+            rmap[cfg] = run[cfg]
+        elif len(cands) > 1:
+            if run is not None:
+                raise ContractError(
+                    "ambiguous configuration %r needs a run choice" % (cfg,))
+            raise ContractError(
+                "two rules applicable at configuration %r" % (cfg,))
+        elif cands:
+            rmap[cfg] = cands[0]
     return rmap
 
 

@@ -91,6 +91,16 @@ def test_bad_tree_is_format_error(capsys):
     assert code == 2 and "format error" in err
 
 
+def test_deep_input_ends_with_an_exit_code(capsys):
+    text = "sigma(e," * 1200 + "e" + ")" * 1200
+    code, out, err = run_cli(capsys, "run", "--transducer", "identity",
+                             "--input", text)
+    assert code in (0, 3)
+    if code == 3:
+        assert err.startswith("resource limit:")
+        assert "recursion limit" in err
+
+
 # ---------------------------------------------------------------------------
 # constructions and verify
 

@@ -198,3 +198,20 @@ def test_tree_ordering_size_then_lexicographic():
     c = parse_tree("sigma(sigma(e,e),e)", SIGMA_E)
     d = parse_tree("sigma(e,sigma(e,e))", SIGMA_E)
     assert d < c  # "sigma(e,..." sorts before "sigma(sigma..."
+
+
+def test_tree_equality_deep():
+    def comb(n):
+        t = leaf("e")
+        for _ in range(n - 1):
+            t = Tree("sigma", [leaf("e"), t])
+        return t
+
+    assert comb(300) == comb(300)
+    assert comb(300) != comb(299)
+    # same size, shape and hash inputs except one label deep down
+    a = comb(300)
+    b = Tree("sigma", [leaf("e"), Tree("sigma", [leaf("e"), leaf("f")])])
+    for _ in range(297):
+        b = Tree("sigma", [leaf("e"), b])
+    assert a.size == b.size and a != b

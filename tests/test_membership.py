@@ -8,7 +8,8 @@ import pytest
 from artifact.core import RankedAlphabet, Tree, all_trees, leaf
 from artifact.constructions import Pipeline, pipeline_outputs
 from artifact.fixtures import (
-    SIGMA_E, full_binary, identity_relabeler, left_projection, m_exp,
+    SIGMA_E, comb_tree, full_binary, identity_relabeler, left_projection,
+    m_exp,
 )
 from artifact.membership import (
     FixedPointAssignment, build_sat_fixtures, canonical_assignment,
@@ -94,6 +95,11 @@ def test_member_pair_m_exp():
 
 def test_member_pair_bare_transducer():
     assert member_pair(m_exp(), leaf("e"), full_binary(1))
+
+
+def test_member_pair_deep_identity():
+    t = comb_tree(260)
+    assert member_pair(identity_relabeler(), t, comb_tree(260))
 
 
 def test_member_pair_requires_constant_on_multistage():

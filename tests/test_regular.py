@@ -6,17 +6,19 @@ import random
 import pytest
 
 from artifact.core import (
-    MarkedAlphabet, RankedAlphabet, Tree, addresses, all_trees, leaf,
-    mark_node, parse_tree, serialize_tree, subtree_at,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, addresses,
+    all_trees, leaf, mark_node, parse_tree, serialize_tree, subtree_at,
 )
+from artifact.fixtures import comb_tree, query_transducer, random_transducer
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, OracleTest, RegularTreeGrammar,
     ResourceError, SubTest, automaton_all, automaton_none,
     automaton_to_grammar, decide, derivation_grammar, derivation_yield_tree,
-    enumerate_grammar, enumerate_language, eval_test, grammar_finite,
-    grammar_to_automaton, lift_mark, run_automaton, sub_test,
+    enumerate_grammar, enumerate_language, eval_test, eval_test_all,
+    grammar_finite, grammar_to_automaton, lift_mark, run_automaton, sub_test,
     subtest_to_marked, to_automaton_test,
 )
+from artifact.transducer import marked_position_automaton
 
 SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
 STA = RankedAlphabet({"sigma": 2, "tau": 1, "a": 0})
@@ -319,6 +321,113 @@ def test_subtest_intersection_law():
         for u in addresses(t):
             assert eval_test(t12, t, u) == \
                 (eval_test(ta, t, u) and eval_test(tb, t, u))
+
+
+# ---------------------------------------------------------------------------
+# node tests evaluated at all nodes at once
+
+def _per_node(test, t, u):
+    try:
+        return eval_test(test, t, u)
+    except (AlphabetError, KeyError) as e:
+        return type(e)
+
+
+def _assert_table_is_eval_test(tests, trees):
+    """eval_test_all has eval_test's verdict at every node where eval_test
+    answers, and no entry where it raises."""
+    for T in tests:
+        for t in trees:
+            table = eval_test_all(T, t)
+            for u in addresses(t):
+                want = _per_node(T, t, u)
+                if isinstance(want, bool):
+                    assert table.get(u) is want, (T, t, u)
+                else:
+                    assert u not in table, (T, t, u)
+
+
+def _machine_tests(M):
+    return {r.test for r in M.rules if r.test is not None}
+
+
+def test_all_nodes_table_matches_eval_test_on_random_machines():
+    tests = _machine_tests(query_transducer())
+    for seed in range(40):
+        for kind in ("lookaround", "sub"):
+            tests |= _machine_tests(random_transducer(seed, kind=kind))
+    assert any(isinstance(T, AutomatonTest) for T in tests)
+    assert any(isinstance(T, SubTest) for T in tests)
+    _assert_table_is_eval_test(tests, all_trees(SIGMA_E, 7))
+
+
+def _without_bad(aut):
+    """The automaton with every transition into the state "bad" removed."""
+    return BottomUpAutomaton(
+        aut.alphabet, aut.states, aut.finals,
+        {k: p for k, p in aut.delta.items() if p != "bad"},
+        check_total=False)
+
+
+def test_all_nodes_table_partial_automata():
+    auts = [marked_position_automaton(SIGMA_E, "sigma", j) for j in (0, 1)]
+    auts += [_without_bad(a) for a in auts]
+    tests = [AutomatonTest(a) for a in auts]
+    _assert_table_is_eval_test(tests, all_trees(SIGMA_E, 7))
+    # the marked run misses a transition at the leaves, not at the root
+    t = parse_tree("sigma(e,e)", SIGMA_E)
+    assert [_per_node(tests[2], t, u) for u in addresses(t)] == \
+        [True, KeyError, KeyError]
+    assert eval_test_all(tests[2], t) == {(): True}
+
+
+def test_all_nodes_table_unmarked_run_missing_transition():
+    aut = marked_position_automaton(SIGMA_E, "sigma", 1)
+    delta = dict(aut.delta)
+    del delta[("e#0", ())]
+    T = AutomatonTest(BottomUpAutomaton(aut.alphabet, aut.states, aut.finals,
+                                        delta, check_total=False))
+    trees = all_trees(SIGMA_E, 7)
+    _assert_table_is_eval_test([T], trees)
+    # only a leaf's own marked run avoids the missing leaf transition
+    assert eval_test_all(T, leaf("e")) == {(): False}
+    assert eval_test_all(T, parse_tree("sigma(e,e)", SIGMA_E)) == {}
+
+
+def _with_extra(aut, extra):
+    """The automaton with transitions added for symbols outside its
+    alphabet, which its runs never use."""
+    return BottomUpAutomaton(aut.alphabet, aut.states, aut.finals,
+                             {**aut.delta, **extra}, check_total=False)
+
+
+def test_all_nodes_table_label_outside_alphabet():
+    t = Tree("sigma", [leaf("e"), Tree("sigma", [leaf("a"), leaf("e")])])
+    parity = sub_test(parity_automaton())
+    pos = marked_position_automaton(SIGMA_E, "sigma", 2)
+    tests = _machine_tests(query_transducer()) | {
+        AutomatonTest(pos), parity,
+        AutomatonTest(_with_extra(pos, {("a#0", ()): "none",
+                                        ("a#1", ()): "just"})),
+        sub_test(_with_extra(parity_automaton(), {("a", ()): "odd"}))}
+    _assert_table_is_eval_test(tests, [t])
+    # a marked run reads the whole tree, a sub-test run only the subtree
+    assert {_per_node(T, t, u) for T in tests if not T.subtest
+            for u in addresses(t)} == {AlphabetError}
+    assert eval_test_all(parity, t) == {(1,): False, (2, 2): False}
+
+
+def test_all_nodes_table_oracle_is_none():
+    T = OracleTest(lambda t, u: True, "true")
+    assert eval_test_all(T, leaf("e")) is None
+
+
+def test_all_nodes_table_deep_tree():
+    t = comb_tree(3000)
+    T = AutomatonTest(marked_position_automaton(SIGMA_E, "e", 1))
+    table = eval_test_all(T, t)
+    assert len(table) == t.size
+    assert sum(table.values()) == 2999
 
 
 # ---------------------------------------------------------------------------

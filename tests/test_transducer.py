@@ -2,23 +2,26 @@
 configuration grammar, the three evaluation engines, single-use checking,
 productive-node tracing, and the rule normalizers."""
 
+import random
+
 import pytest
 
+from artifact import regular
 from artifact.core import (
-    RankedAlphabet, Tree, addresses, all_trees, down, leaf, parse_tree,
-    serialize_tree, subtree_at, STAY, UP,
+    AlphabetError, RankedAlphabet, Tree, addresses, all_trees, down, leaf,
+    mark_node, parse_tree, serialize_tree, subtree_at, STAY, UP,
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
     internal_sigma_test, leaf_chooser, left_projection, loop_transducer,
     m_exp, query_transducer, random_marked_test, random_transducer,
 )
-from artifact.regular import AutomatonTest
+from artifact.regular import AutomatonTest, BottomUpAutomaton
 from artifact.transducer import (
     Call, ContractError, Rule, Transducer, call, check_single_use, classify,
     config_grammar, enumerate_outputs, eval_deterministic, eval_streaming,
     marked_position_automaton, normalize_general, normalize_outputs_stay,
-    out, trace_productive,
+    out, trace_productive, _applicable_all,
 )
 
 DET_KINDS = ("local", "sub", "lookaround", "topdown", "pruning", "relabeling")
@@ -252,6 +255,74 @@ def test_config_grammar_nonterminal_count():
     for t in all_trees(SIGMA_E, 5):
         g = config_grammar(m, t)
         assert len(g.nonterminals) == len(m.states) * t.size
+
+
+# ---------------------------------------------------------------------------
+# guards evaluated per tree
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (AlphabetError, KeyError) as e:
+        return type(e)
+
+
+def _partial(aut, drop):
+    """The automaton without the transitions into the state ``drop``."""
+    return BottomUpAutomaton(
+        aut.alphabet, aut.states, aut.finals,
+        {k: p for k, p in aut.delta.items() if p != drop}, check_total=False)
+
+
+def test_applicable_all_is_per_node_applicable_rules():
+    """Same rules at every configuration, or the same exception first,
+    with partial automata and labels outside the alphabets."""
+    pos = marked_position_automaton(SIGMA_E, "sigma", 1)
+    no_e = dict(pos.delta)
+    del no_e[("e#0", ())]
+    machines = [query_transducer()] + [
+        query_transducer(AutomatonTest(aut)) for aut in (
+            _partial(pos, "bad"), _partial(pos, "ok"),
+            BottomUpAutomaton(pos.alphabet, pos.states, pos.finals, no_e,
+                              check_total=False))]
+    machines += [random_transducer(seed, kind=kind)
+                 for seed in range(10) for kind in ("lookaround", "sub")]
+    trees = all_trees(SIGMA_E, 5) + [
+        Tree("sigma", [leaf("a"), leaf("e")]),
+        Tree("sigma", [leaf("e"), Tree("sigma", [leaf("e"), leaf("a")])])]
+    raised = set()
+    for M in machines:
+        for t in trees:
+            want = _outcome(lambda: [
+                ((q, u), M.applicable_rules(q, t, u))
+                for u in addresses(t) for q in M.states])
+            assert _outcome(lambda: list(_applicable_all(M, t))) == want
+            if not isinstance(want, list):
+                raised.add(want)
+    assert raised == {AlphabetError, KeyError}
+
+
+def _random_binary_tree(rng, leaves):
+    if leaves == 1:
+        return leaf("e")
+    left = rng.randint(1, leaves - 1)
+    return Tree("sigma", [_random_binary_tree(rng, left),
+                          _random_binary_tree(rng, leaves - left)])
+
+
+def test_lookaround_evaluation_marks_no_tree(monkeypatch):
+    M = query_transducer()
+    t = _random_binary_tree(random.Random(3), 100)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mark_node(*args)
+
+    monkeypatch.setattr(regular, "mark_node", counting)
+    s, _ = eval_deterministic(M, t)
+    assert calls == []
+    assert enumerate_outputs(M, t, s.size) == {s}
 
 
 # ---------------------------------------------------------------------------
