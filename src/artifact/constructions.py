@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import (
-    MarkedAlphabet, RankedAlphabet, Tree, addresses, child_number, down,
-    leaf, marked_name, navigate, split_marked_name, subtree_at,
+    MarkedAlphabet, RankedAlphabet, Tree, child_number, down, leaf,
+    marked_name, navigate, preorder, split_marked_name, subtree_at,
     try_navigate, STAY, UP,
 )
 from .regular import (
@@ -27,8 +27,7 @@ from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
     enumerate_outputs, eval_deterministic, normalize_general,
     normalize_outputs_stay, out, trace_productive, _applicable_all,
-    _automaton_like, _choice_map, _productive_configs, _successors,
-    _topo_from,
+    _automaton_like, _choice_map, _productive_from, _successors, _values,
 )
 
 
@@ -95,19 +94,36 @@ def _per_tree(fn):
 
 def productive_configs_nondet(M):
     """Per-tree map to the set of configurations from which some finite
-    complete computation exists (any-rule semantics)."""
+    complete computation exists (any-rule semantics).
+
+    The set is the least model of the Horn clauses cfg <- s_1 & ... & s_k,
+    one per configuration and applicable rule with the distinct successors
+    s_i.  Each clause counts its successors not yet proven, and a queue of
+    proven configurations counts them down (Dowling and Gallier 1984)."""
     def compute(t):
-        opts = {cfg: [_successors(r, t, cfg[1]) for r in rs]
-                for cfg, rs in _applicable_all(M, t)}
+        heads = []  # per clause: its configuration
+        unproven = []  # per clause: successors not yet proven
+        waiting = {}  # configuration -> clauses with it as a successor
+        queue = []
+        for cfg, rs in _applicable_all(M, t):
+            for r in rs:
+                ss = set(_successors(r, t, cfg[1]))
+                for s in ss:
+                    waiting.setdefault(s, []).append(len(heads))
+                heads.append(cfg)
+                unproven.append(len(ss))
+                if not ss:
+                    queue.append(cfg)
         prod = set()
-        changed = True
-        while changed:
-            changed = False
-            for cfg, choices in opts.items():
-                if cfg not in prod and any(all(s in prod for s in ss)
-                                           for ss in choices):
-                    prod.add(cfg)
-                    changed = True
+        while queue:
+            cfg = queue.pop()
+            if cfg in prod:
+                continue
+            prod.add(cfg)
+            for k in waiting.get(cfg, ()):
+                unproven[k] -= 1
+                if not unproven[k]:
+                    queue.append(heads[k])
         return frozenset(prod)
     return _per_tree(compute)
 
@@ -117,29 +133,8 @@ def deterministic_values(M):
     machine to the output subtree it generates."""
     def compute(t):
         rmap = _choice_map(M, t)
-        prod, succs = _productive_configs(rmap, t)
-        value = {}
-        for root_cfg in prod:
-            if root_cfg in value:
-                continue
-            for cfg in _topo_from(root_cfg, succs):
-                if cfg in value or cfg not in prod:
-                    continue
-                rule = rmap[cfg]
-                if rule.kind == "move":
-                    value[cfg] = value[succs[cfg][0]]
-                    continue
-                u = cfg[1]
-
-                def build(node):
-                    if isinstance(node.label, Call):
-                        return value[(node.label.state,
-                                      navigate(t, u, node.label.instr))]
-                    return Tree(node.label,
-                                [build(c) for c in node.children])
-
-                value[cfg] = build(rule.rhs)
-        return value
+        _, order, succs = _productive_from(rmap, rmap, t)
+        return _values(rmap, order, succs)[0]
     return _per_tree(compute)
 
 
@@ -966,12 +961,12 @@ def _compose_general(M1, M2, with_backtracking):
     if with_backtracking:
         def parents_of(t):
             rmap = _choice_map(M1a, t)
-            prodc, succs = _productive_configs(rmap, t)
             init = (next(iter(M1a.initials)), ())
+            prodc, order, succs = _productive_from([init], rmap, t)
             pm = {}
             if init in prodc:
-                for cfg in _topo_from(init, succs):
-                    for s in succs.get(cfg, ()):
+                for cfg in order:
+                    for s in succs[cfg]:
                         if s in pm:
                             raise ContractError(
                                 "first machine is not single-use at %r"
@@ -2152,8 +2147,7 @@ def linear_bounded_factorization(M, corpus_bound=4):
                 tr = trace_productive(rem, t)
             except ContractError:
                 return False
-            for v in addresses(t):
-                node = subtree_at(t, v)
+            for v, node in preorder(t):
                 if not node.children or (len(node.children) == 1
                                          and v != ()):
                     if v not in tr.productive_nodes:

@@ -325,18 +325,22 @@ def subtree_at(t, u):
     return node
 
 
-def addresses(t):
-    """All node addresses of t in pre-order."""
+def preorder(t):
+    """All (address, subtree) pairs of t in pre-order, which is the
+    lexicographic order of the Dewey addresses."""
     out = []
     stack = [((), t)]
     while stack:
         u, node = stack.pop()
-        out.append(u)
+        out.append((u, node))
         for i in range(len(node.children), 0, -1):
             stack.append((u + (i,), node.children[i - 1]))
-    out.sort()
-    # pre-order equals lexicographic order on Dewey paths
     return out
+
+
+def addresses(t):
+    """All node addresses of t in pre-order."""
+    return [u for u, _ in preorder(t)]
 
 
 class Instruction:

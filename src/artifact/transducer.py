@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    MarkedAlphabet, RankedAlphabet, Tree, addresses, all_trees, child_number,
-    down, leaf, navigate, split_marked_name, subtree_at,
+    MarkedAlphabet, RankedAlphabet, Tree, all_trees, child_number, down,
+    leaf, navigate, preorder, split_marked_name, subtree_at,
     Instruction, STAY, UP,
 )
 from .regular import (
@@ -439,10 +439,8 @@ def _tests_disjoint(M, r1, r2, corpus_bound):
                                         r1.child_no)
         return not _joint_nonempty([a1, a2, pos])
     for t in all_trees(M.input_alphabet, corpus_bound):
-        for u in addresses(t):
-            if subtree_at(t, u).label != r1.symbol:
-                continue
-            if child_number(u) != r1.child_no:
+        for u, node in preorder(t):
+            if node.label != r1.symbol or child_number(u) != r1.child_no:
                 continue
             if eval_test(r1.test, t, u) and eval_test(r2.test, t, u):
                 return False
@@ -519,8 +517,7 @@ def _applicable_all(M, t):
         verdict = tables[test].get(u)
         return eval_test(test, t, u) if verdict is None else verdict
 
-    for u in addresses(t):
-        node = subtree_at(t, u)
+    for u, node in preorder(t):
         j = child_number(u)
         for q in M.states:
             yield (q, u), [r for r in M.rules_at(q, node.label, j)
@@ -593,40 +590,89 @@ def _successors(rule, t, u):
     return [(c.state, navigate(t, u, c.instr)) for c in rule.calls()]
 
 
-def _productive_configs(rmap, t):
-    """Least fixpoint: a configuration is productive iff it has a chosen
-    rule and all successor configurations are productive."""
-    succs = {cfg: _successors(r, t, cfg[1]) for cfg, r in rmap.items()}
+def _productive_from(roots, rmap, t):
+    """Demand-driven productivity: one iterative depth-first search from
+    the ``roots`` over the successors of the rules chosen in ``rmap``.
+
+    A configuration is productive iff it has a chosen rule, all of its
+    successors are productive, and it does not reach itself.  Successors
+    are computed only for configurations the search reaches.  A reached
+    configuration without a rule, or an edge back to a configuration on
+    the current search path, makes the configuration that reaches it
+    unproductive, and the search leaves its remaining successors alone.
+
+    Returns (productive set, post-order of the productive configurations
+    reached, successor lists of the configurations expanded).  Every
+    successor of a productive configuration precedes it in the post-order.
+    """
     prod = set()
-    changed = True
-    while changed:
-        changed = False
-        for cfg, ss in succs.items():
-            if cfg not in prod and all(s in prod for s in ss):
-                prod.add(cfg)
-                changed = True
-    return prod, succs
-
-
-def _topo_from(init, succs):
-    """Reachable configurations in a post-order (dependencies first); the
-    productive successor graph is acyclic."""
     order = []
-    seen = set()
-    stack = [(init, False)]
-    while stack:
-        cfg, expanded = stack.pop()
-        if expanded:
-            order.append(cfg)
+    succs = {}
+    status = {}  # True productive, False not, None on the search path
+    path = []  # [configuration, its successors, index of the next one]
+
+    def enter(cfg):
+        rule = rmap.get(cfg)
+        if rule is None:
+            status[cfg] = False
+            return
+        status[cfg] = None
+        succs[cfg] = ss = _successors(rule, t, cfg[1])
+        path.append([cfg, ss, 0])
+
+    for root in roots:
+        if root in status:
             continue
-        if cfg in seen:
+        enter(root)
+        while path:
+            frame = path[-1]
+            cfg, ss, i = frame
+            if i < len(ss):
+                s = ss[i]
+                if s not in status:
+                    enter(s)
+                    if status[s] is None:
+                        continue  # descend; s is decided when it is popped
+                if status[s]:
+                    frame[2] = i + 1
+                    continue
+                status[cfg] = False  # no rule, unproductive, or a cycle
+            else:
+                status[cfg] = True
+                prod.add(cfg)
+                order.append(cfg)
+            path.pop()
+    return prod, order, succs
+
+
+def _values(rmap, order, succs):
+    """The output tree of every configuration in ``order`` (a post-order of
+    productive configurations) and the step count of building them: a rule
+    instantiation per configuration, a chain edge per move rule, and a
+    constructed node per output symbol.  Repeated configurations share
+    their output subtree."""
+    value = {}
+    steps = 0
+    for cfg in order:
+        rule = rmap[cfg]
+        steps += 1  # rule instantiation
+        if rule.kind == "move":
+            steps += 1  # chain edge
+            value[cfg] = value[succs[cfg][0]]
             continue
-        seen.add(cfg)
-        stack.append((cfg, True))
-        for s in succs.get(cfg, ()):
-            if s not in seen:
-                stack.append((s, False))
-    return order
+        # the successors are listed in the rhs pre-order of their calls
+        nxt = iter(succs[cfg]).__next__
+        counter = [0]
+
+        def build(node):
+            if isinstance(node.label, Call):
+                return value[nxt()]
+            counter[0] += 1
+            return Tree(node.label, [build(c) for c in node.children])
+
+        value[cfg] = build(rule.rhs)
+        steps += counter[0]
+    return value, steps
 
 
 def eval_deterministic(M, t):
@@ -635,36 +681,17 @@ def eval_deterministic(M, t):
     Returns (output tree or None, step count).  The output tree shares
     structure across repeated configurations, so its explicit size may be
     exponential in the work done.  Steps count rule instantiations,
-    chain-edge traversals, and constructed output nodes.
+    chain-edge traversals, and constructed output nodes.  Only the
+    configurations reachable from the initial one are explored.
     """
     if len(M.initials) != 1:
         raise ContractError("deterministic evaluation needs one initial state")
-    q0 = next(iter(M.initials))
+    init = (next(iter(M.initials)), ())
     rmap = _choice_map(M, t)
-    prod, succs = _productive_configs(rmap, t)
-    init = (q0, ())
-    steps = 0
+    prod, order, succs = _productive_from([init], rmap, t)
     if init not in prod:
-        return None, steps
-    value = {}
-    for cfg in _topo_from(init, succs):
-        rule = rmap[cfg]
-        steps += 1  # rule instantiation
-        if rule.kind == "move":
-            steps += 1  # chain edge
-            value[cfg] = value[succs[cfg][0]]
-            continue
-        counter = [0]
-
-        def build(node, u=cfg[1]):
-            if isinstance(node.label, Call):
-                return value[(node.label.state,
-                              navigate(t, u, node.label.instr))]
-            counter[0] += 1
-            return Tree(node.label, [build(c, u) for c in node.children])
-
-        value[cfg] = build(rule.rhs)
-        steps += counter[0]
+        return None, 0
+    value, steps = _values(rmap, order, succs)
     return value[init], steps
 
 
@@ -694,7 +721,7 @@ def eval_streaming(M, t):
     N = normalize_outputs_stay(normalize_general(M))
     q0 = next(iter(N.initials))
     rmap = _choice_map(N, t)
-    prod, _ = _productive_configs(rmap, t)
+    prod, _, _ = _productive_from([(q0, ())], rmap, t)
     if (q0, ()) not in prod:
         return None, 0
     emitted = []
@@ -719,18 +746,18 @@ def eval_streaming(M, t):
                 stack.append(("state", child.label.state))
         if len(stack) > max_len:
             max_len = len(stack)
-    pos = [0]
-
-    def build():
-        sym = emitted[pos[0]]
-        pos[0] += 1
-        return Tree(sym, [build()
-                          for _ in range(N.output_alphabet.rank(sym))])
-
-    s = build()
-    if pos[0] != len(emitted):
+    # rebuild the tree from its pre-order emission with an explicit stack
+    # of unfinished nodes [symbol, rank, children so far]
+    finished = []
+    pending = []
+    for sym in emitted:
+        pending.append([sym, N.output_alphabet.rank(sym), []])
+        while pending and len(pending[-1][2]) == pending[-1][1]:
+            sym, _, kids = pending.pop()
+            (pending[-1][2] if pending else finished).append(Tree(sym, kids))
+    if pending or len(finished) != 1:
         raise ContractError("emission stream is not a single tree")
-    return s, max_len
+    return finished[0], max_len
 
 
 # ---------------------------------------------------------------------------
@@ -742,23 +769,21 @@ def check_single_use(M, corpus):
     counterexample) where the counterexample is (tree, state, address)."""
     for t in sorted(corpus):
         rmap = _choice_map(M, t)
-        prod, succs = _productive_configs(rmap, t)
-        inits = [(q0, ()) for q0 in M.initials if (q0, ()) in prod]
-        if not inits:
-            continue
-        mult = {}
-        for init in inits:
-            order = _topo_from(init, succs)
-            local_mult = {cfg: 0 for cfg in order}
-            local_mult[init] = 1
+        roots = [(q0, ()) for q0 in M.initials]
+        prod, order, succs = _productive_from(roots, rmap, t)
+        for init in roots:
+            if init not in prod:
+                continue
+            # derivation multiplicities, pushed from each configuration to
+            # its successors in reverse post-order
+            mult = dict.fromkeys(order, 0)
+            mult[init] = 1
             for cfg in reversed(order):
                 for s in succs[cfg]:
-                    local_mult[s] += local_mult[cfg]
-            for cfg, m in local_mult.items():
-                mult[cfg] = max(mult.get(cfg, 0), m)
-        for (q, u), m in mult.items():
-            if m >= 2:
-                return False, (t, q, u)
+                    mult[s] += mult[cfg]
+            for (q, u), m in mult.items():
+                if m >= 2:
+                    return False, (t, q, u)
     return True, None
 
 
@@ -778,19 +803,23 @@ def trace_productive(M, t, run=None):
     leaf is productive; productive additionally needs every monadic node.
     """
     rmap = _choice_map(M, t, run)
-    prod, succs = _productive_configs(rmap, t)
-    inits = [(q0, ()) for q0 in M.initials if (q0, ()) in prod]
-    if not inits:
+    roots = [(q0, ()) for q0 in M.initials]
+    prod, order, succs = _productive_from(roots, rmap, t)
+    live = {cfg for cfg in roots if cfg in prod}
+    if not live:
         raise ContractError("no accepting computation on this input")
+    # the configurations reachable from a productive initial one, found in
+    # reverse post-order, where every predecessor comes first
     nodes = set()
-    for init in inits:
-        for cfg in _topo_from(init, succs):
+    for cfg in reversed(order):
+        if cfg in live:
+            live.update(succs[cfg])
             if rmap[cfg].output_symbol_count() > 0:
                 nodes.add(cfg[1])
     leaves = []
     monadic = []
-    for u in addresses(t):
-        k = len(subtree_at(t, u).children)
+    for u, node in preorder(t):
+        k = len(node.children)
         if k == 0:
             leaves.append(u)
         elif k == 1:

@@ -4,14 +4,17 @@ import itertools
 
 import pytest
 
-from artifact.core import RankedAlphabet, Tree, addresses, all_trees, leaf
+from artifact.core import (
+    RankedAlphabet, Tree, addresses, all_trees, leaf, navigate,
+)
 from artifact.constructions import (
     ChildProfileTest, ContractError, Decomposition, Pipeline, absorb_right,
     compose_det_topdown, compose_su, compose_with_pruning, disjoint_tests,
     domain_automaton, identity_like, intersect_tests, inverse_image,
     linear_bounded_factorization, linear_bounded_pipeline, localize_second,
     lookahead_of_topdown, pipeline_outputs, productivity_decompose,
-    pruning_image, rename_states, restrict_domain, restrict_range,
+    productive_configs_nondet, pruning_image, rename_states,
+    restrict_domain, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
 )
 from artifact.fixtures import (
@@ -20,7 +23,7 @@ from artifact.fixtures import (
 )
 from artifact.regular import BottomUpAutomaton, SubTest, eval_test, _realizable
 from artifact.transducer import (
-    classify, enumerate_outputs, eval_deterministic,
+    classify, enumerate_outputs, eval_deterministic, _applicable_all,
 )
 from corpus import (
     OUT_TREES_5, SIG_TREES_5, collect_machines, has_tests,
@@ -605,3 +608,35 @@ def test_identity_like():
     M = identity_like(SIGMA_E)
     for t in SIG_TREES_5:
         assert enumerate_outputs(M, t, 8) == {t}
+
+
+def _fixpoint_productive_nondet(M, t):
+    """Reference: the round-robin least fixpoint that the Horn-clause
+    counters replaced."""
+    opts = {cfg: [[(c.state, navigate(t, cfg[1], c.instr))
+                   for c in r.calls()] for r in rs]
+            for cfg, rs in _applicable_all(M, t)}
+    prod = set()
+    changed = True
+    while changed:
+        changed = False
+        for cfg, choices in opts.items():
+            if cfg not in prod and any(all(s in prod for s in ss)
+                                       for ss in choices):
+                prod.add(cfg)
+                changed = True
+    return prod
+
+
+def test_productive_configs_nondet_matches_fixpoint():
+    sizes = set()
+    for kind in ("local", "sub", "lookaround"):
+        for seed in range(30):
+            M = random_transducer(seed, kind, deterministic=False)
+            prod = productive_configs_nondet(M)
+            for t in all_trees(SIGMA_E, 7):
+                want = _fixpoint_productive_nondet(M, t)
+                assert prod(t) == want, (kind, seed, t)
+                sizes.add(len(want) / (len(M.states) * t.size))
+    # some configurations are productive and some are not
+    assert min(sizes) < 1 and max(sizes) > 0

@@ -5,8 +5,8 @@ import pytest
 from artifact.core import (
     AlphabetError, MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError,
     STAY, UP, addresses, all_trees, child_number, down, leaf, mark_node,
-    marked_address, navigate, parse_tree, serialize_tree, subtree_at,
-    tree_metrics, unmark_tree,
+    marked_address, navigate, parse_tree, preorder, serialize_tree,
+    subtree_at, tree_metrics, unmark_tree,
 )
 
 SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
@@ -148,6 +148,15 @@ def test_addresses_preorder():
     t = parse_tree("sigma(tau(a),a)", GRAMMAR_ALPHA)
     assert addresses(t) == [(), (1,), (1, 1), (2,)]
     assert subtree_at(t, (1, 1)).label == "a"
+    # pre-order is the lexicographic order of Dewey addresses, also on a
+    # path deeper than the recursion limit allows for recursive walks
+    path = leaf("a")
+    for _ in range(300):
+        path = Tree("tau", [path])
+    for t in all_trees(GRAMMAR_ALPHA, 9) + [path]:
+        us = addresses(t)
+        assert us == sorted(us)
+        assert preorder(t) == [(u, subtree_at(t, u)) for u in us]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from artifact import regular
+from artifact import regular, transducer
 from artifact.core import (
     AlphabetError, RankedAlphabet, Tree, addresses, all_trees, down, leaf,
-    mark_node, parse_tree, serialize_tree, subtree_at, STAY, UP,
+    mark_node, navigate, parse_tree, serialize_tree, subtree_at, STAY, UP,
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
@@ -21,7 +21,7 @@ from artifact.transducer import (
     Call, ContractError, Rule, Transducer, call, check_single_use, classify,
     config_grammar, enumerate_outputs, eval_deterministic, eval_streaming,
     marked_position_automaton, normalize_general, normalize_outputs_stay,
-    out, trace_productive, _applicable_all,
+    out, trace_productive, _applicable_all, _choice_map, _productive_from,
 )
 
 DET_KINDS = ("local", "sub", "lookaround", "topdown", "pruning", "relabeling")
@@ -52,7 +52,6 @@ def _outputs_by_rewriting(M, t, max_size):
 
     def instantiate(rhs, u):
         if isinstance(rhs.label, Call):
-            from artifact.core import navigate
             c = rhs.label
             return leaf((c.state, navigate(t, u, c.instr)))
         return Tree(rhs.label, [instantiate(ch, u) for ch in rhs.children])
@@ -410,6 +409,130 @@ def test_shared_output_is_cheap_to_measure():
 
 
 # ---------------------------------------------------------------------------
+# demand-driven productivity
+
+def _fixpoint_productive(rmap, t):
+    """Reference: the global least fixpoint over every configuration with
+    a chosen rule, which the depth-first search replaced."""
+    succs = {cfg: [(c.state, navigate(t, cfg[1], c.instr))
+                   for c in r.calls()] for cfg, r in rmap.items()}
+    prod = set()
+    changed = True
+    while changed:
+        changed = False
+        for cfg, ss in succs.items():
+            if cfg not in prod and all(s in prod for s in ss):
+                prod.add(cfg)
+                changed = True
+    return prod, succs
+
+
+def _fixpoint_eval(M, t):
+    """Reference evaluation on the least fixpoint, counting steps as
+    eval_deterministic documents them."""
+    rmap = _choice_map(M, t)
+    prod, succs = _fixpoint_productive(rmap, t)
+    init = (next(iter(M.initials)), ())
+    if init not in prod:
+        return None, 0
+    value = {}
+    steps = [0]
+
+    def eval_cfg(cfg):
+        if cfg not in value:
+            rule = rmap[cfg]
+            steps[0] += 1
+            if rule.kind == "move":
+                steps[0] += 1
+                value[cfg] = eval_cfg(succs[cfg][0])
+            else:
+                value[cfg] = build(rule.rhs, cfg[1])
+        return value[cfg]
+
+    def build(node, u):
+        if isinstance(node.label, Call):
+            return eval_cfg((node.label.state,
+                             navigate(t, u, node.label.instr)))
+        steps[0] += 1
+        return Tree(node.label, [build(c, u) for c in node.children])
+
+    return eval_cfg(init), steps[0]
+
+
+def test_productivity_matches_least_fixpoint():
+    """Same productive set with every configuration as a root, a valid
+    post-order, and the same outputs and steps from the initial one; the
+    local machines move up and stay, so their graphs have cycles."""
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), loop_transducer()]
+    machines += [random_transducer(seed, "local") for seed in range(30)]
+    cyclic = 0
+    for M in machines:
+        for t in all_trees(M.input_alphabet, 7):
+            rmap = _choice_map(M, t)
+            want, _ = _fixpoint_productive(rmap, t)
+            prod, order, succs = _productive_from(rmap, rmap, t)
+            assert prod == want
+            assert sorted(order) == sorted(want)
+            position = {cfg: i for i, cfg in enumerate(order)}
+            assert all(position[s] < position[cfg]
+                       for cfg in order for s in succs[cfg])
+            assert eval_deterministic(M, t) == _fixpoint_eval(M, t)
+            cyclic += any(cfg in ss for cfg, ss in succs.items())
+    assert cyclic
+
+
+# (machine, input, steps) measured with the global fixpoint evaluator
+PINNED_STEPS = [
+    (m_exp, comb_tree(4), 26),
+    (m_exp, comb_tree(8), 58),
+    (identity_relabeler, full_binary(3), 30),
+    (identity_relabeler, comb_tree(50), 198),
+    (left_projection, comb_tree(5), 4),
+    (left_projection, full_binary(3), 16),
+    (query_transducer, full_binary(2), 36),
+    (query_transducer, comb_tree(6), 60),
+]
+
+
+def test_steps_are_pinned():
+    for machine, t, steps in PINNED_STEPS:
+        assert eval_deterministic(machine(), t)[1] == steps
+
+
+def test_left_projection_never_walks_the_second_subtree(monkeypatch):
+    seen = []
+
+    def counting(t, u, instr):
+        seen.append(u)
+        return navigate(t, u, instr)
+
+    monkeypatch.setattr(transducer, "navigate", counting)
+    t = Tree("sigma", [full_binary(2), full_binary(3)])
+    for evaluate in (eval_deterministic, eval_streaming):
+        seen.clear()
+        assert evaluate(left_projection(), t)[0] == full_binary(2)
+        assert seen and not any(u[:1] == (2,) for u in seen)
+
+
+def test_ambiguity_at_an_unreachable_configuration_raises():
+    base = identity_relabeler()
+    rules = list(base.rules)
+    for j in range(3):
+        rules += [Rule("z", "e", j, None, leaf("e")),
+                  Rule("z", "e", j, None, call("q", STAY))]
+    M = Transducer(SIGMA_E, SIGMA_E, ["q", "z"], ["q"], rules)
+    for evaluate in (eval_deterministic, eval_streaming):
+        with pytest.raises(ContractError):
+            evaluate(M, comb_tree(3))
+
+
+def test_eval_deep_comb():
+    t = comb_tree(3000)
+    assert eval_deterministic(identity_relabeler(), t)[0] == t
+
+
+# ---------------------------------------------------------------------------
 # streaming evaluation
 
 def test_streaming_m_exp():
@@ -435,6 +558,12 @@ def test_streaming_agrees_with_deterministic():
             expected, _ = eval_deterministic(m, t)
             got, _ = eval_streaming(m, t)
             assert got == expected
+
+
+def test_streaming_deep_comb():
+    t = comb_tree(1000)
+    assert eval_streaming(identity_relabeler(), t)[0] == \
+        eval_deterministic(identity_relabeler(), t)[0]
 
 
 def test_streaming_stack_bound_identity():
