@@ -20,8 +20,9 @@ from .core import (
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
-    enumerate_grammar, eval_test, grammar_finite, grammar_to_automaton,
-    to_automaton_test, _realizable,
+    enumerate_grammar, eval_test, explore, grammar_finite,
+    grammar_to_automaton, least_model, min_witnesses, to_automaton_test,
+    _flatten_grammar, _labels, _realizable,
 )
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
@@ -101,30 +102,9 @@ def productive_configs_nondet(M):
     s_i.  Each clause counts its successors not yet proven, and a queue of
     proven configurations counts them down (Dowling and Gallier 1984)."""
     def compute(t):
-        heads = []  # per clause: its configuration
-        unproven = []  # per clause: successors not yet proven
-        waiting = {}  # configuration -> clauses with it as a successor
-        queue = []
-        for cfg, rs in _applicable_all(M, t):
-            for r in rs:
-                ss = set(_successors(r, t, cfg[1]))
-                for s in ss:
-                    waiting.setdefault(s, []).append(len(heads))
-                heads.append(cfg)
-                unproven.append(len(ss))
-                if not ss:
-                    queue.append(cfg)
-        prod = set()
-        while queue:
-            cfg = queue.pop()
-            if cfg in prod:
-                continue
-            prod.add(cfg)
-            for k in waiting.get(cfg, ()):
-                unproven[k] -= 1
-                if not unproven[k]:
-                    queue.append(heads[k])
-        return frozenset(prod)
+        return frozenset(least_model(
+            (cfg, _successors(r, t, cfg[1]))
+            for cfg, rs in _applicable_all(M, t) for r in rs))
     return _per_tree(compute)
 
 
@@ -197,28 +177,15 @@ def _product_automaton(auts, ceiling=4096):
     """The reachable product of several automata over a shared alphabet,
     totalized with a sink state.  Returns (states, delta, sink)."""
     alphabet = auts[0].alphabet
-    states = set()
-    delta = {}
-    changed = True
-    while changed:
-        changed = False
-        known = sorted(states, key=repr)
-        for sym in alphabet:
-            rank = alphabet.rank(sym)
-            for combo in itertools.product(known, repeat=rank):
-                if (sym, combo) in delta:
-                    continue
-                try:
-                    tgt = tuple(a.delta[(sym, tuple(c[i] for c in combo))]
-                                for i, a in enumerate(auts))
-                except KeyError:
-                    tgt = _SINK
-                delta[(sym, combo)] = tgt
-                if tgt != _SINK and tgt not in states:
-                    states.add(tgt)
-                    changed = True
-                    if len(states) > ceiling:
-                        raise ResourceError("product automaton too large")
+
+    def step(sym, combo):
+        try:
+            return tuple(a.delta[(sym, tuple(c[i] for c in combo))]
+                         for i, a in enumerate(auts))
+        except KeyError:
+            return None
+
+    states, delta = explore(alphabet, step, ceiling, "product automaton")
     allstates = sorted(states, key=repr) + [_SINK]
     for sym in alphabet:
         rank = alphabet.rank(sym)
@@ -231,30 +198,6 @@ def _pattern_of(state, auts):
     if state == _SINK:
         return tuple(False for _ in auts)
     return tuple(state[i] in a.finals for i, a in enumerate(auts))
-
-
-def _grammar_min_witness(g):
-    """Map each nonterminal to the least tree it derives (ordered by size,
-    then serialization), when any."""
-    wit = {}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.rules:
-            t = _instantiate_min(rhs, g, wit)
-            if t is not None and (lhs not in wit or t < wit[lhs]):
-                wit[lhs] = t
-                changed = True
-    return wit
-
-
-def _instantiate_min(rhs, g, wit):
-    if g.is_nonterminal(rhs.label):
-        return wit.get(rhs.label)
-    kids = [_instantiate_min(c, g, wit) for c in rhs.children]
-    if any(k is None for k in kids):
-        return None
-    return Tree(rhs.label, kids)
 
 
 def _stay_closure_groups(M):
@@ -291,16 +234,17 @@ def _stay_closure_groups(M):
     return groups, dmap, terminals
 
 
+def _closure_grammar(pairs):
+    """The nonterminals and rules of one stay-closure group: ("S", q) for
+    each rule state q, and every nonterminal its right-hand sides use."""
+    nts = {("S", q) for q, _ in pairs}
+    nts.update(l for l in _labels(rhs for _, rhs in pairs)
+               if isinstance(l, tuple))
+    return nts, [(("S", q), rhs) for q, rhs in pairs]
+
+
 def _occurring_dnames(rhs_list, dmap):
-    occ = set()
-    for rhs in rhs_list:
-        stack = [rhs]
-        while stack:
-            n = stack.pop()
-            if n.label in dmap:
-                occ.add(n.label)
-            stack.extend(n.children)
-    return occ
+    return {l for l in _labels(rhs_list) if l in dmap}
 
 
 def _unconvert(node, dmap):
@@ -389,14 +333,7 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
     groups, dmap, terminals = _stay_closure_groups(Md)
     rules = []
     for (sym, j, test), pairs in groups.items():
-        nts = {("S", q) for q, _ in pairs}
-        stack = [rhs for _, rhs in pairs]
-        while stack:
-            node = stack.pop()
-            if isinstance(node.label, tuple):
-                nts.add(node.label)
-            stack.extend(node.children)
-        grules = [(("S", q), rhs) for q, rhs in pairs]
+        nts, grules = _closure_grammar(pairs)
         for q in sorted({q for q, _ in pairs}, key=repr):
             g = RegularTreeGrammar(nts, terminals, {("S", q)}, grules)
             members = set()
@@ -415,7 +352,9 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
                         continue
                     checks += 1
                     if checks > search_ceiling:
-                        raise ResourceError("stay-removal search too large")
+                        raise ResourceError(
+                            "stay-removal search: %d checks exceed the "
+                            "ceiling of %d" % (checks, search_ceiling))
                     sub_rules = [(lhs, rhs) for lhs, rhs in grules
                                  if _occurring_dnames([rhs], dmap) <= keep]
                     gk = RegularTreeGrammar(nts, terminals, {("S", q)},
@@ -563,30 +502,16 @@ def _marked_product(tests, base):
     auts = [to_automaton_test(t, base).aut for t in tests]
     marked = MarkedAlphabet(base)
     pstates, pdelta, sink = _product_automaton(auts)
-    p0 = set()
-    p1 = set()
-    changed = True
-    while changed:
-        changed = False
-        for sym in base:
-            rank = base.rank(sym)
-            mk0 = marked_name(sym, 0)
-            mk1 = marked_name(sym, 1)
-            for combo in itertools.product(sorted(p0, key=repr),
-                                           repeat=rank):
-                for tgt, pool in ((pdelta[(mk0, combo)], p0),
-                                  (pdelta[(mk1, combo)], p1)):
-                    if tgt != sink and tgt not in pool:
-                        pool.add(tgt)
-                        changed = True
-            for i in range(rank):
-                for combo in itertools.product(
-                        *[sorted(p1 if k == i else p0, key=repr)
-                          for k in range(rank)]):
-                    tgt = pdelta[(mk0, combo)]
-                    if tgt != sink and tgt not in p1:
-                        p1.add(tgt)
-                        changed = True
+
+    def step(name, combo):
+        marks = split_marked_name(name)[1] + sum(m for _, m in combo)
+        tgt = pdelta[(name, tuple(p for p, _ in combo))]
+        return None if marks > 1 or tgt == sink else (tgt, marks)
+
+    # at most two entries per product state
+    reached, _ = explore(marked, step, 2 * len(pstates), "marked product")
+    p0 = {p for p, marks in reached if marks == 0}
+    p1 = {p for p, marks in reached if marks == 1}
     delta0 = {}
     for (name, combo), tgt in pdelta.items():
         b, bit = split_marked_name(name)
@@ -629,7 +554,9 @@ def lookahead_of_topdown(M, state_ceiling=4096):
         q, sbar = state
         seen_ceiling[0] += 1
         if seen_ceiling[0] > state_ceiling:
-            raise ResourceError("look-ahead state space too large")
+            raise ResourceError(
+                "look-ahead conversion: %d states exceed the ceiling of %d"
+                % (seen_ceiling[0], state_ceiling))
         made = []
         for r in M.rules:
             if r.state != q:
@@ -1240,7 +1167,9 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
                             frontier.append(ctx)
                             if len(contexts) > context_ceiling:
                                 raise ResourceError(
-                                    "context closure too large")
+                                    "context closure: %d context classes "
+                                    "exceed the ceiling of %d"
+                                    % (len(contexts), context_ceiling))
     else:
         pdelta = None
         contexts = {()}
@@ -1318,24 +1247,8 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
             entries.append((sbar, frozenset(beh)))
         return (a0, frozenset(entries))
 
-    dstates = set()
-    delta = {}
-    changed = True
-    while changed:
-        changed = False
-        known = sorted(dstates, key=repr)
-        for sym in base:
-            rank = base.rank(sym)
-            for combo in itertools.product(known, repeat=rank):
-                if (sym, combo) in delta:
-                    continue
-                tgt = transition(sym, combo)
-                delta[(sym, combo)] = tgt
-                if tgt not in dstates:
-                    dstates.add(tgt)
-                    changed = True
-                    if len(dstates) > state_ceiling:
-                        raise ResourceError("domain automaton too large")
+    dstates, delta = explore(base, transition, state_ceiling,
+                             "domain automaton")
     finals = []
     for s in dstates:
         fmap = dict(s[1])
@@ -1381,29 +1294,16 @@ def pruning_image(M, L=None, ceiling=4096):
         L = automaton_all(base)
     if L.alphabet.symbols != base.symbols:
         raise ContractError("input automaton is over the wrong alphabet")
-    pairs = set()
+
+    def step(sym, combo):
+        tup = tuple(a.delta[(sym, tuple(c[0][i] for c in combo))]
+                    for i, a in enumerate(auts))
+        return tup, L.delta[(sym, tuple(c[1] for c in combo))]
+
+    pairs, delta = explore(base, step, ceiling, "image closure")
     prodlist = {}
-    seen_keys = set()
-    changed = True
-    while changed:
-        changed = False
-        known = sorted(pairs, key=repr)
-        for sym in base:
-            rank = base.rank(sym)
-            for combo in itertools.product(known, repeat=rank):
-                if (sym, combo) in seen_keys:
-                    continue
-                seen_keys.add((sym, combo))
-                tup = tuple(a.delta[(sym, tuple(c[0][i] for c in combo))]
-                            for i, a in enumerate(auts))
-                la = L.delta[(sym, tuple(c[1] for c in combo))]
-                pair = (tup, la)
-                prodlist.setdefault(pair, []).append((sym, combo))
-                if pair not in pairs:
-                    pairs.add(pair)
-                    changed = True
-                    if len(pairs) > ceiling:
-                        raise ResourceError("image closure too large")
+    for key, pair in delta.items():
+        prodlist.setdefault(pair, []).append(key)
 
     def test_holds(test, sym, combo):
         if test is None:
@@ -1432,7 +1332,9 @@ def pruning_image(M, L=None, ceiling=4096):
             continue
         nts.add(nt)
         if len(nts) > ceiling:
-            raise ResourceError("image grammar too large")
+            raise ResourceError(
+                "image grammar: %d nonterminals exceed the ceiling of %d"
+                % (len(nts), ceiling))
         _, q, tup, la, j = nt
         for (sym, combo) in prodlist.get((tup, la), ()):
             for r in Ms.rules_at(q, sym, j):
@@ -1454,14 +1356,8 @@ def pruning_image(M, L=None, ceiling=4096):
                 grules.append((nt, conv(r.rhs)))
     # queued nonterminals may still be pending
     pending = {lhs for lhs, _ in grules} | initials
-    for _, rhs in grules:
-        stack = [rhs]
-        while stack:
-            n = stack.pop()
-            if isinstance(n.label, tuple) and n.label and \
-                    n.label[0] == "I":
-                pending.add(n.label)
-            stack.extend(n.children)
+    pending.update(l for l in _labels(rhs for _, rhs in grules)
+                   if isinstance(l, tuple) and l and l[0] == "I")
     g = RegularTreeGrammar(pending | nts, Ms.output_alphabet, initials,
                            grules)
     return grammar_to_automaton(g, ceiling)
@@ -1492,24 +1388,15 @@ def uniformize(M, subset_ceiling=6):
     groups, dmap, terminals = _stay_closure_groups(Md)
     rules = []
     for (sym, j, test), pairs in groups.items():
-        nts = {("S", q) for q, _ in pairs}
-        stack = [rhs for _, rhs in pairs]
-        while stack:
-            node = stack.pop()
-            if isinstance(node.label, tuple):
-                nts.add(node.label)
-            stack.extend(node.children)
-        grules = [(("S", q), rhs) for q, rhs in pairs]
+        nts, grules = _closure_grammar(pairs)
+        # ("S", q)'s least tree uses only the rules it reaches, and with
+        # the calls in D only: a flattened rule reading another outward
+        # call derives nothing, nor does the rule it was flattened from
+        flat = _flatten_grammar(RegularTreeGrammar(nts, terminals, (), grules))
         rhs_nts = {}
         for lhs, rhs in grules:
-            found = set()
-            stack = [rhs]
-            while stack:
-                n = stack.pop()
-                if n.label in nts:
-                    found.add(n.label)
-                stack.extend(n.children)
-            rhs_nts.setdefault(lhs, set()).update(found)
+            rhs_nts.setdefault(lhs, set()).update(
+                l for l in _labels([rhs]) if l in nts)
         for q in sorted({q for q, _ in pairs}, key=repr):
             reach = {("S", q)}
             frontier = [("S", q)]
@@ -1522,14 +1409,14 @@ def uniformize(M, subset_ceiling=6):
             sub = [(lhs, rhs) for lhs, rhs in grules if lhs in reach]
             occ = sorted(_occurring_dnames([rhs for _, rhs in sub], dmap))
             if len(occ) > subset_ceiling:
-                raise ResourceError("too many outward calls to uniformize")
+                raise ResourceError(
+                    "uniformization: %d outward calls exceed the ceiling "
+                    "of %d" % (len(occ), subset_ceiling))
             for bits in itertools.product((0, 1), repeat=len(occ)):
                 D = frozenset(n for n, b in zip(occ, bits) if b)
-                gk = RegularTreeGrammar(
-                    nts, terminals, {("S", q)},
-                    [(lhs, rhs) for lhs, rhs in sub
-                     if _occurring_dnames([rhs], dmap) <= D])
-                wit = _grammar_min_witness(gk).get(("S", q))
+                wit = min_witnesses(
+                    r for r in flat if r[1] not in dmap or r[1] in D
+                ).get(("S", q))
                 if wit is None:
                     continue
 
@@ -1568,6 +1455,12 @@ class Pipeline:
         for a, b in zip(self.stages, self.stages[1:]):
             if a.output_alphabet.symbols != b.input_alphabet.symbols:
                 raise ContractError("adjacent stages disagree on alphabets")
+
+    @classmethod
+    def of(cls, P):
+        """P itself when it is a pipeline, else the one-stage pipeline of
+        the transducer P, with no known constant."""
+        return P if isinstance(P, cls) else cls((P,))
 
 
 @dataclass
@@ -1733,7 +1626,9 @@ def _gamma_candidates(cand_by_source, deterministic, pair_ceiling):
     pairs = sorted({(q, o) for q in sources for o in cand_by_source[q]},
                    key=repr)
     if len(pairs) > pair_ceiling:
-        raise ResourceError("too many candidate excursion pairs")
+        raise ResourceError(
+            "candidate excursion pairs: %d pairs exceed the ceiling of %d"
+            % (len(pairs), pair_ceiling))
     result = []
     for n in range(len(pairs) + 1):
         for combo in itertools.combinations(pairs, n):

@@ -195,11 +195,6 @@ def tree_yield(t, alphabet):
 # ---------------------------------------------------------------------------
 # Running pipelines on forests
 
-def _stages_of(P):
-    if isinstance(P, Pipeline):
-        return P.stages
-    return (P,)
-
 def _is_encoding_alphabet(A):
     return ("e" in A and A.rank("e") == 0
             and all(A.rank(s) == 2 for s in A if s != "e"))
@@ -216,7 +211,7 @@ def forest_pipeline(P, mode, f, max_size=None, intermediate_size=None):
     pipeline, and decoding (mode "dec") or flattening (mode "flat") each
     output.  Without a size bound every stage must be deterministic; with
     one, stage outputs are enumerated up to the bound."""
-    stages = _stages_of(P)
+    stages = Pipeline.of(P).stages
     if mode not in ("dec", "flat"):
         raise ContractError("mode must be 'dec' or 'flat', got %r"
                             % (mode,))
@@ -353,15 +348,6 @@ def chomsky_encoding(gamma):
                               call("q%d" % (i - 1), down(2))))
     inv = Transducer(delta_e, gamma, states, ["q0"], inv_rules)
     return h, inv
-
-
-def build_bridge_transducers(symbols, gamma):
-    """The four bridges between output conventions for an unranked symbol
-    set and a ranked alphabet: the decode homomorphism, the flatten
-    simulator, the yield-based flattener, and the rank-2 re-encoding
-    pair."""
-    return (decode_homomorphism(symbols), flatten_simulator(symbols),
-            flatten_yield(symbols), chomsky_encoding(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,6 @@ def canonical_assignment(g):
 # ---------------------------------------------------------------------------
 # Pair and output-language membership
 
-def _stages_of(P):
-    if isinstance(P, Pipeline):
-        return P.stages, P.linear_bound_constant
-    return (P,), None
-
-
 def _member(stages, const, t, s):
     if len(stages) == 1:
         M = stages[0]
@@ -149,8 +143,8 @@ def member_pair(P, t, s):
     enumerate single stages directly, and search multi-stage intermediates
     r with |r| bounded by the linear-bound constant times |s|, smallest
     candidates first."""
-    stages, const = _stages_of(P)
-    return _member(stages, const, t, s)
+    P = Pipeline.of(P)
+    return _member(P.stages, P.linear_bound_constant, t, s)
 
 
 def member_output_language(P, L, s):
@@ -158,8 +152,8 @@ def member_output_language(P, L, s):
     input language is pushed forward through the leading pruning stages;
     the remaining stages are handled by bounded input enumeration and
     pair membership."""
-    stages, const = _stages_of(P)
-    stages = list(stages)
+    P = Pipeline.of(P)
+    stages, const = list(P.stages), P.linear_bound_constant
     cur = L
     while stages and classify(stages[0]).pruning:
         cur = pruning_image(stages[0], cur)

@@ -8,6 +8,7 @@ per-tree oracles instead; only an explicit conversion pays the
 exponential automaton-construction cost.
 """
 
+import heapq
 import itertools
 
 from .core import (
@@ -184,36 +185,144 @@ def automaton_none(alphabet):
 
 
 # ---------------------------------------------------------------------------
+# Saturation: bottom-up exploration, Horn least models, least witnesses
+
+def explore(alphabet, step, ceiling, what):
+    """The states reachable bottom-up under ``step(symbol, combo)``, which
+    returns a state, or None for no state (the sink).
+
+    Leaves are stepped first; each later round steps only the combos that
+    touch a state first found in the round before, so every (symbol,
+    combo) over the reachable states is stepped exactly once.  Returns
+    (states, delta) with delta defined where ``step`` gave a state.
+    Raises ResourceError, naming ``what``, once more than ``ceiling``
+    states appear; the reachable set, and so whether that happens, does
+    not depend on the order of exploration."""
+    states = set()
+    delta = {}
+    old, fresh = [], []
+    batch = [(sym, ()) for sym in alphabet if alphabet.rank(sym) == 0]
+    while True:
+        for sym, combo in batch:
+            target = step(sym, combo)
+            if target is None:
+                continue
+            delta[(sym, combo)] = target
+            if target not in states:
+                states.add(target)
+                fresh.append(target)
+                if len(states) > ceiling:
+                    raise ResourceError(
+                        "%s: %d states exceed the ceiling of %d"
+                        % (what, len(states), ceiling))
+        if not fresh:
+            return states, delta
+        batch = _combos_touching(alphabet, old, fresh)
+        old, fresh = old + fresh, []
+
+
+def _combos_touching(alphabet, old, frontier):
+    """Every (symbol, combo) over old + frontier with at least one
+    frontier state, each once: position i holds the first frontier
+    state."""
+    known = old + frontier
+    for sym in alphabet:
+        rank = alphabet.rank(sym)
+        for i in range(rank):
+            for combo in itertools.product(
+                    *([old] * i + [frontier] + [known] * (rank - 1 - i))):
+                yield sym, combo
+
+
+def least_model(clauses):
+    """The least model of the propositional Horn clauses ``head <- body``,
+    given as (head, body) pairs; an empty body makes a fact.
+
+    Each clause counts its distinct body atoms not yet derived, and a
+    queue of derived atoms counts them down, so the time is linear in the
+    total size of the clauses (Dowling and Gallier 1984)."""
+    heads = []
+    missing = []  # per clause: body atoms not yet derived
+    waiting = {}  # atom -> clauses with it in their body
+    queue = []
+    for head, body in clauses:
+        body = set(body)
+        for atom in body:
+            waiting.setdefault(atom, []).append(len(heads))
+        heads.append(head)
+        missing.append(len(body))
+        if not body:
+            queue.append(head)
+    model = set()
+    while queue:
+        atom = queue.pop()
+        if atom in model:
+            continue
+        model.add(atom)
+        for k in waiting.get(atom, ()):
+            missing[k] -= 1
+            if not missing[k]:
+                queue.append(heads[k])
+    return model
+
+
+def min_witnesses(rules):
+    """Map each derivable head of the depth-1 rules (head, symbol, kids)
+    to the least tree it derives, ordered by size, then serialized text.
+
+    Knuth's generalization of Dijkstra's algorithm: a rule becomes a
+    candidate once all its kids have their least tree, and the least
+    candidate overall settles its head for good; a tree is larger than
+    each of its subtrees, so no later candidate can undercut it."""
+    rules = list(rules)
+    witness = {}
+    missing = []
+    waiting = {}
+    heap = []
+
+    def push(k):
+        head, sym, kids = rules[k]
+        t = Tree(sym, [witness[q] for q in kids])
+        heapq.heappush(heap, (t.size, serialize_tree(t), k, head, t))
+
+    for k, (_, _, kids) in enumerate(rules):
+        distinct = set(kids)
+        for q in distinct:
+            waiting.setdefault(q, []).append(k)
+        missing.append(len(distinct))
+        if not distinct:
+            push(k)
+    while heap:
+        *_, head, t = heapq.heappop(heap)
+        if head in witness:
+            continue
+        witness[head] = t
+        for k in waiting.get(head, ()):
+            missing[k] -= 1
+            if not missing[k]:
+                push(k)
+    return witness
+
+
+# ---------------------------------------------------------------------------
 # Decision procedures
 
 def _realizable(aut):
     """States with a nonempty language, with a minimal witness each
     (ties broken by size then serialized text)."""
-    witness = {}
-    changed = True
-    while changed:
-        changed = False
-        for (sym, combo), p in aut.delta.items():
-            if all(q in witness for q in combo):
-                cand = Tree(sym, [witness[q] for q in combo])
-                if p not in witness or cand < witness[p]:
-                    witness[p] = cand
-                    changed = True
-    return witness
+    return min_witnesses((p, sym, combo)
+                         for (sym, combo), p in aut.delta.items())
 
 
 def _coreachable(aut, realizable):
-    co = set(aut.finals)
-    changed = True
-    while changed:
-        changed = False
-        for (sym, combo), p in aut.delta.items():
-            if p in co and all(q in realizable for q in combo):
-                for q in combo:
-                    if q not in co:
-                        co.add(q)
-                        changed = True
-    return co
+    """The states from which a final state is reachable upward through
+    transitions whose other arguments are realizable: q <- p for every
+    such transition into p with q among its arguments."""
+    unrealizable = aut.states.difference(realizable)
+    edges = {(q, p) for (sym, combo), p in aut.delta.items()
+             if unrealizable.isdisjoint(combo) for q in combo}
+    return least_model([(p, ()) for p in aut.finals]
+                       + [(q, (p,)) for q, p in edges])
 
 
 def decide(aut):
@@ -386,17 +495,7 @@ def _flatten_grammar(g):
     """Chain-eliminated, depth-1 rules: (lhs, symbol, tuple of nonterminal
     children).  Fresh nonterminals are introduced for nested right-hand
     sides."""
-    # chain closure: lhs -> reachable nonterminals through single-NT rules
-    chain = {nt: {nt} for nt in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.rules:
-            if g.is_nonterminal(rhs.label):
-                for src, reach in chain.items():
-                    if lhs in reach and rhs.label not in reach:
-                        reach.add(rhs.label)
-                        changed = True
+    chain = grammar_chain_closure(g)
     flat = []
     fresh = itertools.count()
 
@@ -426,45 +525,16 @@ def _flatten_grammar(g):
 def grammar_to_automaton(g, ceiling=4096):
     """Subset construction over the grammar's flattened rules.  Raises
     ResourceError when more than ``ceiling`` subset states appear."""
-    flat = _flatten_grammar(g)
     by_sym = {}
-    for lhs, sym, kids in flat:
-        by_sym.setdefault((sym, len(kids)), []).append((lhs, kids))
-    states = set()
-    delta = {}
+    for lhs, sym, kids in _flatten_grammar(g):
+        by_sym.setdefault(sym, []).append((lhs, kids))
 
-    def target_of(sym, rank, combo):
-        return frozenset(
-            lhs for lhs, kids in by_sym.get((sym, rank), ())
-            if all(k in s for k, s in zip(kids, combo)))
+    def target_of(sym, combo):
+        return frozenset(lhs for lhs, kids in by_sym.get(sym, ())
+                         if all(k in s for k, s in zip(kids, combo)))
 
-    def record(sym, combo, target, new_states):
-        delta[(sym, combo)] = target
-        if target not in states:
-            states.add(target)
-            new_states.append(target)
-            if len(states) > ceiling:
-                raise ResourceError(
-                    "subset construction exceeded %d states" % ceiling)
-
-    fresh = []
-    for sym in g.terminals.symbols:
-        if g.terminals.rank(sym) == 0:
-            record(sym, (), target_of(sym, 0, ()), fresh)
-    old = []
-    while fresh:
-        frontier, fresh = fresh, []
-        known = old + frontier
-        for sym in g.terminals.symbols:
-            rank = g.terminals.rank(sym)
-            if rank == 0:
-                continue
-            # only combos that touch at least one frontier state are new
-            for i in range(rank):
-                for combo in itertools.product(
-                        *([old] * i + [frontier] + [known] * (rank - 1 - i))):
-                    record(sym, combo, target_of(sym, rank, combo), fresh)
-        old = known
+    states, delta = explore(g.terminals, target_of, ceiling,
+                            "subset construction")
     finals = {s for s in states if s & g.initials}
     return BottomUpAutomaton(g.terminals, states, finals, delta,
                              check_total=False)
@@ -484,16 +554,17 @@ def automaton_to_grammar(aut):
 def grammar_chain_closure(g, max_len=None):
     """Map each nonterminal to the nonterminals reachable through chain
     rules (paths of length <= max_len when given)."""
-    step = {nt: set() for nt in g.nonterminals}
+    step = {}
     for lhs, rhs in g.rules:
         if g.is_nonterminal(rhs.label):
-            step[lhs].add(rhs.label)
+            step.setdefault(lhs, set()).add(rhs.label)
     bound = max_len if max_len is not None else len(g.nonterminals)
     reach = {nt: {nt} for nt in g.nonterminals}
-    for nt in g.nonterminals:
+    for nt in step:
         frontier = {nt}
         for _ in range(bound):
-            frontier = {y for x in frontier for y in step[x]} - reach[nt]
+            frontier = {y for x in frontier for y in step.get(x, ())} \
+                - reach[nt]
             if not frontier:
                 break
             reach[nt] |= frontier
@@ -544,25 +615,12 @@ def _expand(rhs, g, lang, max_size):
 def grammar_finite(g):
     """Whether L(g) is finite.  A useful nonterminal that derives a proper
     context around itself pumps."""
-    # productive nonterminals (nonempty language)
-    prod = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.rules:
-            if lhs not in prod and _rhs_productive(rhs, g, prod):
-                prod.add(lhs)
-                changed = True
-    reach = set(g.initials)
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.rules:
-            if lhs in reach:
-                for nt in _rhs_nonterminals(rhs, g):
-                    if nt not in reach:
-                        reach.add(nt)
-                        changed = True
+    prod = least_model((lhs, _rhs_nonterminals(rhs, g))
+                       for lhs, rhs in g.rules)
+    reach = least_model(
+        [(nt, ()) for nt in g.initials]
+        + [(nt, (lhs,)) for lhs, rhs in g.rules
+           for nt in _rhs_nonterminals(rhs, g)])
     useful = prod & reach
     # weighted edges: weight 1 when the rhs is bigger than a bare chain
     edges = {}
@@ -597,15 +655,17 @@ def grammar_finite(g):
     return True
 
 
-def _rhs_nonterminals(rhs, g):
-    out = []
-    stack = [rhs]
+def _labels(trees):
+    """Every node label of the trees, in no particular order."""
+    stack = list(trees)
     while stack:
         n = stack.pop()
-        if g.is_nonterminal(n.label):
-            out.append(n.label)
+        yield n.label
         stack.extend(n.children)
-    return out
+
+
+def _rhs_nonterminals(rhs, g):
+    return [label for label in _labels([rhs]) if g.is_nonterminal(label)]
 
 
 def _rhs_productive(rhs, g, prod):
