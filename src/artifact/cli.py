@@ -300,14 +300,17 @@ def _outputs_line(label, outs, fmt):
                                                         for s in outs)))
 
 
-def _machine_outputs(M, t, args):
-    if args.max_size is None:
+def _outputs(M, t, bound, flag, max_chain):
+    """M's outputs on t: its one output when ``bound`` is None and M is
+    deterministic, else those up to size ``bound``; the error names the
+    ``flag`` that sets the bound."""
+    if bound is None:
         if not classify(M).deterministic:
-            raise CliError(2, "--max-size is required for "
-                              "nondeterministic machines")
+            raise CliError(2, "%s is required for nondeterministic machines"
+                           % flag)
         s, _ = eval_deterministic(M, t)
         return set() if s is None else {s}
-    return enumerate_outputs(M, t, args.max_size, args.max_chain)
+    return enumerate_outputs(M, t, bound, max_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +319,13 @@ def _machine_outputs(M, t, args):
 def cmd_run(ws, args):
     M = ws.transducer(args.transducer)
     t = ws.tree(args.input, M.input_alphabet)
-    if classify(M).deterministic and args.max_size is None:
-        s, _ = eval_deterministic(M, t)
-        if s is None:
+    outs = _outputs(M, t, args.max_size, "--max-size", args.max_chain)
+    if args.max_size is None:
+        if not outs:
             print("UNDEFINED")
             return 1
-        print(serialize_tree(s))
+        print(serialize_tree(outs.pop()))
         return 0
-    outs = _machine_outputs(M, t, args)
     print(_outputs_line(serialize_tree(t), outs, serialize_tree))
     return 0
 
@@ -423,8 +425,7 @@ def _pipeline_report(P):
 
 
 def cmd_factorize(ws, args):
-    d = linear_bounded_factorization(ws.transducer(args.transducer),
-                                     corpus_bound=args.ceiling)
+    d = linear_bounded_factorization(ws.transducer(args.transducer))
     stages = d.pruner.stages + (d.remainder,)
     _pipeline_report(Pipeline(stages, d.constant))
     return 0
@@ -527,16 +528,6 @@ def cmd_fixtures(ws, args):
     return 0
 
 
-def _verify_outputs(M, t, args):
-    if args.max_output is None:
-        if not classify(M).deterministic:
-            raise CliError(2, "--max-output is required for "
-                              "nondeterministic machines")
-        s, _ = eval_deterministic(M, t)
-        return set() if s is None else {s}
-    return enumerate_outputs(M, t, args.max_output, args.max_chain)
-
-
 def cmd_verify(ws, args):
     left = ws.transducer(args.left)
     right = ws.transducer(args.right)
@@ -544,8 +535,8 @@ def cmd_verify(ws, args):
         raise CliError(2, "machines have different input alphabets")
     cases = 0
     for t in all_trees(left.input_alphabet, args.max_size):
-        a = _verify_outputs(left, t, args)
-        b = _verify_outputs(right, t, args)
+        a = _outputs(left, t, args.max_output, "--max-output", args.max_chain)
+        b = _outputs(right, t, args.max_output, "--max-output", args.max_chain)
         if a != b:
             print("DIFFER CASE %s -> left %s right %s"
                   % (serialize_tree(t),
@@ -626,7 +617,6 @@ def build_parser():
     p = add("factorize", cmd_factorize,
             help="factor through linear-bounded pruning stages")
     p.add_argument("--transducer", required=True)
-    p.add_argument("--ceiling", type=int, default=4)
 
     p = add("optimize", cmd_optimize,
             help="make every pipeline junction linear-bounded")

@@ -27,8 +27,8 @@ from .regular import (
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
     enumerate_outputs, eval_deterministic, normalize_general,
-    normalize_outputs_stay, out, trace_productive, _applicable_all,
-    _automaton_like, _choice_map, _productive_from, _successors, _values,
+    normalize_outputs_stay, out, relabel_rules, trace_productive,
+    _applicable_all, _choice_map, _productive_from, _successors, _values,
 )
 
 
@@ -83,13 +83,13 @@ def intersect_tests(a, b):
 
 
 def _per_tree(fn):
-    """Memoize a per-input-tree computation."""
+    """Memoize a per-input-tree computation on its arguments."""
     cache = {}
 
-    def get(t):
-        if t not in cache:
-            cache[t] = fn(t)
-        return cache[t]
+    def get(*args):
+        if args not in cache:
+            cache[args] = fn(*args)
+        return cache[args]
     return get
 
 
@@ -279,28 +279,19 @@ def disjoint_tests(M, ceiling=4096):
             raise ContractError("cannot disjointify %r" % (t,))
     tindex = {id(t): i for i, t in enumerate(tests)}
     if all(isinstance(t, SubTest) for t in tests):
-        auts = [t.aut for t in tests]
-        states, delta, sink = _product_automaton(auts, ceiling)
-        real = _realizable(BottomUpAutomaton(
-            auts[0].alphabet, states, [], delta, check_total=False))
-        patterns = sorted({_pattern_of(p, auts) for p in real})
-        atoms = {}
-        for pat in patterns:
-            finals = [p for p in states if _pattern_of(p, auts) == pat]
-            atoms[pat] = SubTest(BottomUpAutomaton(
-                auts[0].alphabet, states, finals, delta, check_total=False))
+        kind, auts = SubTest, [t.aut for t in tests]
     else:
-        base = M.input_alphabet
-        auts = [to_automaton_test(t, base).aut for t in tests]
-        states, delta, sink = _product_automaton(auts, ceiling)
-        real = _realizable(BottomUpAutomaton(
-            auts[0].alphabet, states, [], delta, check_total=False))
-        patterns = sorted({_pattern_of(p, auts) for p in real})
-        atoms = {}
-        for pat in patterns:
-            finals = [p for p in states if _pattern_of(p, auts) == pat]
-            atoms[pat] = AutomatonTest(BottomUpAutomaton(
-                auts[0].alphabet, states, finals, delta, check_total=False))
+        kind = AutomatonTest
+        auts = [to_automaton_test(t, M.input_alphabet).aut for t in tests]
+    states, delta, sink = _product_automaton(auts, ceiling)
+    real = _realizable(BottomUpAutomaton(
+        auts[0].alphabet, states, [], delta, check_total=False))
+    patterns = sorted({_pattern_of(p, auts) for p in real})
+    atoms = {}
+    for pat in patterns:
+        finals = [p for p in states if _pattern_of(p, auts) == pat]
+        atoms[pat] = kind(BottomUpAutomaton(
+            auts[0].alphabet, states, finals, delta, check_total=False))
     rules = []
     for r in M.rules:
         if r.test is None:
@@ -409,11 +400,7 @@ def _identity_on(L):
         return dead
     rules = []
     for (sym, combo), p in L.delta.items():
-        rank = alphabet.rank(sym)
-        for j in range(alphabet.max_rank + 1):
-            rules.append(Rule(p, sym, j, None,
-                              out(sym, *[call(combo[i - 1], down(i))
-                                         for i in range(1, rank + 1)])))
+        rules += relabel_rules(alphabet, p, sym, sym, combo)
     return Transducer(alphabet, alphabet, L.states, L.finals, rules)
 
 
@@ -440,6 +427,14 @@ def _annotated_alphabet(alphabet, n_classes):
     return RankedAlphabet(syms)
 
 
+def _annotated_remainder(M, ann, admits):
+    """M over the annotated alphabet: every rule, without its test, at
+    ``sym~cN`` for each class N in ``admits(rule)``."""
+    rules = [Rule(r.state, "%s~c%d" % (r.symbol, c), r.child_no, None, r.rhs)
+             for r in M.rules for c in admits(r)]
+    return Transducer(ann, M.output_alphabet, M.states, M.initials, rules)
+
+
 def split_lookaround(M):
     """Split M into a deterministic single-state relabeler annotating each
     node with the class of tests holding there, and a local machine over
@@ -452,20 +447,12 @@ def split_lookaround(M):
     ann = _annotated_alphabet(alphabet, len(classes))
     nrules = []
     for sym in alphabet:
-        rank = alphabet.rank(sym)
-        for j in range(alphabet.max_rank + 1):
-            for c, test in enumerate(classes):
-                nrules.append(Rule("p", sym, j, test,
-                                   out("%s~c%d" % (sym, c),
-                                       *[call("p", down(i))
-                                         for i in range(1, rank + 1)])))
+        for c, test in enumerate(classes):
+            nrules += relabel_rules(alphabet, "p", sym, "%s~c%d" % (sym, c),
+                                    ["p"] * alphabet.rank(sym), test)
     N = Transducer(alphabet, ann, ["p"], ["p"], nrules)
-    mrules = []
-    for r in Md.rules:
-        c = 0 if r.test is None else cindex[id(r.test)]
-        mrules.append(Rule(r.state, "%s~c%d" % (r.symbol, c), r.child_no,
-                           None, r.rhs))
-    M2 = Transducer(ann, Md.output_alphabet, Md.states, Md.initials, mrules)
+    M2 = _annotated_remainder(Md, ann, lambda r: [
+        0 if r.test is None else cindex[id(r.test)]])
     return N, M2
 
 
@@ -481,15 +468,18 @@ class ChildProfileTest(NodeTest):
         self.profiles = tuple(tuple(p) for p in profiles)
         self.automata = tuple(automata)
 
+    def matches(self, symbol, kid_states):
+        """Whether the test holds at a node labelled ``symbol`` whose
+        children run to ``kid_states``, one tuple of automaton states per
+        child."""
+        return symbol == self.symbol and all(
+            kid[i] == prof[k] for k, kid in enumerate(kid_states)
+            for i, prof in enumerate(self.profiles))
+
     def eval(self, t, u):
         node = subtree_at(t, u)
-        if node.label != self.symbol:
-            return False
-        for aut, prof in zip(self.automata, self.profiles):
-            for c, p in zip(node.children, prof):
-                if aut.run(c) != p:
-                    return False
-        return True
+        return self.matches(node.label, (
+            tuple(a.run(c) for a in self.automata) for c in node.children))
 
     def __repr__(self):
         return "ChildProfileTest(%s, %r)" % (self.symbol, self.profiles)
@@ -606,100 +596,57 @@ def split_lookaround_nondet(M):
     tests = _distinct_tests(M)
     if not tests:
         return identity_like(M.input_alphabet), M
-    if all(isinstance(t, SubTest) for t in tests):
+    subtests = all(isinstance(t, SubTest) for t in tests)
+    if subtests:
         auts = [t.aut for t in tests]
-        states, delta, sink = _product_automaton(auts)
+    elif all(isinstance(t, ChildProfileTest) for t in tests):
+        if any(t.automata != tests[0].automata for t in tests):
+            raise ContractError("child-profile tests over mixed automata")
+        auts = list(tests[0].automata)
+    else:
+        raise ContractError("cannot split tests of mixed or oracle kinds")
+    states, delta, sink = _product_automaton(auts)
+    live = {k: p for k, p in delta.items() if p != sink and sink not in k[1]}
+    if subtests:
+        # class of a node: which tests its subtree passes
         tindex = {id(t): i for i, t in enumerate(tests)}
         patterns = sorted({_pattern_of(p, auts) for p in states})
         pindex = {pat: c for c, pat in enumerate(patterns)}
-        alphabet = M.input_alphabet
-        ann = _annotated_alphabet(alphabet, len(patterns))
-        nrules = []
-        for (sym, combo), p in delta.items():
-            if p == sink or sink in combo:
-                continue
-            rank = alphabet.rank(sym)
-            c = pindex[_pattern_of(p, auts)]
-            for j in range(alphabet.max_rank + 1):
-                nrules.append(Rule(p, sym, j, None,
-                                   out("%s~c%d" % (sym, c),
-                                       *[call(combo[i - 1], down(i))
-                                         for i in range(1, rank + 1)])))
-        N = Transducer(alphabet, ann, [s for s in states if s != sink],
-                       [s for s in states if s != sink], nrules)
-        mrules = []
-        for r in M.rules:
+        cls = {k: pindex[_pattern_of(p, auts)] for k, p in live.items()}
+        n_classes = len(patterns)
+
+        def admits(r):
             if r.test is None:
-                hits = range(len(patterns))
-            else:
-                i = tindex[id(r.test)]
-                hits = [c for c, pat in enumerate(patterns) if pat[i]]
-            for c in hits:
-                mrules.append(Rule(r.state, "%s~c%d" % (r.symbol, c),
-                                   r.child_no, None, r.rhs))
-        M2 = Transducer(ann, M.output_alphabet, M.states, M.initials,
-                        mrules)
-        return N, M2
-    if all(isinstance(t, ChildProfileTest) for t in tests):
-        fam = tests[0].automata
-        if any(t.automata != fam for t in tests):
-            raise ContractError("child-profile tests over mixed automata")
-        auts = list(fam)
-        states, delta, sink = _product_automaton(auts)
-        alphabet = M.input_alphabet
+                return range(len(patterns))
+            i = tindex[id(r.test)]
+            return [c for c, pat in enumerate(patterns) if pat[i]]
+    else:
         # class of a node: its symbol plus its children's state tuples
-        combos = sorted({(sym, combo) for (sym, combo), p in delta.items()
-                         if p != sink and sink not in combo}, key=repr)
-        cindex = {sc: c for c, sc in enumerate(combos)}
-        ann = _annotated_alphabet(alphabet, len(combos))
-        nrules = []
-        for (sym, combo), p in delta.items():
-            if p == sink or sink in combo:
-                continue
-            rank = alphabet.rank(sym)
-            c = cindex[(sym, combo)]
-            for j in range(alphabet.max_rank + 1):
-                nrules.append(Rule(p, sym, j, None,
-                                   out("%s~c%d" % (sym, c),
-                                       *[call(combo[i - 1], down(i))
-                                         for i in range(1, rank + 1)])))
-        N = Transducer(alphabet, ann, [s for s in states if s != sink],
-                       [s for s in states if s != sink], nrules)
+        combos = sorted(live, key=repr)
+        cls = {k: c for c, k in enumerate(combos)}
+        n_classes = len(combos)
 
-        def test_holds(test, sym, combo):
-            if test is None:
-                return True
-            if test.symbol != sym:
-                return False
-            for i in range(len(auts)):
-                for k, childstate in enumerate(combo):
-                    if childstate[i] != test.profiles[i][k]:
-                        return False
-            return True
-
-        mrules = []
-        for r in M.rules:
-            for c, (sym, combo) in enumerate(combos):
-                if sym != r.symbol:
-                    continue
-                if test_holds(r.test, sym, combo):
-                    mrules.append(Rule(r.state, "%s~c%d" % (sym, c),
-                                       r.child_no, None, r.rhs))
-        M2 = Transducer(ann, M.output_alphabet, M.states, M.initials,
-                        mrules)
-        return N, M2
-    raise ContractError("cannot split tests of mixed or oracle kinds")
+        def admits(r):
+            return [c for c, (sym, combo) in enumerate(combos)
+                    if sym == r.symbol
+                    and (r.test is None or r.test.matches(sym, combo))]
+    alphabet = M.input_alphabet
+    ann = _annotated_alphabet(alphabet, n_classes)
+    nrules = []
+    for (sym, combo), p in live.items():
+        nrules += relabel_rules(alphabet, p, sym,
+                                "%s~c%d" % (sym, cls[(sym, combo)]), combo)
+    guesses = [s for s in states if s != sink]
+    N = Transducer(alphabet, ann, guesses, guesses, nrules)
+    return N, _annotated_remainder(M, ann, admits)
 
 
 def identity_like(alphabet):
     """The one-state total identity relabeler over an alphabet."""
     rules = []
     for sym in alphabet:
-        rank = alphabet.rank(sym)
-        for j in range(alphabet.max_rank + 1):
-            rules.append(Rule("q", sym, j, None,
-                              out(sym, *[call("q", down(i))
-                                         for i in range(1, rank + 1)])))
+        rules += relabel_rules(alphabet, "q", sym, sym,
+                               ["q"] * alphabet.rank(sym))
     return Transducer(alphabet, alphabet, ["q"], ["q"], rules)
 
 
@@ -754,17 +701,8 @@ def localize_second(M1, M2):
                                intersect_tests(r.test, inv), rhs))
     M1p = Transducer(M1n.input_alphabet, ann, M1n.states, M1n.initials,
                      rules1)
-    rules2 = []
-    for r in M2d.rules:
-        if r.test is None:
-            hits = range(len(classes))
-        else:
-            hits = [cindex[id(r.test)]]
-        for c in hits:
-            rules2.append(Rule(r.state, "%s~c%d" % (r.symbol, c),
-                               r.child_no, None, r.rhs))
-    M2p = Transducer(ann, M2d.output_alphabet, M2d.states, M2d.initials,
-                     rules2)
+    M2p = _annotated_remainder(M2d, ann, lambda r: range(len(classes))
+                               if r.test is None else [cindex[id(r.test)]])
     return M1p, M2p
 
 
@@ -865,60 +803,94 @@ def compose_with_pruning(M1, M2):
                      rules_for)
 
 
-def _compose_general(M1, M2, with_backtracking):
-    """Shared product for composing a deterministic M1 with a local,
-    deterministic M2; ``with_backtracking`` additionally supports up-moves
-    of M2 through the unique-use parent structure of M1's computation."""
+def _check_product(M1, M2):
     _check_alphabets(M1, M2)
     _require_local(M2)
     if len(M1.initials) != 1 or len(M2.initials) != 1:
         raise ContractError("this composition needs single initial states")
+
+
+def compose_det_topdown(M1, M2):
+    """Compose a deterministic machine with a deterministic local machine
+    that never moves up.  When the second machine is also stay-free the
+    product substitutes its moves directly and preserves the pruning
+    shape; the composition is guarded on membership in dom(M1)."""
+    if _pruning_shape(M2):
+        # stay-free deleting-only second machine: reuse the pruning
+        # product (which keeps the pruning shape), then guard the domain
+        _require_local(M2)
+        if len(M1.initials) != 1:
+            raise ContractError("this composition needs a single initial "
+                                "state on the first machine")
+        prodM = compose_with_pruning(M1, M2)
+        dom = _domain_oracle(_chi_augment(normalize_general(M1)))
+        return _guard_initial(prodM, dom)
+    _check_product(M1, M2)
+    if any(c.instr.kind == "up" for r in M2.rules for c in r.calls()):
+        raise ContractError("up-moves of the second machine need the "
+                            "single-use composition")
+    # without up-moves the second machine never reaches a "fin" state, so
+    # the single-use product has no backtracking rules
+    return compose_su(M1, M2)
+
+
+def _guard_initial(M, test):
+    """Wrap M with a fresh initial state whose root rules carry an extra
+    test; the original initials stay reachable for revisits."""
+    fresh = ("init~",)
+    rules = list(M.rules)
+    for r in M.rules:
+        if r.state in M.initials and r.child_no == 0:
+            rules.append(Rule(fresh, r.symbol, 0,
+                              intersect_tests(r.test, test), r.rhs))
+    return Transducer(M.input_alphabet, M.output_alphabet,
+                      set(M.states) | {fresh}, [fresh], rules)
+
+
+def compose_su(M1, M2):
+    """Compose a deterministic single-use machine with a deterministic
+    local machine that may move up: an up-move of the second machine
+    backtracks through the unique parent structure of the first machine's
+    computation to the configuration that produced the current output
+    node's parent."""
+    _check_product(M1, M2)
     M1a = _chi_augment(normalize_general(M1))
     M2n = normalize_general(M2)
     rules1 = list(M1a.rules)
     ridx_of = {id(r): i for i, r in enumerate(rules1)}
-    if not with_backtracking:
-        for r in M2n.rules:
-            for c in r.calls():
-                if c.instr.kind == "up":
-                    raise ContractError(
-                        "up-moves of the second machine need the "
-                        "single-use composition")
 
-    if with_backtracking:
-        def parents_of(t):
-            rmap = _choice_map(M1a, t)
-            init = (next(iter(M1a.initials)), ())
-            prodc, order, succs = _productive_from([init], rmap, t)
-            pm = {}
-            if init in prodc:
-                for cfg in order:
-                    for s in succs[cfg]:
-                        if s in pm:
-                            raise ContractError(
-                                "first machine is not single-use at %r"
-                                % (s,))
-                        pm[s] = cfg
-            return pm
-        parents = _per_tree(parents_of)
-        cands = {}
-        for r in rules1:
-            for c in r.calls():
-                cands.setdefault(c.state, set()).add((r.state, c.instr))
+    def parents_of(t):
+        rmap = _choice_map(M1a, t)
+        init = (next(iter(M1a.initials)), ())
+        prodc, order, succs = _productive_from([init], rmap, t)
+        pm = {}
+        if init in prodc:
+            for cfg in order:
+                for s in succs[cfg]:
+                    if s in pm:
+                        raise ContractError(
+                            "first machine is not single-use at %r" % (s,))
+                    pm[s] = cfg
+        return pm
+    parents = _per_tree(parents_of)
+    cands = {}
+    for r in rules1:
+        for c in r.calls():
+            cands.setdefault(c.state, set()).add((r.state, c.instr))
 
-        def parent_test(p, pbar, shape, idx):
-            def fn(t, u, p=p, pbar=pbar, shape=shape, idx=idx):
-                e = parents(t).get((p, u))
-                if e is None:
-                    return False
-                if shape == "down":
-                    want = u[:-1]
-                elif shape == "up":
-                    want = u + (idx,)
-                else:
-                    want = u
-                return e == (pbar, want)
-            return OracleTest(fn, "computation-parent")
+    def parent_test(p, pbar, shape, idx):
+        def fn(t, u, p=p, pbar=pbar, shape=shape, idx=idx):
+            e = parents(t).get((p, u))
+            if e is None:
+                return False
+            if shape == "down":
+                want = u[:-1]
+            elif shape == "up":
+                want = u + (idx,)
+            else:
+                want = u
+            return e == (pbar, want)
+        return OracleTest(fn, "computation-parent")
 
     alphabet = M1.input_alphabet
 
@@ -962,29 +934,28 @@ def _compose_general(M1, M2, with_backtracking):
             made.append(Rule(state, r.symbol, r.child_no, None, rhs))
         return made
 
+    def to_parent(state, p, q, sym, j, test):
+        """The rules at (sym, j) that carry q from a configuration of p
+        back to its computation parent, in ("back", parent state, q)."""
+        made = []
+        for pbar, alpha in sorted(cands.get(p, ()), key=repr):
+            if alpha.kind == "down":
+                moves = [(None, UP)] if j == alpha.index else []
+            elif alpha.kind == "stay":
+                moves = [(None, STAY)]
+            else:
+                moves = [(i, down(i)) for i in
+                         range(1, alphabet.rank(sym) + 1)]
+            for idx, instr in moves:
+                made.append(Rule(state, sym, j, intersect_tests(
+                    test, parent_test(p, pbar, alpha.kind, idx)),
+                    call(("back", pbar, q), instr)))
+        return made
+
     def fin_rules(state):
         _, p, q = state
-        made = []
-        for sym in alphabet:
-            rank = alphabet.rank(sym)
-            for (pbar, alpha) in sorted(cands.get(p, ()), key=repr):
-                if alpha.kind == "down":
-                    made.append(Rule(state, sym, alpha.index,
-                                     parent_test(p, pbar, "down", None),
-                                     call(("back", pbar, q), UP)))
-                elif alpha.kind == "stay":
-                    for j in range(alphabet.max_rank + 1):
-                        made.append(Rule(state, sym, j,
-                                         parent_test(p, pbar, "stay", None),
-                                         call(("back", pbar, q), STAY)))
-                else:
-                    for i in range(1, rank + 1):
-                        for j in range(alphabet.max_rank + 1):
-                            made.append(Rule(
-                                state, sym, j,
-                                parent_test(p, pbar, "up", i),
-                                call(("back", pbar, q), down(i))))
-        return made
+        return [r for sym in alphabet for j in range(alphabet.max_rank + 1)
+                for r in to_parent(state, p, q, sym, j, None)]
 
     def back_rules(state):
         _, pbar, q = state
@@ -992,32 +963,12 @@ def _compose_general(M1, M2, with_backtracking):
         for r in rules1:
             if r.state != pbar:
                 continue
-            if r.kind != "move":
+            if r.kind == "move":
+                made += to_parent(state, pbar, q, r.symbol, r.child_no,
+                                  r.test)
+            else:
                 made.append(Rule(state, r.symbol, r.child_no, r.test,
                                  call(("rq", ridx_of[id(r)], q), STAY)))
-                continue
-            rank = alphabet.rank(r.symbol)
-            for (pbb, alpha) in sorted(cands.get(pbar, ()), key=repr):
-                if alpha.kind == "down":
-                    if r.child_no == alpha.index:
-                        made.append(Rule(
-                            state, r.symbol, r.child_no,
-                            intersect_tests(r.test, parent_test(
-                                pbar, pbb, "down", None)),
-                            call(("back", pbb, q), UP)))
-                elif alpha.kind == "stay":
-                    made.append(Rule(
-                        state, r.symbol, r.child_no,
-                        intersect_tests(r.test, parent_test(
-                            pbar, pbb, "stay", None)),
-                        call(("back", pbb, q), STAY)))
-                else:
-                    for i in range(1, rank + 1):
-                        made.append(Rule(
-                            state, r.symbol, r.child_no,
-                            intersect_tests(r.test, parent_test(
-                                pbar, pbb, "up", i)),
-                            call(("back", pbb, q), down(i))))
         return made
 
     dom = _domain_oracle(M1a)
@@ -1041,46 +992,6 @@ def _compose_general(M1, M2, with_backtracking):
         return back_rules(state)
 
     return _assemble(alphabet, M2.output_alphabet, [("init",)], rules_for)
-
-
-def compose_det_topdown(M1, M2):
-    """Compose a deterministic machine with a deterministic local machine
-    that never moves up.  When the second machine is also stay-free the
-    product substitutes its moves directly and preserves the pruning
-    shape; the composition is guarded on membership in dom(M1)."""
-    if _pruning_shape(M2):
-        # stay-free deleting-only second machine: reuse the pruning
-        # product (which keeps the pruning shape), then guard the domain
-        _require_local(M2)
-        if len(M1.initials) != 1:
-            raise ContractError("this composition needs a single initial "
-                                "state on the first machine")
-        prodM = compose_with_pruning(M1, M2)
-        dom = _domain_oracle(_chi_augment(normalize_general(M1)))
-        return _guard_initial(prodM, dom)
-    return _compose_general(M1, M2, with_backtracking=False)
-
-
-def _guard_initial(M, test):
-    """Wrap M with a fresh initial state whose root rules carry an extra
-    test; the original initials stay reachable for revisits."""
-    fresh = ("init~",)
-    rules = list(M.rules)
-    for r in M.rules:
-        if r.state in M.initials and r.child_no == 0:
-            rules.append(Rule(fresh, r.symbol, 0,
-                              intersect_tests(r.test, test), r.rhs))
-    return Transducer(M.input_alphabet, M.output_alphabet,
-                      set(M.states) | {fresh}, [fresh], rules)
-
-
-def compose_su(M1, M2):
-    """Compose a deterministic single-use machine with a deterministic
-    local machine that may move up: an up-move of the second machine
-    backtracks through the unique parent structure of the first machine's
-    computation to the configuration that produced the current output
-    node's parent."""
-    return _compose_general(M1, M2, with_backtracking=True)
 
 
 def absorb_right(M1, M2, corpus_bound=4):
@@ -1305,17 +1216,6 @@ def pruning_image(M, L=None, ceiling=4096):
     for key, pair in delta.items():
         prodlist.setdefault(pair, []).append(key)
 
-    def test_holds(test, sym, combo):
-        if test is None:
-            return True
-        if test.symbol != sym:
-            return False
-        for i in range(len(auts)):
-            for k in range(len(combo)):
-                if combo[k][0][i] != test.profiles[i][k]:
-                    return False
-        return True
-
     nts = set()
     grules = []
     initials = set()
@@ -1338,7 +1238,8 @@ def pruning_image(M, L=None, ceiling=4096):
         _, q, tup, la, j = nt
         for (sym, combo) in prodlist.get((tup, la), ()):
             for r in Ms.rules_at(q, sym, j):
-                if not test_holds(r.test, sym, combo):
+                if r.test is not None and not r.test.matches(
+                        sym, [c[0] for c in combo]):
                     continue
 
                 def conv(node):
@@ -1688,13 +1589,7 @@ def _leaves_phase(M, pair_ceiling):
                             stack.append((r2.rhs.label.state, w))
         return frozenset(rel)
 
-    ghost_cache = {}
-
-    def ghost(t, u, picks):
-        key = (t, u, picks)
-        if key not in ghost_cache:
-            ghost_cache[key] = ghost_rel(t, u, picks)
-        return ghost_cache[key]
+    ghost = _per_tree(ghost_rel)
 
     def gname(sym, j, picks, gamma):
         ps = "".join(str(i) for i in picks) or "0"
@@ -1796,14 +1691,10 @@ def _monadic_phase(M, pair_ceiling):
         dict(alphabet.symbols, **{h: 1 for h in hat.values()}))
     n1rules = []
     for sym in alphabet:
-        rank = alphabet.rank(sym)
-        for j in range(maxr + 1):
-            n1rules.append(Rule("h", sym, j, None,
-                               out(sym, *[call("h", down(i))
-                                          for i in range(1, rank + 1)])))
-            if rank == 1 and j >= 1:
-                n1rules.append(Rule("h", sym, j, None,
-                                   out(hat[sym], call("h", down(1)))))
+        n1rules += relabel_rules(alphabet, "h", sym, sym,
+                                 ["h"] * alphabet.rank(sym))
+        if sym in hat:  # the root is never hatted
+            n1rules += relabel_rules(alphabet, "h", sym, hat[sym], ["h"])[1:]
     N1 = Transducer(alphabet, hat_alphabet, ["h"], ["h"], n1rules)
 
     down_end, up_end = _chain_endpoints(Mn)
@@ -1855,13 +1746,7 @@ def _monadic_phase(M, pair_ceiling):
                             rel.add((q, (s2, "d%d" % x[len(u)])))
         return frozenset(rel)
 
-    ghost_cache = {}
-
-    def ghost(that, u):
-        key = (that, u)
-        if key not in ghost_cache:
-            ghost_cache[key] = ghost_rel(that, u)
-        return ghost_cache[key]
+    ghost = _per_tree(ghost_rel)
 
     def adjacency(that, u):
         tags = set()
@@ -2003,7 +1888,7 @@ def productivity_decompose(M, phase, pair_ceiling=12):
 # ---------------------------------------------------------------------------
 # Linear-bounded factorization
 
-def linear_bounded_factorization(M, corpus_bound=4):
+def linear_bounded_factorization(M):
     """Factor M into a pipeline of pruning stages and a remainder such
     that for every translation pair some intermediate tree has size at
     most twice the output size (every leaf and monadic node of the pruned
@@ -2069,7 +1954,7 @@ def linear_bounded_pipeline(P, corpus_bound=4):
     out_stages = [stages[0]]
     constant = 1
     for M2 in stages[1:]:
-        d = linear_bounded_factorization(M2, corpus_bound)
+        d = linear_bounded_factorization(M2)
         lead = out_stages.pop()
         pruners = list(d.pruner.stages)
         while pruners:

@@ -212,20 +212,26 @@ def serialize_tree(t):
     """Mandatory parentheses and commas for rank >= 1, bare name for
     leaves.  This is the bit-exact interchange format."""
     parts = []
-    _serialize_into(t, parts)
-    return "".join(parts)
-
-
-def _serialize_into(t, parts):
-    label = t.label if isinstance(t.label, str) else repr(t.label)
-    parts.append(label)
-    if t.children:
-        parts.append("(")
-        for i, c in enumerate(t.children):
+    append = parts.append
+    stack = []  # (siblings, index of the next one) of each open node
+    children, i = (t,), 0
+    while True:
+        if i < len(children):
+            node = children[i]
             if i:
-                parts.append(",")
-            _serialize_into(c, parts)
-        parts.append(")")
+                append(",")
+            label = node.label
+            append(label if isinstance(label, str) else repr(label))
+            i += 1
+            if node.children:
+                append("(")
+                stack.append((children, i))
+                children, i = node.children, 0
+        elif stack:
+            append(")")
+            children, i = stack.pop()
+        else:
+            return "".join(parts)
 
 
 class ParseError(ValueError):
@@ -256,32 +262,46 @@ def parse_tree(text, alphabet):
             raise ParseError("expected symbol name", start)
         return text[start:pos[0]]
 
-    def parse_term():
-        skip_ws()
-        start = pos[0]
-        name = parse_name()
-        if name not in alphabet:
-            raise ParseError("unknown symbol %r" % name, start)
+    def make(name, start, children):
         rank = alphabet.rank(name)
-        skip_ws()
-        children = []
-        if pos[0] < n and text[pos[0]] == "(":
-            pos[0] += 1
-            skip_ws()
-            while pos[0] < n and text[pos[0]] != ")":
-                children.append(parse_term())
-                skip_ws()
-                if pos[0] < n and text[pos[0]] == ",":
-                    pos[0] += 1
-                    skip_ws()
-            if pos[0] >= n:
-                raise ParseError("unclosed '('", start)
-            pos[0] += 1
         if len(children) != rank:
             raise ParseError(
                 "symbol %r has rank %d but %d children given"
                 % (name, rank, len(children)), start)
         return Tree(name, children)
+
+    def parse_term():
+        open_terms = []  # (name, start, children) of each unclosed '('
+        while True:
+            skip_ws()
+            start = pos[0]
+            name = parse_name()
+            if name not in alphabet:
+                raise ParseError("unknown symbol %r" % name, start)
+            skip_ws()
+            if pos[0] < n and text[pos[0]] == "(":
+                pos[0] += 1
+                skip_ws()
+                open_terms.append((name, start, []))
+                done = None
+            else:
+                done = make(name, start, [])
+            while True:
+                if done is not None:
+                    if not open_terms:
+                        return done
+                    open_terms[-1][2].append(done)
+                    skip_ws()
+                    if pos[0] < n and text[pos[0]] == ",":
+                        pos[0] += 1
+                        skip_ws()
+                if pos[0] < n and text[pos[0]] != ")":
+                    break  # the next child of the innermost open term
+                name, start, children = open_terms.pop()
+                if pos[0] >= n:
+                    raise ParseError("unclosed '('", start)
+                pos[0] += 1
+                done = make(name, start, children)
 
     t = parse_term()
     skip_ws()

@@ -9,6 +9,7 @@ the construction equivalence suites.
 
 import random
 
+from .constructions import identity_like
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, down, leaf, STAY, UP,
 )
@@ -96,14 +97,7 @@ def query_transducer(test=None):
 def identity_relabeler(alphabet=SIGMA_E):
     """One state, every node relabeled by itself: the canonical total
     deterministic relabeling machine."""
-    rules = []
-    for sym in alphabet:
-        rank = alphabet.rank(sym)
-        for j in range(alphabet.max_rank + 1):
-            rules.append(Rule("q", sym, j, None,
-                              out(sym, *[call("q", down(i))
-                                         for i in range(1, rank + 1)])))
-    return Transducer(alphabet, alphabet, ["q"], ["q"], rules)
+    return identity_like(alphabet)
 
 
 def left_projection():

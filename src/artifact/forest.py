@@ -11,10 +11,10 @@ and its binary encoding has exactly 2n + 1 nodes.
 from .core import (
     RankedAlphabet, Tree, TreeError, UP, down, leaf,
 )
-from .constructions import Pipeline
+from .constructions import Pipeline, pipeline_outputs
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
-    enumerate_outputs, eval_deterministic, out,
+    eval_deterministic, out,
 )
 
 CONCAT = "@"
@@ -206,7 +206,7 @@ def _is_concat_alphabet(A):
             and all(A.rank(s) == 1 for s in A if s not in ("e", CONCAT)))
 
 
-def forest_pipeline(P, mode, f, max_size=None, intermediate_size=None):
+def forest_pipeline(P, mode, f, max_size=None):
     """All forests obtained by encoding f, running it through the
     pipeline, and decoding (mode "dec") or flattening (mode "flat") each
     output.  Without a size bound every stage must be deterministic; with
@@ -224,23 +224,20 @@ def forest_pipeline(P, mode, f, max_size=None, intermediate_size=None):
     if not ok:
         raise ContractError("pipeline output alphabet does not fit mode "
                             "%r" % (mode,))
-    outs = {encode(f)}
-    for i, M in enumerate(stages):
-        bound = max_size if i == len(stages) - 1 \
-            else (intermediate_size if intermediate_size is not None
-                  else max_size)
-        nxt = set()
-        for r in outs:
-            if bound is None:
+    if max_size is not None:
+        outs = pipeline_outputs(stages, encode(f), max_size)
+    else:
+        outs = {encode(f)}
+        for M in stages:
+            nxt = set()
+            for r in outs:
                 if not classify(M).deterministic:
                     raise ContractError("nondeterministic stage needs a "
                                         "size bound")
                 s, _ = eval_deterministic(M, r)
                 if s is not None:
                     nxt.add(s)
-            else:
-                nxt |= enumerate_outputs(M, r, bound)
-        outs = nxt
+            outs = nxt
     convert = flatten if mode == "flat" else decode
     return {convert(s) for s in outs}
 

@@ -107,13 +107,16 @@ class BottomUpAutomaton:
     def format(self):
         lines = ["alphabet:"]
         lines.append(self.alphabet.format().rstrip("\n"))
-        names = _state_names(self.states)
+        order = _state_order(self)
+        names = _state_names(order)
+        pos = {p: i for i, p in enumerate(order)}
         lines.append("states:")
-        lines.append(" ".join(names[p] for p in sorted(self.states, key=repr)))
+        lines.append(" ".join(names[p] for p in order))
         lines.append("finals:")
-        lines.append(" ".join(names[p] for p in sorted(self.finals, key=repr)))
-        for (sym, combo), p in sorted(self.delta.items(),
-                                      key=lambda kv: (kv[0][0], repr(kv[0][1]))):
+        lines.append(" ".join(names[p] for p in order if p in self.finals))
+        for (sym, combo), p in sorted(
+                self.delta.items(),
+                key=lambda kv: (kv[0][0], [pos[q] for q in kv[0][1]])):
             args = ",".join([sym] + [names[q] for q in combo])
             lines.append("delta(%s) = %s" % (args, names[p]))
         return "\n".join(lines) + "\n"
@@ -156,11 +159,20 @@ class BottomUpAutomaton:
         return cls(alphabet, states, finals, delta)
 
 
-def _state_names(states):
-    names = {}
-    for p in sorted(states, key=repr):
-        names[p] = p if isinstance(p, str) else "s%d" % len(names)
-    return names
+def _state_order(aut):
+    """The states of aut by least witness tree, then the states without a
+    witness in repr order.  Only the order among unrealizable states that
+    hold sets depends on string hashing."""
+    witness = _realizable(aut)
+    return sorted(witness, key=witness.get) + sorted(
+        aut.states.difference(witness), key=repr)
+
+
+def _state_names(order):
+    """String states keep their names; the others are numbered by their
+    position in ``order``."""
+    return {p: p if isinstance(p, str) else "s%d" % i
+            for i, p in enumerate(order)}
 
 
 def run_automaton(aut, t):

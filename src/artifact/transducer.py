@@ -11,6 +11,7 @@ by ``config_grammar``.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -20,7 +21,7 @@ from .core import (
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, RegularTreeGrammar, SubTest,
-    eval_test, eval_test_all, to_automaton_test,
+    eval_test, eval_test_all, explore, to_automaton_test, _state_names,
 )
 
 
@@ -114,6 +115,15 @@ class Rule:
             "" if self.test is None else ",test", _format_rhs(self.rhs))
 
 
+def relabel_rules(alphabet, state, symbol, new, kids, test=None):
+    """The rules, one per child number of ``alphabet``, by which ``state``
+    at ``symbol`` emits ``new`` over the children and enters child i in
+    state ``kids[i-1]``."""
+    rhs = out(new, *[call(k, down(i)) for i, k in enumerate(kids, 1)])
+    return [Rule(state, symbol, j, test, rhs)
+            for j in range(alphabet.max_rank + 1)]
+
+
 class Transducer:
     """M = (input alphabet, output alphabet, states, initials, rules)."""
 
@@ -184,17 +194,20 @@ class Transducer:
     def format(self, test_names=None):
         """Serialize to the sectioned text format.  ``test_names`` maps test
         objects (by identity) to names; unnamed tests are an error."""
-        names = {}
-        for q in sorted(self.states, key=repr):
-            names[q] = q if isinstance(q, str) else "s%d" % len(names)
+        # states in order of first appearance in the rules, so that the
+        # text does not depend on string hashing
+        order = list(dict.fromkeys(
+            q for r in self.rules for q in [r.state] + [
+                c.state for c in r.calls()]))
+        order += sorted(self.states.difference(order), key=repr)
+        names = _state_names(order)
         lines = ["input:"]
         lines.append(self.input_alphabet.format().rstrip("\n"))
         lines.append("output:")
         lines.append(self.output_alphabet.format().rstrip("\n"))
-        lines.append("states: " + " ".join(
-            names[q] for q in sorted(self.states, key=repr)))
+        lines.append("states: " + " ".join(names[q] for q in order))
         lines.append("initial: " + " ".join(
-            names[q] for q in sorted(self.initials, key=repr)))
+            names[q] for q in order if q in self.initials))
         lines.append("rules:")
         for r in self.rules:
             head = [names[r.state], r.symbol, str(r.child_no)]
@@ -394,39 +407,14 @@ def _automaton_like(test):
 
 
 def _joint_nonempty(auts):
-    """Whether the intersection of the automata languages is nonempty,
-    explored over reachable state tuples only (worklist construction)."""
-    alphabet = auts[0].alphabet
-    reach = set()
-    fresh = []
-    hit = []
+    """Whether the intersection of the automata languages is nonempty:
+    whether some reachable tuple of their states is final in each."""
+    def step(sym, combo):
+        return tuple(a.delta[(sym, tuple(c[i] for c in combo))]
+                     for i, a in enumerate(auts))
 
-    def record(sym, combo):
-        tup = tuple(a.delta[(sym, tuple(c[i] for c in combo))]
-                    for i, a in enumerate(auts))
-        if tup not in reach:
-            reach.add(tup)
-            fresh.append(tup)
-            if all(p in a.finals for p, a in zip(tup, auts)):
-                hit.append(tup)
-
-    for sym in alphabet.symbols:
-        if alphabet.rank(sym) == 0:
-            record(sym, ())
-    old = []
-    while fresh and not hit:
-        frontier, fresh = fresh, []
-        known = old + frontier
-        for sym in alphabet.symbols:
-            rank = alphabet.rank(sym)
-            if rank == 0:
-                continue
-            for i in range(rank):
-                for combo in itertools.product(
-                        *([old] * i + [frontier] + [known] * (rank - 1 - i))):
-                    record(sym, combo)
-        old = known
-    return bool(hit)
+    reach, _ = explore(auts[0].alphabet, step, math.inf, "joint product")
+    return any(all(p in a.finals for p, a in zip(tup, auts)) for tup in reach)
 
 
 def _tests_disjoint(M, r1, r2, corpus_bound):

@@ -81,6 +81,18 @@ def test_parse_serialize_roundtrip_exhaustive():
         assert parse_tree(serialize_tree(t), GRAMMAR_ALPHA) == t
 
 
+def test_parse_serialize_deep_comb_at_default_recursion_limit():
+    t = leaf("e")
+    for _ in range(10 ** 4 - 1):
+        t = Tree("sigma", [leaf("e"), t])
+    text = serialize_tree(t)
+    assert text == "sigma(e," * (10 ** 4 - 1) + "e" + ")" * (10 ** 4 - 1)
+    assert parse_tree(text, SIGMA_E) == t
+    with pytest.raises(ParseError) as exc:
+        parse_tree(text[:-1], SIGMA_E)
+    assert exc.value.offset == 0  # the outermost '(' is the unclosed one
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -1,7 +1,11 @@
 """Tests for grammars, bottom-up automata, node tests, and decisions."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +74,32 @@ def test_automaton_text_roundtrip():
     aut2 = BottomUpAutomaton.parse(aut.format())
     for t in all_trees(SIGMA_E, 5):
         assert aut.accepts(t) == aut2.accepts(t)
+
+
+FORMAT_PROBE = """
+from artifact.constructions import domain_automaton, lookahead_of_topdown
+from artifact.fixtures import random_transducer
+print(domain_automaton(random_transducer(1, kind="local",
+                                         max_tests=1)).format())
+M = lookahead_of_topdown(random_transducer(3, kind="topdown", max_tests=1))
+tests = list(dict.fromkeys(r.test for r in M.rules if r.test is not None))
+print(M.format({t: "t%d" % i for i, t in enumerate(tests)}))
+for t in tests:
+    print("".join(a.format() for a in t.automata))
+"""
+
+
+def test_text_formats_do_not_depend_on_string_hashing():
+    """Automaton and transducer states that are not strings (here they
+    hold frozensets of strings) get the same names under any hash seed."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    texts = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        texts.add(subprocess.run(
+            [sys.executable, "-c", FORMAT_PROBE], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert len(texts) == 1
 
 
 # ---------------------------------------------------------------------------

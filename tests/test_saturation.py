@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from artifact import constructions, regular
+from artifact import constructions, regular, transducer
 from artifact.constructions import (
     _marked_product, _product_automaton, _stay_closure_groups,
     _distinct_tests, domain_automaton, pruning_image,
@@ -60,6 +60,42 @@ def _explore_by_rounds(alphabet, step, ceiling, what):
                     if len(states) > ceiling:
                         raise ResourceError(what)
     return states, delta
+
+
+def _joint_nonempty_by_rounds(auts):
+    """The frontier loop ``transducer._joint_nonempty`` ran, stopping at
+    the first tuple that is final in every automaton."""
+    alphabet = auts[0].alphabet
+    reach = set()
+    fresh = []
+    hit = []
+
+    def record(sym, combo):
+        tup = tuple(a.delta[(sym, tuple(c[i] for c in combo))]
+                    for i, a in enumerate(auts))
+        if tup not in reach:
+            reach.add(tup)
+            fresh.append(tup)
+            if all(p in a.finals for p, a in zip(tup, auts)):
+                hit.append(tup)
+
+    for sym in alphabet.symbols:
+        if alphabet.rank(sym) == 0:
+            record(sym, ())
+    old = []
+    while fresh and not hit:
+        frontier, fresh = fresh, []
+        known = old + frontier
+        for sym in alphabet.symbols:
+            rank = alphabet.rank(sym)
+            if rank == 0:
+                continue
+            for i in range(rank):
+                for combo in itertools.product(
+                        *([old] * i + [frontier] + [known] * (rank - 1 - i))):
+                    record(sym, combo)
+        old = known
+    return bool(hit)
 
 
 def _marked_pools_by_rounds(pdelta, sink, base):
@@ -494,3 +530,29 @@ def test_only_the_named_while_changed_loops_remain():
     for path in sorted(src.glob("*.py")):
         found += _while_changed_loops(path)
     assert sorted(found) == REMAINING_LOOPS
+
+
+# ---------------------------------------------------------------------------
+# Product emptiness in the determinism check
+
+def test_tests_disjoint_and_classify_agree_with_the_frontier_loop(
+        monkeypatch):
+    machines = _machines(n=34)
+    assert len(machines) >= 200
+    checked = 0
+    for M in machines:
+        pairs = [(r1, r2) for group in M._index.values()
+                 for r1, r2 in itertools.combinations(group, 2)]
+
+        def verdicts():
+            return ([transducer._tests_disjoint(M, r1, r2, 6)
+                     for r1, r2 in pairs],
+                    transducer.classify(M).deterministic)
+        new = verdicts()
+        with monkeypatch.context() as m:
+            m.setattr(transducer, "_joint_nonempty",
+                      _joint_nonempty_by_rounds)
+            old = verdicts()
+        assert new == old
+        checked += len(pairs)
+    assert checked > 0
