@@ -16,6 +16,7 @@ outputs sorted, so byte-identical runs produce byte-identical reports.
 """
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -551,7 +552,10 @@ def cmd_verify(ws, args):
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once: ``main`` parses every argument
+    vector with the same one."""
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Tree-walking tree transducer toolkit")

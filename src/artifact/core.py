@@ -179,8 +179,11 @@ class Tree:
                 or len(self.children) != len(other.children)):
             return False
         # the same checks on every pair of nodes below, with an explicit
-        # stack so that deep trees do not exhaust the recursion limit
+        # stack so that deep trees do not exhaust the recursion limit.  A
+        # pair of nodes is expanded once, so with shared subtrees the work
+        # is linear in the shared size.
         stack = list(zip(self.children, other.children))
+        compared = set()
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -188,12 +191,17 @@ class Tree:
             if (a._hash != b._hash or a.size != b.size or a.label != b.label
                     or len(a.children) != len(b.children)):
                 return False
+            pair = (id(a), id(b))
+            if pair in compared:
+                continue
+            compared.add(pair)
             stack.extend(zip(a.children, b.children))
         return True
 
     def __lt__(self, other):
         """Order by (size, serialized text) — the canonical tie-break used
-        for minimal witnesses and fixed-element choices."""
+        for minimal witnesses and fixed-element choices.  To sort many
+        trees, ``sorted(trees, key=tree_key)`` serializes each one once."""
         if self.size != other.size:
             return self.size < other.size
         return serialize_tree(self) < serialize_tree(other)
@@ -206,6 +214,11 @@ class Tree:
 
 def leaf(label):
     return Tree(label, ())
+
+
+def tree_key(t):
+    """The canonical order of ``Tree.__lt__`` as a sort key."""
+    return t.size, serialize_tree(t)
 
 
 def serialize_tree(t):
@@ -358,6 +371,29 @@ def preorder(t):
     return out
 
 
+def distinct_postorder(t, enter=None):
+    """The distinct subtrees of t (by identity), each once, children
+    before their parent and left to right, without recursion.  ``enter``,
+    when given, is called on each of them as the walk first reaches it,
+    before its children."""
+    if enter is not None:
+        enter(t)
+    seen = {id(t)}
+    stack = [(t, iter(t.children))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if id(c) not in seen:
+                seen.add(id(c))
+                if enter is not None:
+                    enter(c)
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            yield node
+
+
 def addresses(t):
     """All node addresses of t in pre-order."""
     return [u for u, _ in preorder(t)]
@@ -486,7 +522,7 @@ def all_trees(alphabet, max_size):
     out = []
     for s in range(1, max_size + 1):
         out.extend(by_size[s])
-    out.sort()
+    out.sort(key=tree_key)
     return out
 
 

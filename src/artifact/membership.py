@@ -1,19 +1,27 @@
 """Membership queries for pipelines, tree fixed points of configuration
 grammars, and the satisfiability fixtures.
 
-Pair membership on a factored pipeline enumerates intermediate trees
-bounded by the pipeline's linear-bound constant; output-language
+Pair membership evaluates the deterministic stages of a pipeline and
+decides a nondeterministic last stage by parsing the output with that
+stage's configuration grammar, the reduction of membership for a
+nondeterministic stage after deterministic ones to context-free
+membership.  The pipeline's linear-bound constant bounds only the
+intermediates of nondeterministic stages that are not last, which are
+still enumerated.  The output of a deterministic stage that is not last
+is handed on whole, unless it exceeds both the linear bound and
+INTERMEDIATE_CEILING, which raises ResourceError.  Output-language
 membership additionally pushes the input language through the leading
-pruning stages.
+pruning stages and enumerates the remaining inputs.
 """
 
 from dataclasses import dataclass
 
-from .core import RankedAlphabet, Tree, UP, all_trees, down, leaf
+from .core import RankedAlphabet, Tree, UP, all_trees, down, leaf, tree_key
 from .constructions import Pipeline, pruning_image
+from .regular import ResourceError, grammar_member
 from .transducer import (
-    ContractError, Rule, Transducer, call, classify, enumerate_outputs,
-    eval_deterministic, out,
+    ContractError, Rule, Transducer, call, classify, config_grammar,
+    enumerate_outputs, eval_deterministic, out,
 )
 
 
@@ -123,28 +131,66 @@ def canonical_assignment(g):
 # ---------------------------------------------------------------------------
 # Pair and output-language membership
 
-def _member(stages, const, t, s):
-    if len(stages) == 1:
-        M = stages[0]
-        if classify(M).deterministic:
-            return eval_deterministic(M, t)[0] == s
-        return s in enumerate_outputs(M, t, s.size)
+# Explicit size above which the output of a deterministic stage that is
+# not last, and that exceeds the linear bound, is not handed on: the next
+# stage's work grows with the explicit size of its input.
+INTERMEDIATE_CEILING = 1 << 20
+
+
+def _require_constant(const):
     if const is None:
         raise ContractError("multi-stage membership needs a linear-bound "
                             "constant")
-    for r in sorted(enumerate_outputs(stages[0], t, const * s.size)):
-        if _member(stages[1:], const, r, s):
-            return True
-    return False
+
+
+def _member(stages, det, const, t, s):
+    """Whether (t, s) is a pair of the stages, whose determinism flags are
+    ``det``.  Deterministic stages are evaluated, a nondeterministic last
+    stage is decided by parsing s with its configuration grammar, and only
+    a nondeterministic stage before the last enumerates its outputs, up to
+    ``const * |s|`` nodes and smallest first.  Raises ResourceError when a
+    deterministic stage before the last outputs more than both
+    ``const * |s|`` and INTERMEDIATE_CEILING nodes."""
+    for i, M in enumerate(stages):
+        last = i == len(stages) - 1
+        if det[i]:
+            t = eval_deterministic(M, t)[0]
+            if t is None:
+                return False
+            if last:
+                return t == s
+            if t.size > max(const * s.size, INTERMEDIATE_CEILING):
+                raise ResourceError(
+                    "membership: an intermediate of %d nodes exceeds the "
+                    "linear bound of %d and the ceiling of %d"
+                    % (t.size, const * s.size, INTERMEDIATE_CEILING))
+        elif last:
+            return grammar_member(config_grammar(M, t), s)
+        else:
+            return any(_member(stages[i + 1:], det[i + 1:], const, r, s)
+                       for r in sorted(enumerate_outputs(M, t,
+                                                         const * s.size),
+                                       key=tree_key))
 
 
 def member_pair(P, t, s):
-    """Whether (t, s) is a translation pair of the pipeline: evaluate or
-    enumerate single stages directly, and search multi-stage intermediates
-    r with |r| bounded by the linear-bound constant times |s|, smallest
-    candidates first."""
+    """Whether (t, s) is a translation pair of the pipeline.
+
+    Deterministic stages are evaluated and their outputs handed on whole;
+    an intermediate beyond both the linear bound and INTERMEDIATE_CEILING
+    raises ResourceError.  A
+    nondeterministic last stage is decided without enumeration: s is
+    parsed with the configuration grammar of the stage on its input
+    (``regular.grammar_member``).  Only a nondeterministic stage that is
+    not last enumerates its candidate intermediates r, with |r| bounded by
+    the linear-bound constant times |s|, smallest first; a multi-stage
+    pipeline needs that constant even when no such stage exists."""
     P = Pipeline.of(P)
-    return _member(P.stages, P.linear_bound_constant, t, s)
+    const = P.linear_bound_constant
+    if len(P.stages) > 1:
+        _require_constant(const)
+    det = [classify(M).deterministic for M in P.stages]
+    return _member(P.stages, det, const, t, s)
 
 
 def member_output_language(P, L, s):
@@ -160,11 +206,10 @@ def member_output_language(P, L, s):
         stages.pop(0)
     if not stages:
         return cur.accepts(s)
-    if const is None:
-        raise ContractError("multi-stage membership needs a linear-bound "
-                            "constant")
+    _require_constant(const)
+    det = [classify(M).deterministic for M in stages]
     for t in all_trees(stages[0].input_alphabet, const * s.size):
-        if cur.accepts(t) and _member(tuple(stages), const, t, s):
+        if cur.accepts(t) and _member(stages, det, const, t, s):
             return True
     return False
 

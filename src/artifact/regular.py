@@ -12,8 +12,9 @@ import heapq
 import itertools
 
 from .core import (
-    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, leaf, mark_node,
-    marked_name, serialize_tree, split_marked_name, subtree_at, unmark_tree,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, distinct_postorder,
+    leaf, mark_node, marked_name, serialize_tree, split_marked_name,
+    subtree_at, tree_key, unmark_tree,
 )
 
 
@@ -58,21 +59,22 @@ class BottomUpAutomaton:
                                      % (key,))
 
     def run(self, t):
-        """Return delta(t), memoized over shared subtrees."""
-        memo = {}
+        """Return delta(t), memoized over shared subtrees and without
+        recursion.  A label is checked as the walk enters its node and a
+        transition is taken once the node's children are done, so the
+        first failure raises as a recursive run would."""
+        alphabet, delta = self.alphabet, self.delta
 
-        def go(node):
-            r = memo.get(id(node))
-            if r is not None:
-                return r
-            if node.label not in self.alphabet:
+        def check(node):
+            if node.label not in alphabet:
                 raise AlphabetError("symbol %r not in automaton alphabet"
                                     % (node.label,))
-            r = self.delta[(node.label, tuple(go(c) for c in node.children))]
-            memo[id(node)] = r
-            return r
 
-        return go(t)
+        memo = {}
+        for node in distinct_postorder(t, check):
+            memo[id(node)] = delta[
+                (node.label, tuple(memo[id(c)] for c in node.children))]
+        return memo[id(t)]
 
     def accepts(self, t):
         return self.run(t) in self.finals
@@ -295,7 +297,7 @@ def min_witnesses(rules):
     def push(k):
         head, sym, kids = rules[k]
         t = Tree(sym, [witness[q] for q in kids])
-        heapq.heappush(heap, (t.size, serialize_tree(t), k, head, t))
+        heapq.heappush(heap, (tree_key(t), k, head, t))
 
     for k, (_, _, kids) in enumerate(rules):
         distinct = set(kids)
@@ -534,18 +536,43 @@ def _flatten_grammar(g):
     return flat
 
 
-def grammar_to_automaton(g, ceiling=4096):
-    """Subset construction over the grammar's flattened rules.  Raises
-    ResourceError when more than ``ceiling`` subset states appear."""
+def _subset_step(g):
+    """The function (symbol, child sets) -> frozenset of the nonterminals
+    that derive a node with that label and children derived from those
+    sets, read off the flattened rules of g.  A rule applies only to a
+    node with as many children as the rule has."""
     by_sym = {}
     for lhs, sym, kids in _flatten_grammar(g):
         by_sym.setdefault(sym, []).append((lhs, kids))
 
-    def target_of(sym, combo):
+    def target_of(sym, sets):
         return frozenset(lhs for lhs, kids in by_sym.get(sym, ())
-                         if all(k in s for k, s in zip(kids, combo)))
+                         if len(kids) == len(sets)
+                         and all(k in n for k, n in zip(kids, sets)))
+    return target_of
 
-    states, delta = explore(g.terminals, target_of, ceiling,
+
+def grammar_member(g, s):
+    """Whether s is in L(g), in one bottom-up pass over the distinct
+    subtrees of s (CYK for tree grammars): each subtree gets the set of
+    nonterminals deriving it, read off the flattened rules of its label
+    from its children's sets.  Stops at the first subtree that nothing
+    derives."""
+    target_of = _subset_step(g)
+    derives = {}
+    for node in distinct_postorder(s):
+        nts = target_of(node.label,
+                        [derives[id(c)] for c in node.children])
+        if not nts:
+            return False
+        derives[id(node)] = nts
+    return not g.initials.isdisjoint(derives[id(s)])
+
+
+def grammar_to_automaton(g, ceiling=4096):
+    """Subset construction over the grammar's flattened rules.  Raises
+    ResourceError when more than ``ceiling`` subset states appear."""
+    states, delta = explore(g.terminals, _subset_step(g), ceiling,
                             "subset construction")
     finals = {s for s in states if s & g.initials}
     return BottomUpAutomaton(g.terminals, states, finals, delta,

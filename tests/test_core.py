@@ -6,8 +6,9 @@ from artifact.core import (
     AlphabetError, MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError,
     STAY, UP, addresses, all_trees, child_number, down, leaf, mark_node,
     marked_address, navigate, parse_tree, preorder, serialize_tree,
-    subtree_at, tree_metrics, unmark_tree,
+    subtree_at, tree_key, tree_metrics, unmark_tree,
 )
+from artifact.fixtures import OUT3
 
 SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
 GRAMMAR_ALPHA = RankedAlphabet({"sigma": 2, "tau": 1, "a": 0})
@@ -236,3 +237,28 @@ def test_tree_equality_deep():
     for _ in range(297):
         b = Tree("sigma", [leaf("e"), b])
     assert a.size == b.size and a != b
+
+
+def test_all_trees_key_sort_matches_comparison_sort():
+    for alphabet in (SIGMA_E, OUT3):
+        ts = all_trees(alphabet, 11)
+        assert ts == sorted(ts)  # Tree.__lt__, two serializations a call
+        assert ts == sorted(ts, key=tree_key)
+
+
+def test_tree_equality_shared_subtrees():
+    # separately built, so no node of one is a node of the other; the
+    # explicit size is 2^31 - 1, the shared size 31 nodes
+    def full(h):
+        t = leaf("e")
+        for _ in range(h):
+            t = Tree("sigma", [t, t])
+        return t
+
+    assert full(30) == full(30)
+    assert full(30) != full(29)
+    # the one differing leaf sits under every shared path
+    odd = leaf("f")
+    for _ in range(30):
+        odd = Tree("sigma", [odd, odd])
+    assert odd.size == full(30).size and odd != full(30)

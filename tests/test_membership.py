@@ -5,20 +5,24 @@ import itertools
 
 import pytest
 
+from artifact import membership
 from artifact.core import RankedAlphabet, Tree, all_trees, leaf
 from artifact.constructions import Pipeline, pipeline_outputs
 from artifact.fixtures import (
-    SIGMA_E, comb_tree, full_binary, identity_relabeler, left_projection,
-    m_exp,
+    OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
+    left_projection, m_exp,
 )
 from artifact.membership import (
-    FixedPointAssignment, build_sat_fixtures, canonical_assignment,
+    FORMULAS, FixedPointAssignment, build_sat_fixtures, canonical_assignment,
     leeuw_transducer, member_output_language, member_pair,
     verify_tree_fixed_point, word_tree,
 )
-from artifact.regular import RegularTreeGrammar, automaton_all
+from artifact.regular import (
+    RegularTreeGrammar, ResourceError, automaton_all, grammar_member,
+)
 from artifact.transducer import (
-    ContractError, config_grammar, enumerate_outputs, eval_deterministic,
+    ContractError, classify, config_grammar, enumerate_outputs,
+    eval_deterministic,
 )
 from corpus import (
     SIG_TREES_5, collect_machines, eval_formula, formulas, satisfiable,
@@ -124,6 +128,119 @@ def test_member_pair_nondeterministic_stage():
         from artifact.fixtures import OUT3
         for s in all_trees(OUT3, 5):
             assert member_pair(M, t, s) == (s in outs), (t, s)
+
+
+def test_member_pair_shared_output():
+    # m_exp maps a comb of n leaves to the full binary tree of height n:
+    # 2^31 - 1 nodes, 31 of them distinct
+    assert member_pair(m_exp(), comb_tree(30), full_binary(30))
+    assert not member_pair(m_exp(), comb_tree(30), full_binary(29))
+
+
+def test_member_pair_deterministic_intermediate_ceiling(monkeypatch):
+    # a deterministic intermediate beyond the linear bound is handed on:
+    # full_binary(5) has 63 nodes, the bound is 1 x 31
+    P = Pipeline((m_exp(), left_projection()), 1)
+    assert member_pair(P, comb_tree(5), full_binary(4))
+    with monkeypatch.context() as m:
+        m.setattr(membership, "INTERMEDIATE_CEILING", 62)
+        with pytest.raises(ResourceError):
+            member_pair(P, comb_tree(5), full_binary(4))
+    # beyond the ceiling as well: 2^31 - 1 nodes, which the second stage
+    # would visit one by one
+    P = Pipeline((m_exp(), identity_relabeler()), 1)
+    with pytest.raises(ResourceError):
+        member_pair(P, comb_tree(30), leaf("e"))
+
+
+@pytest.mark.parametrize("kind", ["local", "sub", "lookaround"])
+def test_grammar_member_agrees_with_enumeration(kind):
+    """Parsing against enumeration on 30 nondeterministic machines with
+    one test.  Candidates are all outputs of up to 7 nodes and every
+    output of up to 9 nodes; ``enumerate_outputs(M, t, 9)`` holds exactly
+    the outputs of ``enumerate_outputs(M, t, |s|)`` for |s| <= 9."""
+    small = set(all_trees(OUT3, 7))
+    members = 0
+    for M in collect_machines(30, kind, False, max_tests=1):
+        for t in SIG_TREES_5:
+            outs = enumerate_outputs(M, t, 9)
+            g = config_grammar(M, t)
+            for s in small | outs:
+                assert grammar_member(g, s) == (s in outs), (M, t, s)
+                members += s in outs
+    assert members > 0
+
+
+def test_member_pair_enumerates_only_inner_nondeterministic_stages(
+        monkeypatch):
+    calls = []
+
+    def counted(M, t, *args):
+        calls.append(M)
+        return enumerate_outputs(M, t, *args)
+
+    monkeypatch.setattr(membership, "enumerate_outputs", counted)
+    _, P = build_sat_fixtures()
+    first, second = P.stages
+    t = word_tree("abbcdde")
+    sat = Tree("or", [Tree("v", [leaf("e")]),
+                      Tree("not", [Tree("v", [leaf("e")])])])
+    assert member_pair(Pipeline((first, second), 16), t, sat)
+    assert member_pair(second, eval_deterministic(first, t)[0], sat)
+    assert not calls
+    # a nondeterministic stage before a deterministic one still enumerates
+    t = comb_tree(2)
+    M = collect_machines(
+        1, "local", False, output=SIGMA_E,
+        pred=lambda M: (not classify(M).deterministic
+                        and enumerate_outputs(M, t, 7)))[0]
+    r = min(enumerate_outputs(M, t, 7))
+    assert member_pair(Pipeline((M, identity_relabeler()), 7), t, r)
+    assert calls == [M]
+
+
+def _member_by_enumeration(stages, const, t, s):
+    """Pair membership as it was before parsing: every stage but the last
+    enumerates its outputs up to ``const * |s|`` nodes, deterministic ones
+    too, and a nondeterministic last stage enumerates up to |s|."""
+    if len(stages) == 1:
+        M = stages[0]
+        if classify(M).deterministic:
+            return eval_deterministic(M, t)[0] == s
+        return s in enumerate_outputs(M, t, s.size)
+    for r in sorted(enumerate_outputs(stages[0], t, const * s.size)):
+        if _member_by_enumeration(stages[1:], const, r, s):
+            return True
+    return False
+
+
+def test_np_pipeline_member_pair_agrees_with_enumeration():
+    """On the SAT pipeline with constant 16 the parsing answer is the
+    enumeration answer wherever the only intermediate has at most 16 |s|
+    nodes, and the satisfiability answer everywhere."""
+    _, P = build_sat_fixtures()
+    P = Pipeline(P.stages, 16)
+    for n, m in ((1, 0), (2, 0), (2, 1), (3, 1)):
+        t = word_tree("a" + "b" * n + "c" + "d" * m + "e")
+        r, _ = eval_deterministic(P.stages[0], t)
+        fset = formulas(m, n)
+        for s in set(all_trees(FORMULAS, 4)) | formulas(1, n):
+            got = member_pair(P, t, s)
+            assert got == (s in fset and satisfiable(s, n)), (n, m, s)
+            if r.size <= 16 * s.size:
+                assert got == _member_by_enumeration(P.stages, 16, t, s), \
+                    (n, m, s)
+
+
+def test_np_pipeline_member_pair_beyond_the_constant():
+    # the only intermediate has 63 nodes, more than 16 |v(v(e))| = 48
+    _, P = build_sat_fixtures()
+    P = Pipeline(P.stages, 16)
+    t = word_tree("abbbcde")
+    s = Tree("v", [Tree("v", [leaf("e")])])
+    assert eval_deterministic(P.stages[0], t)[0].size == 63
+    assert member_pair(P, t, s)
+    assert not _member_by_enumeration(P.stages, 16, t, s)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from artifact.regular import (
     ResourceError, SubTest, automaton_all, automaton_none,
     automaton_to_grammar, decide, derivation_grammar, derivation_yield_tree,
     enumerate_grammar, enumerate_language, eval_test, eval_test_all,
-    grammar_finite, grammar_to_automaton, lift_mark, run_automaton, sub_test,
-    subtest_to_marked, to_automaton_test,
+    grammar_finite, grammar_member, grammar_to_automaton, lift_mark,
+    run_automaton, sub_test, subtest_to_marked, to_automaton_test,
 )
 from artifact.transducer import marked_position_automaton
 
@@ -62,6 +62,26 @@ def test_all_finals_accepts_everything():
     aut = automaton_all(SIGMA_E)
     for t in all_trees(SIGMA_E, 5):
         assert aut.accepts(t)
+
+
+def test_run_deep_comb():
+    t = comb_tree(10 ** 4)
+    assert automaton_all(SIGMA_E).accepts(t)
+    assert run_automaton(parity_automaton(), t) == ("even", True)
+    assert eval_test(SubTest(automaton_all(SIGMA_E)), comb_tree(500), ())
+
+
+def test_run_raises_at_first_failing_node():
+    # a label is checked on entering its node, before its children run
+    partial = BottomUpAutomaton(SIGMA_E, ["p"], ["p"], {("e", ()): "p"},
+                                check_total=False)
+    with pytest.raises(KeyError):
+        partial.run(parse_tree("sigma(e,e)", SIGMA_E))
+    with pytest.raises(AlphabetError):
+        partial.run(Tree("f", [Tree("sigma", [leaf("e"), leaf("e")])]))
+    with pytest.raises(KeyError):
+        partial.run(Tree("sigma", [Tree("sigma", [leaf("e"), leaf("e")]),
+                                   leaf("f")]))
 
 
 def test_totality_enforced():
@@ -200,6 +220,35 @@ def _random_rhs(rng, nts, depth):
     if label in nts:
         return leaf(label)
     return Tree("sigma", [_random_rhs(rng, nts, depth - 1) for _ in range(2)])
+
+
+def test_grammar_member_agrees_with_enumeration():
+    """The bottom-up parse against enumerate_grammar, 50 random grammars,
+    trees up to size 7, plus deep, shared and ill-ranked trees."""
+    rng = random.Random(11)
+    small = all_trees(SIGMA_E, 7)
+    for _ in range(50):
+        g = _random_grammar(rng)
+        lang = enumerate_grammar(g, 7)
+        for t in small:
+            assert grammar_member(g, t) == (t in lang), (g.format(), t)
+    g = RegularTreeGrammar(
+        ["S"], SIGMA_E, ["S"],
+        [("S", leaf("e")), ("S", Tree("sigma", [leaf("e"), leaf("S")]))])
+    assert grammar_member(g, comb_tree(5000))
+    assert not grammar_member(g, Tree("sigma", [comb_tree(2), leaf("e")]))
+    full = leaf("e")
+    for _ in range(40):
+        full = Tree("sigma", [full, full])
+    g = RegularTreeGrammar(["S"], SIGMA_E, ["S"],
+                           [("S", leaf("e")),
+                            ("S", Tree("sigma", [leaf("S"), leaf("S")]))])
+    assert grammar_member(g, full)
+    # ill-ranked trees: a rule applies only to a node of its own arity
+    for bad in (leaf("sigma"), Tree("sigma", [leaf("e")]),
+                Tree("sigma", [leaf("e")] * 3)):
+        assert not grammar_member(g, bad), bad
+        assert bad not in enumerate_grammar(g, 4)
 
 
 def test_subset_construction_ceiling():
