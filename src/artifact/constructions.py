@@ -10,12 +10,13 @@ from them.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, child_number, down, leaf,
     marked_name, navigate, preorder, split_marked_name, subtree_at,
-    try_navigate, STAY, UP,
+    tree_key, try_navigate, STAY, UP,
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
@@ -123,6 +124,14 @@ def _domain_oracle(M):
     deterministic M."""
     has = _per_tree(lambda t: eval_deterministic(M, t)[0] is not None)
     return OracleTest(lambda t, u: has(t), "dom")
+
+
+def _rules_by(M, key):
+    """M's rules grouped by ``key(rule)``, in rule order within a group."""
+    groups = {}
+    for r in M.rules:
+        groups.setdefault(key(r), []).append(r)
+    return groups
 
 
 def _assemble(input_alphabet, output_alphabet, initials, rules_for):
@@ -310,12 +319,13 @@ def disjoint_tests(M, ceiling=4096):
 # Stay removal
 
 def stay_free(M, finitary_asserted=True, search_ceiling=512,
-              enumeration_ceiling=10 ** 9):
+              enumeration_ceiling=256):
     """Remove the stay instruction.  Every left-hand side gets the family
     of trees its stay-closure derives; an infinite family is cut back to
     the union of its maximal finite restrictions of the occurring
     outward-call symbols (the fixpoint of removing members with infinite
-    families)."""
+    families).  Enumerating one closure grammar raises ResourceError
+    once it finds more than ``enumeration_ceiling`` trees."""
     if not finitary_asserted:
         raise ContractError("stay removal needs the finitary assertion")
     if all(c.instr != STAY for r in M.rules for c in r.calls()):
@@ -329,7 +339,8 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
             g = RegularTreeGrammar(nts, terminals, {("S", q)}, grules)
             members = set()
             if grammar_finite(g):
-                members = enumerate_grammar(g, enumeration_ceiling)
+                members = enumerate_grammar(
+                    g, math.inf, max_count=enumeration_ceiling)
             else:
                 occ = frozenset(_occurring_dnames(
                     [rhs for _, rhs in grules], dmap))
@@ -352,14 +363,15 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
                                             sub_rules)
                     if grammar_finite(gk):
                         finite_sets.append(keep)
-                        members |= enumerate_grammar(gk, enumeration_ceiling)
+                        members |= enumerate_grammar(
+                            gk, math.inf, max_count=enumeration_ceiling)
                     else:
                         for d in keep:
                             smaller = keep - {d}
                             if smaller not in seen:
                                 seen.add(smaller)
                                 stack.append(smaller)
-            for m in sorted(members):
+            for m in sorted(members, key=tree_key):
                 rules.append(Rule(q, sym, j, test, _unconvert(m, dmap)))
     return Transducer(Md.input_alphabet, Md.output_alphabet, Md.states,
                       Md.initials, rules)
@@ -539,6 +551,7 @@ def lookahead_of_topdown(M, state_ceiling=4096):
         return test_cache[key]
 
     seen_ceiling = [0]
+    by_state = _rules_by(M, lambda r: r.state)
 
     def rules_for(state):
         q, sbar = state
@@ -548,9 +561,7 @@ def lookahead_of_topdown(M, state_ceiling=4096):
                 "look-ahead conversion: %d states exceed the ceiling of %d"
                 % (seen_ceiling[0], state_ceiling))
         made = []
-        for r in M.rules:
-            if r.state != q:
-                continue
+        for r in by_state.get(q, ()):
             sym = r.symbol
             m = base.rank(sym)
             mk1 = marked_name(sym, 1)
@@ -760,12 +771,12 @@ def compose_with_pruning(M1, M2):
                        for l in deleted)
         return OracleTest(fn, "kept-siblings-productive")
 
+    by_state = _rules_by(M1a, lambda r: r.state)
+
     def rules_for(state):
         _, pa, q = state
         made = []
-        for r in M1a.rules:
-            if r.state != pa:
-                continue
+        for r in by_state.get(pa, ()):
             if r.kind == "move":
                 c = r.rhs.label
                 made.append(Rule(state, r.symbol, r.child_no, r.test,
@@ -1020,12 +1031,14 @@ def absorb_right(M1, M2, corpus_bound=4):
 # ---------------------------------------------------------------------------
 # Domain automaton
 
-def _antichain(sets):
+def _minimal(sets):
+    """The inclusion-minimal members of a collection of sets: a subset
+    sorts before each of its strict supersets."""
     mins = []
-    for s in sorted(sets, key=lambda x: (len(x), sorted(map(repr, x)))):
+    for s in sorted(set(sets), key=len):
         if not any(m <= s for m in mins):
             mins.append(s)
-    return frozenset(mins)
+    return mins
 
 
 def _cross_union(optss):
@@ -1033,9 +1046,78 @@ def _cross_union(optss):
     acc = [frozenset()]
     for opts in optss:
         if not opts:
-            return frozenset()
-        acc = list(_antichain([a | o for a in acc for o in opts]))
-    return _antichain(acc)
+            return []
+        acc = _minimal([a | o for a in acc for o in opts])
+    return acc
+
+
+def _claims(rules_at, maxr, sym, truths, kid_beh):
+    """The behaviour summary of a subtree with root ``sym`` under guard
+    truths ``truths``, given each child's summary in its context class:
+    every (child number j, state q, exit-state set E) such that a
+    computation from q at the root, as child j, completes inside the
+    subtree and leaves it only upward in the states of E, with E
+    minimal.
+
+    ``rules_at[(sym, j)]`` lists (state, test index, calls) per rule, a
+    call being (kind, child, state).  The claim sets of one j are the
+    least fixpoint, kept as antichains (De Wulf, Doyen, Henzinger and
+    Raskin, CAV 2006), of a worklist that re-examines a rule only when a
+    claim set it reads has grown (Dowling and Gallier 1984)."""
+    beh = set()
+    for j in range(maxr + 1):
+        rules = [(q, calls) for q, i, calls in rules_at.get((sym, j), ())
+                 if i is None or truths[i]]
+        # per rule and call: a constant option set, or the alternative
+        # tuples of states whose claims it cross-unions
+        plans = []
+        readers = {}
+        for k, (q, calls) in enumerate(rules):
+            plan = []
+            for kind, c, p in calls:
+                if kind == "up":
+                    plan.append(([frozenset([p])], None))
+                    continue
+                if kind == "stay":
+                    alts = [(p,)]
+                else:
+                    alts = [tuple(e2) for jj, qq, e2 in kid_beh[c]
+                            if jj == c + 1 and qq == p]
+                plan.append((None, alts))
+                for alt in alts:
+                    for e in alt:
+                        readers.setdefault(e, set()).add(k)
+            plans.append(plan)
+        claims = {}
+        queue = list(range(len(rules)))
+        queued = set(queue)
+        while queue:
+            k = queue.pop()
+            queued.discard(k)
+            optss = []
+            for const, alts in plans[k]:
+                if const is not None:
+                    optss.append(const)
+                    continue
+                opts = []
+                for alt in alts:
+                    opts += _cross_union([claims.get(e, ()) for e in alt])
+                optss.append(_minimal(opts))
+            q = rules[k][0]
+            old = claims.get(q, [])
+            new = old
+            for e in _cross_union(optss):
+                if not any(o <= e for o in new):
+                    new = [o for o in new if not e <= o] + [e]
+            if new is not old:
+                claims[q] = new
+                for k2 in readers.get(q, ()):
+                    if k2 not in queued:
+                        queued.add(k2)
+                        queue.append(k2)
+        for q, es in claims.items():
+            beh.update((j, q, e) for e in es)
+    return frozenset(beh)
 
 
 def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
@@ -1043,30 +1125,44 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
     joint test-automaton state of the subtree and, for every reachable
     context class, the subtree's behavior summary: which (child number,
     state, exit-state set) claims have a complete computation inside the
-    subtree."""
+    subtree.  Each distinct (symbol, guard truths, children's summaries)
+    is summarized once per construction."""
     tests = _distinct_tests(M)
     for t in tests:
         if not isinstance(t, (SubTest, AutomatonTest)):
             raise ContractError(
                 "domain automaton needs automaton-backed tests")
     base = M.input_alphabet
-    maxr = base.max_rank
-    states_q = sorted(M.states, key=repr)
+    tindex = {id(t): i for i, t in enumerate(tests)}
+    rules_at = {}
+    for r in M.rules:
+        calls = tuple(
+            ("stay" if cl.instr == STAY else cl.instr.kind,
+             cl.instr.index - 1 if cl.instr.kind == "down" else None,
+             cl.state)
+            for cl in r.calls())
+        rules_at.setdefault((r.symbol, r.child_no), []).append(
+            (r.state, None if r.test is None else tindex[id(r.test)], calls))
+    # rows[(sym, children's unmarked states)]: per context class, the
+    # guard truths at the node and the context class of each child
+    rows = {}
     if tests:
         auts, pdelta, sink, p0, p1, _proj = _marked_product(tests, base)
-        tindex = {id(t): i for i, t in enumerate(tests)}
-        finals1 = tuple(frozenset(p for p in p1 if p[i] in a.finals)
-                        for i, a in enumerate(auts))
+        root_ctx = tuple(frozenset(p for p in p1 if p[i] in a.finals)
+                         for i, a in enumerate(auts))
         profiles0 = sorted(p0, key=repr)
-        # closure of the reachable context classes
-        contexts = {finals1}
-        frontier = [finals1]
+        # closure of the reachable context classes, each mapped to one
+        # shared copy so that the rows and the summaries key on it
+        contexts = {root_ctx: root_ctx}
+        frontier = [root_ctx]
         while frontier:
             sbar = frontier.pop()
             for sym in base:
                 m = base.rank(sym)
                 mk0 = marked_name(sym, 0)
+                mk1 = marked_name(sym, 1)
                 for prof in itertools.product(profiles0, repeat=m):
+                    kid_ctx = []
                     for c in range(m):
                         ctx = tuple(
                             frozenset(p for p in p1
@@ -1074,88 +1170,41 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
                                                  + prof[c + 1:])] in s)
                             for s in sbar)
                         if ctx not in contexts:
-                            contexts.add(ctx)
+                            contexts[ctx] = ctx
                             frontier.append(ctx)
                             if len(contexts) > context_ceiling:
                                 raise ResourceError(
                                     "context closure: %d context classes "
                                     "exceed the ceiling of %d"
                                     % (len(contexts), context_ceiling))
+                        kid_ctx.append(contexts[ctx])
+                    p_here = pdelta[(mk1, prof)]
+                    rows.setdefault((sym, prof), []).append(
+                        (sbar, tuple(p_here in s for s in sbar),
+                         tuple(kid_ctx)))
     else:
-        pdelta = None
-        contexts = {()}
-    root_ctx = tuple(finals1) if tests else ()
+        root_ctx = ()
+        for sym in base:
+            m = base.rank(sym)
+            rows[(sym, ((),) * m)] = [((), (), ((),) * m)]
+    memo = {}
 
     def transition(sym, kids):
-        m = base.rank(sym)
         kid0 = tuple(k[0] for k in kids)
-        fmaps = [dict(k[1]) for k in kids]
         if tests:
             a0 = pdelta[(marked_name(sym, 0), kid0)]
             if a0 == sink or sink in kid0:
                 raise ContractError("partial test automaton")
-            a1 = {}
         else:
             a0 = ()
+        fmaps = [dict(k[1]) for k in kids]
         entries = []
-        for sbar in contexts:
-            if tests:
-                p_here = pdelta[(marked_name(sym, 1), kid0)]
-                truths = tuple(p_here in s for s in sbar)
-                mk0 = marked_name(sym, 0)
-                kid_ctx = [
-                    tuple(frozenset(p for p in p1
-                                    if pdelta[(mk0, kid0[:c] + (p,)
-                                               + kid0[c + 1:])] in s)
-                          for s in sbar)
-                    for c in range(m)]
-            else:
-                truths = ()
-                kid_ctx = [() for _ in range(m)]
-            kid_beh = [fmaps[c][kid_ctx[c]] for c in range(m)]
-            beh = set()
-            for j in range(maxr + 1):
-                claims = {q: set() for q in states_q}
-                applicable = {}
-                for q in states_q:
-                    rs = []
-                    for r in M.rules_at(q, sym, j):
-                        if r.test is None or truths[tindex[id(r.test)]]:
-                            rs.append(r)
-                    applicable[q] = rs
-                changed = True
-                while changed:
-                    changed = False
-                    for q in states_q:
-                        for r in applicable[q]:
-                            optss = []
-                            for cl in r.calls():
-                                if cl.instr == STAY:
-                                    optss.append(frozenset(
-                                        claims[cl.state]))
-                                elif cl.instr.kind == "up":
-                                    optss.append(
-                                        frozenset([frozenset([cl.state])]))
-                                else:
-                                    c = cl.instr.index - 1
-                                    opts = set()
-                                    for (jj, qq, e2) in kid_beh[c]:
-                                        if jj != c + 1 or qq != cl.state:
-                                            continue
-                                        opts |= _cross_union(
-                                            [frozenset(claims[e])
-                                             for e in sorted(e2, key=repr)])
-                                    optss.append(frozenset(opts))
-                            for enew in _cross_union(optss):
-                                if not any(old <= enew
-                                           for old in claims[q]):
-                                    claims[q] = set(_antichain(
-                                        set(claims[q]) | {enew}))
-                                    changed = True
-                for q in states_q:
-                    for e in claims[q]:
-                        beh.add((j, q, e))
-            entries.append((sbar, frozenset(beh)))
+        for sbar, truths, kid_ctx in rows[(sym, kid0)]:
+            key = (sym, truths,
+                   tuple(f[ctx] for f, ctx in zip(fmaps, kid_ctx)))
+            if key not in memo:
+                memo[key] = _claims(rules_at, base.max_rank, *key)
+            entries.append((sbar, memo[key]))
         return (a0, frozenset(entries))
 
     dstates, delta = explore(base, transition, state_ceiling,
@@ -1597,6 +1646,7 @@ def _leaves_phase(M, pair_ceiling):
                       for p in sorted(gamma)) or "0"
         return "%s~n%d~k%s~g%s" % (sym, j, ps, gs)
 
+    by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
     gamma_syms = {}
     nrules = []
     for sym in alphabet:
@@ -1605,9 +1655,8 @@ def _leaves_phase(M, pair_ceiling):
             for n in range(rank + 1):
                 for picks in itertools.combinations(range(1, rank + 1), n):
                     cand = {}
-                    for r in Mn.rules:
-                        if r.symbol != sym or r.child_no != j \
-                                or r.kind != "move":
+                    for r in by_sym.get((sym, j), ()):
+                        if r.kind != "move":
                             continue
                         c = r.rhs.label
                         if c.instr.kind != "down" \
@@ -1635,9 +1684,7 @@ def _leaves_phase(M, pair_ceiling):
         jprimes = (0,) if j == 0 else tuple(
             range(1, gamma_alphabet.max_rank + 1))
         for jp in jprimes:
-            for r in Mn.rules:
-                if r.symbol != sym or r.child_no != j:
-                    continue
+            for r in by_sym.get((sym, j), ()):
                 if r.kind == "move":
                     c = r.rhs.label
                     if c.instr.kind != "down":
@@ -1764,6 +1811,7 @@ def _monadic_phase(M, pair_ceiling):
                       for q, p in sorted(gamma)) or "0"
         return "%s~n%d~U%s~g%s" % (sym, j, us, gs)
 
+    by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
     gamma_syms = {}
     n2rules = []
     for h in hat.values():
@@ -1781,9 +1829,8 @@ def _monadic_phase(M, pair_ceiling):
                 for utags in itertools.combinations(tags, n):
                     uset = frozenset(utags)
                     cand = {}
-                    for r in Mn.rules:
-                        if r.symbol != sym or r.child_no != j \
-                                or r.kind != "move":
+                    for r in by_sym.get((sym, j), ()):
+                        if r.kind != "move":
                             continue
                         c = r.rhs.label
                         if c.instr.kind == "up" and "u" in uset:
@@ -1829,9 +1876,7 @@ def _monadic_phase(M, pair_ceiling):
     for name, (sym, j, uset, gamma) in gamma_syms.items():
         jprimes = (0,) if j == 0 else tuple(range(1, maxr + 1))
         for jp in jprimes:
-            for r in Mn.rules:
-                if r.symbol != sym or r.child_no != j:
-                    continue
+            for r in by_sym.get((sym, j), ()):
                 if r.kind == "move":
                     c = r.rhs.label
                     tag = "u" if c.instr.kind == "up" else (

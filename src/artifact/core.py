@@ -8,15 +8,15 @@ empty tuple addresses the root.  The child number of the root is 0 by
 convention.
 """
 
-_FORBIDDEN_NAME_CHARS = set("()[]{},")
+import re
+
+# A symbol name is a non-empty run of characters that are neither
+# whitespace (``\s``, the characters of ``str.isspace``) nor any of ()[]{},
+_SYMBOL_NAME = re.compile(r"[^\s()\[\]{},]+")
 
 
 def _valid_symbol_name(name):
-    if not isinstance(name, str) or not name:
-        return False
-    if any(c in _FORBIDDEN_NAME_CHARS or c.isspace() for c in name):
-        return False
-    return True
+    return isinstance(name, str) and _SYMBOL_NAME.fullmatch(name) is not None
 
 
 class AlphabetError(ValueError):
@@ -265,15 +265,11 @@ def parse_tree(text, alphabet):
             pos[0] += 1
 
     def parse_name():
-        start = pos[0]
-        while pos[0] < n:
-            c = text[pos[0]]
-            if c in _FORBIDDEN_NAME_CHARS or c.isspace():
-                break
-            pos[0] += 1
-        if pos[0] == start:
-            raise ParseError("expected symbol name", start)
-        return text[start:pos[0]]
+        m = _SYMBOL_NAME.match(text, pos[0])
+        if m is None:
+            raise ParseError("expected symbol name", pos[0])
+        pos[0] = m.end()
+        return m.group()
 
     def make(name, start, children):
         rank = alphabet.rank(name)

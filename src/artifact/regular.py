@@ -610,15 +610,17 @@ def grammar_chain_closure(g, max_len=None):
     return reach
 
 
-def enumerate_grammar(g, max_size, max_chain_len=None):
+def enumerate_grammar(g, max_size, max_chain_len=None, max_count=None):
     """All terminal trees of size <= max_size derivable from an initial
-    nonterminal."""
+    nonterminal.  Raises ResourceError once the trees found for all
+    nonterminals together number more than ``max_count``."""
     reach = grammar_chain_closure(g, max_chain_len)
     prods = {nt: [] for nt in g.nonterminals}
     for lhs, rhs in g.rules:
         if not g.is_nonterminal(rhs.label):
             prods[lhs].append(rhs)
     lang = {nt: set() for nt in g.nonterminals}
+    count = 0
     changed = True
     while changed:
         changed = False
@@ -629,6 +631,11 @@ def enumerate_grammar(g, max_size, max_chain_len=None):
                         if t not in lang[nt]:
                             lang[nt].add(t)
                             changed = True
+                            count += 1
+                            if max_count is not None and count > max_count:
+                                raise ResourceError(
+                                    "grammar enumeration: %d trees exceed "
+                                    "the ceiling of %d" % (count, max_count))
     out = set()
     for nt in g.initials:
         out |= lang[nt]

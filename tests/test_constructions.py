@@ -21,7 +21,9 @@ from artifact.fixtures import (
     OUT3, SIGMA_E, identity_relabeler, internal_sigma_test, left_projection,
     m_exp, query_transducer, random_automaton, random_transducer,
 )
-from artifact.regular import BottomUpAutomaton, SubTest, eval_test, _realizable
+from artifact.regular import (
+    BottomUpAutomaton, ResourceError, SubTest, eval_test, _realizable,
+)
 from artifact.transducer import (
     classify, enumerate_outputs, eval_deterministic, _applicable_all,
 )
@@ -110,6 +112,18 @@ def test_stay_free_random_sub_machines():
         assert all(c.instr.kind != "stay"
                    for r in Ms.rules for c in r.calls())
         same_outputs(M, Ms, SIG_TREES_5)
+
+
+def test_stay_free_bounds_the_number_of_trees():
+    # a closure grammar of this machine derives ever larger trees, so
+    # only the count of trees found stops its enumeration
+    M = random_transducer(5, kind="local", deterministic=False, max_tests=1)
+    with pytest.raises(ResourceError, match=r"^grammar enumeration: 257 "
+                                            r"trees exceed the ceiling of 256$"):
+        stay_free(M)
+    with pytest.raises(ResourceError, match=r"^grammar enumeration: 9 "
+                                            r"trees exceed the ceiling of 8$"):
+        stay_free(M, enumeration_ceiling=8)
 
 
 # ---------------------------------------------------------------------------

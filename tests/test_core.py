@@ -6,7 +6,7 @@ from artifact.core import (
     AlphabetError, MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError,
     STAY, UP, addresses, all_trees, child_number, down, leaf, mark_node,
     marked_address, navigate, parse_tree, preorder, serialize_tree,
-    subtree_at, tree_key, tree_metrics, unmark_tree,
+    subtree_at, tree_key, tree_metrics, unmark_tree, _valid_symbol_name,
 )
 from artifact.fixtures import OUT3
 
@@ -33,6 +33,22 @@ def test_alphabet_rejects_bad_names():
         RankedAlphabet({"": 0})
     with pytest.raises(AlphabetError):
         RankedAlphabet({"a": -1})
+
+
+def _valid_by_characters(name):
+    """The symbol-name check as a predicate on each character."""
+    if not isinstance(name, str) or not name:
+        return False
+    return not any(c in "()[]{}," or c.isspace() for c in name)
+
+
+def test_symbol_name_check_matches_the_character_predicate():
+    for fmt in ("%s", "a%sb"):
+        names = [fmt % chr(i) for i in range(0x110000)]
+        assert [_valid_symbol_name(n) for n in names] == \
+            [_valid_by_characters(n) for n in names]
+    for name in ("", "sigma~n1~k12~gq0.q1", "a\u3000b", "a\n", None, 3):
+        assert _valid_symbol_name(name) == _valid_by_characters(name)
 
 
 def test_alphabet_yield_invisible_must_be_nullary():

@@ -1,7 +1,9 @@
 """Tests for the saturation helpers ``regular.explore``,
 ``regular.least_model`` and ``regular.min_witnesses``: each construction
 built on them gives exactly what the round-robin ``while changed`` loop it
-replaced gave.  Those loops are kept below as reference implementations."""
+replaced gave.  Those loops are kept below as reference implementations,
+as is the domain automaton that reran its claims fixpoint for every
+context class."""
 
 import ast
 import itertools
@@ -15,18 +17,21 @@ from artifact.constructions import (
     _marked_product, _product_automaton, _stay_closure_groups,
     _distinct_tests, domain_automaton, pruning_image,
 )
-from artifact.core import RankedAlphabet, Tree, leaf, marked_name
+from artifact.core import STAY, RankedAlphabet, Tree, leaf, marked_name
 from artifact.fixtures import (
     OUT3, SIGMA_E, identity_relabeler, left_projection, m_exp,
     query_transducer, random_automaton, random_transducer,
 )
 from artifact.regular import (
-    AutomatonTest, RegularTreeGrammar, ResourceError, SubTest,
+    AutomatonTest, BottomUpAutomaton, RegularTreeGrammar, ResourceError,
+    SubTest,
     automaton_to_grammar, decide, explore, grammar_chain_closure,
     grammar_finite, grammar_to_automaton, least_model, min_witnesses,
     to_automaton_test, _flatten_grammar, _realizable, _rhs_nonterminals,
     _rhs_productive,
 )
+
+from artifact.transducer import ContractError
 
 KINDS = ("local", "sub", "lookaround", "topdown", "relabeling", "pruning")
 FIXTURES = (m_exp, identity_relabeler, left_projection, query_transducer)
@@ -242,6 +247,148 @@ def _grammar_finite_by_rounds(g):
     return True
 
 
+def _antichain(sets):
+    mins = []
+    for s in sorted(sets, key=lambda x: (len(x), sorted(map(repr, x)))):
+        if not any(m <= s for m in mins):
+            mins.append(s)
+    return frozenset(mins)
+
+
+def _cross_union(optss):
+    acc = [frozenset()]
+    for opts in optss:
+        if not opts:
+            return frozenset()
+        acc = list(_antichain([a | o for a in acc for o in opts]))
+    return _antichain(acc)
+
+
+def _domain_automaton_per_context(M, state_ceiling=2048,
+                                  context_ceiling=512):
+    """``domain_automaton`` as it was before the context table and the
+    claims memo: every transition rebuilds each context's child contexts
+    and reruns the round-robin claims loop per context and child
+    number."""
+    tests = _distinct_tests(M)
+    for t in tests:
+        if not isinstance(t, (SubTest, AutomatonTest)):
+            raise ContractError(
+                "domain automaton needs automaton-backed tests")
+    base = M.input_alphabet
+    maxr = base.max_rank
+    states_q = sorted(M.states, key=repr)
+    if tests:
+        auts, pdelta, sink, p0, p1, _proj = _marked_product(tests, base)
+        tindex = {id(t): i for i, t in enumerate(tests)}
+        finals1 = tuple(frozenset(p for p in p1 if p[i] in a.finals)
+                        for i, a in enumerate(auts))
+        profiles0 = sorted(p0, key=repr)
+        contexts = {finals1}
+        frontier = [finals1]
+        while frontier:
+            sbar = frontier.pop()
+            for sym in base:
+                m = base.rank(sym)
+                mk0 = marked_name(sym, 0)
+                for prof in itertools.product(profiles0, repeat=m):
+                    for c in range(m):
+                        ctx = tuple(
+                            frozenset(p for p in p1
+                                      if pdelta[(mk0, prof[:c] + (p,)
+                                                 + prof[c + 1:])] in s)
+                            for s in sbar)
+                        if ctx not in contexts:
+                            contexts.add(ctx)
+                            frontier.append(ctx)
+                            if len(contexts) > context_ceiling:
+                                raise ResourceError(
+                                    "context closure: %d context classes "
+                                    "exceed the ceiling of %d"
+                                    % (len(contexts), context_ceiling))
+    else:
+        pdelta = None
+        contexts = {()}
+    root_ctx = tuple(finals1) if tests else ()
+
+    def transition(sym, kids):
+        m = base.rank(sym)
+        kid0 = tuple(k[0] for k in kids)
+        fmaps = [dict(k[1]) for k in kids]
+        if tests:
+            a0 = pdelta[(marked_name(sym, 0), kid0)]
+            if a0 == sink or sink in kid0:
+                raise ContractError("partial test automaton")
+        else:
+            a0 = ()
+        entries = []
+        for sbar in contexts:
+            if tests:
+                p_here = pdelta[(marked_name(sym, 1), kid0)]
+                truths = tuple(p_here in s for s in sbar)
+                mk0 = marked_name(sym, 0)
+                kid_ctx = [
+                    tuple(frozenset(p for p in p1
+                                    if pdelta[(mk0, kid0[:c] + (p,)
+                                               + kid0[c + 1:])] in s)
+                          for s in sbar)
+                    for c in range(m)]
+            else:
+                truths = ()
+                kid_ctx = [() for _ in range(m)]
+            kid_beh = [fmaps[c][kid_ctx[c]] for c in range(m)]
+            beh = set()
+            for j in range(maxr + 1):
+                claims = {q: set() for q in states_q}
+                applicable = {}
+                for q in states_q:
+                    applicable[q] = [
+                        r for r in M.rules_at(q, sym, j)
+                        if r.test is None or truths[tindex[id(r.test)]]]
+                changed = True
+                while changed:
+                    changed = False
+                    for q in states_q:
+                        for r in applicable[q]:
+                            optss = []
+                            for cl in r.calls():
+                                if cl.instr == STAY:
+                                    optss.append(frozenset(
+                                        claims[cl.state]))
+                                elif cl.instr.kind == "up":
+                                    optss.append(
+                                        frozenset([frozenset([cl.state])]))
+                                else:
+                                    c = cl.instr.index - 1
+                                    opts = set()
+                                    for (jj, qq, e2) in kid_beh[c]:
+                                        if jj != c + 1 or qq != cl.state:
+                                            continue
+                                        opts |= _cross_union(
+                                            [frozenset(claims[e])
+                                             for e in sorted(e2, key=repr)])
+                                    optss.append(frozenset(opts))
+                            for enew in _cross_union(optss):
+                                if not any(old <= enew
+                                           for old in claims[q]):
+                                    claims[q] = set(_antichain(
+                                        set(claims[q]) | {enew}))
+                                    changed = True
+                for q in states_q:
+                    for e in claims[q]:
+                        beh.add((j, q, e))
+            entries.append((sbar, frozenset(beh)))
+        return (a0, frozenset(entries))
+
+    dstates, delta = explore(base, transition, state_ceiling,
+                             "domain automaton")
+    finals = [s for s in dstates
+              if any((0, q0, frozenset()) in dict(s[1])[root_ctx]
+                     for q0 in M.initials)]
+    return BottomUpAutomaton(base, dstates, finals, delta,
+                             check_total=False)
+
+
 # ---------------------------------------------------------------------------
 # Corpora
 
@@ -416,6 +563,67 @@ def test_domain_automaton_ceiling_is_hit_as_before(monkeypatch):
             assert new[0] == old[0] == ("ok" if c >= n else "ResourceError")
 
 
+def test_domain_automaton_matches_per_context_reference():
+    topdown = _machines(("topdown",))[len(FIXTURES):]
+    assert sum(bool(_distinct_tests(M)) for M in topdown) >= 25
+    for M in _machines():
+        new = _outcome(lambda: domain_automaton(M))
+        old = _outcome(lambda: _domain_automaton_per_context(M))
+        _assert_same(new, old)
+
+
+def _resource_failure(fn):
+    try:
+        fn()
+    except ResourceError as e:
+        return str(e)
+    return None
+
+
+def test_domain_automaton_ceilings_match_per_context_reference():
+    contexts = []
+    for M in _machines(("topdown", "sub"), 10):
+        n = len(domain_automaton(M).states)
+        k = next(c for c in itertools.count() if _resource_failure(
+            lambda: domain_automaton(M, context_ceiling=c)) is None)
+        contexts.append(k)
+        if k:
+            assert _resource_failure(
+                lambda: domain_automaton(M, context_ceiling=k - 1)) == \
+                "context closure: %d context classes exceed the ceiling " \
+                "of %d" % (k, k - 1)
+        for kw in ({"state_ceiling": n - 1}, {"state_ceiling": n},
+                   {"context_ceiling": k - 1}, {"context_ceiling": k}):
+            new = _resource_failure(lambda: domain_automaton(M, **kw))
+            assert new == _resource_failure(
+                lambda: _domain_automaton_per_context(M, **kw))
+        assert _resource_failure(
+            lambda: domain_automaton(M, state_ceiling=n - 1)) == \
+            "domain automaton: %d states exceed the ceiling of %d" % (n, n - 1)
+    assert max(contexts) >= 2
+
+
+def test_claims_fixpoint_runs_once_per_distinct_input(monkeypatch):
+    runs = []
+    claims = constructions._claims
+
+    def counted(rules_at, maxr, *key):
+        runs.append(key)
+        return claims(rules_at, maxr, *key)
+
+    monkeypatch.setattr(constructions, "_claims", counted)
+    M = random_transducer(0, kind="topdown")
+    A = domain_automaton(M)
+    assert (len(A.states), len(A.delta)) == (92, 8465)
+    # One run per distinct (symbol, guard truths, children's summaries),
+    # covering child numbers 0-2: 1449 inputs of the per-child-number
+    # loop, which ran for each of the 8465 transitions in each of the 42
+    # context classes.
+    assert len(runs) == len(set(runs)) == 483
+    domain_automaton(M)
+    assert len(runs) == 2 * 483  # the memo lives for one construction
+
+
 def test_pruning_image_matches_round_robin(monkeypatch):
     machines = [identity_relabeler(), left_projection()]
     machines += [random_transducer(seed, kind="pruning",
@@ -499,7 +707,6 @@ def test_resource_errors_name_ceiling_and_count():
 # of trees: none is a plain bottom-up exploration or a Horn least model.
 REMAINING_LOOPS = sorted([
     "regular.enumerate_grammar",
-    "constructions.domain_automaton.transition",
     "constructions._abstract_exits",
     "constructions._chain_endpoints",
     "constructions._chain_endpoints",
