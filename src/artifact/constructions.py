@@ -404,15 +404,28 @@ def restrict_domain(M, L):
 def _identity_on(L):
     """The nondeterministic relabeler computing the identity exactly on
     the language of L: states are L's states, read bottom-up by guessing
-    the subtree state of every node."""
+    the subtree state of every node.  Only the transitions into states
+    that a guess from a final state can reach become rules."""
     alphabet = L.alphabet
     if not L.finals:
         dead = Transducer(alphabet, alphabet, ["q0"], ["q0"],
                           [])
         return dead
+    into = {}
+    for (sym, combo), p in L.delta.items():
+        into.setdefault(p, []).append(combo)
+    needed = set(L.finals)
+    queue = list(needed)
+    while queue:
+        for combo in into.get(queue.pop(), ()):
+            for q in combo:
+                if q not in needed:
+                    needed.add(q)
+                    queue.append(q)
     rules = []
     for (sym, combo), p in L.delta.items():
-        rules += relabel_rules(alphabet, p, sym, sym, combo)
+        if p in needed:
+            rules += relabel_rules(alphabet, p, sym, sym, combo)
     return Transducer(alphabet, alphabet, L.states, L.finals, rules)
 
 
@@ -1034,6 +1047,8 @@ def absorb_right(M1, M2, corpus_bound=4):
 def _minimal(sets):
     """The inclusion-minimal members of a collection of sets: a subset
     sorts before each of its strict supersets."""
+    if len(sets) < 2:
+        return list(sets)
     mins = []
     for s in sorted(set(sets), key=len):
         if not any(m <= s for m in mins):
@@ -1047,7 +1062,10 @@ def _cross_union(optss):
     for opts in optss:
         if not opts:
             return []
-        acc = _minimal([a | o for a in acc for o in opts])
+        if len(acc) == 1 and len(opts) == 1:
+            acc = [acc[0] | opts[0]]
+        else:
+            acc = _minimal([a | o for a in acc for o in opts])
     return acc
 
 
@@ -1064,16 +1082,30 @@ def _claims(rules_at, maxr, sym, truths, kid_beh):
     least fixpoint, kept as antichains (De Wulf, Doyen, Henzinger and
     Raskin, CAV 2006), of a worklist that re-examines a rule only when a
     claim set it reads has grown (Dowling and Gallier 1984)."""
+    # exits[(c, p)]: the exit-state sets of child c entered from above in
+    # state p, in the order of the child's summary
+    exits = {}
+    for c, kb in enumerate(kid_beh):
+        for jj, qq, e2 in kb:
+            if jj == c + 1:
+                exits.setdefault((c, qq), []).append(tuple(e2))
     beh = set()
     for j in range(maxr + 1):
         rules = [(q, calls) for q, i, calls in rules_at.get((sym, j), ())
                  if i is None or truths[i]]
         # per rule and call: a constant option set, or the alternative
-        # tuples of states whose claims it cross-unions
+        # tuples of states whose claims it cross-unions.  A rule with a
+        # down call that the child never completes cannot fire and gets
+        # no plan; a rule is first examined at once if every call has an
+        # alternative that reads no claim, else when a claim it reads
+        # grows.
+        heads = []
         plans = []
         readers = {}
-        for k, (q, calls) in enumerate(rules):
+        queue = []
+        for q, calls in rules:
             plan = []
+            ready = True
             for kind, c, p in calls:
                 if kind == "up":
                     plan.append(([frozenset([p])], None))
@@ -1081,15 +1113,22 @@ def _claims(rules_at, maxr, sym, truths, kid_beh):
                 if kind == "stay":
                     alts = [(p,)]
                 else:
-                    alts = [tuple(e2) for jj, qq, e2 in kid_beh[c]
-                            if jj == c + 1 and qq == p]
+                    alts = exits.get((c, p))
+                    if alts is None:
+                        break
                 plan.append((None, alts))
-                for alt in alts:
-                    for e in alt:
-                        readers.setdefault(e, set()).add(k)
-            plans.append(plan)
+                ready = ready and () in alts
+            else:
+                k = len(plans)
+                heads.append(q)
+                plans.append(plan)
+                for _, alts in plan:
+                    for alt in alts or ():
+                        for e in alt:
+                            readers.setdefault(e, set()).add(k)
+                if ready:
+                    queue.append(k)
         claims = {}
-        queue = list(range(len(rules)))
         queued = set(queue)
         while queue:
             k = queue.pop()
@@ -1101,9 +1140,13 @@ def _claims(rules_at, maxr, sym, truths, kid_beh):
                     continue
                 opts = []
                 for alt in alts:
-                    opts += _cross_union([claims.get(e, ()) for e in alt])
-                optss.append(_minimal(opts))
-            q = rules[k][0]
+                    if len(alt) == 1:
+                        opts += claims.get(alt[0], ())
+                    else:
+                        opts += _cross_union([claims.get(e, ())
+                                              for e in alt])
+                optss.append(opts if len(alts) == 1 else _minimal(opts))
+            q = heads[k]
             old = claims.get(q, [])
             new = old
             for e in _cross_union(optss):

@@ -9,6 +9,7 @@ convention.
 """
 
 import re
+import sys
 
 # A symbol name is a non-empty run of characters that are neither
 # whitespace (``\s``, the characters of ``str.isspace``) nor any of ()[]{},
@@ -221,25 +222,75 @@ def tree_key(t):
     return t.size, serialize_tree(t)
 
 
+# A subtree of at least this many nodes is written once per object: the
+# deterministic evaluator's outputs share their repeated subtrees.
+_SHARE_MIN = 32
+
+
+class _EndOfShared:
+    """Stands, in the writer's stack, after the children of a subtree
+    whose text may be reused; its size sends it down the sharing branch."""
+
+    label = None
+    children = (None,)
+    size = sys.maxsize
+
+
+_END_OF_SHARED = _EndOfShared()
+
+
 def serialize_tree(t):
     """Mandatory parentheses and commas for rank >= 1, bare name for
-    leaves.  This is the bit-exact interchange format."""
+    leaves.  This is the bit-exact interchange format.
+
+    One iterative pre-order pass.  In a tree of more than twice
+    _SHARE_MIN nodes, a subtree of at least _SHARE_MIN nodes and at most
+    half the size of the nearest such subtree around it has the span of
+    its text recorded, and when the same object is met again that text
+    is joined once and reused, so a tree with shared subtrees is written
+    in time near its shared size."""
     parts = []
     append = parts.append
     stack = []  # (siblings, index of the next one) of each open node
     children, i = (t,), 0
+    share = _SHARE_MIN if t.size > 2 * _SHARE_MIN else sys.maxsize
+    spans = None  # id of a recorded subtree -> (start, end) or its text
     while True:
         if i < len(children):
             node = children[i]
             if i:
                 append(",")
-            label = node.label
-            append(label if isinstance(label, str) else repr(label))
             i += 1
-            if node.children:
-                append("(")
-                stack.append((children, i))
-                children, i = node.children, 0
+            label = node.label
+            if not node.children:
+                append(label if isinstance(label, str) else repr(label))
+                continue
+            if node.size >= share:
+                if node is _END_OF_SHARED:
+                    node, start, limit = marks.pop()
+                    spans[id(node)] = (start, len(parts))
+                    children, i = stack.pop()
+                    continue
+                if spans is None:
+                    spans, marks, limit = {}, [], t.size // 2
+                if node.size <= limit:
+                    span = spans.get(id(node))
+                    if span is not None:
+                        if type(span) is tuple:
+                            span = spans[id(node)] = "".join(
+                                parts[span[0]:span[1]])
+                        append(span)
+                        continue
+                    # record this one: its children come first, then the
+                    # end marker
+                    marks.append((node, len(parts), limit))
+                    limit = node.size // 2
+                    stack.append((children, i))
+                    children, i = (_END_OF_SHARED,), 0
+            append(label if isinstance(label, str) else repr(label))
+            append("(")
+            stack.append((children, i))
+            children, i = node.children, 0
         elif stack:
             append(")")
             children, i = stack.pop()

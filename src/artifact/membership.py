@@ -9,16 +9,23 @@ membership.  The pipeline's linear-bound constant bounds only the
 intermediates of nondeterministic stages that are not last, which are
 still enumerated.  The output of a deterministic stage that is not last
 is handed on whole, unless it exceeds both the linear bound and
-INTERMEDIATE_CEILING, which raises ResourceError.  Output-language
-membership additionally pushes the input language through the leading
-pruning stages and enumerates the remaining inputs.
+INTERMEDIATE_CEILING, which raises ResourceError.
+
+Output-language membership uses that inverse images of regular tree
+languages are regular: s is an output on some input in L exactly when L,
+pushed forward through the leading pruning stages, meets the inverse
+image of {s} under the remaining stages, and that is an emptiness test.
+Inputs are enumerated only for a stage whose inverse image cannot be
+built.
 """
 
 from dataclasses import dataclass
 
 from .core import RankedAlphabet, Tree, UP, all_trees, down, leaf, tree_key
-from .constructions import Pipeline, pruning_image
-from .regular import ResourceError, grammar_member
+from .constructions import Pipeline, inverse_image, pruning_image
+from .regular import (
+    ResourceError, grammar_member, is_empty, singleton_automaton,
+)
 from .transducer import (
     ContractError, Rule, Transducer, call, classify, config_grammar,
     enumerate_outputs, eval_deterministic, out,
@@ -193,19 +200,46 @@ def member_pair(P, t, s):
     return _member(P.stages, det, const, t, s)
 
 
+def _pull_back(stages, s):
+    """The automaton of the inputs on which the stages can output s,
+    pulled back from the singleton {s} one stage at a time, last stage
+    first; None when a stage's inverse image cannot be built (a guard
+    that is not automaton-backed, or a construction ceiling)."""
+    A = singleton_automaton(s, stages[-1].output_alphabet)
+    for M in reversed(stages):
+        try:
+            A = inverse_image(M, A)
+        except (ContractError, ResourceError):
+            return None
+    return A
+
+
 def member_output_language(P, L, s):
-    """Whether s is an output of the pipeline on some input in L.  The
-    input language is pushed forward through the leading pruning stages;
-    the remaining stages are handled by bounded input enumeration and
-    pair membership."""
+    """Whether s is an output of the pipeline on some input in L.
+
+    The input language is pushed forward through the leading pruning
+    stages (``pruning_image``) and {s} is pulled back through the
+    remaining ones (``inverse_image``); s is an output exactly when the
+    two languages meet, which ``is_empty`` tells without a size bound or
+    a linear-bound constant.  Only when a stage's inverse image cannot be
+    built (a guard that is not automaton-backed, or a construction
+    ceiling) are the inputs of up to the constant times |s| nodes
+    enumerated and decided by pair membership; that fallback needs the
+    constant."""
     P = Pipeline.of(P)
     stages, const = list(P.stages), P.linear_bound_constant
     cur = L
-    while stages and classify(stages[0]).pruning:
-        cur = pruning_image(stages[0], cur)
+    while stages:
+        try:
+            cur = pruning_image(stages[0], cur)
+        except (ContractError, ResourceError):
+            break  # not a pruning stage, or its image cannot be built
         stages.pop(0)
     if not stages:
         return cur.accepts(s)
+    A = _pull_back(stages, s)
+    if A is not None:
+        return not is_empty(cur.intersect(A))
     _require_constant(const)
     det = [classify(M).deterministic for M in stages]
     for t in all_trees(stages[0].input_alphabet, const * s.size):

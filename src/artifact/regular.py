@@ -198,6 +198,29 @@ def automaton_none(alphabet):
     return aut.complement()
 
 
+def singleton_automaton(s, alphabet):
+    """The automaton accepting exactly the tree s, and nothing when s is
+    not a tree over the alphabet.  Its states are the distinct subtrees of
+    s, named t0, t1, ... in post-order, and the sink "no"; every other
+    transition goes to the sink, so delta is total.  A subtree that is not
+    over the alphabet has no transition into its state."""
+    index = {}
+    for node in distinct_postorder(s):
+        if node not in index:
+            index[node] = "t%d" % len(index)
+    states = list(index.values()) + ["no"]
+    delta = {}
+    for sym in alphabet:
+        for kids in itertools.product(states, repeat=alphabet.rank(sym)):
+            delta[(sym, kids)] = "no"
+    for node, p in index.items():
+        key = (node.label, tuple(index[c] for c in node.children))
+        if key in delta:
+            delta[key] = p
+    return BottomUpAutomaton(alphabet, states, [index[s]], delta,
+                             check_total=False)
+
+
 # ---------------------------------------------------------------------------
 # Saturation: bottom-up exploration, Horn least models, least witnesses
 
@@ -337,6 +360,14 @@ def _coreachable(aut, realizable):
              if unrealizable.isdisjoint(combo) for q in combo}
     return least_model([(p, ()) for p in aut.finals]
                        + [(q, (p,)) for q, p in edges])
+
+
+def is_empty(aut):
+    """Whether the automaton accepts no tree: ``decide(aut)[0]``, from the
+    least model of the transitions alone, without witness trees."""
+    realizable = least_model((p, combo)
+                             for (_, combo), p in aut.delta.items())
+    return realizable.isdisjoint(aut.finals)
 
 
 def decide(aut):

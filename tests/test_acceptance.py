@@ -27,7 +27,7 @@ from artifact.membership import (
     build_sat_fixtures, canonical_assignment, leeuw_transducer,
     verify_tree_fixed_point, word_tree,
 )
-from artifact.regular import automaton_all
+from artifact.regular import automaton_all, singleton_automaton
 from artifact.transducer import (
     config_grammar, enumerate_outputs, eval_deterministic, eval_streaming,
 )
@@ -38,7 +38,7 @@ from corpus import (
 )
 from test_constructions import (
     brute_domain, check_decomposition, check_factorization, check_split,
-    same_outputs, singleton_automaton,
+    same_outputs,
 )
 from test_forest import all_forests
 

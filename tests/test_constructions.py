@@ -22,7 +22,7 @@ from artifact.fixtures import (
     m_exp, query_transducer, random_automaton, random_transducer,
 )
 from artifact.regular import (
-    BottomUpAutomaton, ResourceError, SubTest, eval_test, _realizable,
+    ResourceError, SubTest, eval_test, singleton_automaton, _realizable,
 )
 from artifact.transducer import (
     classify, enumerate_outputs, eval_deterministic, _applicable_all,
@@ -352,29 +352,6 @@ def test_inverse_image_random():
 
 # ---------------------------------------------------------------------------
 # Pruning image
-
-def singleton_automaton(s, alphabet):
-    """The automaton accepting exactly the tree s."""
-    subs = set()
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        subs.add(node)
-        stack.extend(node.children)
-    states = ["t%d" % i for i in range(len(subs))]
-    index = dict(zip(sorted(subs), states))
-    sink = "no"
-    delta = {}
-    for sym in alphabet:
-        rank = alphabet.rank(sym)
-        for kids in itertools.product(states + [sink], repeat=rank):
-            delta[(sym, kids)] = sink
-    for node, st in index.items():
-        delta[(node.label,
-               tuple(index[c] for c in node.children))] = st
-    return BottomUpAutomaton(alphabet, states + [sink], [index[s]], delta,
-                             check_total=False)
-
 
 def nonempty(A):
     return bool(set(A.finals) & set(_realizable(A)))

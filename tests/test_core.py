@@ -110,6 +110,87 @@ def test_parse_serialize_deep_comb_at_default_recursion_limit():
     assert exc.value.offset == 0  # the outermost '(' is the unclosed one
 
 
+def _plain_serialize(t):
+    """The reference writer: every node in pre-order, no reuse of text."""
+    parts = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        label = node.label
+        parts.append(label if isinstance(label, str) else repr(label))
+        if node.children:
+            parts.append("(")
+            stack.append(")")
+            for k in range(len(node.children) - 1, -1, -1):
+                stack.append(node.children[k])
+                if k:
+                    stack.append(",")
+    return "".join(parts)
+
+
+def test_serialize_shared_outputs_match_the_plain_writer():
+    from artifact.fixtures import comb_tree, m_exp
+    from artifact.transducer import eval_deterministic
+    for n in range(1, 17):
+        out = eval_deterministic(m_exp(), comb_tree(n))[0]
+        assert out.height == n
+        assert serialize_tree(out) == _plain_serialize(out), n
+
+
+def test_serialize_random_machine_outputs_match_the_plain_writer():
+    from artifact.fixtures import random_transducer
+    from artifact.transducer import enumerate_outputs, eval_deterministic
+    inputs = all_trees(SIGMA_E, 9)
+    for seed in range(20):
+        det = random_transducer(seed, kind="local")
+        nondet = random_transducer(seed, kind="topdown", deterministic=False)
+        for t in inputs:
+            out = eval_deterministic(det, t)[0]
+            if out is not None:
+                assert serialize_tree(out) == _plain_serialize(out)
+        for t in inputs[:8]:
+            for out in enumerate_outputs(nondet, t, 12):
+                assert serialize_tree(out) == _plain_serialize(out)
+
+
+def test_serialize_random_dags_match_the_plain_writer():
+    """Trees built from a pool of shared objects, so that a repeated
+    subtree is met at every size and depth, some labels not strings."""
+    import random
+    rng = random.Random(7)
+    pool = [leaf("e"), leaf(("x", 1))]
+    for _ in range(400):
+        kids = [rng.choice(pool[-40:] if rng.random() < 0.7 else pool)
+                for _ in range(rng.choice((1, 2, 2, 3)))]
+        t = Tree(rng.choice(("f", ("g", 2))), kids)
+        if t.size <= 5000:
+            pool.append(t)
+    assert max(t.size for t in pool) > 4 * 32
+    for t in pool:
+        assert serialize_tree(t) == _plain_serialize(t)
+
+
+def test_serialize_full_binary_of_height_20_by_doubling():
+    from artifact.fixtures import full_binary
+    text = "e"
+    for _ in range(20):
+        text = "sigma(%s,%s)" % (text, text)
+    assert serialize_tree(full_binary(20)) == text
+
+
+def test_serialize_comb_of_1e5_leaves_at_default_recursion_limit():
+    import sys
+    from artifact.fixtures import comb_tree
+    assert sys.getrecursionlimit() <= 10 ** 4
+    t = comb_tree(10 ** 5)
+    assert serialize_tree(t) == _plain_serialize(t)
+    shared = Tree("sigma", [t, t])
+    assert serialize_tree(shared) == "sigma(%s,%s)" % ((_plain_serialize(t),) * 2)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -2,15 +2,18 @@
 satisfiability fixtures."""
 
 import itertools
+import random
 
 import pytest
 
 from artifact import membership
 from artifact.core import RankedAlphabet, Tree, all_trees, leaf
-from artifact.constructions import Pipeline, pipeline_outputs
+from artifact.constructions import (
+    Pipeline, compose_with_pruning, inverse_image, pipeline_outputs,
+)
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
-    left_projection, m_exp,
+    left_projection, m_exp, random_automaton,
 )
 from artifact.membership import (
     FORMULAS, FixedPointAssignment, build_sat_fixtures, canonical_assignment,
@@ -18,7 +21,8 @@ from artifact.membership import (
     verify_tree_fixed_point, word_tree,
 )
 from artifact.regular import (
-    RegularTreeGrammar, ResourceError, automaton_all, grammar_member,
+    OracleTest, RegularTreeGrammar, ResourceError, automaton_all, decide,
+    grammar_member, singleton_automaton,
 )
 from artifact.transducer import (
     ContractError, classify, config_grammar, enumerate_outputs,
@@ -28,7 +32,6 @@ from corpus import (
     SIG_TREES_5, collect_machines, eval_formula, formulas, satisfiable,
     sequential_outputs,
 )
-from test_constructions import singleton_automaton
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,134 @@ def test_member_output_m_exp_range():
     fulls = {full_binary(h) for h in (1, 2, 3)}
     for s in all_trees(SIGMA_E, full_binary(3).size):
         assert member_output_language(P, L, s) == (s in fulls), s
+
+
+def _pulled_back_witness(P, L, s):
+    """decide() on L and the inverse image of {s} through every stage."""
+    A = singleton_automaton(s, P.stages[-1].output_alphabet)
+    for M in reversed(P.stages):
+        A = inverse_image(M, A)
+    return decide(L.intersect(A))
+
+
+def _check_output_language(P, L, inputs, outputs_of):
+    """member_output_language on every s of up to 7 nodes over the last
+    output alphabet: a "yes" must come with decide's witness t of the
+    pulled-back language, t in L and (t, s) a pair; a "no" must agree with
+    the outputs of all inputs in L of up to 7 nodes.  Returns the number
+    of "yes" answers."""
+    seen = set()
+    for t in inputs:
+        if L.accepts(t):
+            seen |= outputs_of(t)
+    yes = 0
+    for s in all_trees(P.stages[-1].output_alphabet, 7):
+        if member_output_language(P, L, s):
+            yes += 1
+            empty, _, t = _pulled_back_witness(P, L, s)
+            assert not empty, s
+            assert L.accepts(t) and member_pair(P, t, s), (s, t)
+        else:
+            assert s not in seen, s
+    return yes
+
+
+INPUTS_7 = all_trees(SIGMA_E, 7)
+
+
+@pytest.mark.parametrize("kind", ["relabeling", "topdown", "local"])
+@pytest.mark.parametrize("det", [True, False])
+def test_member_output_language_agrees_with_enumeration(kind, det):
+    rng = random.Random("output-language:%s:%s" % (kind, det))
+    yes = 0
+    for k, M in enumerate(collect_machines(30, kind, det, max_tests=1)):
+        L = automaton_all(SIGMA_E) if k % 2 else random_automaton(rng,
+                                                                  SIGMA_E)
+        yes += _check_output_language(
+            Pipeline((M,)), L, INPUTS_7,
+            lambda t, M=M: enumerate_outputs(M, t, 7))
+    assert yes > 0
+
+
+def test_member_output_language_two_stage_pipelines():
+    rng = random.Random("output-language:pipelines")
+    firsts = collect_machines(4, "topdown", True, max_tests=1)
+    seconds = (collect_machines(2, "local", False, alphabet=OUT3,
+                                max_tests=1)
+               + collect_machines(1, "topdown", True, alphabet=OUT3,
+                                  max_tests=1))
+    yes = 0
+    for k, (M1, M2) in enumerate(itertools.product(firsts, seconds)):
+        # a deterministic first stage: the constant only sets the
+        # intermediate ceiling of member_pair
+        P = Pipeline((M1, M2), 64)
+        L = automaton_all(SIGMA_E) if k % 2 else random_automaton(rng,
+                                                                  SIGMA_E)
+        yes += _check_output_language(
+            P, L, INPUTS_7,
+            lambda t, M1=M1, M2=M2: sequential_outputs(M1, M2, t, 7))
+    assert yes > 0
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(membership, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(membership, name, counted)
+    return calls
+
+
+def test_member_output_oracle_guard_takes_the_fallback(monkeypatch):
+    """Composing with a pruner that deletes the second subtree guards the
+    root rules with an oracle test, so neither the pruning image nor the
+    inverse image can be built and the inputs are enumerated.  The
+    answers agree with the outputs of all inputs of up to 7 nodes, and
+    for the identity with the two-stage pipeline, whose stages both
+    push forward."""
+    L = automaton_all(SIGMA_E)
+    # an output s of the identity has the input sigma(s, e); m_exp
+    # outputs full_binary(n - 1) on an input of 2n - 1 nodes
+    for M1, const in ((identity_relabeler(), 2), (m_exp(), 1)):
+        C = compose_with_pruning(M1, left_projection())
+        assert any(isinstance(r.test, OracleTest) for r in C.rules)
+        with pytest.raises(ContractError):
+            inverse_image(C, L)
+        fused = Pipeline((C,), const)
+        staged = Pipeline((M1, left_projection()), const)
+        seen = set()
+        for t in INPUTS_7:
+            seen |= enumerate_outputs(C, t, 7)
+        enumerated = _counting(monkeypatch, "all_trees")
+        for s in all_trees(SIGMA_E, 7):
+            before = len(enumerated)
+            got = member_output_language(fused, L, s)
+            assert len(enumerated) == before + 1
+            if const == 1:
+                # every input of up to |s| nodes is among INPUTS_7
+                assert got == (s in seen), s
+            else:
+                assert got == member_output_language(staged, L, s), s
+                assert got or s not in seen, s
+        monkeypatch.undo()
+        with pytest.raises(ContractError):
+            member_output_language(Pipeline((C,)), L, leaf("e"))
+
+
+def test_member_output_m_exp_enumerates_nothing(monkeypatch):
+    enumerated = _counting(monkeypatch, "all_trees")
+    paired = _counting(monkeypatch, "_member")
+    P = Pipeline((m_exp(),))  # no constant: the pull-back needs none
+    L = automaton_all(SIGMA_E)
+    for s in [full_binary(h) for h in range(5)] + all_trees(SIGMA_E, 9):
+        assert member_output_language(P, L, s) == (
+            s.height > 0 and s == full_binary(s.height))
+    assert member_output_language(P, L, full_binary(6))
+    assert not member_output_language(
+        P, L, Tree("sigma", [full_binary(5), full_binary(4)]))
+    assert enumerated == [] and paired == []
 
 
 # ---------------------------------------------------------------------------

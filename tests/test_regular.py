@@ -13,14 +13,17 @@ from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, addresses,
     all_trees, leaf, mark_node, parse_tree, serialize_tree, subtree_at,
 )
-from artifact.fixtures import comb_tree, query_transducer, random_transducer
+from artifact.fixtures import (
+    OUT3, comb_tree, full_binary, query_transducer, random_transducer,
+)
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, OracleTest, RegularTreeGrammar,
     ResourceError, SubTest, automaton_all, automaton_none,
     automaton_to_grammar, decide, derivation_grammar, derivation_yield_tree,
     enumerate_grammar, enumerate_language, eval_test, eval_test_all,
     grammar_finite, grammar_member, grammar_to_automaton, lift_mark,
-    run_automaton, sub_test, subtest_to_marked, to_automaton_test,
+    run_automaton, singleton_automaton, sub_test, subtest_to_marked,
+    to_automaton_test,
 )
 from artifact.transducer import marked_position_automaton
 
@@ -36,12 +39,6 @@ def parity_automaton():
             par = "even" if (a == "odd") == (b == "odd") else "odd"
             delta[("sigma", (a, b))] = par
     return BottomUpAutomaton(SIGMA_E, ["odd", "even"], ["even"], delta)
-
-
-def singleton_automaton(t, alphabet):
-    """Accepts exactly {t}, via the grammar conversion."""
-    g = RegularTreeGrammar(["S"], alphabet, ["S"], [("S", t)])
-    return grammar_to_automaton(g)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,8 @@ def test_intersection_enumeration_example():
 # grammar <-> automaton
 
 def test_grammar_singleton():
-    aut = singleton_automaton(leaf("e"), SIGMA_E)
+    g = RegularTreeGrammar(["S"], SIGMA_E, ["S"], [("S", leaf("e"))])
+    aut = grammar_to_automaton(g)
     assert aut.accepts(leaf("e"))
     assert not aut.accepts(parse_tree("sigma(e,e)", SIGMA_E))
 
@@ -285,6 +283,34 @@ def test_decide_finiteness_agrees_with_grammar():
         aut = grammar_to_automaton(g)
         _, finite, _ = decide(aut)
         assert finite == grammar_finite(g)
+
+
+def test_singleton_automaton_accepts_exactly_its_tree():
+    # every s of up to 9 nodes over SIGMA_E and of up to 7 over OUT3,
+    # against every tree of up to 9 nodes
+    for alphabet, s_size in ((SIGMA_E, 9), (OUT3, 7)):
+        trees = all_trees(alphabet, 9)
+        for s in trees:
+            if s.size > s_size:
+                break
+            aut = singleton_automaton(s, alphabet)
+            assert [t for t in trees if aut.accepts(t)] == [s]
+
+
+def test_singleton_automaton_is_total_over_distinct_subtrees():
+    s = full_binary(3)
+    aut = singleton_automaton(s, SIGMA_E)
+    assert len(aut.states) == 4 + 1  # heights 0..3 and the sink
+    aut._check_total()
+    assert decide(aut) == (False, True, s)
+
+
+def test_singleton_automaton_of_a_tree_outside_the_alphabet():
+    for s in (leaf("sigma"), Tree("sigma", [leaf("e")]), leaf("tau"),
+              Tree("sigma", [leaf("e"), Tree("tau", [leaf("e")])])):
+        aut = singleton_automaton(s, SIGMA_E)
+        assert decide(aut)[0], s
+        assert not any(aut.accepts(t) for t in all_trees(SIGMA_E, 7))
 
 
 def test_enumerate_language_singleton():

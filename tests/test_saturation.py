@@ -660,16 +660,20 @@ def _automata():
 
 
 def test_decide_matches_round_robin(monkeypatch):
+    emptiness = set()
     for A in _automata():
         real = _realizable(A)
         assert real == _realizable_by_rounds(A)
         assert regular._coreachable(A, real) == \
             _coreachable_by_rounds(A, real)
         new = decide(A)
+        assert regular.is_empty(A) == new[0]
+        emptiness.add(new[0])
         with monkeypatch.context() as m:
             m.setattr(regular, "_realizable", _realizable_by_rounds)
             m.setattr(regular, "_coreachable", _coreachable_by_rounds)
             assert decide(A) == new
+    assert emptiness == {True, False}
 
 
 def test_grammar_closures_match_round_robin():
