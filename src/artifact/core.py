@@ -512,21 +512,28 @@ def try_navigate(t, u, instr):
 
 def mark_node(t, u):
     """The marked representation of (t, u): every label becomes its
-    0-variant except the node at u, which becomes its 1-variant."""
-    subtree_at(t, u)  # validates the address
-    return _mark(t, u)
+    0-variant except the node at u, which becomes its 1-variant.
 
-
-def _mark(t, u):
-    # u == () marks this node; u is None means the mark lies elsewhere
-    bit = 1 if u == () else 0
-    children = []
-    for i, c in enumerate(t.children, 1):
-        if u is not None and u != () and u[0] == i:
-            children.append(_mark(c, u[1:]))
-        else:
-            children.append(_mark(c, None))
-    return Tree(marked_name(t.label, bit), children)
+    Iterative: the 0-marked copy of each distinct subtree is built once,
+    children first, and the path from u up to the root is rebuilt around
+    the 1-marked node."""
+    path = [t]
+    for i in u:
+        if not 1 <= i <= len(path[-1].children):
+            raise TreeError("address %r not in tree" % (u,))
+        path.append(path[-1].children[i - 1])
+    zero = {}
+    for node in distinct_postorder(t):
+        zero[id(node)] = Tree(marked_name(node.label, 0),
+                              [zero[id(c)] for c in node.children])
+    node = path.pop()
+    marked = Tree(marked_name(node.label, 1),
+                  [zero[id(c)] for c in node.children])
+    for i, node in zip(reversed(u), reversed(path)):
+        kids = [zero[id(c)] for c in node.children]
+        kids[i - 1] = marked
+        marked = Tree(marked_name(node.label, 0), kids)
+    return marked
 
 
 def unmark_tree(t):

@@ -21,7 +21,10 @@ built.
 
 from dataclasses import dataclass
 
-from .core import RankedAlphabet, Tree, UP, all_trees, down, leaf, tree_key
+from .core import (
+    RankedAlphabet, Tree, UP, all_trees, distinct_postorder, down, leaf,
+    tree_key,
+)
 from .constructions import Pipeline, inverse_image, pruning_image
 from .regular import (
     ResourceError, grammar_member, is_empty, singleton_automaton,
@@ -236,7 +239,11 @@ def member_output_language(P, L, s):
             break  # not a pruning stage, or its image cannot be built
         stages.pop(0)
     if not stages:
-        return cur.accepts(s)
+        # a tree with a symbol outside the image's alphabet, or of the
+        # wrong rank, is not in it
+        ranks = cur.alphabet.symbols
+        return (all(ranks.get(n.label) == len(n.children)
+                    for n in distinct_postorder(s)) and cur.accepts(s))
     A = _pull_back(stages, s)
     if A is not None:
         return not is_empty(cur.intersect(A))

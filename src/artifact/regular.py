@@ -643,50 +643,111 @@ def grammar_chain_closure(g, max_len=None):
 
 def enumerate_grammar(g, max_size, max_chain_len=None, max_count=None):
     """All terminal trees of size <= max_size derivable from an initial
-    nonterminal.  Raises ResourceError once the trees found for all
+    nonterminal, with at most ``max_chain_len`` chain rules in a row when
+    it is given.
+
+    Only the nonterminals that the initials reach are enumerated, each
+    keeping its trees in buckets by size.  The rounds are semi-naive:
+    after the first one, a rule is expanded only with child tuples that
+    hold a tree new in the previous round, and only with tuples whose
+    sizes fit ``max_size``, so each (rule, child tuple) is formed once.
+    Raises ResourceError once the trees found for the reachable
     nonterminals together number more than ``max_count``."""
     reach = grammar_chain_closure(g, max_chain_len)
-    prods = {nt: [] for nt in g.nonterminals}
+    prods = {}
     for lhs, rhs in g.rules:
         if not g.is_nonterminal(rhs.label):
-            prods[lhs].append(rhs)
-    lang = {nt: set() for nt in g.nonterminals}
+            prods.setdefault(lhs, []).append(rhs)
+    # takers[mid]: the reachable nonterminals that get the trees of mid's
+    # rules, mid being on a chain from them
+    takers = {}
+    needed = list(g.initials)
+    lang = {nt: set() for nt in needed}
+    for nt in needed:  # grows while the loop runs
+        for mid in reach[nt]:
+            takers.setdefault(mid, []).append(nt)
+            for rhs in prods.get(mid, ()):
+                for k in _rhs_nonterminals(rhs, g):
+                    if k not in lang:
+                        lang[k] = set()
+                        needed.append(k)
+    # size -> trees, found before the last round and in it
+    old = {nt: {} for nt in needed}
+    new = {nt: {} for nt in needed}
     count = 0
-    changed = True
-    while changed:
-        changed = False
-        for nt in g.nonterminals:
-            for mid in reach[nt]:
-                for rhs in prods[mid]:
-                    for t in _expand(rhs, g, lang, max_size):
-                        if t not in lang[nt]:
-                            lang[nt].add(t)
-                            changed = True
-                            count += 1
-                            if max_count is not None and count > max_count:
-                                raise ResourceError(
-                                    "grammar enumeration: %d trees exceed "
-                                    "the ceiling of %d" % (count, max_count))
+
+    def found(t, nts):
+        nonlocal count
+        for nt in nts:
+            if t not in lang[nt]:
+                lang[nt].add(t)
+                new[nt].setdefault(t.size, []).append(t)
+                count += 1
+                if max_count is not None and count > max_count:
+                    raise ResourceError(
+                        "grammar enumeration: %d trees exceed the ceiling "
+                        "of %d" % (count, max_count))
+
+    rules = []
+    for mid, nts in takers.items():
+        for rhs in prods.get(mid, ()):
+            kids = _rhs_nonterminals(rhs, g)
+            if kids:
+                rules.append((nts, rhs, kids, rhs.size - len(kids)))
+            elif rhs.size <= max_size:
+                found(rhs, nts)
+    while any(new.values()):
+        delta, new = new, {nt: {} for nt in needed}
+        full = dict(old)
+        for nt, buckets in delta.items():
+            if buckets:
+                full[nt] = merged = dict(old[nt])
+                for size, ts in buckets.items():
+                    merged[size] = merged.get(size, []) + ts
+        for nts, rhs, kids, base in rules:
+            for i, kid in enumerate(kids):
+                # the first child with a new tree is child i
+                pools = ([old[k] for k in kids[:i]] + [delta[kid]]
+                         + [full[k] for k in kids[i + 1:]])
+                if not all(pools):
+                    continue
+                for sizes in _size_vectors(pools, max_size - base):
+                    for picks in itertools.product(
+                            *[p[s] for p, s in zip(pools, sizes)]):
+                        found(_plug(rhs, g, iter(picks)), nts)
+        old = full
     out = set()
     for nt in g.initials:
         out |= lang[nt]
     return out
 
 
-def _expand(rhs, g, lang, max_size):
-    """All instantiations of a rule rhs with current nonterminal languages,
-    limited to result size <= max_size."""
+def _plug(rhs, g, picks):
+    """rhs with its nonterminal leaves, left to right, replaced by the
+    trees the iterator picks yields."""
     if g.is_nonterminal(rhs.label):
-        return {t for t in lang[rhs.label] if t.size <= max_size}
+        return next(picks)
     if not rhs.children:
-        return {leaf(rhs.label)} if max_size >= 1 else set()
-    results = set()
-    child_sets = [_expand(c, g, lang, max_size - 1) for c in rhs.children]
-    for picks in itertools.product(*child_sets):
-        size = 1 + sum(t.size for t in picks)
-        if size <= max_size:
-            results.add(Tree(rhs.label, picks))
-    return results
+        return rhs
+    return Tree(rhs.label, [_plug(c, g, picks) for c in rhs.children])
+
+
+def _size_vectors(pools, budget):
+    """Every choice of one size per pool (a map from sizes to trees, none
+    empty) whose sum is at most budget."""
+    least = [0] * (len(pools) + 1)
+    for j in reversed(range(len(pools))):
+        least[j] = least[j + 1] + min(pools[j])
+
+    def extend(j, left):
+        if j == len(pools):
+            yield ()
+            return
+        for size in pools[j]:
+            if size + least[j + 1] <= left:
+                for rest in extend(j + 1, left - size):
+                    yield (size,) + rest
+    return extend(0, budget)
 
 
 def grammar_finite(g):
@@ -733,15 +794,17 @@ def grammar_finite(g):
 
 
 def _labels(trees):
-    """Every node label of the trees, in no particular order."""
-    stack = list(trees)
+    """Every node label of the trees, each tree in pre-order, left to
+    right."""
+    stack = list(trees)[::-1]
     while stack:
         n = stack.pop()
         yield n.label
-        stack.extend(n.children)
+        stack.extend(reversed(n.children))
 
 
 def _rhs_nonterminals(rhs, g):
+    """The nonterminal leaves of a right-hand side, left to right."""
     return [label for label in _labels([rhs]) if g.is_nonterminal(label)]
 
 

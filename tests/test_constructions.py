@@ -22,7 +22,8 @@ from artifact.fixtures import (
     m_exp, query_transducer, random_automaton, random_transducer,
 )
 from artifact.regular import (
-    ResourceError, SubTest, eval_test, singleton_automaton, _realizable,
+    RegularTreeGrammar, ResourceError, SubTest, enumerate_grammar,
+    eval_test, singleton_automaton, _realizable,
 )
 from artifact.transducer import (
     classify, enumerate_outputs, eval_deterministic, _applicable_all,
@@ -115,15 +116,24 @@ def test_stay_free_random_sub_machines():
 
 
 def test_stay_free_bounds_the_number_of_trees():
-    # a closure grammar of this machine derives ever larger trees, so
-    # only the count of trees found stops its enumeration
+    # every closure grammar of this machine is finite from its initial
+    # nonterminal; ("S", "q1") derives ever larger trees but is not
+    # reachable from ("S", "q0"), so it is not enumerated
     M = random_transducer(5, kind="local", deterministic=False, max_tests=1)
-    with pytest.raises(ResourceError, match=r"^grammar enumeration: 257 "
-                                            r"trees exceed the ceiling of 256$"):
-        stay_free(M)
+    Ms = stay_free(M)
+    assert len(Ms.rules) == 12
+    same_outputs(M, Ms, SIG_TREES_5)
+    # the ceiling still counts the trees of the reachable nonterminals
+    with pytest.raises(ResourceError, match=r"^grammar enumeration: 3 "
+                                            r"trees exceed the ceiling of 2$"):
+        stay_free(M, enumeration_ceiling=2)
+    g = RegularTreeGrammar(["S"], SIGMA_E, ["S"],
+                           [("S", leaf("e")),
+                            ("S", Tree("sigma", [leaf("S"), leaf("S")]))])
+    assert len(enumerate_grammar(g, 7, max_count=9)) == 9
     with pytest.raises(ResourceError, match=r"^grammar enumeration: 9 "
                                             r"trees exceed the ceiling of 8$"):
-        stay_free(M, enumeration_ceiling=8)
+        enumerate_grammar(g, 7, max_count=8)
 
 
 # ---------------------------------------------------------------------------

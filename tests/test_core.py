@@ -1,5 +1,7 @@
 """Tests for alphabets, trees, addressing, marking, and serialization."""
 
+import sys
+
 import pytest
 
 from artifact.core import (
@@ -8,7 +10,7 @@ from artifact.core import (
     marked_address, navigate, parse_tree, preorder, serialize_tree,
     subtree_at, tree_key, tree_metrics, unmark_tree, _valid_symbol_name,
 )
-from artifact.fixtures import OUT3
+from artifact.fixtures import OUT3, comb_tree
 
 SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
 GRAMMAR_ALPHA = RankedAlphabet({"sigma": 2, "tau": 1, "a": 0})
@@ -182,8 +184,6 @@ def test_serialize_full_binary_of_height_20_by_doubling():
 
 
 def test_serialize_comb_of_1e5_leaves_at_default_recursion_limit():
-    import sys
-    from artifact.fixtures import comb_tree
     assert sys.getrecursionlimit() <= 10 ** 4
     t = comb_tree(10 ** 5)
     assert serialize_tree(t) == _plain_serialize(t)
@@ -290,6 +290,19 @@ def test_mark_unmark_roundtrip_exhaustive():
             m = mark_node(t, u)
             assert marked_address(m) == u
             assert unmark_tree(m) == t
+
+
+def test_mark_deep_comb_at_default_recursion_limit():
+    n = 10 ** 4
+    assert sys.getrecursionlimit() <= n
+    t = comb_tree(n)
+    k = n // 2
+    m = mark_node(t, (2,) * k)
+    assert serialize_tree(m) == (
+        "sigma#0(e#0," * k + "sigma#1(e#0," + "sigma#0(e#0," * (n - 2 - k)
+        + "e#0" + ")" * (n - 1))
+    with pytest.raises(TreeError):
+        mark_node(t, (2,) * n)
 
 
 def test_marked_alphabet_shape():

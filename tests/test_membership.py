@@ -13,7 +13,7 @@ from artifact.constructions import (
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
-    left_projection, m_exp, random_automaton,
+    left_projection, m_exp, random_automaton, random_transducer,
 )
 from artifact.membership import (
     FORMULAS, FixedPointAssignment, build_sat_fixtures, canonical_assignment,
@@ -329,6 +329,20 @@ def test_member_output_language_two_stage_pipelines():
             P, L, INPUTS_7,
             lambda t, M1=M1, M2=M2: sequential_outputs(M1, M2, t, 7))
     assert yes > 0
+
+
+def test_member_output_all_pruning_stages_reject_foreign_trees():
+    # every stage is pruning, so the answer is read off the image of L:
+    # a symbol outside its alphabet or a wrong rank answers no, as the
+    # pull-back of {s} does
+    P = Pipeline((random_transducer(0, kind="relabeling"),))
+    L = automaton_all(SIGMA_E)
+    for s in (Tree("tau", [leaf("e")]), Tree("sigma", [leaf("e")])):
+        assert not member_output_language(P, L, s), s
+        assert _pulled_back_witness(P, L, s)[0], s
+    s = Tree("sigma", [leaf("e"), leaf("e")])
+    assert member_output_language(P, L, s) == \
+        (not _pulled_back_witness(P, L, s)[0])
 
 
 def _counting(monkeypatch, name):

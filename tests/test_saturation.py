@@ -2,8 +2,9 @@
 ``regular.least_model`` and ``regular.min_witnesses``: each construction
 built on them gives exactly what the round-robin ``while changed`` loop it
 replaced gave.  Those loops are kept below as reference implementations,
-as is the domain automaton that reran its claims fixpoint for every
-context class."""
+as are the domain automaton that reran its claims fixpoint for every
+context class and the grammar enumeration that re-expanded every rule
+against the full languages in every round."""
 
 import ast
 import itertools
@@ -25,8 +26,9 @@ from artifact.fixtures import (
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, RegularTreeGrammar, ResourceError,
     SubTest,
-    automaton_to_grammar, decide, explore, grammar_chain_closure,
-    grammar_finite, grammar_to_automaton, least_model, min_witnesses,
+    automaton_to_grammar, decide, enumerate_grammar, explore,
+    grammar_chain_closure, grammar_finite, grammar_to_automaton,
+    least_model, min_witnesses,
     to_automaton_test, _flatten_grammar, _realizable, _rhs_nonterminals,
     _rhs_productive,
 )
@@ -245,6 +247,48 @@ def _grammar_finite_by_rounds(g):
                     nxt.add((nt2, max(w, w2)))
             frontier = nxt - seen
     return True
+
+
+def _enumerate_grammar_by_rounds(g, max_size, max_chain_len=None):
+    """The naive enumeration ``enumerate_grammar`` replaced: every round
+    re-expands every rule of every nonterminal, reachable or not, against
+    the full languages found so far."""
+    reach = grammar_chain_closure(g, max_chain_len)
+    prods = {nt: [] for nt in g.nonterminals}
+    for lhs, rhs in g.rules:
+        if not g.is_nonterminal(rhs.label):
+            prods[lhs].append(rhs)
+    lang = {nt: set() for nt in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for nt in g.nonterminals:
+            for mid in reach[nt]:
+                for rhs in prods[mid]:
+                    for t in _expand(rhs, g, lang, max_size):
+                        if t not in lang[nt]:
+                            lang[nt].add(t)
+                            changed = True
+    out = set()
+    for nt in g.initials:
+        out |= lang[nt]
+    return out
+
+
+def _expand(rhs, g, lang, max_size):
+    """All instantiations of a rule rhs with the current nonterminal
+    languages, limited to result size <= max_size."""
+    if g.is_nonterminal(rhs.label):
+        return {t for t in lang[rhs.label] if t.size <= max_size}
+    if not rhs.children:
+        return {leaf(rhs.label)} if max_size >= 1 else set()
+    results = set()
+    child_sets = [_expand(c, g, lang, max_size - 1) for c in rhs.children]
+    for picks in itertools.product(*child_sets):
+        size = 1 + sum(t.size for t in picks)
+        if size <= max_size:
+            results.add(Tree(rhs.label, picks))
+    return results
 
 
 def _antichain(sets):
@@ -689,6 +733,28 @@ def test_grammar_closures_match_round_robin():
     assert finite == {True, False}
 
 
+def test_enumerate_grammar_matches_round_robin():
+    grammars = _random_grammars(200) + _closure_grammars()
+    nonempty = 0
+    for g in grammars:
+        for chain in (None, 0, 1, 2):
+            for size in (1, 4, 7):
+                got = enumerate_grammar(g, size, chain)
+                assert got == _enumerate_grammar_by_rounds(g, size, chain), \
+                    (g.format(), size, chain)
+                nonempty += bool(got)
+    assert nonempty > 1000
+
+
+def test_enumerate_grammar_growth():
+    # S -> e | sigma(S, S): the binary trees of up to 17 nodes, 1 + 1 + 2
+    # + 5 + 14 + 42 + 132 + 429 + 1430 of them
+    g = RegularTreeGrammar(["S"], SIGMA_E, ["S"],
+                           [("S", leaf("e")),
+                            ("S", Tree("sigma", [leaf("S"), leaf("S")]))])
+    assert len(enumerate_grammar(g, 17)) == 2056
+
+
 # ---------------------------------------------------------------------------
 # Ceilings and the loops that remain
 
@@ -707,10 +773,9 @@ def test_resource_errors_name_ceiling_and_count():
         grammar_to_automaton(g, ceiling=1)
 
 
-# Each remaining loop is a set equation with joins, or bounded enumeration
-# of trees: none is a plain bottom-up exploration or a Horn least model.
+# Each remaining loop is a set equation with joins: none is a plain
+# bottom-up exploration or a Horn least model.
 REMAINING_LOOPS = sorted([
-    "regular.enumerate_grammar",
     "constructions._abstract_exits",
     "constructions._chain_endpoints",
     "constructions._chain_endpoints",
