@@ -11,7 +11,7 @@ from them.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, child_number, down, leaf,
@@ -1463,10 +1463,8 @@ class Decomposition:
 
     pruner: Pipeline
     remainder: object
-    phase: str = ""
     constant: object = None
     witness_map: object = None
-    meta: dict = field(default_factory=dict)
 
 
 def pipeline_outputs(stages, t, max_size, intermediate_size=None):
@@ -1489,34 +1487,48 @@ def pipeline_outputs(stages, t, max_size, intermediate_size=None):
 # ---------------------------------------------------------------------------
 # Productivity decomposition
 
+def _least_sets(keys, facts, copies):
+    """The least sets over ``keys`` that hold each fact (key, value) and,
+    for each copy (key, source, guard), every value of source once all
+    the (key, value) atoms of guard hold.
+
+    They are the least model of the Horn clauses (key, v) <- (source, v)
+    & guard.  Copies pass values through unchanged, so v ranges over the
+    fact values alone."""
+    values = {v for _, v in facts}
+    model = least_model(
+        [(f, ()) for f in facts]
+        + [((key, v), ((src, v),) + guard)
+           for key, src, guard in copies for v in values])
+    sets = {key: set() for key in keys}
+    for key, v in model:
+        sets[key].add(v)
+    return sets
+
+
 def _abstract_exits(Mn):
     """Over-approximate, for every child number i and state q, the states
     in which a move-only computation entering a subtree at child number i
-    in state q can leave it upward again."""
+    in state q can leave it upward again: an up move is an exit, a stay
+    move shares the exits of its target, and a down_k move into state p
+    shares the exits of (i, q3) for every exit q3 of (k, p)."""
     states = sorted(Mn.states, key=repr)
-    idxs = range(1, Mn.input_alphabet.max_rank + 1)
-    ex = {(i, q): set() for i in idxs for q in states}
-    changed = True
-    while changed:
-        changed = False
-        for r in Mn.rules:
-            if r.kind != "move" or r.child_no == 0:
-                continue
-            i = r.child_no
-            c = r.rhs.label
-            if c.instr.kind == "up":
-                add = {c.state}
-            elif c.instr == STAY:
-                add = ex[(i, c.state)]
-            else:
-                add = set()
-                for q3 in ex[(c.instr.index, c.state)]:
-                    add |= ex[(i, q3)]
-            cur = ex[(i, r.state)]
-            if not add <= cur:
-                cur |= add
-                changed = True
-    return ex
+    keys = [(i, q) for i in range(1, Mn.input_alphabet.max_rank + 1)
+            for q in states]
+    moves = [(r, r.rhs.label) for r in Mn.rules
+             if r.kind == "move" and r.child_no]
+    facts = [((r.child_no, r.state), c.state) for r, c in moves
+             if c.instr.kind == "up"]
+    exits = {v for _, v in facts}
+    copies = []
+    for r, c in moves:
+        i = r.child_no
+        if c.instr == STAY:
+            copies.append(((i, r.state), (i, c.state), ()))
+        elif c.instr.kind == "down":
+            copies += [((i, r.state), (i, q3),
+                        (((c.instr.index, c.state), q3),)) for q3 in exits]
+    return _least_sets(keys, facts, copies)
 
 
 def _rank1_symbols(alphabet):
@@ -1532,76 +1544,83 @@ def _chain_endpoints(Mn):
     syms1 = _rank1_symbols(Mn.input_alphabet)
     maxr = Mn.input_alphabet.max_rank
     states = sorted(Mn.states, key=repr)
+
+    def moves(q, js):
+        return [r.rhs.label for s1 in syms1 for j in js
+                for r in Mn.rules_at(q, s1, j) if r.kind == "move"]
+
     # descent: positions ("top", i) with child number i, or "deep" with
     # child number 1; endpoints arrive back at the entry node ("stay") or
-    # at the first unmarked descendant ("down").
-    positions = [("top", i) for i in range(1, maxr + 1)] + ["deep"]
-    dend = {(q, pos): set() for q in states for pos in positions}
-    changed = True
-    while changed:
-        changed = False
-        for q in states:
-            for pos in positions:
-                j = pos[1] if pos != "deep" else 1
-                acc = set()
-                for s1 in syms1:
-                    for r in Mn.rules_at(q, s1, j):
-                        if r.kind != "move":
-                            continue
-                        c = r.rhs.label
-                        if c.instr.kind == "up":
-                            if pos != "deep":
-                                acc.add(("stay", c.state))
-                            else:
-                                for p2 in positions:
-                                    acc |= dend[(c.state, p2)]
-                        elif c.instr == STAY:
-                            acc |= dend[(c.state, pos)]
-                        else:
-                            acc.add(("down", c.state))
-                            acc |= dend[(c.state, "deep")]
-                if not acc <= dend[(q, pos)]:
-                    dend[(q, pos)] |= acc
-                    changed = True
-    down_end = {(i, q): frozenset(dend[(q, ("top", i))])
+    # at the first unmarked descendant ("down").  ascent: positions
+    # "chtop" (child number unknown, 1..maxr) or "chin" (child number 1);
+    # endpoints arrive back at the entry node ("stay") or at the nearest
+    # unmarked ancestor ("up").
+    descent = [("top", i) for i in range(1, maxr + 1)] + ["deep"]
+    ascent = ["chtop", "chin"]
+    keys = [(q, pos) for q in states for pos in descent + ascent]
+    facts, copies = [], []
+    for q, pos in keys:
+        js = range(1, maxr + 1) if pos == "chtop" else (
+            (1,) if pos in ("deep", "chin") else (pos[1],))
+        for c in moves(q, js):
+            via = []
+            if c.instr == STAY:
+                via = [pos]
+            elif c.instr.kind == "down" and pos in descent:
+                facts.append(((q, pos), ("down", c.state)))
+                via = ["deep"]
+            elif c.instr.kind == "down":
+                facts.append(((q, pos), ("stay", c.state)))
+                via = ["chin"]
+            elif pos == "deep":
+                via = descent
+            elif pos == "chin":
+                via = ascent
+            else:  # up from the top of the chain
+                facts.append(((q, pos), (
+                    "stay" if pos in descent else "up", c.state)))
+            copies += [((q, pos), (c.state, p), ()) for p in via]
+    ends = _least_sets(keys, facts, copies)
+    down_end = {(i, q): frozenset(ends[(q, ("top", i))])
                 for i in range(1, maxr + 1) for q in states}
-    # ascent: positions "chtop" (child number unknown, 1..maxr) or
-    # "chin" (child number 1); endpoints arrive back at the entry node
-    # ("stay") or at the nearest unmarked ancestor ("up").
-    uend = {(q, pos): set() for q in states for pos in ("chtop", "chin")}
-    changed = True
-    while changed:
-        changed = False
-        for q in states:
-            for pos in ("chtop", "chin"):
-                jrange = range(1, maxr + 1) if pos == "chtop" else (1,)
-                acc = set()
-                for s1 in syms1:
-                    for j in jrange:
-                        for r in Mn.rules_at(q, s1, j):
-                            if r.kind != "move":
-                                continue
-                            c = r.rhs.label
-                            if c.instr.kind == "up":
-                                if pos == "chtop":
-                                    acc.add(("up", c.state))
-                                else:
-                                    acc |= uend[(c.state, "chtop")]
-                                    acc |= uend[(c.state, "chin")]
-                            elif c.instr == STAY:
-                                acc |= uend[(c.state, pos)]
-                            else:
-                                acc.add(("stay", c.state))
-                                acc |= uend[(c.state, "chin")]
-                if not acc <= uend[(q, pos)]:
-                    uend[(q, pos)] |= acc
-                    changed = True
-    up_end = {q: frozenset(uend[(q, "chtop")] | uend[(q, "chin")])
+    up_end = {q: frozenset(ends[(q, "chtop")] | ends[(q, "chin")])
               for q in states}
     return down_end, up_end
 
 
-def _gamma_candidates(cand_by_source, deterministic, pair_ceiling):
+def _excursion_exits(Mn, t, u, label, inside):
+    """The move-only excursions from node u of t: every (q, s, x) such
+    that a move rule of state q at u enters a node where ``inside`` holds
+    and a run of move rules through such nodes first reaches a node x
+    where it does not, in state s.  ``label`` maps the labels of t to
+    symbols of Mn.  A validated rule moves up only below the root and
+    down only within the rank, so every move applies."""
+    def moves(s, v, node):
+        for r in Mn.rules_at(s, label(node.label), child_number(v)):
+            if r.kind == "move":
+                c = r.rhs.label
+                yield c.state, navigate(t, v, c.instr)
+
+    top = subtree_at(t, u)
+    for q in sorted(Mn.states, key=repr):
+        stack = [(s, v) for s, v in moves(q, u, top) if inside(v)]
+        seen = set(stack)
+        while stack:
+            p, v = stack.pop()
+            for s, x in moves(p, v, subtree_at(t, v)):
+                if not inside(x):
+                    yield q, s, x
+                elif (s, x) not in seen:
+                    seen.add((s, x))
+                    stack.append((s, x))
+
+
+# The most candidate excursion pairs at one symbol for which a phase on a
+# nondeterministic machine makes a gamma symbol per subset: 2**12 of them.
+_PAIR_CEILING = 12
+
+
+def _gamma_candidates(cand_by_source, deterministic):
     """All candidate excursion summaries: partial choice functions over
     the sources for a deterministic machine, arbitrary subsets of the
     candidate pairs otherwise."""
@@ -1618,15 +1637,34 @@ def _gamma_candidates(cand_by_source, deterministic, pair_ceiling):
         return result
     pairs = sorted({(q, o) for q in sources for o in cand_by_source[q]},
                    key=repr)
-    if len(pairs) > pair_ceiling:
+    if len(pairs) > _PAIR_CEILING:
         raise ResourceError(
             "candidate excursion pairs: %d pairs exceed the ceiling of %d"
-            % (len(pairs), pair_ceiling))
+            % (len(pairs), _PAIR_CEILING))
     result = []
     for n in range(len(pairs) + 1):
         for combo in itertools.combinations(pairs, n):
             result.append(frozenset(combo))
     return result
+
+
+def _rebuild(t, kept, make):
+    """Rebuild t bottom-up without recursion: ``kept(u, node)`` gives the
+    child numbers of the node at u whose subtrees stay, and
+    ``make(u, node, picks, kids)`` builds the image of that node from
+    the images of those children."""
+    order = []
+    stack = [((), t)]
+    while stack:
+        u, node = stack.pop()
+        picks = kept(u, node)
+        order.append((u, node, picks))
+        stack.extend((u + (i,), node.children[i - 1]) for i in picks)
+    built = {}
+    for u, node, picks in reversed(order):
+        built[u] = make(u, node, picks,
+                        [built.pop(u + (i,)) for i in picks])
+    return built[()]
 
 
 def _is_deterministic_local(M):
@@ -1645,41 +1683,17 @@ def _require_local_tests(M):
                             "machine")
 
 
-def _leaves_phase(M, pair_ceiling):
+def _leaves_phase(M):
     Mn = _normalize_for_pruning(M)
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
     ex = _abstract_exits(Mn)
 
     def ghost_rel(t, u, picks):
-        node = subtree_at(t, u)
-        j = child_number(u)
-        rel = set()
-        for q in sorted(Mn.states, key=repr):
-            for r in Mn.rules_at(q, node.label, j):
-                if r.kind != "move":
-                    continue
-                c = r.rhs.label
-                if c.instr.kind != "down" or c.instr.index in picks:
-                    continue
-                root = u + (c.instr.index,)
-                seen = set()
-                stack = [(c.state, root)]
-                while stack:
-                    s, v = stack.pop()
-                    if (s, v) in seen:
-                        continue
-                    seen.add((s, v))
-                    vn = subtree_at(t, v)
-                    for r2 in Mn.rules_at(s, vn.label, child_number(v)):
-                        if r2.kind != "move":
-                            continue
-                        w = navigate(t, v, r2.rhs.label.instr)
-                        if w == u:
-                            rel.add((q, r2.rhs.label.state))
-                        elif len(w) >= len(root):
-                            stack.append((r2.rhs.label.state, w))
-        return frozenset(rel)
+        def inside(v):  # below a child of u that is not picked
+            return len(v) > len(u) and v[len(u)] not in picks
+        return frozenset((q, s) for q, s, x in _excursion_exits(
+            Mn, t, u, lambda label: label, inside) if x == u)
 
     ghost = _per_tree(ghost_rel)
 
@@ -1707,8 +1721,7 @@ def _leaves_phase(M, pair_ceiling):
                             continue
                         for qbar in ex[(c.instr.index, c.state)]:
                             cand.setdefault(r.state, set()).add(qbar)
-                    for gamma in _gamma_candidates(cand, det,
-                                                   pair_ceiling):
+                    for gamma in _gamma_candidates(cand, det):
                         name = gname(sym, j, picks, gamma)
                         gamma_syms[name] = (sym, j, picks, gamma)
 
@@ -1751,26 +1764,28 @@ def _leaves_phase(M, pair_ceiling):
                 tr = trace_productive(Mn, t)
             except ContractError:
                 return None
+            # the productive nodes and their ancestors; each walk up
+            # stops at the first node an earlier walk reached
             hot = set()
             for u in tr.productive_nodes:
-                for k in range(len(u) + 1):
-                    hot.add(u[:k])
+                while u not in hot:
+                    hot.add(u)
+                    u = u[:-1]
 
-            def build(u):
-                node = subtree_at(t, u)
-                picks = tuple(i for i in range(1, len(node.children) + 1)
-                              if u + (i,) in hot)
+            def kept(u, node):
+                return tuple(i for i in range(1, len(node.children) + 1)
+                             if u + (i,) in hot)
+
+            def make(u, node, picks, kids):
                 g = ghost(t, u, picks)
                 return Tree(gname(node.label, child_number(u), picks, g),
-                            [build(u + (i,)) for i in picks])
-            return build(())
+                            kids)
+            return _rebuild(t, kept, make)
 
-    return Decomposition(Pipeline((N,)), Mp, phase="leaves",
-                         witness_map=witness,
-                         meta={"symbols": dict(gamma_syms)})
+    return Decomposition(Pipeline((N,)), Mp, witness_map=witness)
 
 
-def _monadic_phase(M, pair_ceiling):
+def _monadic_phase(M):
     Mn = _normalize_for_pruning(M)
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
@@ -1797,47 +1812,18 @@ def _monadic_phase(M, pair_ceiling):
         return label[:-2] if label in hatted else label
 
     def ghost_rel(that, u):
+        def inside(v):
+            return is_hat(subtree_at(that, v).label)
         rel = set()
-        j = child_number(u)
-        node = subtree_at(that, u)
-        sym = base_label(node.label)
-        for q in sorted(Mn.states, key=repr):
-            for r in Mn.rules_at(q, sym, j):
-                if r.kind != "move":
-                    continue
-                c = r.rhs.label
-                v = try_navigate(that, u, c.instr)
-                if v is None or not is_hat(subtree_at(that, v).label):
-                    continue
-                seen = set()
-                stack = [(c.state, v)]
-                while stack:
-                    s, w = stack.pop()
-                    if (s, w) in seen:
-                        continue
-                    seen.add((s, w))
-                    wn = subtree_at(that, w)
-                    for r2 in Mn.rules_at(s, base_label(wn.label),
-                                          child_number(w)):
-                        if r2.kind != "move":
-                            continue
-                        x = try_navigate(that, w, r2.rhs.label.instr)
-                        if x is None:
-                            continue
-                        if is_hat(subtree_at(that, x).label):
-                            stack.append((r2.rhs.label.state, x))
-                            continue
-                        s2 = r2.rhs.label.state
-                        if x == u:
-                            rel.add((q, (s2, "s")))
-                        elif len(x) < len(u):
-                            rel.add((q, (s2, "u")))
-                        else:
-                            rel.add((q, (s2, "d%d" % x[len(u)])))
+        for q, s, x in _excursion_exits(Mn, that, u, base_label, inside):
+            beta = "s" if x == u else (
+                "u" if len(x) < len(u) else "d%d" % x[len(u)])
+            rel.add((q, (s, beta)))
         return frozenset(rel)
 
     ghost = _per_tree(ghost_rel)
 
+    @_per_tree
     def adjacency(that, u):
         tags = set()
         if u and is_hat(subtree_at(that, u[:-1]).label):
@@ -1890,8 +1876,7 @@ def _monadic_phase(M, pair_ceiling):
                                     else "d%d" % c.instr.index
                                 cand.setdefault(r.state, set()).add(
                                     (qbar, beta))
-                    for gamma in _gamma_candidates(cand, det,
-                                                   pair_ceiling):
+                    for gamma in _gamma_candidates(cand, det):
                         name = g2name(sym, j, uset, gamma)
                         gamma_syms[name] = (sym, j, uset, gamma)
 
@@ -1942,34 +1927,30 @@ def _monadic_phase(M, pair_ceiling):
             except ContractError:
                 return None
 
-            def mark(u):
-                node = subtree_at(t, u)
-                kids = [mark(u + (i,))
-                        for i in range(1, len(node.children) + 1)]
-                if len(node.children) == 1 and u != () \
+            def mark(u, node, picks, kids):
+                if len(kids) == 1 and u != () \
                         and u not in tr.productive_nodes \
                         and node.label in hat:
                     return Tree(hat[node.label], kids)
                 return Tree(node.label, kids)
 
-            that = mark(())
+            that = _rebuild(
+                t, lambda u, node: range(1, len(node.children) + 1), mark)
             return eval_deterministic(N2, that)[0]
 
-    return Decomposition(Pipeline((N1, N2)), Mp, phase="monadic",
-                         witness_map=witness,
-                         meta={"symbols": dict(gamma_syms)})
+    return Decomposition(Pipeline((N1, N2)), Mp, witness_map=witness)
 
 
-def productivity_decompose(M, phase, pair_ceiling=12):
+def productivity_decompose(M, phase):
     """Split a local machine into a pruning pipeline and a local
     remainder.  Phase "leaves" deletes subtrees no computation draws
     output from; phase "monadic" contracts chains of output-free monadic
     nodes.  Composing pruner and remainder refines M; restricted to
     outputs of fully productive runs it is exact."""
     if phase == "leaves":
-        return _leaves_phase(M, pair_ceiling)
+        return _leaves_phase(M)
     if phase == "monadic":
-        return _monadic_phase(M, pair_ceiling)
+        return _monadic_phase(M)
     raise ContractError("unknown decomposition phase %r" % (phase,))
 
 
@@ -1988,8 +1969,8 @@ def linear_bounded_factorization(M):
         N, Mc = split_lookaround(M)
         stages.append(N)
         wit_front = N
-    d1 = _leaves_phase(Mc, pair_ceiling=12)
-    d2 = _monadic_phase(d1.remainder, pair_ceiling=12)
+    d1 = _leaves_phase(Mc)
+    d2 = _monadic_phase(d1.remainder)
     stages.extend(d1.pruner.stages)
     stages.extend(d2.pruner.stages)
     remainder = d2.remainder
@@ -2023,8 +2004,8 @@ def linear_bounded_factorization(M):
             return True
         remainder = _restrict_domain_test(
             remainder, OracleTest(productive_input, "fully-productive"))
-    return Decomposition(Pipeline(tuple(stages)), remainder, phase="full",
-                         constant=2, witness_map=witness)
+    return Decomposition(Pipeline(tuple(stages)), remainder, constant=2,
+                         witness_map=witness)
 
 
 def linear_bounded_pipeline(P, corpus_bound=4):

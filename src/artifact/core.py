@@ -537,25 +537,18 @@ def mark_node(t, u):
 
 
 def unmark_tree(t):
-    name, _ = split_marked_name(t.label)
-    return Tree(name, [unmark_tree(c) for c in t.children])
+    """The base tree of a marked tree, built once per distinct subtree."""
+    plain = {}
+    for node in distinct_postorder(t):
+        plain[id(node)] = Tree(split_marked_name(node.label)[0],
+                               [plain[id(c)] for c in node.children])
+    return plain[id(t)]
 
 
 def marked_address(t):
     """The address of the unique 1-marked node of a marked tree, or None."""
-    found = []
-
-    def walk(node, u):
-        _, bit = split_marked_name(node.label)
-        if bit:
-            found.append(u)
-        for i, c in enumerate(node.children, 1):
-            walk(c, u + (i,))
-
-    walk(t, ())
-    if len(found) != 1:
-        return None
-    return found[0]
+    found = [u for u, node in preorder(t) if split_marked_name(node.label)[1]]
+    return found[0] if len(found) == 1 else None
 
 
 def all_trees(alphabet, max_size):

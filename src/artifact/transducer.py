@@ -155,7 +155,9 @@ class Transducer:
         if r.test is not None and not isinstance(r.test, NodeTest):
             raise ValueError("bad node test %r" % (r.test,))
 
-        def check(node):
+        stack = [r.rhs]  # pre-order, so the first fault found is the same
+        while stack:
+            node = stack.pop()
             if isinstance(node.label, Call):
                 if node.children:
                     raise ValueError("call leaf with children in %r" % (r,))
@@ -168,14 +170,11 @@ class Transducer:
                 if c.instr.kind == "down" and c.instr.index > rank:
                     raise ValueError("down_%d exceeds rank of %r"
                                      % (c.instr.index, r.symbol))
-                return
+                continue
             if self.output_alphabet.rank(node.label) != len(node.children):
                 raise ValueError("output arity mismatch at %r in %r"
                                  % (node.label, r))
-            for c in node.children:
-                check(c)
-
-        check(r.rhs)
+            stack.extend(reversed(node.children))
 
     def rules_at(self, state, symbol, child_no):
         return self._index.get((state, symbol, child_no), [])

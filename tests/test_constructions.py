@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from artifact.core import (
-    RankedAlphabet, Tree, addresses, all_trees, leaf, navigate,
+    RankedAlphabet, Tree, addresses, all_trees, child_number, down, leaf,
+    navigate, preorder, subtree_at, try_navigate, UP,
 )
 from artifact.constructions import (
     ChildProfileTest, ContractError, Decomposition, Pipeline, absorb_right,
@@ -16,17 +17,20 @@ from artifact.constructions import (
     productive_configs_nondet, pruning_image, rename_states,
     restrict_domain, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
+    _excursion_exits, _normalize_for_pruning,
 )
 from artifact.fixtures import (
-    OUT3, SIGMA_E, identity_relabeler, internal_sigma_test, left_projection,
-    m_exp, query_transducer, random_automaton, random_transducer,
+    OUT3, SIGMA_E, comb_tree, identity_relabeler, internal_sigma_test,
+    left_projection, m_exp, query_transducer, random_automaton,
+    random_transducer,
 )
 from artifact.regular import (
     RegularTreeGrammar, ResourceError, SubTest, enumerate_grammar,
     eval_test, singleton_automaton, _realizable,
 )
 from artifact.transducer import (
-    classify, enumerate_outputs, eval_deterministic, _applicable_all,
+    Rule, Transducer, call, classify, enumerate_outputs, eval_deterministic,
+    _applicable_all,
 )
 from corpus import (
     OUT_TREES_5, SIG_TREES_5, collect_machines, has_tests,
@@ -502,6 +506,166 @@ def test_decompose_rejects_tested_machines():
         productivity_decompose(query_transducer(), "leaves")
 
 
+def test_decompose_names_the_pair_ceiling_and_the_count():
+    # four states move down into child 1 at sigma, and every state can
+    # come back up in every state: 4 x 4 candidate pairs at sigma
+    states = ["q0", "q1", "q2", "q3"]
+    rules = [Rule(q, "sigma", j, None, call(q, down(1)))
+             for q in states for j in (0, 1, 2)]
+    rules += [Rule(q, sym, j, None, call(p, UP))
+              for q in states for p in states
+              for sym in ("sigma", "e") for j in (1, 2)]
+    M = Transducer(SIGMA_E, SIGMA_E, states, ["q0"], rules)
+    message = (r"^candidate excursion pairs: 16 pairs exceed the ceiling "
+               r"of 12$")
+    with pytest.raises(ResourceError, match=message):
+        productivity_decompose(M, "leaves")
+    with pytest.raises(ResourceError, match=message):
+        linear_bounded_factorization(M)
+
+
+# The two move-only excursion searches that the phases carried before
+# ``_excursion_exits`` replaced them, kept as references.
+
+def _leaves_excursions_reference(Mn, t, u, picks):
+    node = subtree_at(t, u)
+    j = child_number(u)
+    rel = set()
+    for q in sorted(Mn.states, key=repr):
+        for r in Mn.rules_at(q, node.label, j):
+            if r.kind != "move":
+                continue
+            c = r.rhs.label
+            if c.instr.kind != "down" or c.instr.index in picks:
+                continue
+            root = u + (c.instr.index,)
+            seen = set()
+            stack = [(c.state, root)]
+            while stack:
+                s, v = stack.pop()
+                if (s, v) in seen:
+                    continue
+                seen.add((s, v))
+                vn = subtree_at(t, v)
+                for r2 in Mn.rules_at(s, vn.label, child_number(v)):
+                    if r2.kind != "move":
+                        continue
+                    w = navigate(t, v, r2.rhs.label.instr)
+                    if w == u:
+                        rel.add((q, r2.rhs.label.state))
+                    elif len(w) >= len(root):
+                        stack.append((r2.rhs.label.state, w))
+    return frozenset(rel)
+
+
+def _monadic_excursions_reference(Mn, that, u, hatted):
+    def is_hat(label):
+        return label in hatted
+
+    def base_label(label):
+        return label[:-2] if label in hatted else label
+
+    rel = set()
+    j = child_number(u)
+    node = subtree_at(that, u)
+    sym = base_label(node.label)
+    for q in sorted(Mn.states, key=repr):
+        for r in Mn.rules_at(q, sym, j):
+            if r.kind != "move":
+                continue
+            c = r.rhs.label
+            v = try_navigate(that, u, c.instr)
+            if v is None or not is_hat(subtree_at(that, v).label):
+                continue
+            seen = set()
+            stack = [(c.state, v)]
+            while stack:
+                s, w = stack.pop()
+                if (s, w) in seen:
+                    continue
+                seen.add((s, w))
+                wn = subtree_at(that, w)
+                for r2 in Mn.rules_at(s, base_label(wn.label),
+                                      child_number(w)):
+                    if r2.kind != "move":
+                        continue
+                    x = try_navigate(that, w, r2.rhs.label.instr)
+                    if x is None:
+                        continue
+                    if is_hat(subtree_at(that, x).label):
+                        stack.append((r2.rhs.label.state, x))
+                        continue
+                    s2 = r2.rhs.label.state
+                    if x == u:
+                        rel.add((q, (s2, "s")))
+                    elif len(x) < len(u):
+                        rel.add((q, (s2, "u")))
+                    else:
+                        rel.add((q, (s2, "d%d" % x[len(u)])))
+    return frozenset(rel)
+
+
+def _hat(t, chosen, v=()):
+    """t with the labels of the nodes at the addresses ``chosen`` hatted."""
+    kids = [_hat(c, chosen, v + (i,)) for i, c in enumerate(t.children, 1)]
+    return Tree(t.label + "~h" if v in chosen else t.label, kids)
+
+
+def _excursion_cases():
+    """(normalized machine, tree) pairs: the local fixtures on all trees of
+    up to 7 nodes over SIGMA_E, and seeded local machines over OUT3 also
+    on all trees of up to 6 nodes over OUT3."""
+    sig, out3 = all_trees(SIGMA_E, 7), all_trees(OUT3, 6)
+    for M in (m_exp(), identity_relabeler(), left_projection()):
+        Mn = _normalize_for_pruning(M)
+        yield from ((Mn, t) for t in sig)
+    for det in (True, False):
+        for seed in range(30):
+            Mn = _normalize_for_pruning(random_transducer(
+                seed, kind="local", deterministic=det, alphabet=OUT3,
+                output=OUT3))
+            yield from ((Mn, t) for t in sig + out3)
+
+
+def test_excursion_exits_match_both_old_searches():
+    cases = nonempty = 0
+    for Mn, t in _excursion_cases():
+        nodes = preorder(t)
+        for u, node in nodes:
+            rank = len(node.children)
+            for picks in itertools.chain.from_iterable(
+                    itertools.combinations(range(1, rank + 1), n)
+                    for n in range(rank + 1)):
+                def inside(v):
+                    return len(v) > len(u) and v[len(u)] not in picks
+                got = list(_excursion_exits(
+                    Mn, t, u, lambda label: label, inside))
+                assert {x for _, _, x in got} <= {u}
+                want = _leaves_excursions_reference(Mn, t, u, picks)
+                assert {(q, s) for q, s, _ in got} == want, (t, u, picks)
+                cases += 1
+                nonempty += bool(want)
+        monadic = [v for v, n in nodes if v and n.label == "tau"]
+        hatted = {"tau~h"}
+        for n in range(len(monadic) + 1):
+            for chosen in itertools.combinations(monadic, n):
+                that = _hat(t, set(chosen))
+                for u, _ in nodes:
+                    def inside(v):
+                        return subtree_at(that, v).label in hatted
+                    got = {(q, (s, "s" if x == u else "u" if len(x) < len(u)
+                                else "d%d" % x[len(u)]))
+                           for q, s, x in _excursion_exits(
+                               Mn, that, u,
+                               lambda label: label.replace("~h", ""),
+                               inside)}
+                    want = _monadic_excursions_reference(Mn, that, u, hatted)
+                    assert got == want, (that, u)
+                    cases += 1
+                    nonempty += bool(want)
+    assert cases >= 70000 and nonempty >= 5000, (cases, nonempty)
+
+
 # ---------------------------------------------------------------------------
 # Linear-bounded factorization
 
@@ -521,6 +685,15 @@ def check_factorization(M, corpus, bound=8, ibound=14):
             assert w is not None and \
                 eval_deterministic(d.remainder, w)[0] == s, t
             assert w.size <= 2 * s.size, (t, w.size, s.size)
+
+
+def test_factorization_witness_on_a_deep_comb():
+    # every node of the identity's input draws output, so the witness
+    # keeps them all; both phases build it without recursion
+    t = comb_tree(3000)
+    w = linear_bounded_factorization(identity_relabeler()).witness_map(t)
+    assert (w.size, w.height) == (t.size, t.height)
+    assert w.label.startswith("sigma~")
 
 
 def test_factorization_m_exp():

@@ -305,6 +305,24 @@ def test_mark_deep_comb_at_default_recursion_limit():
         mark_node(t, (2,) * n)
 
 
+def test_deep_marked_comb_reads_back_at_default_recursion_limit():
+    n = 3000
+    assert sys.getrecursionlimit() <= n
+    t = comb_tree(n)
+    for u in ((), (2,) * (n - 1), (2,) * (n // 2) + (1,)):
+        m = mark_node(t, u)
+        assert unmark_tree(m) == t
+        assert marked_address(m) == u
+
+
+def test_marked_address_counts_each_occurrence_of_a_shared_subtree():
+    hit = leaf("e#1")
+    assert marked_address(Tree("sigma#0", [hit, hit])) is None
+    assert marked_address(Tree("sigma#0", [leaf("e#0"), leaf("e#0")])) \
+        is None
+    assert marked_address(Tree("sigma#0", [leaf("e#0"), hit])) == (2,)
+
+
 def test_marked_alphabet_shape():
     m = MarkedAlphabet(SIGMA_E)
     assert m.rank("sigma#0") == 2

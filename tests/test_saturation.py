@@ -3,8 +3,9 @@
 built on them gives exactly what the round-robin ``while changed`` loop it
 replaced gave.  Those loops are kept below as reference implementations,
 as are the domain automaton that reran its claims fixpoint for every
-context class and the grammar enumeration that re-expanded every rule
-against the full languages in every round."""
+context class, the grammar enumeration that re-expanded every rule
+against the full languages in every round, and the exit summaries of the
+productivity phases that ``_least_sets`` now grounds as Horn clauses."""
 
 import ast
 import itertools
@@ -433,6 +434,101 @@ def _domain_automaton_per_context(M, state_ceiling=2048,
                              check_total=False)
 
 
+def _abstract_exits_by_rounds(Mn):
+    states = sorted(Mn.states, key=repr)
+    idxs = range(1, Mn.input_alphabet.max_rank + 1)
+    ex = {(i, q): set() for i in idxs for q in states}
+    changed = True
+    while changed:
+        changed = False
+        for r in Mn.rules:
+            if r.kind != "move" or r.child_no == 0:
+                continue
+            i = r.child_no
+            c = r.rhs.label
+            if c.instr.kind == "up":
+                add = {c.state}
+            elif c.instr == STAY:
+                add = ex[(i, c.state)]
+            else:
+                add = set()
+                for q3 in ex[(c.instr.index, c.state)]:
+                    add |= ex[(i, q3)]
+            cur = ex[(i, r.state)]
+            if not add <= cur:
+                cur |= add
+                changed = True
+    return ex
+
+
+def _chain_endpoints_by_rounds(Mn):
+    syms1 = [s for s in Mn.input_alphabet
+             if Mn.input_alphabet.rank(s) == 1]
+    maxr = Mn.input_alphabet.max_rank
+    states = sorted(Mn.states, key=repr)
+    positions = [("top", i) for i in range(1, maxr + 1)] + ["deep"]
+    dend = {(q, pos): set() for q in states for pos in positions}
+    changed = True
+    while changed:
+        changed = False
+        for q in states:
+            for pos in positions:
+                j = pos[1] if pos != "deep" else 1
+                acc = set()
+                for s1 in syms1:
+                    for r in Mn.rules_at(q, s1, j):
+                        if r.kind != "move":
+                            continue
+                        c = r.rhs.label
+                        if c.instr.kind == "up":
+                            if pos != "deep":
+                                acc.add(("stay", c.state))
+                            else:
+                                for p2 in positions:
+                                    acc |= dend[(c.state, p2)]
+                        elif c.instr == STAY:
+                            acc |= dend[(c.state, pos)]
+                        else:
+                            acc.add(("down", c.state))
+                            acc |= dend[(c.state, "deep")]
+                if not acc <= dend[(q, pos)]:
+                    dend[(q, pos)] |= acc
+                    changed = True
+    down_end = {(i, q): frozenset(dend[(q, ("top", i))])
+                for i in range(1, maxr + 1) for q in states}
+    uend = {(q, pos): set() for q in states for pos in ("chtop", "chin")}
+    changed = True
+    while changed:
+        changed = False
+        for q in states:
+            for pos in ("chtop", "chin"):
+                jrange = range(1, maxr + 1) if pos == "chtop" else (1,)
+                acc = set()
+                for s1 in syms1:
+                    for j in jrange:
+                        for r in Mn.rules_at(q, s1, j):
+                            if r.kind != "move":
+                                continue
+                            c = r.rhs.label
+                            if c.instr.kind == "up":
+                                if pos == "chtop":
+                                    acc.add(("up", c.state))
+                                else:
+                                    acc |= uend[(c.state, "chtop")]
+                                    acc |= uend[(c.state, "chin")]
+                            elif c.instr == STAY:
+                                acc |= uend[(c.state, pos)]
+                            else:
+                                acc.add(("stay", c.state))
+                                acc |= uend[(c.state, "chin")]
+                if not acc <= uend[(q, pos)]:
+                    uend[(q, pos)] |= acc
+                    changed = True
+    up_end = {q: frozenset(uend[(q, "chtop")] | uend[(q, "chin")])
+              for q in states}
+    return down_end, up_end
+
+
 # ---------------------------------------------------------------------------
 # Corpora
 
@@ -773,13 +869,9 @@ def test_resource_errors_name_ceiling_and_count():
         grammar_to_automaton(g, ceiling=1)
 
 
-# Each remaining loop is a set equation with joins: none is a plain
-# bottom-up exploration or a Horn least model.
-REMAINING_LOOPS = sorted([
-    "constructions._abstract_exits",
-    "constructions._chain_endpoints",
-    "constructions._chain_endpoints",
-])
+# No loop remains: every saturation is an exploration, a Horn least
+# model or a least-witness search.
+REMAINING_LOOPS = []
 
 
 def _while_changed_loops(path):
@@ -806,6 +898,31 @@ def test_only_the_named_while_changed_loops_remain():
     for path in sorted(src.glob("*.py")):
         found += _while_changed_loops(path)
     assert sorted(found) == REMAINING_LOOPS
+
+
+# ---------------------------------------------------------------------------
+# Exit summaries of the productivity phases
+
+def _local_machines(n=30):
+    """The local fixtures, then n seeded local machines over OUT3 per
+    determinism flag, normalized as the productivity phases take them."""
+    ms = [m_exp(), identity_relabeler(), left_projection()]
+    ms += [random_transducer(seed, kind="local", deterministic=det,
+                             alphabet=OUT3, output=OUT3)
+           for det in (True, False) for seed in range(n)]
+    return [constructions._normalize_for_pruning(M) for M in ms]
+
+
+def test_exit_summaries_match_round_robin():
+    nonempty = 0
+    for Mn in _local_machines():
+        ex = constructions._abstract_exits(Mn)
+        assert ex == _abstract_exits_by_rounds(Mn)
+        ends = constructions._chain_endpoints(Mn)
+        assert ends == _chain_endpoints_by_rounds(Mn)
+        nonempty += any(ex.values()) and any(ends[0].values()) \
+            and any(ends[1].values())
+    assert nonempty >= 50
 
 
 # ---------------------------------------------------------------------------

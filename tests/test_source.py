@@ -1,6 +1,6 @@
-"""Static checks over the package source: every import is used, and every
+"""Static checks over the package source: every import is used, every
 module-level private function is referenced somewhere in the program, its
-tests or its benchmark."""
+tests or its benchmark, and only the named functions recurse."""
 
 import ast
 import pathlib
@@ -56,3 +56,76 @@ def test_every_private_function_is_referenced():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
         and node.name not in used]
     assert unreferenced == []
+
+
+# Each of these still calls itself, so an input deep enough raises
+# RecursionError in it.  A walk made iterative leaves the list, and a new
+# recursive function fails the test below.
+REMAINING_RECURSIVE = sorted([
+    "constructions._stay_closure_groups.conv",
+    "constructions._unconvert",
+    "constructions.lookahead_of_topdown.rules_for.conv",
+    "constructions.pruning_image.conv",
+    "constructions.rename_states.conv",
+    "core._size_splits",
+    "fixtures._combos",
+    "forest._parse_forest",
+    "forest.at_exponential.convert",
+    "forest.bracket_tokens",
+    "forest.decode",
+    "forest.encode.build",
+    "forest.flatten",
+    "membership._member",
+    "membership._substitute",
+    "regular.RegularTreeGrammar._check_rhs",
+    "regular._compositions",
+    "regular._flatten_grammar.flatten_node",
+    "regular._plug",
+    "regular._rhs_productive",
+    "regular._size_vectors.extend",
+    "regular.derivation_yield_tree.build",
+    "regular.derivation_yield_tree.walk",
+    "transducer._format_rhs",
+    "transducer._instantiate",
+    "transducer._parse_rhs.parse_item",
+    "transducer._values.build",
+    "transducer.normalize_general.emit",
+])
+
+
+def _recursive_functions(path):
+    """The qualified names of the functions, nested ones included, that
+    call themselves by name: ``f(...)`` inside f, or ``self.f(...)``
+    inside a method f."""
+    found = []
+
+    def calls_itself(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name) and f.id == fn.name or \
+                        isinstance(f, ast.Attribute) and f.attr == fn.name \
+                        and isinstance(f.value, ast.Name) \
+                        and f.value.id == "self":
+                    return True
+        return False
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                if isinstance(child, ast.FunctionDef) and calls_itself(child):
+                    found.append(".".join(inner))
+                visit(child, inner)
+            else:
+                visit(child, scope)
+
+    visit(_parse(path), [path.stem])
+    return found
+
+
+def test_only_the_named_functions_recurse():
+    found = []
+    for path in MODULES:
+        found += _recursive_functions(path)
+    assert sorted(found) == REMAINING_RECURSIVE

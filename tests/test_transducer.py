@@ -114,6 +114,24 @@ def test_validation_rejects_unknown_state():
                    [Rule("q", "e", 0, None, call("p", STAY))])
 
 
+def test_validation_reports_the_first_fault_in_pre_order():
+    rhs = out("sigma", out("sigma", call("p", STAY), out("e", leaf("e"))),
+              call("q", UP))
+    with pytest.raises(ValueError, match=r"^call state 'p' unknown$"):
+        Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"],
+                   [Rule("q", "e", 0, None, rhs)])
+
+
+def test_validation_of_a_deep_rhs_at_default_recursion_limit():
+    depth = 5000
+    rhs = call("q", STAY)
+    for _ in range(depth):
+        rhs = out("tau", rhs)
+    M = Transducer(SIGMA_E, OUT3, ["q"], ["q"],
+                   [Rule("q", "e", 0, None, rhs)])
+    assert M.rules[0].rhs.height == depth
+
+
 def test_text_format_roundtrip():
     test = internal_sigma_test()
     m = Transducer(SIGMA_E, SIGMA_E, ["q", "p"], ["q"], [
