@@ -8,6 +8,7 @@ empty tuple addresses the root.  The child number of the root is 0 by
 convention.
 """
 
+import functools
 import re
 import sys
 
@@ -444,6 +445,39 @@ def distinct_postorder(t, enter=None):
 def addresses(t):
     """All node addresses of t in pre-order."""
     return [u for u, _ in preorder(t)]
+
+
+class TreeIndex:
+    """The nodes of t in pre-order, the root 0, without recursion: per
+    node id its subtree, child number and child ids.  The Dewey addresses
+    (which take memory quadratic in the depth) and the 0-marked labels are
+    computed on first use and then shared."""
+
+    def __init__(self, t):
+        self.nodes, self.child_nos, self.kids = [], [], []
+        stack = [(t, 0, None)]
+        while stack:
+            node, j, parent = stack.pop()
+            i = len(self.nodes)
+            if parent is not None:
+                self.kids[parent].append(i)
+            self.nodes.append(node)
+            self.child_nos.append(j)
+            self.kids.append([])
+            for k in range(len(node.children), 0, -1):
+                stack.append((node.children[k - 1], k, i))
+
+    @functools.cached_property
+    def addrs(self):
+        addrs = [()] * len(self.nodes)
+        for i, cs in enumerate(self.kids):  # parents come first
+            for j in cs:
+                addrs[j] = addrs[i] + (self.child_nos[j],)
+        return addrs
+
+    @functools.cached_property
+    def marked(self):
+        return [marked_name(n.label, 0) for n in self.nodes]
 
 
 class Instruction:

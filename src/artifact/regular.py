@@ -12,9 +12,9 @@ import heapq
 import itertools
 
 from .core import (
-    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, distinct_postorder,
-    leaf, mark_node, marked_name, serialize_tree, split_marked_name,
-    subtree_at, tree_key, unmark_tree,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
+    distinct_postorder, leaf, mark_node, marked_name, serialize_tree,
+    split_marked_name, subtree_at, tree_key, unmark_tree,
 )
 
 
@@ -471,15 +471,17 @@ class RegularTreeGrammar:
             self._check_rhs(rhs)
 
     def _check_rhs(self, rhs):
-        if rhs.label in self.nonterminals:
-            if rhs.children:
-                raise ValueError("nonterminal %r used with children"
-                                 % (rhs.label,))
-            return
-        if self.terminals.rank(rhs.label) != len(rhs.children):
-            raise ValueError("arity mismatch at %r" % (rhs.label,))
-        for c in rhs.children:
-            self._check_rhs(c)
+        stack = [rhs]  # pre-order, so the first fault found is the same
+        while stack:
+            node = stack.pop()
+            if node.label in self.nonterminals:
+                if node.children:
+                    raise ValueError("nonterminal %r used with children"
+                                     % (node.label,))
+                continue
+            if self.terminals.rank(node.label) != len(node.children):
+                raise ValueError("arity mismatch at %r" % (node.label,))
+            stack.extend(reversed(node.children))
 
     def is_nonterminal(self, label):
         return label in self.nonterminals
@@ -941,74 +943,79 @@ def eval_test(test, t, u):
 
 
 def eval_test_all(test, t):
-    """Evaluate an automaton-backed test at every node of t at once.
+    """``node_verdicts`` as a dict from the address of each node where
+    ``eval_test(test, t, u)`` answers to that answer, or None for an
+    oracle."""
+    ix = TreeIndex(t)
+    verdicts = node_verdicts(test, ix)
+    if verdicts is None:
+        return None
+    return {u: v for u, v in zip(ix.addrs, verdicts) if v is not None}
 
-    Returns a dict from the address of each node at which
-    ``eval_test(test, t, u)`` answers to that answer, or None for a test
-    without an automaton (an oracle).  A node where ``eval_test`` raises
-    (a label outside the automaton's alphabet, or a run that hits a
-    transition the automaton lacks) has no entry; which nodes those are
-    differs from node to node for sub-tests and partial automata.
+
+def node_verdicts(test, ix):
+    """The verdict of an automaton-backed test at every node of the
+    indexed tree ``ix`` (a ``core.TreeIndex``), as a list by node id, or
+    None for a test without an automaton (an oracle).  A node where
+    ``eval_test`` raises (a label outside the automaton's alphabet, or a
+    run that hits a transition the automaton lacks) has the verdict None;
+    which nodes those are differs from node to node for sub-tests and
+    partial automata.
 
     A ``SubTest`` needs only the bottom-up run.  An ``AutomatonTest`` runs
     bottom-up once with every label unmarked, then passes top-down, per
-    node, the outcome each state of that node's subtree would lead to at
-    the root; the verdict at u is the outcome of the state u's subtree
-    takes when u is marked (look-around by relabeling, Bloem and
+    node, its context: the outcome each state of that node's subtree would
+    lead to at the root.  The verdict at u is the outcome of the state u's
+    subtree takes when u is marked (look-around by relabeling, Bloem and
     Engelfriet).  Both passes are iterative."""
     if not isinstance(test, (AutomatonTest, SubTest)):
         return None
     aut = test.aut
-    delta = aut.delta
+    delta, alphabet = aut.delta, aut.alphabet
     marked = isinstance(test, AutomatonTest)
-    # breadth-first order: parents before children, each node's children
-    # contiguous
-    nodes, addrs, kids = [t], [()], []
-    for node, u in zip(nodes, addrs):
-        kids.append(range(len(nodes), len(nodes) + len(node.children)))
-        nodes.extend(node.children)
-        addrs.extend(u + (i,) for i in range(1, len(node.children) + 1))
-    labels = [marked_name(n.label, 0) if marked else n.label for n in nodes]
-    if marked and any(name not in aut.alphabet for name in labels):
-        return {}  # every marked run reads the whole tree
+    labels = ix.marked if marked else [n.label for n in ix.nodes]
+    if marked and any(name not in alphabet for name in labels):
+        return [None] * len(labels)  # every marked run reads the whole tree
     # state[i] is None where the run on node i's subtree raises
-    state = [None] * len(nodes)
-    for i in reversed(range(len(nodes))):
-        combo = tuple(state[j] for j in kids[i])
-        if labels[i] in aut.alphabet and None not in combo:
+    state = [None] * len(labels)
+    for i in reversed(range(len(labels))):  # children before parents
+        combo = tuple(state[j] for j in ix.kids[i])
+        if labels[i] in alphabet and None not in combo:
             state[i] = delta.get((labels[i], combo))
     if not marked:
-        return {u: p in aut.finals
-                for u, p in zip(addrs, state) if p is not None}
-    # up[i] maps a state of node i's subtree to whether the run then ends
-    # in a final state; a state whose run up hits a missing transition has
-    # no entry.  Nodes share these maps: one is built per distinct (map
-    # above, parent label, sibling states around the hole), and every map
-    # stays referenced from ``made`` so that the ids in its keys stay
-    # unique.
-    up = [{p: p in aut.finals for p in aut.states}] + [None] * (len(nodes) - 1)
+        return [None if p is None else p in aut.finals for p in state]
+    # A context maps a state of a node's subtree to whether the run then
+    # ends in a final state; a state whose run up hits a missing transition
+    # has no entry.  Contexts are interned by content, so that the child
+    # context of each (context, parent label, sibling states around the
+    # hole) is built once; ``interned`` keeps every context alive, so the
+    # ids in ``made``'s keys stay unique.
+    up = [{p: p in aut.finals for p in aut.states}] + \
+        [None] * (len(labels) - 1)
+    interned = {frozenset(up[0].items()): up[0]}
     made = {}
-    table = {}
-    for i, cs in enumerate(kids):
+    verdicts = []
+    for i, cs in enumerate(ix.kids):  # parents before children
         above, name = up[i], labels[i]
         combo = [state[j] for j in cs]
-        p = delta.get((marked_name(nodes[i].label, 1), tuple(combo)))
-        if p in above:
-            table[addrs[i]] = above[p]
+        verdicts.append(above.get(delta.get(
+            (marked_name(ix.nodes[i].label, 1), tuple(combo)))))
         for k, j in enumerate(cs):
             combo[k] = None
             key = (id(above), name, tuple(combo))
             ctx = made.get(key)
             if ctx is None:
-                ctx = made[key] = {}
+                ctx = {}
                 for q in aut.states:
                     combo[k] = q
                     r = delta.get((name, tuple(combo)))
                     if r in above:
                         ctx[q] = above[r]
+                ctx = made[key] = interned.setdefault(
+                    frozenset(ctx.items()), ctx)
             up[j] = ctx
             combo[k] = state[j]
-    return table
+    return verdicts
 
 
 def sub_test(aut):

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, all_trees, child_number, down,
     leaf, navigate, preorder, split_marked_name, subtree_at,
-    Instruction, STAY, UP,
+    Instruction, TreeIndex, STAY, UP,
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, RegularTreeGrammar, SubTest,
-    eval_test, eval_test_all, explore, to_automaton_test, _state_names,
+    eval_test, explore, node_verdicts, to_automaton_test, _state_names,
 )
 
 
@@ -269,16 +269,51 @@ class Transducer:
 
 
 def _format_rhs(node, names=None):
-    if isinstance(node.label, Call):
-        c = node.label
-        q = c.state if names is None else names[c.state]
-        if c.instr.kind == "down":
-            return "(%s, down %d)" % (q, c.instr.index)
-        return "(%s, %s)" % (q, c.instr.kind)
-    if not node.children:
-        return node.label
-    return "%s(%s)" % (node.label,
-                       ", ".join(_format_rhs(c, names) for c in node.children))
+    parts = []
+    stack = [node]  # nodes still to write, and the text between them
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node.label, Call):
+            c = node.label
+            q = c.state if names is None else names[c.state]
+            if c.instr.kind == "down":
+                parts.append("(%s, down %d)" % (q, c.instr.index))
+            else:
+                parts.append("(%s, %s)" % (q, c.instr.kind))
+        elif not node.children:
+            parts.append(node.label)
+        else:
+            parts.append("%s(" % (node.label,))
+            stack.append(")")
+            for k, c in enumerate(reversed(node.children)):
+                if k:
+                    stack.append(", ")
+                stack.append(c)
+    return "".join(parts)
+
+
+def _substitute_calls(rhs, at_call):
+    """The rhs with each call leaf replaced by ``at_call(call)``, calls
+    taken in pre-order, built without recursion."""
+    if isinstance(rhs.label, Call):
+        return at_call(rhs.label)
+    stack = [(rhs, iter(rhs.children), [])]  # node, children left, built
+    while True:
+        node, kids, built = stack[-1]
+        for c in kids:
+            if isinstance(c.label, Call):
+                built.append(at_call(c.label))
+            else:
+                stack.append((c, iter(c.children), []))
+                break
+        else:
+            stack.pop()
+            node = Tree(node.label, built)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
 
 
 def _parse_rhs(text, output_alphabet):
@@ -490,25 +525,25 @@ def _applicable_all(M, t):
     """Yield ((q, u), the rules applicable there) for every configuration
     of M on t, addresses in pre-order and states in ``M.states`` order.
 
-    Each automaton or sub-test guard is evaluated for all nodes of t at
-    once, the first time a rule asks about it (``eval_test_all``).  Oracle
-    guards go to ``eval_test`` per node, and so does a node the table
-    leaves out, where ``eval_test`` raises its own exception."""
+    Each automaton or sub-test guard is evaluated for all nodes of t's
+    index at once, the first time a rule asks about it (``node_verdicts``),
+    and read by node id.  Oracle guards go to ``eval_test`` per node, and
+    so does a node without a verdict, where it raises its own exception."""
+    ix = TreeIndex(t)
     tables = {}
 
-    def holds(test, u):
+    def holds(test, i):
         if test is None:
             return True
         if test not in tables:
-            tables[test] = eval_test_all(test, t) or {}
-        verdict = tables[test].get(u)
-        return eval_test(test, t, u) if verdict is None else verdict
+            tables[test] = node_verdicts(test, ix) or [None] * len(ix.nodes)
+        verdict = tables[test][i]
+        return eval_test(test, t, ix.addrs[i]) if verdict is None else verdict
 
-    for u, node in preorder(t):
-        j = child_number(u)
+    for i, (u, node, j) in enumerate(zip(ix.addrs, ix.nodes, ix.child_nos)):
         for q in M.states:
             yield (q, u), [r for r in M.rules_at(q, node.label, j)
-                           if holds(r.test, u)]
+                           if holds(r.test, i)]
 
 
 def config_grammar(M, t):
@@ -525,10 +560,8 @@ def config_grammar(M, t):
 
 
 def _instantiate(rhs, t, u):
-    if isinstance(rhs.label, Call):
-        c = rhs.label
-        return leaf((c.state, navigate(t, u, c.instr)))
-    return Tree(rhs.label, [_instantiate(ch, t, u) for ch in rhs.children])
+    return _substitute_calls(
+        rhs, lambda c: leaf((c.state, navigate(t, u, c.instr))))
 
 
 def enumerate_outputs(M, t, max_output_size, max_chain_len=None):
@@ -649,16 +682,8 @@ def _values(rmap, order, succs):
             continue
         # the successors are listed in the rhs pre-order of their calls
         nxt = iter(succs[cfg]).__next__
-        counter = [0]
-
-        def build(node):
-            if isinstance(node.label, Call):
-                return value[nxt()]
-            counter[0] += 1
-            return Tree(node.label, [build(c) for c in node.children])
-
-        value[cfg] = build(rule.rhs)
-        steps += counter[0]
+        value[cfg] = _substitute_calls(rule.rhs, lambda c: value[nxt()])
+        steps += rule.output_symbol_count()
     return value, steps
 
 
@@ -832,23 +857,26 @@ def normalize_general(M):
         if r.kind != "general":
             rules.append(r)
             continue
-
-        def emit(node, path):
-            name = ("gen", idx, path)
-            states.add(name)
-            kids = []
-            for i, c in enumerate(node.children, 1):
-                if isinstance(c.label, Call):
-                    kids.append(Tree(c.label, ()))
-                else:
-                    kids.append(call(emit(c, path + (i,)), STAY))
-            rules.append(Rule(name, r.symbol, r.child_no, r.test,
-                              Tree(node.label, kids)))
-            return name
-
-        top = emit(r.rhs, ())
+        # the output nodes with their rhs paths, each before the nodes
+        # below it and its children right to left, so that the reverse
+        # lists them in post-order
+        found = []
+        stack = [(r.rhs, ())]
+        while stack:
+            node, path = stack.pop()
+            found.append((node, path))
+            stack.extend((c, path + (i,))
+                         for i, c in enumerate(node.children, 1)
+                         if not isinstance(c.label, Call))
+        for node, path in reversed(found):
+            states.add(("gen", idx, path))
+            kids = [Tree(c.label, ()) if isinstance(c.label, Call)
+                    else call(("gen", idx, path + (i,)), STAY)
+                    for i, c in enumerate(node.children, 1)]
+            rules.append(Rule(("gen", idx, path), r.symbol, r.child_no,
+                              r.test, Tree(node.label, kids)))
         rules.append(Rule(r.state, r.symbol, r.child_no, r.test,
-                          call(top, STAY)))
+                          call(("gen", idx, ()), STAY)))
     return Transducer(M.input_alphabet, M.output_alphabet, states,
                       M.initials, rules)
 

@@ -6,9 +6,10 @@ import pytest
 
 from artifact.core import (
     AlphabetError, MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError,
-    STAY, UP, addresses, all_trees, child_number, down, leaf, mark_node,
-    marked_address, navigate, parse_tree, preorder, serialize_tree,
-    subtree_at, tree_key, tree_metrics, unmark_tree, _valid_symbol_name,
+    TreeIndex, STAY, UP, addresses, all_trees, child_number, down, leaf,
+    mark_node, marked_address, marked_name, navigate, parse_tree, preorder,
+    serialize_tree, subtree_at, tree_key, tree_metrics, unmark_tree,
+    _valid_symbol_name,
 )
 from artifact.fixtures import OUT3, comb_tree
 
@@ -267,6 +268,33 @@ def test_addresses_preorder():
         us = addresses(t)
         assert us == sorted(us)
         assert preorder(t) == [(u, subtree_at(t, u)) for u in us]
+
+
+def test_tree_index_is_preorder():
+    for t in all_trees(SIGMA_E, 7) + all_trees(OUT3, 7):
+        ix = TreeIndex(t)
+        assert ix.addrs == addresses(t)
+        assert ix.nodes == [node for _, node in preorder(t)]
+        assert ix.child_nos == [child_number(u) for u in ix.addrs]
+        at_root = mark_node(t, ())  # 0-marked everywhere but the root
+        assert ix.marked == [marked_name(t.label, 0)] + [
+            subtree_at(at_root, u).label for u in ix.addrs[1:]]
+        for node, cs in zip(ix.nodes, ix.kids):
+            assert len(cs) == len(node.children)
+            assert all(node.children[k] is ix.nodes[j]
+                       for k, j in enumerate(cs))
+
+
+def test_tree_index_deep_comb():
+    t = comb_tree(10 ** 4)
+    ix = TreeIndex(t)
+    assert len(ix.nodes) == t.size
+    # the spine nodes have the even ids: a leaf, then the next spine node
+    for i in range(0, t.size - 1, 2):
+        assert ix.kids[i] == [i + 1, i + 2]
+        assert ix.child_nos[i + 1:i + 3] == [1, 2]
+        assert ix.nodes[i + 2] is ix.nodes[i].children[1]
+    assert ix.kids[-1] == [] and ix.nodes[-1].label == "e"
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from artifact.core import (
-    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, addresses,
-    all_trees, leaf, mark_node, parse_tree, serialize_tree, subtree_at,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
+    addresses, all_trees, leaf, mark_node, marked_name, parse_tree,
+    serialize_tree, subtree_at,
 )
 from artifact.fixtures import (
     OUT3, comb_tree, full_binary, query_transducer, random_transducer,
@@ -22,8 +23,8 @@ from artifact.regular import (
     automaton_to_grammar, decide, derivation_grammar, derivation_yield_tree,
     enumerate_grammar, enumerate_language, eval_test, eval_test_all,
     grammar_finite, grammar_member, grammar_to_automaton, lift_mark,
-    run_automaton, singleton_automaton, sub_test, subtest_to_marked,
-    to_automaton_test,
+    node_verdicts, run_automaton, singleton_automaton, sub_test,
+    subtest_to_marked, to_automaton_test,
 )
 from artifact.transducer import marked_position_automaton
 
@@ -533,6 +534,131 @@ def test_all_nodes_table_deep_tree():
     table = eval_test_all(T, t)
     assert len(table) == t.size
     assert sum(table.values()) == 2999
+
+
+def _eval_test_all_reference(test, t):
+    """eval_test_all as it was before ``node_verdicts``: its own
+    breadth-first index, and top-down maps shared only by the identity of
+    the map above, so that nearly every node builds its own.  Kept as the
+    reference for the shared index and the contexts interned by content."""
+    if not isinstance(test, (AutomatonTest, SubTest)):
+        return None
+    aut = test.aut
+    delta = aut.delta
+    marked = isinstance(test, AutomatonTest)
+    nodes, addrs, kids = [t], [()], []
+    for node, u in zip(nodes, addrs):
+        kids.append(range(len(nodes), len(nodes) + len(node.children)))
+        nodes.extend(node.children)
+        addrs.extend(u + (i,) for i in range(1, len(node.children) + 1))
+    labels = [marked_name(n.label, 0) if marked else n.label for n in nodes]
+    if marked and any(name not in aut.alphabet for name in labels):
+        return {}
+    state = [None] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        combo = tuple(state[j] for j in kids[i])
+        if labels[i] in aut.alphabet and None not in combo:
+            state[i] = delta.get((labels[i], combo))
+    if not marked:
+        return {u: p in aut.finals
+                for u, p in zip(addrs, state) if p is not None}
+    up = [{p: p in aut.finals for p in aut.states}] + [None] * (len(nodes) - 1)
+    made = {}
+    table = {}
+    for i, cs in enumerate(kids):
+        above, name = up[i], labels[i]
+        combo = [state[j] for j in cs]
+        p = delta.get((marked_name(nodes[i].label, 1), tuple(combo)))
+        if p in above:
+            table[addrs[i]] = above[p]
+        for k, j in enumerate(cs):
+            combo[k] = None
+            key = (id(above), name, tuple(combo))
+            ctx = made.get(key)
+            if ctx is None:
+                ctx = made[key] = {}
+                for q in aut.states:
+                    combo[k] = q
+                    r = delta.get((name, tuple(combo)))
+                    if r in above:
+                        ctx[q] = above[r]
+            up[j] = ctx
+            combo[k] = state[j]
+    return table
+
+
+def _random_tree(rng, internal, leaves=("e",)):
+    """A random binary tree with ``internal`` sigma nodes, each leaf
+    labelled from ``leaves``."""
+    if internal == 0:
+        return leaf(rng.choice(leaves))
+    k = rng.randrange(internal)
+    return Tree("sigma", [_random_tree(rng, k, leaves),
+                          _random_tree(rng, internal - 1 - k, leaves)])
+
+
+def test_all_nodes_table_matches_reference():
+    """eval_test_all, and node_verdicts read through the index's
+    addresses, give the reference's table on trees of 31 to 121 nodes,
+    where top-down maps can be shared."""
+    tests = _machine_tests(query_transducer())
+    for seed in range(40):
+        for kind in ("lookaround", "sub"):
+            tests |= _machine_tests(random_transducer(seed, kind=kind))
+    pos = [marked_position_automaton(SIGMA_E, sym, j)
+           for sym, j in (("sigma", 0), ("sigma", 1), ("sigma", 2))]
+    missing = dict(pos[1].delta)
+    del missing[("e#0", ())]
+    tests |= {AutomatonTest(a) for a in pos + [_without_bad(a) for a in pos]}
+    tests |= {
+        AutomatonTest(BottomUpAutomaton(pos[1].alphabet, pos[1].states,
+                                        pos[1].finals, missing,
+                                        check_total=False)),
+        AutomatonTest(_with_extra(pos[2], {("a#0", ()): "none",
+                                           ("a#1", ()): "just"})),
+        sub_test(parity_automaton()),
+        sub_test(_with_extra(parity_automaton(), {("a", ()): "odd"})),
+        OracleTest(lambda t, u: True, "true")}
+    rng = random.Random(12)
+    trees = [_random_tree(rng, rng.randint(15, 60)) for _ in range(12)]
+    trees += [_random_tree(rng, rng.randint(15, 60), ("e", "e", "a"))
+              for _ in range(4)]
+    assert min(t.size for t in trees) >= 31
+    assert max(t.size for t in trees) <= 121
+    for t in trees:
+        ix = TreeIndex(t)
+        for T in tests:
+            want = _eval_test_all_reference(T, t)
+            assert eval_test_all(T, t) == want, (T, t)
+            verdicts = node_verdicts(T, ix)
+            if want is None:
+                assert verdicts is None
+            else:
+                assert verdicts == [want.get(u) for u in ix.addrs], (T, t)
+
+
+class _CountingDelta(dict):
+    """A transition map that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+
+def test_all_nodes_table_lookups_per_node():
+    """With contexts interned by content, a comb costs the bottom-up and
+    the marked transition per node and a few context builds in all; the
+    reference builds a context per node, |Q| lookups each."""
+    t = comb_tree(3000)
+    aut = marked_position_automaton(SIGMA_E, "e", 1)
+    aut.delta = _CountingDelta(aut.delta)
+    node_verdicts(AutomatonTest(aut), TreeIndex(t))
+    assert aut.delta.gets <= 3 * t.size
+    aut.delta = _CountingDelta(aut.delta)
+    _eval_test_all_reference(AutomatonTest(aut), t)
+    assert aut.delta.gets >= (len(aut.states) + 1) * t.size
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ REMAINING_RECURSIVE = sorted([
     "forest.flatten",
     "membership._member",
     "membership._substitute",
-    "regular.RegularTreeGrammar._check_rhs",
     "regular._compositions",
     "regular._flatten_grammar.flatten_node",
     "regular._plug",
@@ -85,11 +84,7 @@ REMAINING_RECURSIVE = sorted([
     "regular._size_vectors.extend",
     "regular.derivation_yield_tree.build",
     "regular.derivation_yield_tree.walk",
-    "transducer._format_rhs",
-    "transducer._instantiate",
     "transducer._parse_rhs.parse_item",
-    "transducer._values.build",
-    "transducer.normalize_general.emit",
 ])
 
 

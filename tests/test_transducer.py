@@ -132,6 +132,34 @@ def test_validation_of_a_deep_rhs_at_default_recursion_limit():
     assert M.rules[0].rhs.height == depth
 
 
+def test_deep_rhs_at_default_recursion_limit():
+    """A rule emitting a chain of 5000 tau nodes is formatted, evaluated
+    by both engines and turned into a configuration grammar, and a faulty
+    one is reported by its ValueError."""
+    depth = 5000
+
+    def chain(leaf_):
+        rhs = leaf_
+        for _ in range(depth):
+            rhs = out("tau", rhs)
+        return rhs
+
+    rule = Rule("q", "e", 0, None, chain(call("p", STAY)))
+    assert repr(rule) == "Rule(<q,e,0> -> %s(p, stay)%s)" % (
+        "tau(" * depth, ")" * depth)
+    M = Transducer(SIGMA_E, OUT3, ["q", "p"], ["q"],
+                   [rule, Rule("p", "e", 0, None, out("e"))])
+    want = chain(leaf("e"))
+    assert eval_deterministic(M, leaf("e")) == (want, depth + 3)
+    assert eval_streaming(M, leaf("e")) == (want, 1)
+    g = config_grammar(M, leaf("e"))
+    assert set(g.rules) == {(("q", ()), chain(leaf(("p", ())))),
+                            (("p", ()), leaf("e"))}
+    with pytest.raises(ValueError, match="^up-instruction at child number 0"):
+        Transducer(SIGMA_E, OUT3, ["q"], ["q"],
+                   [Rule("q", "e", 0, None, chain(call("q", UP)))])
+
+
 def test_text_format_roundtrip():
     test = internal_sigma_test()
     m = Transducer(SIGMA_E, SIGMA_E, ["q", "p"], ["q"], [
