@@ -29,7 +29,7 @@ from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
     enumerate_outputs, eval_deterministic, normalize_general,
     normalize_outputs_stay, out, relabel_rules, trace_productive,
-    _applicable_all, _choice_map, _productive_from, _successors, _values,
+    _applicable_all, _computation, _successors, _values,
 )
 
 
@@ -113,8 +113,8 @@ def deterministic_values(M):
     """Per-tree map from every productive configuration of a deterministic
     machine to the output subtree it generates."""
     def compute(t):
-        rmap = _choice_map(M, t)
-        _, order, succs = _productive_from(rmap, rmap, t)
+        every = ((q, u) for u, _ in preorder(t) for q in M.states)
+        rmap, _, order, succs = _computation(M, t, every)
         return _values(rmap, order, succs)[0]
     return _per_tree(compute)
 
@@ -884,9 +884,8 @@ def compose_su(M1, M2):
     ridx_of = {id(r): i for i, r in enumerate(rules1)}
 
     def parents_of(t):
-        rmap = _choice_map(M1a, t)
         init = (next(iter(M1a.initials)), ())
-        prodc, order, succs = _productive_from([init], rmap, t)
+        _, prodc, order, succs = _computation(M1a, t, [init])
         pm = {}
         if init in prodc:
             for cfg in order:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, all_trees, child_number, down,
-    leaf, navigate, preorder, split_marked_name, subtree_at,
+    leaf, navigate, preorder, split_marked_name,
     Instruction, TreeIndex, STAY, UP,
 )
 from .regular import (
@@ -128,7 +128,7 @@ class Transducer:
     """M = (input alphabet, output alphabet, states, initials, rules)."""
 
     __slots__ = ("input_alphabet", "output_alphabet", "states", "initials",
-                 "rules", "_index")
+                 "rules", "_index", "_overlaps")
 
     def __init__(self, input_alphabet, output_alphabet, states, initials,
                  rules):
@@ -142,6 +142,7 @@ class Transducer:
         if not self.initials <= self.states:
             raise ValueError("initials must be states")
         self._index = {}
+        self._overlaps = None  # filled by _overlap_record on first use
         for r in self.rules:
             self._validate_rule(r)
             self._index.setdefault((r.state, r.symbol, r.child_no), []).append(r)
@@ -178,15 +179,6 @@ class Transducer:
 
     def rules_at(self, state, symbol, child_no):
         return self._index.get((state, symbol, child_no), [])
-
-    def applicable_rules(self, state, t, u):
-        """The rules applicable to configuration (state, u) on tree t."""
-        node = subtree_at(t, u)
-        out_ = []
-        for r in self.rules_at(state, node.label, child_number(u)):
-            if eval_test(r.test, t, u):
-                out_.append(r)
-        return out_
 
     # -- text format --------------------------------------------------------
 
@@ -402,10 +394,6 @@ class ClassFlags:
     finitary_asserted: bool
 
 
-def _rule_instructions(r):
-    return [c.instr for c in r.calls()]
-
-
 def marked_position_automaton(alphabet, symbol, child_no):
     """The automaton over the marked alphabet accepting exactly the marked
     trees whose marked node carries ``symbol`` and has the given child
@@ -469,14 +457,35 @@ def _tests_disjoint(M, r1, r2, corpus_bound):
     return True
 
 
+def _overlap_record(M):
+    """The pairs of M's rules at one (state, symbol, childNo) key, by key
+    in rule order, that ``_tests_disjoint``'s automaton route does not
+    prove disjoint: an unguarded rule or an oracle guard, or a product that
+    is nonempty or raises KeyError (a partial automaton).  Kept on M."""
+    if M._overlaps is None:
+        record = {}
+        for key, group in M._index.items():
+            for r1, r2 in itertools.combinations(group, 2):
+                try:
+                    proved = all(isinstance(r.test, (AutomatonTest, SubTest))
+                                 for r in (r1, r2)) \
+                        and _tests_disjoint(M, r1, r2, None)
+                except KeyError:
+                    proved = False
+                if not proved:
+                    record.setdefault(key, []).append((r1, r2))
+        M._overlaps = record
+    return M._overlaps
+
+
 def classify(M, finitary_asserted=False, corpus_bound=6):
     """Compute the class flags of M by rule inspection; the determinism
     flag additionally needs pairwise test disjointness, decided exactly for
-    automaton-backed tests and on a bounded input corpus otherwise."""
+    automaton-backed tests and on a bounded input corpus otherwise, for
+    the pairs that the overlap record does not prove disjoint."""
     local = all(r.test is None for r in M.rules)
     sub_testing = all(r.test is None or r.test.subtest for r in M.rules)
-    top_down = all(i.kind != "up"
-                   for r in M.rules for i in _rule_instructions(r))
+    top_down = all(c.instr.kind != "up" for r in M.rules for c in r.calls())
 
     def rule_pruning(r):
         if r.kind == "move":
@@ -503,15 +512,9 @@ def classify(M, finitary_asserted=False, corpus_bound=6):
 
     relabeling = all(rule_relabeling(r) for r in M.rules)
 
-    deterministic = len(M.initials) == 1
-    if deterministic:
-        for group in M._index.values():
-            for r1, r2 in itertools.combinations(group, 2):
-                if not _tests_disjoint(M, r1, r2, corpus_bound):
-                    deterministic = False
-                    break
-            if not deterministic:
-                break
+    deterministic = len(M.initials) == 1 and all(
+        _tests_disjoint(M, r1, r2, corpus_bound)
+        for pairs in _overlap_record(M).values() for r1, r2 in pairs)
     return ClassFlags(deterministic=deterministic, local=local,
                       sub_testing=sub_testing, top_down=top_down,
                       pruning=pruning, relabeling=relabeling,
@@ -521,29 +524,39 @@ def classify(M, finitary_asserted=False, corpus_bound=6):
 # ---------------------------------------------------------------------------
 # Configuration grammar and bounded enumeration
 
-def _applicable_all(M, t):
-    """Yield ((q, u), the rules applicable there) for every configuration
-    of M on t, addresses in pre-order and states in ``M.states`` order.
-
-    Each automaton or sub-test guard is evaluated for all nodes of t's
-    index at once, the first time a rule asks about it (``node_verdicts``),
-    and read by node id.  Oracle guards go to ``eval_test`` per node, and
-    so does a node without a verdict, where it raises its own exception."""
-    ix = TreeIndex(t)
+def _rule_reader(M, t, ix):
+    """``applicable(q, i, u)``: the rules of M applicable at configuration
+    (q, u) of t, where u is node i of t's index ``ix``.  Each automaton or
+    sub-test guard is evaluated for all nodes at once, the first time a
+    rule asks about it (``node_verdicts``), and read by node id.  Oracle
+    guards go to ``eval_test`` per node, and so does a node without a
+    verdict, where it raises its own exception."""
     tables = {}
 
-    def holds(test, i):
+    def holds(test, i, u):
         if test is None:
             return True
         if test not in tables:
             tables[test] = node_verdicts(test, ix) or [None] * len(ix.nodes)
         verdict = tables[test][i]
-        return eval_test(test, t, ix.addrs[i]) if verdict is None else verdict
+        return eval_test(test, t, u) if verdict is None else verdict
 
-    for i, (u, node, j) in enumerate(zip(ix.addrs, ix.nodes, ix.child_nos)):
+    rules_at, nodes, child_nos = M._index.get, ix.nodes, ix.child_nos
+
+    def applicable(q, i, u):
+        return [r for r in rules_at((q, nodes[i].label, child_nos[i]), ())
+                if holds(r.test, i, u)]
+    return applicable
+
+
+def _applicable_all(M, t):
+    """Yield ((q, u), the rules applicable there) for every configuration
+    of M on t, addresses in pre-order and states in ``M.states`` order."""
+    ix = TreeIndex(t)
+    applicable = _rule_reader(M, t, ix)
+    for i, u in enumerate(ix.addrs):
         for q in M.states:
-            yield (q, u), [r for r in M.rules_at(q, node.label, j)
-                           if holds(r.test, i)]
+            yield (q, u), applicable(q, i, u)
 
 
 def config_grammar(M, t):
@@ -579,29 +592,47 @@ def enumerate_outputs(M, t, max_output_size, max_chain_len=None):
 # ---------------------------------------------------------------------------
 # Deterministic evaluation
 
-def _choice_map(M, t, run=None):
-    """Map each configuration to its chosen applicable rule.
+class _Choice:
+    """The rule (or None) at each configuration of M on t, chosen when the
+    search first asks (``get``) and kept in ``rules``.  With ``run`` absent
+    the choice must be unique (two applicable rules raise ContractError);
+    otherwise ``run`` maps configurations to the rule to apply and is
+    validated against applicability.  Only the keys of M's overlap record
+    can be ambiguous, so they and the run's configurations are checked at
+    every node up front, in pre-order and in ``M.states`` order."""
 
-    With ``run`` absent the choice must be unique (two applicable rules
-    raise ContractError); otherwise ``run`` maps configurations to the rule
-    to apply and is validated against applicability.
-    """
-    rmap = {}
-    for cfg, cands in _applicable_all(M, t):
+    def __init__(self, M, t, run=None):
+        self.ix = ix = TreeIndex(t)
+        self.applicable = _rule_reader(M, t, ix)
+        self.run, self.rules, self.ids = run, {}, {(): 0}
+        overlaps = _overlap_record(M)
+        for i, u in enumerate(ix.addrs if overlaps or run else ()):
+            for q in M.states:
+                key = (q, ix.nodes[i].label, ix.child_nos[i])
+                if key in overlaps or run and (q, u) in run:
+                    self.choose((q, u), i)
+
+    def choose(self, cfg, i):  # cfg at node i
+        cands = self.applicable(cfg[0], i, cfg[1])
+        run = self.run
         if run is not None and cfg in run:
             if run[cfg] not in cands:
                 raise ContractError(
                     "run chooses an inapplicable rule at %r" % (cfg,))
-            rmap[cfg] = run[cfg]
+            cands = [run[cfg]]
         elif len(cands) > 1:
-            if run is not None:
-                raise ContractError(
-                    "ambiguous configuration %r needs a run choice" % (cfg,))
-            raise ContractError(
-                "two rules applicable at configuration %r" % (cfg,))
-        elif cands:
-            rmap[cfg] = cands[0]
-    return rmap
+            raise ContractError((
+                "two rules applicable at configuration %r" if run is None
+                else "ambiguous configuration %r needs a run choice") % (cfg,))
+        rule = self.rules[cfg] = cands[0] if cands else None
+        return rule
+
+    def get(self, cfg):
+        u = cfg[1]
+        i = self.ids.get(u)
+        if i is None:  # the search enters a node's parent first
+            i = self.ids[u] = self.ix.kids[self.ids[u[:-1]]][u[-1] - 1]
+        return self.choose(cfg, i)
 
 
 def _successors(rule, t, u):
@@ -612,7 +643,8 @@ def _successors(rule, t, u):
 
 def _productive_from(roots, rmap, t):
     """Demand-driven productivity: one iterative depth-first search from
-    the ``roots`` over the successors of the rules chosen in ``rmap``.
+    the ``roots`` over the successors of the rules chosen by ``rmap.get``
+    (a dict, or a ``_Choice`` that picks the rule on first entry).
 
     A configuration is productive iff it has a chosen rule, all of its
     successors are productive, and it does not reach itself.  Successors
@@ -665,6 +697,13 @@ def _productive_from(roots, rmap, t):
     return prod, order, succs
 
 
+def _computation(M, t, roots, run=None):
+    """(chosen rules, productive set, post-order, successor lists) of M on
+    t from ``roots`` (at the root, or all in pre-order), rules on demand."""
+    choice = _Choice(M, t, run)
+    return (choice.rules,) + _productive_from(roots, choice, t)
+
+
 def _values(rmap, order, succs):
     """The output tree of every configuration in ``order`` (a post-order of
     productive configurations) and the step count of building them: a rule
@@ -693,14 +732,14 @@ def eval_deterministic(M, t):
     Returns (output tree or None, step count).  The output tree shares
     structure across repeated configurations, so its explicit size may be
     exponential in the work done.  Steps count rule instantiations,
-    chain-edge traversals, and constructed output nodes.  Only the
-    configurations reachable from the initial one are explored.
+    chain-edge traversals, and constructed output nodes.  Rules and guards
+    are read only at the configurations reachable from the initial one;
+    ambiguity (ContractError) only at the overlap record's keys, on all t.
     """
     if len(M.initials) != 1:
         raise ContractError("deterministic evaluation needs one initial state")
     init = (next(iter(M.initials)), ())
-    rmap = _choice_map(M, t)
-    prod, order, succs = _productive_from([init], rmap, t)
+    rmap, prod, order, succs = _computation(M, t, [init])
     if init not in prod:
         return None, 0
     value, steps = _values(rmap, order, succs)
@@ -726,14 +765,15 @@ def eval_streaming(M, t):
 
     Returns (output tree or None, maximum stack length).  Output rules are
     internally normalized to stay-only calls first, so the stack holds
-    only states and single-step restore instructions.
+    only states and single-step restore instructions.  Rules, guards and
+    ambiguity are read as in ``eval_deterministic``.
     """
     if len(M.initials) != 1:
         raise ContractError("streaming evaluation needs one initial state")
     N = normalize_outputs_stay(normalize_general(M))
+    N._overlaps = _overlap_record(M)  # the keys they add hold one rule each
     q0 = next(iter(N.initials))
-    rmap = _choice_map(N, t)
-    prod, _, _ = _productive_from([(q0, ())], rmap, t)
+    rmap, prod, _, _ = _computation(N, t, [(q0, ())])
     if (q0, ()) not in prod:
         return None, 0
     emitted = []
@@ -779,10 +819,9 @@ def check_single_use(M, corpus):
     """Whether M visits no input node twice in the same state, over the
     unique derivations on the given corpus trees.  Returns (flag,
     counterexample) where the counterexample is (tree, state, address)."""
+    roots = [(q0, ()) for q0 in M.initials]
     for t in sorted(corpus):
-        rmap = _choice_map(M, t)
-        roots = [(q0, ()) for q0 in M.initials]
-        prod, order, succs = _productive_from(roots, rmap, t)
+        _, prod, order, succs = _computation(M, t, roots)
         for init in roots:
             if init not in prod:
                 continue
@@ -814,9 +853,8 @@ def trace_productive(M, t, run=None):
     deterministic M it may be omitted.  zero_productive holds when every
     leaf is productive; productive additionally needs every monadic node.
     """
-    rmap = _choice_map(M, t, run)
     roots = [(q0, ()) for q0 in M.initials]
-    prod, order, succs = _productive_from(roots, rmap, t)
+    rmap, prod, order, succs = _computation(M, t, roots, run)
     live = {cfg for cfg in roots if cfg in prod}
     if not live:
         raise ContractError("no accepting computation on this input")
@@ -846,7 +884,8 @@ def trace_productive(M, t, run=None):
 
 def normalize_general(M):
     """Rewrite general rules into move and output rules by giving every
-    output node of a general rhs its own state, entered with a stay-call.
+    output node of a general rhs its own state ("gen", rule index, the
+    node's pre-order number), entered with a stay-call.
     Preserves determinism and the sub-testing, local, top-down, and
     single-use properties."""
     if all(r.kind != "general" for r in M.rules):
@@ -857,26 +896,27 @@ def normalize_general(M):
         if r.kind != "general":
             rules.append(r)
             continue
-        # the output nodes with their rhs paths, each before the nodes
-        # below it and its children right to left, so that the reverse
-        # lists them in post-order
+        # the output nodes in pre-order, each with the numbers of its
+        # output children; node k gets the state ("gen", idx, k)
         found = []
-        stack = [(r.rhs, ())]
+        stack = [(r.rhs, None)]
         while stack:
-            node, path = stack.pop()
-            found.append((node, path))
-            stack.extend((c, path + (i,))
-                         for i, c in enumerate(node.children, 1)
+            node, parent = stack.pop()
+            if parent is not None:
+                found[parent][1].append(len(found))
+            stack.extend((c, len(found)) for c in reversed(node.children)
                          if not isinstance(c.label, Call))
-        for node, path in reversed(found):
-            states.add(("gen", idx, path))
-            kids = [Tree(c.label, ()) if isinstance(c.label, Call)
-                    else call(("gen", idx, path + (i,)), STAY)
-                    for i, c in enumerate(node.children, 1)]
-            rules.append(Rule(("gen", idx, path), r.symbol, r.child_no,
-                              r.test, Tree(node.label, kids)))
+            found.append((node, []))
+        for k, (node, kids) in enumerate(found):
+            states.add(("gen", idx, k))
+            nums = iter(kids)
+            rhs = [Tree(c.label, ()) if isinstance(c.label, Call)
+                   else call(("gen", idx, next(nums)), STAY)
+                   for c in node.children]
+            rules.append(Rule(("gen", idx, k), r.symbol, r.child_no,
+                              r.test, Tree(node.label, rhs)))
         rules.append(Rule(r.state, r.symbol, r.child_no, r.test,
-                          call(("gen", idx, ()), STAY)))
+                          call(("gen", idx, 0), STAY)))
     return Transducer(M.input_alphabet, M.output_alphabet, states,
                       M.initials, rules)
 

@@ -938,9 +938,13 @@ def test_tests_disjoint_and_classify_agree_with_the_frontier_loop(
                  for r1, r2 in itertools.combinations(group, 2)]
 
         def verdicts():
+            # a fresh copy, since a machine keeps its overlap record
+            fresh = transducer.Transducer(M.input_alphabet,
+                                          M.output_alphabet, M.states,
+                                          M.initials, M.rules)
             return ([transducer._tests_disjoint(M, r1, r2, 6)
                      for r1, r2 in pairs],
-                    transducer.classify(M).deterministic)
+                    transducer.classify(fresh).deterministic)
         new = verdicts()
         with monkeypatch.context() as m:
             m.setattr(transducer, "_joint_nonempty",

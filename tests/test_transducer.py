@@ -2,14 +2,16 @@
 configuration grammar, the three evaluation engines, single-use checking,
 productive-node tracing, and the rule normalizers."""
 
+import itertools
 import random
 
 import pytest
 
 from artifact import regular, transducer
 from artifact.core import (
-    AlphabetError, RankedAlphabet, Tree, addresses, all_trees, down, leaf,
-    mark_node, navigate, parse_tree, serialize_tree, subtree_at, STAY, UP,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, addresses,
+    all_trees, child_number, down, leaf, mark_node, navigate, parse_tree,
+    serialize_tree, subtree_at, STAY, UP,
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
@@ -21,10 +23,17 @@ from artifact.transducer import (
     Call, ContractError, Rule, Transducer, call, check_single_use, classify,
     config_grammar, enumerate_outputs, eval_deterministic, eval_streaming,
     marked_position_automaton, normalize_general, normalize_outputs_stay,
-    out, trace_productive, _applicable_all, _choice_map, _productive_from,
+    out, trace_productive, _applicable_all, _format_rhs, _productive_from,
 )
 
 DET_KINDS = ("local", "sub", "lookaround", "topdown", "pruning", "relabeling")
+
+
+def _applicable_rules(M, q, t, u):
+    """The rules applicable at configuration (q, u) of t, each guard
+    evaluated on its own by ``eval_test``."""
+    return [r for r in M.rules_at(q, subtree_at(t, u).label, child_number(u))
+            if regular.eval_test(r.test, t, u)]
 
 
 def _outputs_by_rewriting(M, t, max_size):
@@ -70,7 +79,7 @@ def _outputs_by_rewriting(M, t, max_size):
                 done.add(form)
                 continue
             q, u = subtree_at(form, path).label
-            for r in M.applicable_rules(q, t, u):
+            for r in _applicable_rules(M, q, t, u):
                 nxt.add(replace(form, path, instantiate(r.rhs, u)))
         frontier = nxt - seen
     return done
@@ -319,27 +328,36 @@ def _partial(aut, drop):
         {k: p for k, p in aut.delta.items() if p != drop}, check_total=False)
 
 
-def test_applicable_all_is_per_node_applicable_rules():
-    """Same rules at every configuration, or the same exception first,
-    with partial automata and labels outside the alphabets."""
+def _partial_query_machines():
+    """The query transducer with partial position automata as its guard:
+    missing transitions into "bad" or "ok", and no transition at e#0."""
     pos = marked_position_automaton(SIGMA_E, "sigma", 1)
     no_e = dict(pos.delta)
     del no_e[("e#0", ())]
-    machines = [query_transducer()] + [
-        query_transducer(AutomatonTest(aut)) for aut in (
-            _partial(pos, "bad"), _partial(pos, "ok"),
-            BottomUpAutomaton(pos.alphabet, pos.states, pos.finals, no_e,
-                              check_total=False))]
+    return [query_transducer(AutomatonTest(aut)) for aut in (
+        _partial(pos, "bad"), _partial(pos, "ok"),
+        BottomUpAutomaton(pos.alphabet, pos.states, pos.finals, no_e,
+                          check_total=False))]
+
+
+# trees with a leaf outside SIGMA_E
+A_LEAF_TREES = [
+    Tree("sigma", [leaf("a"), leaf("e")]),
+    Tree("sigma", [leaf("e"), Tree("sigma", [leaf("e"), leaf("a")])])]
+
+
+def test_applicable_all_is_per_node_applicable_rules():
+    """Same rules at every configuration, or the same exception first,
+    with partial automata and labels outside the alphabets."""
+    machines = [query_transducer()] + _partial_query_machines()
     machines += [random_transducer(seed, kind=kind)
                  for seed in range(10) for kind in ("lookaround", "sub")]
-    trees = all_trees(SIGMA_E, 5) + [
-        Tree("sigma", [leaf("a"), leaf("e")]),
-        Tree("sigma", [leaf("e"), Tree("sigma", [leaf("e"), leaf("a")])])]
+    trees = all_trees(SIGMA_E, 5) + A_LEAF_TREES
     raised = set()
     for M in machines:
         for t in trees:
             want = _outcome(lambda: [
-                ((q, u), M.applicable_rules(q, t, u))
+                ((q, u), _applicable_rules(M, q, t, u))
                 for u in addresses(t) for q in M.states])
             assert _outcome(lambda: list(_applicable_all(M, t))) == want
             if not isinstance(want, list):
@@ -457,6 +475,28 @@ def test_shared_output_is_cheap_to_measure():
 # ---------------------------------------------------------------------------
 # demand-driven productivity
 
+def _choice_map(M, t, run=None):
+    """Reference: the eager rule choice the on-demand ``_Choice``
+    replaced.  It picks a rule at every configuration, reading every guard
+    on the whole tree, and raises at the first ambiguous one."""
+    rmap = {}
+    for cfg, cands in _applicable_all(M, t):
+        if run is not None and cfg in run:
+            if run[cfg] not in cands:
+                raise ContractError(
+                    "run chooses an inapplicable rule at %r" % (cfg,))
+            rmap[cfg] = run[cfg]
+        elif len(cands) > 1:
+            if run is not None:
+                raise ContractError(
+                    "ambiguous configuration %r needs a run choice" % (cfg,))
+            raise ContractError(
+                "two rules applicable at configuration %r" % (cfg,))
+        elif cands:
+            rmap[cfg] = cands[0]
+    return rmap
+
+
 def _fixpoint_productive(rmap, t):
     """Reference: the global least fixpoint over every configuration with
     a chosen rule, which the depth-first search replaced."""
@@ -573,9 +613,190 @@ def test_ambiguity_at_an_unreachable_configuration_raises():
             evaluate(M, comb_tree(3))
 
 
+def test_ambiguity_of_overlapping_guards_at_an_unreachable_key_raises():
+    """Two rules whose automaton guards overlap (an e node at child
+    number j, and every node) at a key the computation never reaches."""
+    base = identity_relabeler()
+    every = AutomatonTest(regular.automaton_all(MarkedAlphabet(SIGMA_E)))
+    rules = list(base.rules)
+    for j in range(3):
+        at_e = AutomatonTest(marked_position_automaton(SIGMA_E, "e", j))
+        rules += [Rule("z", "e", j, at_e, leaf("e")),
+                  Rule("z", "e", j, every, call("q", STAY))]
+    M = Transducer(SIGMA_E, SIGMA_E, ["q", "z"], ["q"], rules)
+    assert not classify(M).deterministic
+    for evaluate in (eval_deterministic, eval_streaming):
+        with pytest.raises(ContractError,
+                           match="^two rules applicable at configuration"):
+            evaluate(M, comb_tree(3))
+
+
 def test_eval_deep_comb():
     t = comb_tree(3000)
     assert eval_deterministic(identity_relabeler(), t)[0] == t
+
+
+# ---------------------------------------------------------------------------
+# rules chosen on demand
+
+def _eager_computation(M, t, roots, run=None):
+    """Reference for ``transducer._computation``: the eager pair it
+    replaced, a rule chosen at every configuration by ``_choice_map``,
+    then ``_productive_from`` over that dict."""
+    rmap = _choice_map(M, t, run)
+    return (rmap,) + _productive_from(roots, rmap, t)
+
+
+def _answer(fn):
+    try:
+        return "answer", fn()
+    except (AlphabetError, KeyError, ContractError) as e:
+        return "raised", type(e), str(e)
+
+
+# calls of the test below where only the eager engine raises: all of them
+# AlphabetError, on the two trees with an a leaf
+ANSWERED_WHERE_EAGER_RAISED = 276
+
+
+def test_rules_chosen_on_demand_match_the_eager_engine(monkeypatch):
+    """Same outputs, steps, stack depths, traces, single-use verdicts and
+    exception messages as with every rule chosen up front; the eager
+    engine may only raise AlphabetError or KeyError at a configuration the
+    computation never reaches, where the new one answers."""
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), leaf_chooser(), loop_transducer()]
+    machines += [random_transducer(seed, kind)
+                 for kind in ("local", "lookaround", "sub", "topdown")
+                 for seed in range(30)]
+    machines += _partial_query_machines()
+    rng = random.Random(11)
+    trees = all_trees(SIGMA_E, 7) + [
+        _random_binary_tree(rng, rng.randint(16, 61)) for _ in range(16)]
+    trees += A_LEAF_TREES
+
+    def outcomes(M, t, stream):
+        return [_answer(lambda: eval_deterministic(M, t)),
+                _answer(lambda: eval_streaming(M, t)) if stream else None,
+                _answer(lambda: trace_productive(M, t)),
+                _answer(lambda: check_single_use(M, [t]))]
+
+    kinds = set()
+    answered = 0
+    for M in machines:
+        for t in trees:
+            # streaming builds the explicit output: m_exp's has 2^height
+            # leaves
+            s = _answer(lambda: eval_deterministic(M, t))[1]
+            stream = not isinstance(s, tuple) or s[0] is None \
+                or s[0].size <= 10 ** 4
+            new = outcomes(M, t, stream)
+            with monkeypatch.context() as m:
+                m.setattr(transducer, "_computation", _eager_computation)
+                old = outcomes(M, t, stream)
+            for got, want in zip(new, old):
+                if want is None:
+                    continue
+                kinds.add(want[:2])
+                if got != want:
+                    # trace_productive answers "outside the domain" by
+                    # raising
+                    assert got[0] == "answer" or got[1:] == (
+                        ContractError, "no accepting computation on this "
+                        "input")
+                    assert want[:2] in {("raised", AlphabetError),
+                                        ("raised", KeyError)}
+                    answered += 1
+    assert ("raised", ContractError) in kinds
+    assert answered == ANSWERED_WHERE_EAGER_RAISED
+
+
+def test_run_choices_match_the_eager_engine(monkeypatch):
+    """trace_productive with a run: the first applicable rule everywhere,
+    the same with one configuration left out, and with one choice that
+    does not apply, on nondeterministic machines."""
+    machines = [leaf_chooser()] + [
+        random_transducer(seed, kind, deterministic=False)
+        for kind in ("local", "lookaround") for seed in range(10)]
+    messages = set()
+    for M in machines:
+        for t in all_trees(SIGMA_E, 5):
+            first = {cfg: rs[0] for cfg, rs in _applicable_all(M, t) if rs}
+            if not first:
+                continue
+            some = dict(list(first.items())[1:])
+            wrong = dict(first)
+            wrong[next(iter(first))] = Rule(
+                next(iter(M.states)), "tau", 0, None, leaf("e"))
+            for run in (first, some, wrong):
+                got = _answer(lambda: trace_productive(M, t, run))
+                with monkeypatch.context() as m:
+                    m.setattr(transducer, "_computation", _eager_computation)
+                    assert _answer(lambda: trace_productive(M, t, run)) == got
+                messages.add(got[2].split(" ")[0] if got[0] == "raised"
+                             else "answer")
+    assert messages == {"answer", "no", "ambiguous", "run"}
+
+
+def test_guards_are_read_on_demand(monkeypatch):
+    """On a bank machine: fewer guard tables than distinct guards, each
+    pair of rules at a key proved disjoint once per machine, whether
+    classify or an evaluation asks first."""
+    tables, products = [], []
+    node_verdicts, joint_nonempty = (transducer.node_verdicts,
+                                     transducer._joint_nonempty)
+    monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix: (
+        tables.append(test) or node_verdicts(test, ix)))
+    monkeypatch.setattr(transducer, "_joint_nonempty", lambda auts: (
+        products.append(auts) or joint_nonempty(auts)))
+    t = _random_binary_tree(random.Random(5), 41)
+    assert t.size == 81
+    M = random_transducer(9, kind="lookaround")
+    guards = {r.test for r in M.rules if r.test is not None}
+    pairs = [(r1, r2) for group in M._index.values()
+             for r1, r2 in itertools.combinations(group, 2)]
+    assert pairs and all(r.test is not None for p in pairs for r in p)
+    with monkeypatch.context() as m:
+        m.setattr(transducer, "_computation", _eager_computation)
+        want = eval_deterministic(M, t)
+    assert len(tables) == len(guards)
+    tables.clear()
+    assert eval_deterministic(M, t) == want
+    assert len(tables) < len(guards)
+    assert len(products) == len(pairs)
+    products.clear()
+    assert eval_deterministic(M, t) == want
+    assert products == []
+    M = random_transducer(9, kind="lookaround")
+    assert classify(M).deterministic
+    assert eval_deterministic(M, t) == want
+    assert eval_streaming(M, t)[0] == want[0]
+    assert len(products) == len(pairs)
+
+
+def _classify_every_pair(M):
+    """Reference: classify as before the overlap record, every pair of
+    rules at a key decided by ``_tests_disjoint`` in rule order."""
+    M._overlaps = {key: list(itertools.combinations(group, 2))
+                   for key, group in M._index.items()}
+    return classify(M)
+
+
+def test_classify_reads_the_overlap_record():
+    """The same flags, or the same exception type, as deciding every
+    pair; each machine is built afresh for each side."""
+    makers = [m_exp, identity_relabeler, left_projection, query_transducer,
+              leaf_chooser, loop_transducer]
+    makers += [lambda s=seed, k=kind, d=det: random_transducer(s, k, d)
+               for kind in DET_KINDS for det in (True, False)
+               for seed in range(8)]
+    makers += [lambda k=k: _partial_query_machines()[k] for k in range(3)]
+    seen = set()
+    for make in makers:
+        want = _outcome(lambda: _classify_every_pair(make()))
+        assert _outcome(lambda: classify(make())) == want
+        seen.add(getattr(want, "deterministic", want))
+    assert seen == {True, False, KeyError}
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +967,34 @@ def test_normalize_general_equivalent():
     assert nflags.deterministic == gflags.deterministic
     assert nflags.local == gflags.local
     assert nflags.top_down == gflags.top_down
+
+
+def test_normalize_general_numbers_states_in_pre_order():
+    """Output node k of rule i in pre-order gets the state ("gen", i, k),
+    and a chain of 20000 rhs nodes streams at the default recursion
+    limit."""
+    M = Transducer(SIGMA_E, OUT3, ["q", "p"], ["q"], [
+        Rule("q", "e", 0, None,
+             out("sigma", out("tau", call("p", STAY)), leaf("e"))),
+        Rule("p", "e", 0, None, leaf("e"))])
+    N = normalize_general(M)
+    assert {(r.state, _format_rhs(r.rhs)) for r in N.rules} == {
+        ("q", "(('gen', 0, 0), stay)"),
+        (("gen", 0, 0), "sigma((('gen', 0, 1), stay), (('gen', 0, 2), stay))"),
+        (("gen", 0, 1), "tau((p, stay))"), (("gen", 0, 2), "e"),
+        ("p", "e")}
+    depth = 20000
+    rhs = call("p", STAY)
+    for _ in range(depth):
+        rhs = out("tau", rhs)
+    M = Transducer(SIGMA_E, OUT3, ["q", "p"], ["q"],
+                   [Rule("q", "e", 0, None, rhs),
+                    Rule("p", "e", 0, None, leaf("e"))])
+    made = normalize_general(M).states - M.states
+    assert len(made) == depth
+    assert all(len(q) == 3 and isinstance(q[2], int) for q in made)
+    s, max_len = eval_streaming(M, leaf("e"))
+    assert (s.height, s.size, max_len) == (depth, depth + 1, 1)
 
 
 def test_normalize_outputs_stay_equivalent():
