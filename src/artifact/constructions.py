@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, child_number, down, leaf,
-    marked_name, navigate, preorder, split_marked_name, subtree_at,
-    tree_key, try_navigate, STAY, UP,
+    marked_name, navigate, preorder, split_marked_name, substitute_leaves,
+    subtree_at, tree_key, try_navigate, STAY, UP,
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
@@ -43,12 +43,13 @@ def rename_states(M, prefix="q"):
     for s in sorted(M.states, key=repr):
         names[s] = "%s%d" % (prefix, len(names))
 
-    def conv(node):
-        if isinstance(node.label, Call):
-            return Tree(Call(names[node.label.state], node.label.instr), ())
-        return Tree(node.label, [conv(c) for c in node.children])
+    def fill(c):
+        if isinstance(c, Call):
+            return Tree(Call(names[c.state], c.instr), ())
+        return None
 
-    rules = [Rule(names[r.state], r.symbol, r.child_no, r.test, conv(r.rhs))
+    rules = [Rule(names[r.state], r.symbol, r.child_no, r.test,
+                  substitute_leaves(r.rhs, fill))
              for r in M.rules]
     return Transducer(M.input_alphabet, M.output_alphabet,
                       list(names.values()),
@@ -224,18 +225,17 @@ def _stay_closure_groups(M):
         dmap[name] = c
         return name
 
-    def conv(node):
-        if isinstance(node.label, Call):
-            c = node.label
-            if c.instr == STAY:
-                return leaf(("S", c.state))
-            return leaf(dname(c))
-        return Tree(node.label, [conv(c) for c in node.children])
+    def fill(c):
+        if not isinstance(c, Call):
+            return None
+        if c.instr == STAY:
+            return leaf(("S", c.state))
+        return leaf(dname(c))
 
     groups = {}
     for r in M.rules:
         groups.setdefault((r.symbol, r.child_no, r.test), []).append(
-            (r.state, conv(r.rhs)))
+            (r.state, substitute_leaves(r.rhs, fill)))
     base = dict(M.output_alphabet.symbols)
     for name in dmap:
         base[name] = 0
@@ -257,9 +257,8 @@ def _occurring_dnames(rhs_list, dmap):
 
 
 def _unconvert(node, dmap):
-    if node.label in dmap:
-        return Tree(dmap[node.label], ())
-    return Tree(node.label, [_unconvert(c, dmap) for c in node.children])
+    return substitute_leaves(
+        node, lambda x: Tree(dmap[x], ()) if x in dmap else None)
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +591,17 @@ def lookahead_of_topdown(M, state_ceiling=4096):
                                              + prof[c + 1:])] in s)
                         for s in sbar))
 
-                def conv(node):
-                    if isinstance(node.label, Call):
-                        cl = node.label
-                        if cl.instr == STAY:
-                            return Tree(Call((cl.state, sbar), STAY), ())
-                        return Tree(Call((cl.state,
-                                          ctx[cl.instr.index - 1]),
-                                         cl.instr), ())
-                    return Tree(node.label,
-                                [conv(ch) for ch in node.children])
+                def fill(cl):
+                    if not isinstance(cl, Call):
+                        return None
+                    if cl.instr == STAY:
+                        return Tree(Call((cl.state, sbar), STAY), ())
+                    return Tree(Call((cl.state, ctx[cl.instr.index - 1]),
+                                     cl.instr), ())
 
                 test = None if m == 0 else mk_test(sym, prof)
                 made.append(Rule(state, sym, r.child_no, test,
-                                 conv(r.rhs)))
+                                 substitute_leaves(r.rhs, fill)))
         return made
 
     initials = [(q0, finals0) for q0 in M.initials]
@@ -1333,19 +1329,16 @@ def pruning_image(M, L=None, ceiling=4096):
                         sym, [c[0] for c in combo]):
                     continue
 
-                def conv(node):
-                    if isinstance(node.label, Call):
-                        cl = node.label
-                        c = cl.instr.index
-                        sub = ("I", cl.state, combo[c - 1][0],
-                               combo[c - 1][1], c)
-                        if sub not in nts:
-                            queue.append(sub)
-                        return leaf(sub)
-                    return Tree(node.label,
-                                [conv(ch) for ch in node.children])
+                def fill(cl):
+                    if not isinstance(cl, Call):
+                        return None
+                    c = cl.instr.index
+                    sub = ("I", cl.state, combo[c - 1][0], combo[c - 1][1], c)
+                    if sub not in nts:
+                        queue.append(sub)
+                    return leaf(sub)
 
-                grules.append((nt, conv(r.rhs)))
+                grules.append((nt, substitute_leaves(r.rhs, fill)))
     # queued nonterminals may still be pending
     pending = {lhs for lhs, _ in grules} | initials
     pending.update(l for l in _labels(rhs for _, rhs in grules)

@@ -309,6 +309,13 @@ def parse_tree(text, alphabet):
     """Parse ``t ::= name | name '(' t (',' t)* ')'``; commas between
     children are optional (whitespace also separates).  Errors carry the
     byte offset of the offending position."""
+    return _parse_term(text, alphabet)
+
+
+def _parse_term(text, alphabet, read_leaf=None):
+    """``parse_tree``, iterative.  When ``read_leaf`` is given, a term
+    that starts with '(' is a leaf that ``read_leaf(text, pos)`` reads
+    from there, returning the leaf and the position after it."""
     pos = [0]
     n = len(text)
 
@@ -331,11 +338,13 @@ def parse_tree(text, alphabet):
                 % (name, rank, len(children)), start)
         return Tree(name, children)
 
-    def parse_term():
-        open_terms = []  # (name, start, children) of each unclosed '('
-        while True:
-            skip_ws()
-            start = pos[0]
+    open_terms = []  # (name, start, children) of each unclosed '('
+    while True:
+        skip_ws()
+        start = pos[0]
+        if read_leaf is not None and text.startswith("(", start):
+            done, pos[0] = read_leaf(text, start)
+        else:
             name = parse_name()
             if name not in alphabet:
                 raise ParseError("unknown symbol %r" % name, start)
@@ -347,28 +356,25 @@ def parse_tree(text, alphabet):
                 done = None
             else:
                 done = make(name, start, [])
-            while True:
-                if done is not None:
-                    if not open_terms:
-                        return done
-                    open_terms[-1][2].append(done)
+        while True:
+            if done is not None:
+                if not open_terms:
                     skip_ws()
-                    if pos[0] < n and text[pos[0]] == ",":
-                        pos[0] += 1
-                        skip_ws()
-                if pos[0] < n and text[pos[0]] != ")":
-                    break  # the next child of the innermost open term
-                name, start, children = open_terms.pop()
-                if pos[0] >= n:
-                    raise ParseError("unclosed '('", start)
-                pos[0] += 1
-                done = make(name, start, children)
-
-    t = parse_term()
-    skip_ws()
-    if pos[0] != n:
-        raise ParseError("trailing input", pos[0])
-    return t
+                    if pos[0] != n:
+                        raise ParseError("trailing input", pos[0])
+                    return done
+                open_terms[-1][2].append(done)
+                skip_ws()
+                if pos[0] < n and text[pos[0]] == ",":
+                    pos[0] += 1
+                    skip_ws()
+            if pos[0] < n and text[pos[0]] != ")":
+                break  # the next child of the innermost open term
+            name, start, children = open_terms.pop()
+            if pos[0] >= n:
+                raise ParseError("unclosed '('", start)
+            pos[0] += 1
+            done = make(name, start, children)
 
 
 def tree_metrics(t, alphabet=None):
@@ -384,6 +390,52 @@ def tree_metrics(t, alphabet=None):
         elif node.label not in invisible:
             out.append(node.label)
     return t.size, t.height, tuple(out)
+
+
+def substitute_leaves(t, fill):
+    """t with every leaf whose label ``fill`` maps to a tree replaced by
+    that tree; a leaf for which ``fill`` returns None stays.  ``fill`` is
+    called on the leaves in pre-order, and the copy is built with an
+    explicit stack."""
+    if not t.children:
+        new = fill(t.label)
+        return t if new is None else new
+    stack = [(t, iter(t.children), [])]  # node, children left, built
+    while True:
+        node, kids, built = stack[-1]
+        for c in kids:
+            if c.children:
+                stack.append((c, iter(c.children), []))
+                break
+            new = fill(c.label)
+            built.append(c if new is None else new)
+        else:
+            stack.pop()
+            node = Tree(node.label, built)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+
+
+def tree_from_preorder(labels, rank):
+    """The tree whose node labels in pre-order are ``labels``, a node
+    labelled x having ``rank(x)`` children, built with an explicit stack.
+    Raises ValueError unless the labels spell exactly one tree."""
+    done = None
+    pending = []  # [label, its rank, its children so far] of open nodes
+    for label in labels:
+        if done is not None:
+            raise ValueError("labels go on after a whole tree")
+        pending.append([label, rank(label), []])
+        while len(pending[-1][2]) == pending[-1][1]:
+            label, _, kids = pending.pop()
+            if not pending:
+                done = Tree(label, kids)
+                break
+            pending[-1][2].append(Tree(label, kids))
+    if done is None:
+        raise ValueError("labels end before the tree is whole")
+    return done
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ The random generators produce seeded machines of a requested class for
 the construction equivalence suites.
 """
 
+import itertools
 import random
 
 from .constructions import identity_like
@@ -136,19 +137,13 @@ def random_automaton(rng, alphabet, n_states=2):
     delta = {}
     for sym in alphabet:
         rank = alphabet.rank(sym)
-        for combo in _combos(states, rank):
+        for combo in itertools.product(states, repeat=rank):
             delta[(sym, combo)] = rng.choice(states)
     finals = [p for p in states if rng.random() < 0.5]
     if not finals:
         finals = [rng.choice(states)]
     return BottomUpAutomaton(alphabet, states, finals, delta,
                              check_total=False)
-
-
-def _combos(states, rank):
-    if rank == 0:
-        return [()]
-    return [c + (p,) for c in _combos(states, rank - 1) for p in states]
 
 
 def random_subtest(rng, alphabet=SIGMA_E):

@@ -9,9 +9,11 @@ and its binary encoding has exactly 2n + 1 nodes.
 """
 
 from .core import (
-    RankedAlphabet, Tree, TreeError, UP, down, leaf,
+    RankedAlphabet, TreeError, UP, down, leaf, tree_from_preorder,
+    tree_metrics,
 )
 from .constructions import Pipeline, pipeline_outputs
+from .regular import _labels
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
     eval_deterministic, out,
@@ -138,16 +140,7 @@ def encode(f):
     result back in pre-order with all labels at rank 2."""
     toks = [t if t != "]" else "e" for t in bracket_tokens(f) if t != "["]
     toks.append("e")
-    pos = [0]
-
-    def build():
-        sym = toks[pos[0]]
-        pos[0] += 1
-        if sym == "e":
-            return leaf("e")
-        return Tree(sym, [build(), build()])
-
-    return build()
+    return tree_from_preorder(toks, lambda sym: 0 if sym == "e" else 2)
 
 
 def decode(t):
@@ -181,15 +174,7 @@ def flatten(t):
 def tree_yield(t, alphabet):
     """Leaf labels in pre-order, skipping the alphabet's yield-invisible
     symbols."""
-    res = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            stack.extend(reversed(node.children))
-        elif node.label not in alphabet.yield_invisible:
-            res.append(node.label)
-    return tuple(res)
+    return tree_metrics(t, alphabet)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +344,17 @@ def at_exponential():
     base = m_exp()
     _, omega_at = encoding_alphabets(["delta"])
 
-    def convert(node):
-        if isinstance(node.label, Call):
-            return node
-        if node.label == "sigma":
-            return Tree(CONCAT, [convert(c) for c in node.children])
-        return Tree("delta", [leaf("e")])
+    def convert(rhs):
+        labels = []  # in pre-order: sigma becomes @, an output leaf delta(e)
+        for x in _labels([rhs]):
+            if isinstance(x, Call):
+                labels.append(x)
+            elif x == "sigma":
+                labels.append(CONCAT)
+            else:
+                labels += ["delta", "e"]
+        return tree_from_preorder(
+            labels, lambda x: 0 if isinstance(x, Call) else omega_at.rank(x))
 
     rules = [Rule(r.state, r.symbol, r.child_no, r.test, convert(r.rhs))
              for r in base.rules]

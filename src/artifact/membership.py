@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .core import (
     RankedAlphabet, Tree, UP, all_trees, distinct_postorder, down, leaf,
-    tree_key,
+    substitute_leaves, tree_key,
 )
 from .constructions import Pipeline, inverse_image, pruning_image
 from .regular import (
@@ -63,16 +63,19 @@ def _check_forward_deterministic(g):
 
 def _substitute(rhs, value, nonterminals):
     """rhs with nonterminal leaves replaced through ``value``; None if any
-    of them is undefined."""
-    if rhs.label in nonterminals:
-        return value(rhs.label)
-    kids = []
-    for ch in rhs.children:
-        v = _substitute(ch, value, nonterminals)
-        if v is None:
+    of them is undefined.  ``value`` is not asked again after that."""
+    undefined = []
+
+    def fill(label):
+        if undefined or label not in nonterminals:
             return None
-        kids.append(v)
-    return Tree(rhs.label, kids)
+        v = value(label)
+        if v is None:
+            undefined.append(label)
+        return v
+
+    t = substitute_leaves(rhs, fill)
+    return None if undefined else t
 
 
 def verify_tree_fixed_point(g, h):

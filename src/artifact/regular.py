@@ -14,7 +14,8 @@ import itertools
 from .core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
     distinct_postorder, leaf, mark_node, marked_name, serialize_tree,
-    split_marked_name, subtree_at, tree_key, unmark_tree,
+    split_marked_name, substitute_leaves, subtree_at, tree_from_preorder,
+    tree_key, tree_metrics, unmark_tree,
 )
 
 
@@ -405,48 +406,9 @@ def decide(aut):
 
 
 def enumerate_language(aut, max_size):
-    """Exactly the accepted trees of size <= max_size (DP over
-    (state, size))."""
-    by_state_size = {}
-    for size in range(1, max_size + 1):
-        for sym in sorted(aut.alphabet.symbols):
-            rank = aut.alphabet.rank(sym)
-            if rank == 0:
-                if size == 1:
-                    p = aut.delta[(sym, ())]
-                    by_state_size.setdefault((p, 1), []).append(leaf(sym))
-                continue
-            for sizes in _compositions(size - 1, rank):
-                pools = []
-                ok = True
-                for s in sizes:
-                    pool = [(p, t) for (p, sz), ts in by_state_size.items()
-                            if sz == s for t in ts]
-                    if not pool:
-                        ok = False
-                        break
-                    pools.append(pool)
-                if not ok:
-                    continue
-                for picks in itertools.product(*pools):
-                    p = aut.delta[(sym, tuple(q for q, _ in picks))]
-                    by_state_size.setdefault((p, size), []).append(
-                        Tree(sym, [t for _, t in picks]))
-    out = set()
-    for (p, _), ts in by_state_size.items():
-        if p in aut.finals:
-            out.update(ts)
-    return out
-
-
-def _compositions(total, k):
-    if k == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - (k - 1) + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+    """Exactly the accepted trees of size <= max_size: the language of
+    the automaton's grammar, enumerated."""
+    return enumerate_grammar(automaton_to_grammar(aut), max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +509,27 @@ def _flatten_grammar(g):
     fresh = itertools.count()
 
     def flatten_node(rhs):
-        kids = []
-        for c in rhs.children:
-            if g.is_nonterminal(c.label):
-                kids.append(c.label)
+        """(label, child nonterminals) of rhs's root.  Every inner node
+        below is named ("_flat", n), n counting in pre-order, and its
+        rule goes to ``flat`` in post-order; built with an explicit
+        stack."""
+        # [node, its children left, their nonterminals so far, its name]
+        stack = [(rhs, iter(rhs.children), [], None)]
+        while True:
+            node, kids, names, nt = stack[-1]
+            for c in kids:
+                if g.is_nonterminal(c.label):
+                    names.append(c.label)
+                else:
+                    sub = ("_flat", next(fresh))
+                    names.append(sub)
+                    stack.append((c, iter(c.children), [], sub))
+                    break
             else:
-                nt = ("_flat", next(fresh))
-                sym, ks = flatten_node(c)
-                flat.append((nt, sym, ks))
-                kids.append(nt)
-        return rhs.label, tuple(kids)
+                stack.pop()
+                if not stack:
+                    return node.label, tuple(names)
+                flat.append((nt, node.label, tuple(names)))
 
     top = {}
     for lhs, rhs in g.rules:
@@ -716,22 +689,15 @@ def enumerate_grammar(g, max_size, max_chain_len=None, max_count=None):
                 for sizes in _size_vectors(pools, max_size - base):
                     for picks in itertools.product(
                             *[p[s] for p, s in zip(pools, sizes)]):
-                        found(_plug(rhs, g, iter(picks)), nts)
+                        nxt = iter(picks).__next__
+                        found(substitute_leaves(
+                            rhs, lambda x: nxt() if x in g.nonterminals
+                            else None), nts)
         old = full
     out = set()
     for nt in g.initials:
         out |= lang[nt]
     return out
-
-
-def _plug(rhs, g, picks):
-    """rhs with its nonterminal leaves, left to right, replaced by the
-    trees the iterator picks yields."""
-    if g.is_nonterminal(rhs.label):
-        return next(picks)
-    if not rhs.children:
-        return rhs
-    return Tree(rhs.label, [_plug(c, g, picks) for c in rhs.children])
 
 
 def _size_vectors(pools, budget):
@@ -811,9 +777,7 @@ def _rhs_nonterminals(rhs, g):
 
 
 def _rhs_productive(rhs, g, prod):
-    if g.is_nonterminal(rhs.label):
-        return rhs.label in prod
-    return all(_rhs_productive(c, g, prod) for c in rhs.children)
+    return all(nt in prod for nt in _rhs_nonterminals(rhs, g))
 
 
 def derivation_grammar(g):
@@ -823,54 +787,23 @@ def derivation_grammar(g):
     symbols = {sym: 0 for sym in g.terminals.symbols}
     rules = []
     for lhs, rhs in g.rules:
-        items = _preorder_items(rhs, g)
-        name = "%s%d" % (lhs, len(items))
-        symbols[name] = len(items)
-        kids = []
-        for kind, label in items:
-            kids.append(leaf(label))
+        kids = [leaf(label) for label in _labels([rhs])]
+        name = "%s%d" % (lhs, len(kids))
+        symbols[name] = len(kids)
         rules.append((lhs, Tree(name, kids)))
     return RegularTreeGrammar(g.nonterminals,
                               RankedAlphabet(symbols),
                               g.initials, rules)
 
 
-def _preorder_items(rhs, g):
-    out = []
-    stack = [rhs]
-    while stack:
-        n = stack.pop()
-        if g.is_nonterminal(n.label):
-            out.append(("nt", n.label))
-        else:
-            out.append(("term", n.label))
-            stack.extend(reversed(n.children))
-    return out
-
-
 def derivation_yield_tree(d, g):
     """Reconstruct the derived tree from a derivation tree: read terminal
     leaves in pre-order and rebuild by rank."""
-    labels = []
-
-    def walk(node):
-        if node.label in g.terminals.symbols and not node.children:
-            labels.append(node.label)
-        for c in node.children:
-            walk(c)
-
-    walk(d)
-    pos = [0]
-
-    def build():
-        sym = labels[pos[0]]
-        pos[0] += 1
-        return Tree(sym, [build() for _ in range(g.terminals.rank(sym))])
-
-    t = build()
-    if pos[0] != len(labels):
-        raise ValueError("derivation yield is not a single tree")
-    return t
+    labels = [x for x in tree_metrics(d)[2] if x in g.terminals.symbols]
+    try:
+        return tree_from_preorder(labels, g.terminals.rank)
+    except ValueError:
+        raise ValueError("derivation yield is not a single tree") from None
 
 
 # ---------------------------------------------------------------------------

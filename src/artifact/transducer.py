@@ -12,12 +12,14 @@ by ``config_grammar``.
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .core import (
-    MarkedAlphabet, RankedAlphabet, Tree, all_trees, child_number, down,
-    leaf, navigate, preorder, split_marked_name,
-    Instruction, TreeIndex, STAY, UP,
+    MarkedAlphabet, ParseError, RankedAlphabet, Tree, all_trees,
+    child_number, down, leaf, navigate, preorder, split_marked_name,
+    substitute_leaves, tree_from_preorder, Instruction, TreeIndex, STAY, UP,
+    _parse_term,
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, RegularTreeGrammar, SubTest,
@@ -256,7 +258,7 @@ class Transducer:
                     raise ValueError("unknown test name %r" % parts[3])
                 test = tests[parts[3]]
             rules.append(Rule(q, sym, j, test,
-                              _parse_rhs(rhs_text.strip(), outp)))
+                              _parse_term(rhs_text, outp, _read_call)))
         return cls(inp, outp, states, initials, rules)
 
 
@@ -286,98 +288,20 @@ def _format_rhs(node, names=None):
     return "".join(parts)
 
 
-def _substitute_calls(rhs, at_call):
-    """The rhs with each call leaf replaced by ``at_call(call)``, calls
-    taken in pre-order, built without recursion."""
-    if isinstance(rhs.label, Call):
-        return at_call(rhs.label)
-    stack = [(rhs, iter(rhs.children), [])]  # node, children left, built
-    while True:
-        node, kids, built = stack[-1]
-        for c in kids:
-            if isinstance(c.label, Call):
-                built.append(at_call(c.label))
-            else:
-                stack.append((c, iter(c.children), []))
-                break
-        else:
-            stack.pop()
-            node = Tree(node.label, built)
-            if not stack:
-                return node
-            stack[-1][2].append(node)
+# A call leaf of the text format: (state, stay|up|down k)
+_CALL_LEAF = re.compile(
+    r"\(\s*([^\s(),]+)\s*,\s*(?:(stay|up)|down\s+(\d+))\s*\)")
 
 
-def _parse_rhs(text, output_alphabet):
-    pos = [0]
-    n = len(text)
-
-    def skip_ws():
-        while pos[0] < n and text[pos[0]].isspace():
-            pos[0] += 1
-
-    def parse_name():
-        start = pos[0]
-        while pos[0] < n and text[pos[0]] not in "(),":
-            if text[pos[0]].isspace():
-                break
-            pos[0] += 1
-        if pos[0] == start:
-            raise ValueError("expected a name at %d in %r" % (start, text))
-        return text[start:pos[0]]
-
-    def expect(ch):
-        skip_ws()
-        if pos[0] >= n or text[pos[0]] != ch:
-            raise ValueError("expected %r at %d in %r" % (ch, pos[0], text))
-        pos[0] += 1
-
-    def parse_item():
-        skip_ws()
-        if pos[0] < n and text[pos[0]] == "(":
-            # a call: (state, instr)
-            pos[0] += 1
-            skip_ws()
-            state = parse_name()
-            expect(",")
-            skip_ws()
-            word = parse_name()
-            if word == "down":
-                skip_ws()
-                idx = parse_name()
-                instr = down(int(idx))
-            elif word == "stay":
-                instr = STAY
-            elif word == "up":
-                instr = UP
-            else:
-                raise ValueError("bad instruction %r in %r" % (word, text))
-            expect(")")
-            return call(state, instr)
-        sym = parse_name()
-        rank = output_alphabet.rank(sym)
-        children = []
-        skip_ws()
-        if pos[0] < n and text[pos[0]] == "(":
-            pos[0] += 1
-            skip_ws()
-            while pos[0] < n and text[pos[0]] != ")":
-                children.append(parse_item())
-                skip_ws()
-                if pos[0] < n and text[pos[0]] == ",":
-                    pos[0] += 1
-                    skip_ws()
-            expect(")")
-        if len(children) != rank:
-            raise ValueError("output symbol %r has rank %d, got %d children"
-                             % (sym, rank, len(children)))
-        return Tree(sym, children)
-
-    item = parse_item()
-    skip_ws()
-    if pos[0] != n:
-        raise ValueError("trailing input in rhs %r" % text)
-    return item
+def _read_call(text, pos):
+    m = _CALL_LEAF.match(text, pos)
+    if m is None:
+        raise ParseError("expected a call (state, stay|up|down k)", pos)
+    if m[2] is None:
+        instr = down(int(m[3]))
+    else:
+        instr = STAY if m[2] == "stay" else UP
+    return call(m[1], instr), m.end()
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +497,9 @@ def config_grammar(M, t):
 
 
 def _instantiate(rhs, t, u):
-    return _substitute_calls(
-        rhs, lambda c: leaf((c.state, navigate(t, u, c.instr))))
+    return substitute_leaves(
+        rhs, lambda c: leaf((c.state, navigate(t, u, c.instr)))
+        if isinstance(c, Call) else None)
 
 
 def enumerate_outputs(M, t, max_output_size, max_chain_len=None):
@@ -721,7 +646,8 @@ def _values(rmap, order, succs):
             continue
         # the successors are listed in the rhs pre-order of their calls
         nxt = iter(succs[cfg]).__next__
-        value[cfg] = _substitute_calls(rule.rhs, lambda c: value[nxt()])
+        value[cfg] = substitute_leaves(
+            rule.rhs, lambda c: value[nxt()] if isinstance(c, Call) else None)
         steps += rule.output_symbol_count()
     return value, steps
 
@@ -798,18 +724,10 @@ def eval_streaming(M, t):
                 stack.append(("state", child.label.state))
         if len(stack) > max_len:
             max_len = len(stack)
-    # rebuild the tree from its pre-order emission with an explicit stack
-    # of unfinished nodes [symbol, rank, children so far]
-    finished = []
-    pending = []
-    for sym in emitted:
-        pending.append([sym, N.output_alphabet.rank(sym), []])
-        while pending and len(pending[-1][2]) == pending[-1][1]:
-            sym, _, kids = pending.pop()
-            (pending[-1][2] if pending else finished).append(Tree(sym, kids))
-    if pending or len(finished) != 1:
-        raise ContractError("emission stream is not a single tree")
-    return finished[0], max_len
+    try:
+        return tree_from_preorder(emitted, N.output_alphabet.rank), max_len
+    except ValueError:
+        raise ContractError("emission stream is not a single tree") from None
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from artifact.regular import (
     grammar_member, singleton_automaton,
 )
 from artifact.transducer import (
-    ContractError, classify, config_grammar, enumerate_outputs,
-    eval_deterministic,
+    ContractError, Rule, Transducer, classify, config_grammar,
+    enumerate_outputs, eval_deterministic,
 )
 from corpus import (
     SIG_TREES_5, collect_machines, eval_formula, formulas, satisfiable,
@@ -131,6 +131,22 @@ def test_member_pair_nondeterministic_stage():
         from artifact.fixtures import OUT3
         for s in all_trees(OUT3, 5):
             assert member_pair(M, t, s) == (s in outs), (t, s)
+
+
+def test_member_pair_deep_rhs_at_default_recursion_limit():
+    """A nondeterministic machine one of whose rules emits a chain of 1500
+    tau nodes, more than the default recursion limit of 1000: its
+    configuration grammar is flattened and parsed without recursion."""
+    chain = leaf("e")
+    for _ in range(1500):
+        chain = Tree("tau", [chain])
+    M = Transducer(SIGMA_E, OUT3, ["q"], ["q"],
+                   [Rule("q", "e", 0, None, chain),
+                    Rule("q", "e", 0, None, leaf("e"))])
+    assert not classify(M).deterministic
+    assert member_pair(M, leaf("e"), chain)
+    assert member_pair(M, leaf("e"), leaf("e"))
+    assert not member_pair(M, leaf("e"), chain.children[0])
 
 
 def test_member_pair_shared_output():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from artifact import regular, transducer
+from artifact.constructions import rename_states
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, addresses,
     all_trees, child_number, down, leaf, mark_node, navigate, parse_tree,
@@ -143,8 +144,9 @@ def test_validation_of_a_deep_rhs_at_default_recursion_limit():
 
 def test_deep_rhs_at_default_recursion_limit():
     """A rule emitting a chain of 5000 tau nodes is formatted, evaluated
-    by both engines and turned into a configuration grammar, and a faulty
-    one is reported by its ValueError."""
+    by both engines, turned into a configuration grammar, parsed back from
+    its text and renamed, and a faulty one is reported by its
+    ValueError."""
     depth = 5000
 
     def chain(leaf_):
@@ -164,6 +166,15 @@ def test_deep_rhs_at_default_recursion_limit():
     g = config_grammar(M, leaf("e"))
     assert set(g.rules) == {(("q", ()), chain(leaf(("p", ())))),
                             (("p", ()), leaf("e"))}
+
+    def rule_tuples(M):
+        return [(r.state, r.symbol, r.child_no, r.test, r.rhs)
+                for r in M.rules]
+
+    assert rule_tuples(Transducer.parse(M.format())) == rule_tuples(M)
+    renamed = rename_states(M)  # p is q0, q is q1
+    assert renamed.rules[0].rhs == chain(call("q0", STAY))
+    assert eval_deterministic(renamed, leaf("e")) == (want, depth + 3)
     with pytest.raises(ValueError, match="^up-instruction at child number 0"):
         Transducer(SIGMA_E, OUT3, ["q"], ["q"],
                    [Rule("q", "e", 0, None, chain(call("q", UP)))])
