@@ -51,15 +51,27 @@ class Forest:
         return str(self) < str(other)
 
     def __str__(self):
-        return "".join("%s[%s]" % (label, child)
-                       for label, child in self.trees)
+        return "".join("]" if el is None else "%s[" % (el[0],)
+                       for el in self._elements())
 
     def __repr__(self):
         return "Forest.parse(%r)" % (str(self),)
 
+    def _elements(self):
+        """Every (label, child forest) element in pre-order, each followed
+        by None where its child forest ends; iterative, for any depth."""
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Forest):
+                for el in reversed(x.trees):
+                    stack += [None, el[1], el]
+            else:
+                yield x
+
     @property
     def node_count(self):
-        return sum(1 + child.node_count for _, child in self.trees)
+        return sum(el is not None for el in self._elements())
 
     @property
     def bracket_length(self):
@@ -69,11 +81,7 @@ class Forest:
 
     def symbols(self):
         """All labels occurring in the forest."""
-        syms = set()
-        for label, child in self.trees:
-            syms.add(label)
-            syms |= child.symbols()
-        return syms
+        return {el[0] for el in self._elements() if el is not None}
 
     @classmethod
     def parse(cls, text):

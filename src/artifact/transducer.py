@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass
 
 from .core import (
-    MarkedAlphabet, ParseError, RankedAlphabet, Tree, all_trees,
-    child_number, down, leaf, navigate, preorder, split_marked_name,
+    MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError, all_trees,
+    child_number, down, leaf, preorder, split_marked_name, subtree_at,
     substitute_leaves, tree_from_preorder, Instruction, TreeIndex, STAY, UP,
     _parse_term,
 )
@@ -491,15 +491,17 @@ def config_grammar(M, t):
     rules = []
     for cfg, rs in _applicable_all(M, t):
         nts.add(cfg)
-        rules.extend((cfg, _instantiate(r.rhs, t, cfg[1])) for r in rs)
+        rules.extend((cfg, _plug(r.rhs, map(leaf, _successors(r, t, cfg[1]))))
+                     for r in rs)
     initials = {(q0, ()) for q0 in M.initials}
     return RegularTreeGrammar(nts, M.output_alphabet, initials, rules)
 
 
-def _instantiate(rhs, t, u):
+def _plug(rhs, items):
+    """rhs with its call leaves replaced by ``items`` in pre-order."""
+    nxt = iter(items).__next__
     return substitute_leaves(
-        rhs, lambda c: leaf((c.state, navigate(t, u, c.instr)))
-        if isinstance(c, Call) else None)
+        rhs, lambda c: nxt() if isinstance(c, Call) else None)
 
 
 def enumerate_outputs(M, t, max_output_size, max_chain_len=None):
@@ -562,8 +564,25 @@ class _Choice:
 
 def _successors(rule, t, u):
     """Successor configurations of applying ``rule`` at node u, in rhs
-    pre-order, with repetition."""
-    return [(c.state, navigate(t, u, c.instr)) for c in rule.calls()]
+    pre-order, with repetition.  Only down calls need the node, walked to
+    once; an inapplicable call raises TreeError as ``core.navigate`` does."""
+    found, rank = [], None
+    for c in rule.calls():
+        instr = c.instr
+        if instr.kind == "stay":
+            found.append((c.state, u))
+        elif instr.kind == "up":
+            if not u:
+                raise TreeError("up at the root")
+            found.append((c.state, u[:-1]))
+        else:
+            if rank is None:
+                rank = len(subtree_at(t, u).children)
+            if instr.index > rank:
+                raise TreeError("down_%d at a node of rank %d"
+                                % (instr.index, rank))
+            found.append((c.state, u + (instr.index,)))
+    return found
 
 
 def _productive_from(roots, rmap, t):
@@ -639,16 +658,10 @@ def _values(rmap, order, succs):
     steps = 0
     for cfg in order:
         rule = rmap[cfg]
-        steps += 1  # rule instantiation
-        if rule.kind == "move":
-            steps += 1  # chain edge
-            value[cfg] = value[succs[cfg][0]]
-            continue
         # the successors are listed in the rhs pre-order of their calls
-        nxt = iter(succs[cfg]).__next__
-        value[cfg] = substitute_leaves(
-            rule.rhs, lambda c: value[nxt()] if isinstance(c, Call) else None)
-        steps += rule.output_symbol_count()
+        value[cfg] = _plug(rule.rhs, [value[s] for s in succs[cfg]])
+        # a rule instantiation, a chain edge for a move, the output nodes
+        steps += 1 + (rule.kind == "move") + rule.output_symbol_count()
     return value, steps
 
 
@@ -675,23 +688,14 @@ def eval_deterministic(M, t):
 # ---------------------------------------------------------------------------
 # Streaming evaluation
 
-def _inverse_instruction(instr, u):
-    """The instruction undoing ``instr`` taken at node u."""
-    if instr.kind == "up":
-        return down(child_number(u))
-    if instr.kind == "down":
-        return UP
-    return STAY
-
-
 def eval_streaming(M, t):
-    """Evaluate a deterministic transducer by simulating the leftmost
-    derivation with a tree cursor and a stack of pending states and cursor
-    restores; output symbols are emitted in pre-order.
+    """Evaluate a deterministic transducer by replaying its computation in
+    leftmost-derivation order with a tree cursor and a stack of pending
+    states and cursor restores; output symbols are emitted in pre-order.
 
     Returns (output tree or None, maximum stack length).  Output rules are
     internally normalized to stay-only calls first, so the stack holds
-    only states and single-step restore instructions.  Rules, guards and
+    only states and the addresses that moves return to.  Rules, guards and
     ambiguity are read as in ``eval_deterministic``.
     """
     if len(M.initials) != 1:
@@ -699,31 +703,27 @@ def eval_streaming(M, t):
     N = normalize_outputs_stay(normalize_general(M))
     N._overlaps = _overlap_record(M)  # the keys they add hold one rule each
     q0 = next(iter(N.initials))
-    rmap, prod, _, _ = _computation(N, t, [(q0, ())])
+    rmap, prod, _, succs = _computation(N, t, [(q0, ())])
     if (q0, ()) not in prod:
         return None, 0
-    emitted = []
-    u = ()
-    stack = [("state", q0)]
-    max_len = 1
+    emitted, u, stack, max_len = [], (), [("state", q0)], 1
     while stack:
         kind, x = stack.pop()
         if kind == "restore":
-            u = navigate(t, u, x)
+            u = x
             continue
         rule = rmap[(x, u)]
         if rule.kind == "move":
-            c = rule.rhs.label
-            if c.instr.kind != "stay":
-                stack.append(("restore", _inverse_instruction(c.instr, u)))
-                u = navigate(t, u, c.instr)
-            stack.append(("state", c.state))
+            q, v = succs[(x, u)][0]
+            if rule.rhs.label.instr.kind != "stay":
+                stack.append(("restore", u))
+                u = v
+            stack.append(("state", q))
         else:
             emitted.append(rule.rhs.label)
-            for child in reversed(rule.rhs.children):
-                stack.append(("state", child.label.state))
-        if len(stack) > max_len:
-            max_len = len(stack)
+            stack.extend(("state", c.label.state)
+                         for c in reversed(rule.rhs.children))
+        max_len = max(max_len, len(stack))
     try:
         return tree_from_preorder(emitted, N.output_alphabet.rank), max_len
     except ValueError:

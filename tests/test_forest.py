@@ -1,6 +1,8 @@
 """Tests for forests, the binary encoding, flattening, the bridge
 transducers, and pipeline runs on forests."""
 
+import random
+
 import pytest
 
 from artifact.core import RankedAlphabet, Tree, TreeError, all_trees, leaf
@@ -64,6 +66,54 @@ def test_bracket_length_counts_labels_and_brackets():
 def test_bracket_tokens():
     assert bracket_tokens(Forest.parse("a[b[]]")) == ("a", "[", "b", "[",
                                                       "]", "]")
+
+
+def _random_forest(rng, nodes):
+    """A forest of exactly ``nodes`` nodes over a, b and c."""
+    trees = []
+    while nodes:
+        size = rng.randint(1, nodes)
+        trees.append((rng.choice("abc"), _random_forest(rng, size - 1)))
+        nodes -= size
+    return Forest(trees)
+
+
+def _node_count_recursive(f):
+    return sum(1 + _node_count_recursive(child) for _, child in f.trees)
+
+
+def _symbols_recursive(f):
+    syms = set()
+    for label, child in f.trees:
+        syms.add(label)
+        syms |= _symbols_recursive(child)
+    return syms
+
+
+def _str_recursive(f):
+    return "".join("%s[%s]" % (label, _str_recursive(child))
+                   for label, child in f.trees)
+
+
+def test_forest_walks_match_recursive_references():
+    rng = random.Random(3)
+    forests = all_forests("ab", 4) + [
+        _random_forest(rng, rng.randint(0, 80)) for _ in range(200)]
+    for f in forests:
+        assert f.node_count == _node_count_recursive(f)
+        assert f.symbols() == _symbols_recursive(f)
+        assert str(f) == _str_recursive(f)
+
+
+def test_forest_walks_at_depth_3000():
+    """Far above the default recursion limit."""
+    f = EMPTY
+    for _ in range(3000):
+        f = Forest((("a", f),))
+    assert f.node_count == 3000
+    assert f.bracket_length == 9000
+    assert f.symbols() == {"a"}
+    assert str(f) == "a[" * 3000 + "]" * 3000
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import pytest
 from artifact import regular, transducer
 from artifact.constructions import rename_states
 from artifact.core import (
-    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, addresses,
-    all_trees, child_number, down, leaf, mark_node, navigate, parse_tree,
-    serialize_tree, subtree_at, STAY, UP,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
+    addresses, all_trees, child_number, down, leaf, mark_node, navigate,
+    parse_tree, serialize_tree, substitute_leaves, subtree_at,
+    tree_from_preorder, STAY, UP,
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
@@ -599,12 +600,13 @@ def test_steps_are_pinned():
 
 def test_left_projection_never_walks_the_second_subtree(monkeypatch):
     seen = []
+    successors = transducer._successors
 
-    def counting(t, u, instr):
+    def counting(rule, t, u):
         seen.append(u)
-        return navigate(t, u, instr)
+        return successors(rule, t, u)
 
-    monkeypatch.setattr(transducer, "navigate", counting)
+    monkeypatch.setattr(transducer, "_successors", counting)
     t = Tree("sigma", [full_binary(2), full_binary(3)])
     for evaluate in (eval_deterministic, eval_streaming):
         seen.clear()
@@ -645,6 +647,8 @@ def test_ambiguity_of_overlapping_guards_at_an_unreachable_key_raises():
 def test_eval_deep_comb():
     t = comb_tree(3000)
     assert eval_deterministic(identity_relabeler(), t)[0] == t
+    t = comb_tree(2000)
+    assert eval_streaming(identity_relabeler(), t) == (t, 2001)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +812,181 @@ def test_classify_reads_the_overlap_record():
         assert _outcome(lambda: classify(make())) == want
         seen.add(getattr(want, "deterministic", want))
     assert seen == {True, False, KeyError}
+
+
+# ---------------------------------------------------------------------------
+# successors found once per configuration, and the streaming replay
+
+def _navigate_successors(rule, t, u):
+    """Reference for ``transducer._successors``: one ``navigate`` per call,
+    each walking the address from the root."""
+    return [(c.state, navigate(t, u, c.instr)) for c in rule.calls()]
+
+
+def _inverse_instruction(instr, u):
+    """The instruction undoing ``instr`` taken at node u."""
+    if instr.kind == "up":
+        return down(child_number(u))
+    if instr.kind == "down":
+        return UP
+    return STAY
+
+
+def _cursor_streaming(M, t):
+    """Reference for ``eval_streaming``: the loop that walks the cursor
+    with ``navigate`` and pushes inverse instructions to restore it."""
+    if len(M.initials) != 1:
+        raise ContractError("streaming evaluation needs one initial state")
+    N = normalize_outputs_stay(normalize_general(M))
+    N._overlaps = transducer._overlap_record(M)
+    q0 = next(iter(N.initials))
+    rmap, prod, _, _ = transducer._computation(N, t, [(q0, ())])
+    if (q0, ()) not in prod:
+        return None, 0
+    emitted = []
+    u = ()
+    stack = [("state", q0)]
+    max_len = 1
+    while stack:
+        kind, x = stack.pop()
+        if kind == "restore":
+            u = navigate(t, u, x)
+            continue
+        rule = rmap[(x, u)]
+        if rule.kind == "move":
+            c = rule.rhs.label
+            if c.instr.kind != "stay":
+                stack.append(("restore", _inverse_instruction(c.instr, u)))
+                u = navigate(t, u, c.instr)
+            stack.append(("state", c.state))
+        else:
+            emitted.append(rule.rhs.label)
+            for child in reversed(rule.rhs.children):
+                stack.append(("state", child.label.state))
+        if len(stack) > max_len:
+            max_len = len(stack)
+    try:
+        return tree_from_preorder(emitted, N.output_alphabet.rank), max_len
+    except ValueError:
+        raise ContractError("emission stream is not a single tree") from None
+
+
+def _substitution_values(rmap, order, succs):
+    """Reference for ``transducer._values``: a move rule takes its
+    successor's value, an output rule fills its call leaves in turn."""
+    value = {}
+    steps = 0
+    for cfg in order:
+        rule = rmap[cfg]
+        steps += 1
+        if rule.kind == "move":
+            steps += 1
+            value[cfg] = value[succs[cfg][0]]
+            continue
+        nxt = iter(succs[cfg]).__next__
+        value[cfg] = substitute_leaves(
+            rule.rhs, lambda c: value[nxt()] if isinstance(c, Call) else None)
+        steps += rule.output_symbol_count()
+    return value, steps
+
+
+def _navigate_instantiate(rhs, t, u):
+    """Reference for a rule of ``config_grammar``: each call leaf filled
+    by its own ``navigate``."""
+    return substitute_leaves(
+        rhs, lambda c: leaf((c.state, navigate(t, u, c.instr)))
+        if isinstance(c, Call) else None)
+
+
+def _result(fn):
+    """``_answer``, with TreeError among the exceptions compared."""
+    try:
+        return "answer", fn()
+    except (AlphabetError, KeyError, ContractError, TreeError) as e:
+        return "raised", type(e), str(e)
+
+
+# a sigma node with one child: every machine that enters it and calls
+# down 2 there meets a TreeError
+ILL_RANKED = Tree("sigma", [Tree("sigma", [leaf("e"), leaf("e")])])
+
+
+def test_successors_and_replay_match_the_navigate_engine(monkeypatch):
+    """Same successor lists at every configuration and applicable rule,
+    the same outputs and steps, streamed outputs and stack lengths,
+    traces, single-use verdicts and grammar rules, or the same exception
+    and message, as with one ``navigate`` per call and the streaming
+    cursor walked by inverse instructions."""
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), leaf_chooser(), loop_transducer()]
+    machines += [random_transducer(seed, kind)
+                 for kind in DET_KINDS for seed in range(30)]
+    rng = random.Random(15)
+    trees = all_trees(SIGMA_E, 7) + [
+        _random_binary_tree(rng, rng.randint(16, 61)) for _ in range(16)]
+    trees.append(ILL_RANKED)
+
+    def outcomes(M, t, evaluate_streaming):
+        det = _result(lambda: eval_deterministic(M, t))
+        # streaming builds the explicit output: m_exp's has 2^height
+        # leaves
+        big = det[0] == "answer" and det[1][0] is not None \
+            and det[1][0].size > 10 ** 4
+        stream = None if big else _result(lambda: evaluate_streaming(M, t))
+        return [det, stream, _result(lambda: trace_productive(M, t)),
+                _result(lambda: check_single_use(M, [t]))]
+
+    messages = set()
+
+    def grammar_rules(M, t):
+        """The reference rules, comparing the successor lists on the way,
+        in the order in which ``config_grammar`` reaches them."""
+        rules = []
+        for cfg, rs in _applicable_all(M, t):
+            for r in rs:
+                u = cfg[1]
+                want = _result(lambda: _navigate_successors(r, t, u))
+                assert _result(lambda: transducer._successors(r, t, u)) \
+                    == want
+                if want[0] == "raised":
+                    messages.add(want[2])
+                rules.append((cfg, _navigate_instantiate(r.rhs, t, u)))
+        return tuple(rules)
+
+    for M in machines:
+        for t in trees:
+            assert _result(lambda: config_grammar(M, t).rules) == \
+                _result(lambda: grammar_rules(M, t))
+            new = outcomes(M, t, eval_streaming)
+            with monkeypatch.context() as m:
+                m.setattr(transducer, "_successors", _navigate_successors)
+                m.setattr(transducer, "_values", _substitution_values)
+                old = outcomes(M, t, _cursor_streaming)
+            assert new == old
+            messages.update(x[2] for x in new if x and x[0] == "raised")
+    assert "down_2 at a node of rank 1" in messages
+    rule = Rule("q", "e", 1, None, call("q", UP))
+    for call_ in (lambda: _navigate_successors(rule, leaf("e"), ()),
+                  lambda: transducer._successors(rule, leaf("e"), ())):
+        with pytest.raises(TreeError, match="^up at the root$"):
+            call_()
+
+
+def test_successors_walk_to_a_node_once(monkeypatch):
+    """One walk per configuration that moves down, none for the others:
+    on the comb with n leaves, the identity relabeler walks to each of
+    its n - 1 inner nodes once, and streaming, whose normalized machine
+    moves down from two states there, twice."""
+    walks = []
+    monkeypatch.setattr(transducer, "subtree_at",
+                        lambda t, u: walks.append(u) or subtree_at(t, u))
+    for n in (5, 50):
+        t = comb_tree(n)
+        for evaluate, count in ((eval_deterministic, n - 1),
+                                (eval_streaming, 2 * (n - 1))):
+            walks.clear()
+            assert evaluate(identity_relabeler(), t)[0] == t
+            assert len(walks) == count
 
 
 # ---------------------------------------------------------------------------
