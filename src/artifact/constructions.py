@@ -9,6 +9,7 @@ chain contraction), and the linear-bounded pipeline factorization built
 from them.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -554,16 +555,22 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     finals0 = tuple(frozenset(p for p in p1 if p[i] in a.finals)
                     for i, a in enumerate(auts))
     profiles = sorted(p0, key=repr)
-    test_cache = {}
 
+    @functools.lru_cache(maxsize=None)
     def mk_test(sym, prof):
-        key = (sym, prof)
-        if key not in test_cache:
-            test_cache[key] = ChildProfileTest(sym, (prof,), (proj,))
-        return test_cache[key]
+        return ChildProfileTest(sym, (prof,), (proj,))
 
     seen_ceiling = [0]
     by_state = _rules_by(M, lambda r: r.state)
+    calls = functools.lru_cache(maxsize=None)(call)  # shared leaves
+
+    @functools.lru_cache(maxsize=None)
+    def child_contexts(mk0, prof, sbar):
+        """Per child, per test, the children's states the context above
+        (sbar at this node, siblings in prof) maps to acceptance."""
+        return tuple(tuple(frozenset(p for p in p1 if pdelta[
+            (mk0, prof[:c] + (p,) + prof[c + 1:])] in s) for s in sbar)
+            for c in range(len(prof)))
 
     def rules_for(state):
         q, sbar = state
@@ -583,21 +590,15 @@ def lookahead_of_topdown(M, state_ceiling=4096):
                     i = tindex[id(r.test)]
                     if pdelta[(mk1, prof)] not in sbar[i]:
                         continue
-                ctx = []
-                for c in range(m):
-                    ctx.append(tuple(
-                        frozenset(p for p in p1
-                                  if pdelta[(mk0, prof[:c] + (p,)
-                                             + prof[c + 1:])] in s)
-                        for s in sbar))
+                ctx = child_contexts(mk0, prof, sbar)
 
                 def fill(cl):
                     if not isinstance(cl, Call):
                         return None
                     if cl.instr == STAY:
-                        return Tree(Call((cl.state, sbar), STAY), ())
-                    return Tree(Call((cl.state, ctx[cl.instr.index - 1]),
-                                     cl.instr), ())
+                        return calls((cl.state, sbar), STAY)
+                    return calls((cl.state, ctx[cl.instr.index - 1]),
+                                 cl.instr)
 
                 test = None if m == 0 else mk_test(sym, prof)
                 made.append(Rule(state, sym, r.child_no, test,
@@ -1675,8 +1676,25 @@ def _require_local_tests(M):
                             "machine")
 
 
+def _remainder_rules(gamma_syms, maxr, kept_of, gamma_leaf):
+    """The rules of a phase's remainder.  At gamma symbol ``name`` of
+    (sym, j, group, gamma) and each child number jp (0 when j is 0, else
+    1..maxr) come the (state, rhs) bodies ``kept_of(sym, j, group)`` keeps
+    of the normalized machine, made once per (sym, j, group), and then a
+    rule q -> ``gamma_leaf(g)`` per pair (q, g) of gamma."""
+    kept_of = functools.lru_cache(maxsize=None)(kept_of)
+    rules = []
+    for name, (sym, j, group, gamma) in gamma_syms.items():
+        body = kept_of(sym, j, group) + [
+            (q, gamma_leaf(g)) for q, g in sorted(gamma)]
+        for jp in (0,) if j == 0 else range(1, maxr + 1):
+            rules += [Rule(q, name, jp, None, rhs) for q, rhs in body]
+    return rules
+
+
 def _leaves_phase(M):
     Mn = _normalize_for_pruning(M)
+    calls = functools.lru_cache(maxsize=None)(call)  # shared leaves
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
     ex = _abstract_exits(Mn)
@@ -1722,30 +1740,24 @@ def _leaves_phase(M):
                         nrules.append(Rule(
                             "p", sym, j,
                             OracleTest(fn, "exact-excursions"),
-                            out(name, *[call("p", down(i))
+                            out(name, *[calls("p", down(i))
                                         for i in picks])))
     gamma_alphabet = RankedAlphabet(
         {name: len(info[2]) for name, info in gamma_syms.items()})
     N = Transducer(alphabet, gamma_alphabet, ["p"], ["p"], nrules)
-    mrules = []
-    for name, (sym, j, picks, gamma) in gamma_syms.items():
-        jprimes = (0,) if j == 0 else tuple(
-            range(1, gamma_alphabet.max_rank + 1))
-        for jp in jprimes:
-            for r in by_sym.get((sym, j), ()):
-                if r.kind == "move":
-                    c = r.rhs.label
-                    if c.instr.kind != "down":
-                        mrules.append(Rule(r.state, name, jp, None,
-                                           r.rhs))
-                    elif c.instr.index in picks:
-                        k = picks.index(c.instr.index) + 1
-                        mrules.append(Rule(r.state, name, jp, None,
-                                           call(c.state, down(k))))
-                else:
-                    mrules.append(Rule(r.state, name, jp, None, r.rhs))
-            for (q, qbar) in sorted(gamma):
-                mrules.append(Rule(q, name, jp, None, call(qbar, STAY)))
+
+    def kept_of(sym, j, picks):  # a down move to child i leaves unless
+        body = []                # i is picked, and then it is renumbered
+        for r in by_sym.get((sym, j), ()):
+            rhs, c = r.rhs, r.rhs.label
+            if r.kind == "move" and c.instr.kind == "down":
+                if c.instr.index not in picks:
+                    continue
+                rhs = calls(c.state, down(picks.index(c.instr.index) + 1))
+            body.append((r.state, rhs))
+        return body
+    mrules = _remainder_rules(gamma_syms, gamma_alphabet.max_rank, kept_of,
+                              lambda qbar: calls(qbar, STAY))
     Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
                     Mn.initials, mrules)
 
@@ -1779,6 +1791,7 @@ def _leaves_phase(M):
 
 def _monadic_phase(M):
     Mn = _normalize_for_pruning(M)
+    calls = functools.lru_cache(maxsize=None)(call)  # shared leaves
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
     maxr = alphabet.max_rank
@@ -1837,7 +1850,7 @@ def _monadic_phase(M):
     n2rules = []
     for h in hat.values():
         for j in range(1, maxr + 1):
-            n2rules.append(Rule("p", h, j, None, call("p", down(1))))
+            n2rules.append(Rule("p", h, j, None, calls("p", down(1))))
     for sym in alphabet:
         rank = alphabet.rank(sym)
         for j in range(maxr + 1):
@@ -1878,7 +1891,7 @@ def _monadic_phase(M):
                         n2rules.append(Rule(
                             "p", sym, j,
                             OracleTest(fn, "exact-chain-excursions"),
-                            out(name, *[call("p", down(i))
+                            out(name, *[calls("p", down(i))
                                         for i in range(1, rank + 1)])))
     gamma_alphabet = RankedAlphabet(
         {name: alphabet.rank(info[0])
@@ -1892,22 +1905,20 @@ def _monadic_phase(M):
             return UP
         return down(int(beta[1:]))
 
-    mrules = []
-    for name, (sym, j, uset, gamma) in gamma_syms.items():
-        jprimes = (0,) if j == 0 else tuple(range(1, maxr + 1))
-        for jp in jprimes:
-            for r in by_sym.get((sym, j), ()):
-                if r.kind == "move":
-                    c = r.rhs.label
-                    tag = "u" if c.instr.kind == "up" else (
-                        None if c.instr == STAY
-                        else "d%d" % c.instr.index)
-                    if tag is not None and tag in uset:
-                        continue
-                mrules.append(Rule(r.state, name, jp, None, r.rhs))
-            for (q, (qbar, beta)) in sorted(gamma):
-                mrules.append(Rule(q, name, jp, None,
-                                   call(qbar, beta_instr(beta))))
+    def kept_of(sym, j, uset):  # a move into a hatted neighbour leaves
+        body = []
+        for r in by_sym.get((sym, j), ()):
+            if r.kind == "move":
+                c = r.rhs.label
+                tag = "u" if c.instr.kind == "up" else (
+                    None if c.instr == STAY else "d%d" % c.instr.index)
+                if tag is not None and tag in uset:
+                    continue
+            body.append((r.state, r.rhs))
+        return body
+    mrules = _remainder_rules(
+        gamma_syms, maxr, kept_of,
+        lambda end: calls(end[0], beta_instr(end[1])))
     Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
                     Mn.initials, mrules)
 

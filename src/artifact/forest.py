@@ -27,7 +27,7 @@ class Forest:
     """A sequence of unranked trees; each element is a (label, Forest)
     pair."""
 
-    __slots__ = ("trees",)
+    __slots__ = ("trees", "_hash")
 
     def __init__(self, trees=()):
         trees = tuple(trees)
@@ -36,13 +36,28 @@ class Forest:
                     or not isinstance(el[1], Forest)):
                 raise TreeError("forest element must be (label, Forest), "
                                 "got %r" % (el,))
-        self.trees = trees
+        self.trees = trees  # hashed from the children's hashes, any depth
+        self._hash = hash(tuple((label, f._hash) for label, f in trees))
 
     def __eq__(self, other):
-        return isinstance(other, Forest) and self.trees == other.trees
+        if not isinstance(other, Forest):
+            return False
+        # an explicit stack for any depth; each pair is expanded once
+        stack, compared = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            pair = (id(a), id(b))
+            if a is b or pair in compared:
+                continue
+            if a._hash != b._hash or len(a.trees) != len(b.trees) or any(
+                    x[0] != y[0] for x, y in zip(a.trees, b.trees)):
+                return False
+            compared.add(pair)
+            stack += [(x[1], y[1]) for x, y in zip(a.trees, b.trees)]
+        return True
 
     def __hash__(self):
-        return hash(("forest", self.trees))
+        return self._hash
 
     def __bool__(self):
         return bool(self.trees)

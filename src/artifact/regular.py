@@ -546,15 +546,18 @@ def _subset_step(g):
     """The function (symbol, child sets) -> frozenset of the nonterminals
     that derive a node with that label and children derived from those
     sets, read off the flattened rules of g.  A rule applies only to a
-    node with as many children as the rule has."""
-    by_sym = {}
+    node with as many children as the rule has.  The rules are indexed
+    by (symbol, arity, first child), so a node reads only the rules that
+    its first child's set can satisfy."""
+    index = {}
     for lhs, sym, kids in _flatten_grammar(g):
-        by_sym.setdefault(sym, []).append((lhs, kids))
+        index.setdefault((sym, len(kids), kids[0] if kids else None),
+                         []).append((lhs, kids))
 
     def target_of(sym, sets):
-        return frozenset(lhs for lhs, kids in by_sym.get(sym, ())
-                         if len(kids) == len(sets)
-                         and all(k in n for k, n in zip(kids, sets)))
+        return frozenset(lhs for k in (sets[0] if sets else (None,))
+                         for lhs, kids in index.get((sym, len(sets), k), ())
+                         if all(x in m for x, m in zip(kids, sets)))
     return target_of
 
 

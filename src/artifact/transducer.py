@@ -72,7 +72,8 @@ class Rule:
     calls is an (ordinary) output rule; anything else is a general rule.
     """
 
-    __slots__ = ("state", "symbol", "child_no", "test", "rhs")
+    __slots__ = ("state", "symbol", "child_no", "test", "rhs", "_kind",
+                 "_calls", "_outputs", "_valid_in")
 
     def __init__(self, state, symbol, child_no, test, rhs):
         self.state = state
@@ -80,36 +81,35 @@ class Rule:
         self.child_no = child_no
         self.test = test
         self.rhs = rhs
+        # never mutated: rhs walks are kept, and the signature it was valid in
+        self._kind = self._calls = self._outputs = self._valid_in = None
 
     @property
     def kind(self):
-        if isinstance(self.rhs.label, Call):
-            return "move"
-        if all(isinstance(c.label, Call) for c in self.rhs.children):
-            return "output"
-        return "general"
+        if self._kind is None:
+            rhs = self.rhs
+            self._kind = "move" if isinstance(rhs.label, Call) else (
+                "output" if all(isinstance(c.label, Call)
+                                for c in rhs.children) else "general")
+        return self._kind
 
     def calls(self):
         """All Call leaves of the rhs, in pre-order, with repetition."""
-        found = []
-        stack = [self.rhs]
-        while stack:
-            n = stack.pop()
-            if isinstance(n.label, Call):
-                found.append(n.label)
-            else:
-                stack.extend(reversed(n.children))
-        return found
+        if self._calls is None:  # one walk keeps the output count too
+            found, count, stack = [], 0, [self.rhs]
+            while stack:
+                n = stack.pop()
+                if isinstance(n.label, Call):
+                    found.append(n.label)
+                else:
+                    count += 1
+                    stack.extend(reversed(n.children))
+            self._calls, self._outputs = tuple(found), count
+        return self._calls
 
     def output_symbol_count(self):
-        count = 0
-        stack = [self.rhs]
-        while stack:
-            n = stack.pop()
-            if not isinstance(n.label, Call):
-                count += 1
-                stack.extend(n.children)
-        return count
+        self.calls()
+        return self._outputs
 
     def __repr__(self):
         return "Rule(<%s,%s,%d%s> -> %s)" % (
@@ -145,11 +145,19 @@ class Transducer:
             raise ValueError("initials must be states")
         self._index = {}
         self._overlaps = None  # filled by _overlap_record on first use
+        # a rule validated under these very alphabet and state objects is
+        # valid here; a rhs is walked once per (child number 0?, rank)
+        sig = (input_alphabet, output_alphabet, self.states)
+        walked = set()
         for r in self.rules:
-            self._validate_rule(r)
+            seen = r._valid_in
+            if not (seen and seen[0] is input_alphabet
+                    and seen[1] is output_alphabet and seen[2] is sig[2]):
+                self._validate_rule(r, walked)
+                r._valid_in = sig
             self._index.setdefault((r.state, r.symbol, r.child_no), []).append(r)
 
-    def _validate_rule(self, r):
+    def _validate_rule(self, r, walked):
         if r.state not in self.states:
             raise ValueError("rule state %r unknown" % (r.state,))
         rank = self.input_alphabet.rank(r.symbol)
@@ -157,7 +165,9 @@ class Transducer:
             raise ValueError("child number %r out of range" % (r.child_no,))
         if r.test is not None and not isinstance(r.test, NodeTest):
             raise ValueError("bad node test %r" % (r.test,))
-
+        key = (id(r.rhs), r.child_no == 0, rank)
+        if key in walked:  # the same walk passed for an earlier rule
+            return
         stack = [r.rhs]  # pre-order, so the first fault found is the same
         while stack:
             node = stack.pop()
@@ -178,6 +188,7 @@ class Transducer:
                 raise ValueError("output arity mismatch at %r in %r"
                                  % (node.label, r))
             stack.extend(reversed(node.children))
+        walked.add(key)
 
     def rules_at(self, state, symbol, child_no):
         return self._index.get((state, symbol, child_no), [])

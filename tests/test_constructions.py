@@ -6,7 +6,8 @@ import pytest
 
 from artifact.core import (
     RankedAlphabet, Tree, addresses, all_trees, child_number, down, leaf,
-    navigate, preorder, subtree_at, try_navigate, UP,
+    marked_name, navigate, preorder, substitute_leaves, subtree_at,
+    try_navigate, STAY, UP,
 )
 from artifact.constructions import (
     ChildProfileTest, ContractError, Decomposition, Pipeline, absorb_right,
@@ -17,7 +18,10 @@ from artifact.constructions import (
     productive_configs_nondet, pruning_image, rename_states,
     restrict_domain, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
-    _excursion_exits, _normalize_for_pruning,
+    _abstract_exits, _assemble, _chain_endpoints, _distinct_tests,
+    _excursion_exits, _gamma_candidates, _is_deterministic_local,
+    _leaves_phase, _marked_product, _monadic_phase, _normalize_for_pruning,
+    _per_tree, _rank1_symbols, _rebuild, _rules_by,
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, identity_relabeler, internal_sigma_test,
@@ -25,11 +29,12 @@ from artifact.fixtures import (
     random_transducer,
 )
 from artifact.regular import (
-    RegularTreeGrammar, ResourceError, SubTest, enumerate_grammar,
-    eval_test, singleton_automaton, _realizable,
+    OracleTest, RegularTreeGrammar, ResourceError, SubTest,
+    enumerate_grammar, eval_test, singleton_automaton, _realizable,
 )
 from artifact.transducer import (
-    Rule, Transducer, call, classify, enumerate_outputs, eval_deterministic,
+    Call, Rule, Transducer, call, classify, enumerate_outputs,
+    eval_deterministic, out, relabel_rules, trace_productive,
     _applicable_all,
 )
 from corpus import (
@@ -814,3 +819,424 @@ def test_productive_configs_nondet_matches_fixpoint():
                 sizes.add(len(want) / (len(M.states) * t.size))
     # some configurations are productive and some are not
     assert min(sizes) < 1 and max(sizes) > 0
+
+
+# ---------------------------------------------------------------------------
+# The phases and the look-ahead conversion as they were before they built
+# each rule body and call leaf once, kept as references
+
+def _lookahead_of_topdown_reference(M, state_ceiling=4096):
+    """``lookahead_of_topdown`` as it was, computing the children's
+    context classes once per rule and a fresh leaf per call."""
+    for r in M.rules:
+        for c in r.calls():
+            if c.instr.kind == "up":
+                raise ContractError(
+                    "look-ahead conversion needs a machine without up-moves")
+    tests = _distinct_tests(M)
+    if not tests:
+        return M
+    base = M.input_alphabet
+    auts, pdelta, sink, p0, p1, proj = _marked_product(tests, base)
+    tindex = {id(t): i for i, t in enumerate(tests)}
+    finals0 = tuple(frozenset(p for p in p1 if p[i] in a.finals)
+                    for i, a in enumerate(auts))
+    profiles = sorted(p0, key=repr)
+    test_cache = {}
+
+    def mk_test(sym, prof):
+        key = (sym, prof)
+        if key not in test_cache:
+            test_cache[key] = ChildProfileTest(sym, (prof,), (proj,))
+        return test_cache[key]
+
+    seen_ceiling = [0]
+    by_state = _rules_by(M, lambda r: r.state)
+
+    def rules_for(state):
+        q, sbar = state
+        seen_ceiling[0] += 1
+        if seen_ceiling[0] > state_ceiling:
+            raise ResourceError(
+                "look-ahead conversion: %d states exceed the ceiling of %d"
+                % (seen_ceiling[0], state_ceiling))
+        made = []
+        for r in by_state.get(q, ()):
+            sym = r.symbol
+            m = base.rank(sym)
+            mk1 = marked_name(sym, 1)
+            mk0 = marked_name(sym, 0)
+            for prof in itertools.product(profiles, repeat=m):
+                if r.test is not None:
+                    i = tindex[id(r.test)]
+                    if pdelta[(mk1, prof)] not in sbar[i]:
+                        continue
+                ctx = []
+                for c in range(m):
+                    ctx.append(tuple(
+                        frozenset(p for p in p1
+                                  if pdelta[(mk0, prof[:c] + (p,)
+                                             + prof[c + 1:])] in s)
+                        for s in sbar))
+
+                def fill(cl):
+                    if not isinstance(cl, Call):
+                        return None
+                    if cl.instr == STAY:
+                        return Tree(Call((cl.state, sbar), STAY), ())
+                    return Tree(Call((cl.state, ctx[cl.instr.index - 1]),
+                                     cl.instr), ())
+
+                test = None if m == 0 else mk_test(sym, prof)
+                made.append(Rule(state, sym, r.child_no, test,
+                                 substitute_leaves(r.rhs, fill)))
+        return made
+
+    initials = [(q0, finals0) for q0 in M.initials]
+    return _assemble(base, M.output_alphabet, initials, rules_for)
+
+
+def _leaves_phase_reference(M):
+    """``_leaves_phase`` as it was, filtering the rules of every gamma
+    symbol and child number again."""
+    Mn = _normalize_for_pruning(M)
+    det = _is_deterministic_local(Mn)
+    alphabet = Mn.input_alphabet
+    ex = _abstract_exits(Mn)
+
+    def ghost_rel(t, u, picks):
+        def inside(v):  # below a child of u that is not picked
+            return len(v) > len(u) and v[len(u)] not in picks
+        return frozenset((q, s) for q, s, x in _excursion_exits(
+            Mn, t, u, lambda label: label, inside) if x == u)
+
+    ghost = _per_tree(ghost_rel)
+
+    def gname(sym, j, picks, gamma):
+        ps = "".join(str(i) for i in picks) or "0"
+        gs = "-".join("%s.%s" % p
+                      for p in sorted(gamma)) or "0"
+        return "%s~n%d~k%s~g%s" % (sym, j, ps, gs)
+
+    by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
+    gamma_syms = {}
+    nrules = []
+    for sym in alphabet:
+        rank = alphabet.rank(sym)
+        for j in range(alphabet.max_rank + 1):
+            for n in range(rank + 1):
+                for picks in itertools.combinations(range(1, rank + 1), n):
+                    cand = {}
+                    for r in by_sym.get((sym, j), ()):
+                        if r.kind != "move":
+                            continue
+                        c = r.rhs.label
+                        if c.instr.kind != "down" \
+                                or c.instr.index in picks:
+                            continue
+                        for qbar in ex[(c.instr.index, c.state)]:
+                            cand.setdefault(r.state, set()).add(qbar)
+                    for gamma in _gamma_candidates(cand, det):
+                        name = gname(sym, j, picks, gamma)
+                        gamma_syms[name] = (sym, j, picks, gamma)
+
+                        def fn(t, u, picks=picks, gamma=gamma):
+                            return ghost(t, u, picks) == gamma
+                        nrules.append(Rule(
+                            "p", sym, j,
+                            OracleTest(fn, "exact-excursions"),
+                            out(name, *[call("p", down(i))
+                                        for i in picks])))
+    gamma_alphabet = RankedAlphabet(
+        {name: len(info[2]) for name, info in gamma_syms.items()})
+    N = Transducer(alphabet, gamma_alphabet, ["p"], ["p"], nrules)
+    mrules = []
+    for name, (sym, j, picks, gamma) in gamma_syms.items():
+        jprimes = (0,) if j == 0 else tuple(
+            range(1, gamma_alphabet.max_rank + 1))
+        for jp in jprimes:
+            for r in by_sym.get((sym, j), ()):
+                if r.kind == "move":
+                    c = r.rhs.label
+                    if c.instr.kind != "down":
+                        mrules.append(Rule(r.state, name, jp, None,
+                                           r.rhs))
+                    elif c.instr.index in picks:
+                        k = picks.index(c.instr.index) + 1
+                        mrules.append(Rule(r.state, name, jp, None,
+                                           call(c.state, down(k))))
+                else:
+                    mrules.append(Rule(r.state, name, jp, None, r.rhs))
+            for (q, qbar) in sorted(gamma):
+                mrules.append(Rule(q, name, jp, None, call(qbar, STAY)))
+    Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
+                    Mn.initials, mrules)
+
+    witness = None
+    if det:
+        def witness(t):
+            try:
+                tr = trace_productive(Mn, t)
+            except ContractError:
+                return None
+            # the productive nodes and their ancestors; each walk up
+            # stops at the first node an earlier walk reached
+            hot = set()
+            for u in tr.productive_nodes:
+                while u not in hot:
+                    hot.add(u)
+                    u = u[:-1]
+
+            def kept(u, node):
+                return tuple(i for i in range(1, len(node.children) + 1)
+                             if u + (i,) in hot)
+
+            def make(u, node, picks, kids):
+                g = ghost(t, u, picks)
+                return Tree(gname(node.label, child_number(u), picks, g),
+                            kids)
+            return _rebuild(t, kept, make)
+
+    return Decomposition(Pipeline((N,)), Mp, witness_map=witness)
+
+
+def _monadic_phase_reference(M):
+    """``_monadic_phase`` as it was, filtering the rules of every gamma
+    symbol and child number again."""
+    Mn = _normalize_for_pruning(M)
+    det = _is_deterministic_local(Mn)
+    alphabet = Mn.input_alphabet
+    maxr = alphabet.max_rank
+    syms1 = _rank1_symbols(alphabet)
+    hat = {s: "%s~h" % s for s in syms1}
+    hat_alphabet = RankedAlphabet(
+        dict(alphabet.symbols, **{h: 1 for h in hat.values()}))
+    n1rules = []
+    for sym in alphabet:
+        n1rules += relabel_rules(alphabet, "h", sym, sym,
+                                 ["h"] * alphabet.rank(sym))
+        if sym in hat:  # the root is never hatted
+            n1rules += relabel_rules(alphabet, "h", sym, hat[sym], ["h"])[1:]
+    N1 = Transducer(alphabet, hat_alphabet, ["h"], ["h"], n1rules)
+
+    down_end, up_end = _chain_endpoints(Mn)
+    hatted = set(hat.values())
+
+    def is_hat(label):
+        return label in hatted
+
+    def base_label(label):
+        return label[:-2] if label in hatted else label
+
+    def ghost_rel(that, u):
+        def inside(v):
+            return is_hat(subtree_at(that, v).label)
+        rel = set()
+        for q, s, x in _excursion_exits(Mn, that, u, base_label, inside):
+            beta = "s" if x == u else (
+                "u" if len(x) < len(u) else "d%d" % x[len(u)])
+            rel.add((q, (s, beta)))
+        return frozenset(rel)
+
+    ghost = _per_tree(ghost_rel)
+
+    @_per_tree
+    def adjacency(that, u):
+        tags = set()
+        if u and is_hat(subtree_at(that, u[:-1]).label):
+            tags.add("u")
+        node = subtree_at(that, u)
+        for i in range(1, len(node.children) + 1):
+            if is_hat(node.children[i - 1].label):
+                tags.add("d%d" % i)
+        return frozenset(tags)
+
+    def g2name(sym, j, uset, gamma):
+        us = "".join(sorted(uset)) or "0"
+        gs = "-".join("%s.%s.%s" % (q, p[0], p[1])
+                      for q, p in sorted(gamma)) or "0"
+        return "%s~n%d~U%s~g%s" % (sym, j, us, gs)
+
+    by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
+    gamma_syms = {}
+    n2rules = []
+    for h in hat.values():
+        for j in range(1, maxr + 1):
+            n2rules.append(Rule("p", h, j, None, call("p", down(1))))
+    for sym in alphabet:
+        rank = alphabet.rank(sym)
+        for j in range(maxr + 1):
+            tags = []
+            if syms1:
+                if j >= 1:
+                    tags.append("u")
+                tags.extend("d%d" % i for i in range(1, rank + 1))
+            for n in range(len(tags) + 1):
+                for utags in itertools.combinations(tags, n):
+                    uset = frozenset(utags)
+                    cand = {}
+                    for r in by_sym.get((sym, j), ()):
+                        if r.kind != "move":
+                            continue
+                        c = r.rhs.label
+                        if c.instr.kind == "up" and "u" in uset:
+                            ends = up_end[c.state]
+                            for kind, qbar in ends:
+                                beta = "s" if kind == "stay" else "u"
+                                cand.setdefault(r.state, set()).add(
+                                    (qbar, beta))
+                        elif c.instr.kind == "down" \
+                                and ("d%d" % c.instr.index) in uset:
+                            ends = down_end[(c.instr.index, c.state)]
+                            for kind, qbar in ends:
+                                beta = "s" if kind == "stay" \
+                                    else "d%d" % c.instr.index
+                                cand.setdefault(r.state, set()).add(
+                                    (qbar, beta))
+                    for gamma in _gamma_candidates(cand, det):
+                        name = g2name(sym, j, uset, gamma)
+                        gamma_syms[name] = (sym, j, uset, gamma)
+
+                        def fn(t, u, uset=uset, gamma=gamma):
+                            return adjacency(t, u) == uset and \
+                                ghost(t, u) == gamma
+                        n2rules.append(Rule(
+                            "p", sym, j,
+                            OracleTest(fn, "exact-chain-excursions"),
+                            out(name, *[call("p", down(i))
+                                        for i in range(1, rank + 1)])))
+    gamma_alphabet = RankedAlphabet(
+        {name: alphabet.rank(info[0])
+         for name, info in gamma_syms.items()})
+    N2 = Transducer(hat_alphabet, gamma_alphabet, ["p"], ["p"], n2rules)
+
+    def beta_instr(beta):
+        if beta == "s":
+            return STAY
+        if beta == "u":
+            return UP
+        return down(int(beta[1:]))
+
+    mrules = []
+    for name, (sym, j, uset, gamma) in gamma_syms.items():
+        jprimes = (0,) if j == 0 else tuple(range(1, maxr + 1))
+        for jp in jprimes:
+            for r in by_sym.get((sym, j), ()):
+                if r.kind == "move":
+                    c = r.rhs.label
+                    tag = "u" if c.instr.kind == "up" else (
+                        None if c.instr == STAY
+                        else "d%d" % c.instr.index)
+                    if tag is not None and tag in uset:
+                        continue
+                mrules.append(Rule(r.state, name, jp, None, r.rhs))
+            for (q, (qbar, beta)) in sorted(gamma):
+                mrules.append(Rule(q, name, jp, None,
+                                   call(qbar, beta_instr(beta))))
+    Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
+                    Mn.initials, mrules)
+
+    witness = None
+    if det:
+        def witness(t):
+            try:
+                tr = trace_productive(Mn, t)
+            except ContractError:
+                return None
+
+            def mark(u, node, picks, kids):
+                if len(kids) == 1 and u != () \
+                        and u not in tr.productive_nodes \
+                        and node.label in hat:
+                    return Tree(hat[node.label], kids)
+                return Tree(node.label, kids)
+
+            that = _rebuild(
+                t, lambda u, node: range(1, len(node.children) + 1), mark)
+            return eval_deterministic(N2, that)[0]
+
+    return Decomposition(Pipeline((N1, N2)), Mp, witness_map=witness)
+
+
+def _test_classes(M):
+    """Per rule, the first rule index sharing its test object (so the
+    partition of the rules by test identity), the test's class, and what
+    the test reads: an oracle's tag, a profile test's symbol and
+    profiles."""
+    first = {}
+    found = []
+    for k, r in enumerate(M.rules):
+        t = r.test
+        what = None if t is None else getattr(t, "tag", None) or (
+            t.symbol, t.profiles)
+        found.append((first.setdefault(id(t), k), type(t).__name__, what))
+    return found
+
+
+def assert_same_machine(A, B):
+    assert (A.states, A.initials) == (B.states, B.initials)
+    assert (A.input_alphabet, A.output_alphabet) == \
+        (B.input_alphabet, B.output_alphabet)
+    assert [(r.state, r.symbol, r.child_no, r.rhs) for r in A.rules] == \
+        [(r.state, r.symbol, r.child_no, r.rhs) for r in B.rules]
+    assert _test_classes(A) == _test_classes(B)
+
+
+def assert_same_result(build, reference, M):
+    """build(M) and reference(M) give the same machines or decompositions,
+    or raise the same error.  Returns build(M), or None on an error."""
+    try:
+        want = reference(M)
+    except (ContractError, ResourceError) as e:
+        with pytest.raises(type(e)) as got:
+            build(M)
+        assert str(got.value) == str(e)
+        return None
+    got = build(M)
+    if isinstance(want, Transducer):
+        assert_same_machine(got, want)
+        return got
+    assert len(got.pruner.stages) == len(want.pruner.stages)
+    for a, b in zip(got.pruner.stages, want.pruner.stages):
+        assert_same_machine(a, b)
+    assert_same_machine(got.remainder, want.remainder)
+    assert (got.witness_map is None) == (want.witness_map is None)
+    return got
+
+
+def _phase_cases():
+    """The local fixtures, the local remainder of the query transducer,
+    and 30 seeded local machines per determinism flag over SIGMA_E and
+    over OUT3."""
+    yield from (m_exp(), identity_relabeler(), left_projection(),
+                split_lookaround(query_transducer())[1])
+    for alphabet in (SIGMA_E, OUT3):
+        for det in (True, False):
+            for seed in range(30):
+                yield random_transducer(seed, kind="local", deterministic=det,
+                                        alphabet=alphabet, output=OUT3)
+
+
+def test_phases_match_the_references():
+    remainders = 0
+    for M in _phase_cases():
+        d1 = assert_same_result(_leaves_phase, _leaves_phase_reference, M)
+        assert_same_result(_monadic_phase, _monadic_phase_reference, M)
+        if d1 is not None:
+            # a factorization runs the monadic phase on this remainder
+            assert_same_result(_monadic_phase, _monadic_phase_reference,
+                               d1.remainder)
+            remainders += 1
+    assert remainders >= 100, remainders
+
+
+def test_lookahead_matches_the_reference():
+    converted = 0
+    machines = [m_exp(), query_transducer()]
+    for det in (True, False):
+        machines += collect_machines(15, "topdown", det, pred=has_tests)
+    for M in machines:
+        assert_same_result(lookahead_of_topdown,
+                           _lookahead_of_topdown_reference, M)
+        converted += has_tests(M)
+    assert converted >= 30, converted

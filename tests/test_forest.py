@@ -116,6 +116,22 @@ def test_forest_walks_at_depth_3000():
     assert str(f) == "a[" * 3000 + "]" * 3000
 
 
+def test_forest_hash_and_equality_at_depth_3000():
+    def nested(innermost):
+        f = Forest((("a", EMPTY), (innermost, EMPTY)))
+        for _ in range(3000):
+            f = Forest((("a", f),))
+        return f
+
+    f, g, h = nested("b"), nested("b"), nested("c")
+    assert f is not g and hash(f) == hash(g)
+    assert f == g and not f != g
+    assert f != h and h != g
+    assert len({f, g, h}) == 2
+    assert f != Forest((("a", f.trees[0][1]), ("a", EMPTY)))
+    assert f != "a[]"
+
+
 # ---------------------------------------------------------------------------
 # Encoding and decoding
 

@@ -12,7 +12,7 @@ from artifact.constructions import rename_states
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
     addresses, all_trees, child_number, down, leaf, mark_node, navigate,
-    parse_tree, serialize_tree, substitute_leaves, subtree_at,
+    parse_tree, preorder, serialize_tree, substitute_leaves, subtree_at,
     tree_from_preorder, STAY, UP,
 )
 from artifact.fixtures import (
@@ -141,6 +141,133 @@ def test_validation_of_a_deep_rhs_at_default_recursion_limit():
     M = Transducer(SIGMA_E, OUT3, ["q"], ["q"],
                    [Rule("q", "e", 0, None, rhs)])
     assert M.rules[0].rhs.height == depth
+
+
+def _validation_message(rules, input_alphabet=SIGMA_E,
+                        output_alphabet=SIGMA_E, states=("q", "p")):
+    with pytest.raises(ValueError) as e:
+        Transducer(input_alphabet, output_alphabet, states, ["q"], rules)
+    return str(e.value)
+
+
+def test_a_rule_valid_in_one_machine_is_validated_again_in_another():
+    def rule():
+        return Rule("q", "sigma", 1, None,
+                    out("sigma", call("p", down(2)), call("q", UP)))
+
+    ok = rule()
+    Transducer(SIGMA_E, SIGMA_E, ["q", "p"], ["q"], [ok])
+    sigma1 = RankedAlphabet({"sigma": 1, "e": 0})
+    sigma3 = RankedAlphabet({"sigma": 3, "e": 0})
+    for kwargs, message in [
+            (dict(states=["q"]), "call state 'p' unknown"),
+            (dict(input_alphabet=sigma1), "down_2 exceeds rank of 'sigma'"),
+            (dict(output_alphabet=sigma3), "output arity mismatch at "
+             "'sigma' in Rule(<q,sigma,1> -> sigma((p, down 2), (q, up)))")]:
+        assert _validation_message([ok], **kwargs) == message
+        assert _validation_message([rule()], **kwargs) == message
+    # the first faulty rule in rule order is reported, after valid ones
+    bad = Rule("q", "e", 0, None, call("q", UP))
+    assert _validation_message([ok, bad, rule()]) == (
+        "up-instruction at child number 0 in Rule(<q,e,0> -> (q, up))")
+
+
+def test_a_shared_rhs_is_checked_again_where_its_faults_can_differ():
+    down2, up = call("q", down(2)), call("q", UP)
+    for rules, message in [
+            ([Rule("q", "sigma", 0, None, down2),
+              Rule("q", "tau", 0, None, down2)],
+             "down_2 exceeds rank of 'tau'"),
+            ([Rule("q", "e", 1, None, up), Rule("q", "e", 0, None, up)],
+             "up-instruction at child number 0 in Rule(<q,e,0> -> (q, up))")]:
+        assert _validation_message(rules, OUT3, OUT3) == message
+
+
+def test_validation_is_reused_only_under_the_same_objects(monkeypatch):
+    checked = []
+    real = Transducer._validate_rule
+
+    def counting(self, r, walked):
+        checked.append(r)
+        real(self, r, walked)
+
+    monkeypatch.setattr(Transducer, "_validate_rule", counting)
+    M = m_exp()
+    n = len(M.rules)
+    assert len(checked) == n
+    Transducer(M.input_alphabet, M.output_alphabet, M.states, M.initials,
+               M.rules)
+    assert len(checked) == n
+    # equal but distinct alphabets, or a new state set, validate again
+    for inp, outp, states in [
+            (RankedAlphabet(M.input_alphabet.symbols), M.output_alphabet,
+             M.states),
+            (M.input_alphabet, RankedAlphabet(M.output_alphabet.symbols),
+             M.states),
+            (M.input_alphabet, M.output_alphabet, set(M.states))]:
+        del checked[:]
+        Transducer(inp, outp, states, M.initials, M.rules)
+        assert checked == list(M.rules)
+
+
+def test_the_domain_restricted_remainder_validates_only_changed_rules(
+        monkeypatch):
+    from artifact import constructions
+    checked = []
+    real_validate = Transducer._validate_rule
+    real_restrict = constructions._restrict_domain_test
+    copies = []
+
+    def counting(self, r, walked):
+        checked.append(r)
+        real_validate(self, r, walked)
+
+    def restrict(M, test):
+        del checked[:]
+        R = real_restrict(M, test)
+        copies.append((M, R, list(checked)))
+        return R
+
+    monkeypatch.setattr(Transducer, "_validate_rule", counting)
+    monkeypatch.setattr(constructions, "_restrict_domain_test", restrict)
+    constructions.linear_bounded_factorization(query_transducer())
+    [(M, R, validated)] = copies
+    kept = {id(r) for r in M.rules}
+    changed = [r for r in R.rules if id(r) not in kept]
+    assert validated == changed
+    assert 0 < len(changed) == sum(r.state in M.initials and r.child_no == 0
+                                   for r in M.rules) < len(M.rules) // 100
+
+
+def _walks(rhs):
+    """The kind, the call leaves in pre-order and the output symbol count
+    of a rhs, read off a fresh walk."""
+    nodes = [n for _, n in preorder(rhs)]
+    calls = tuple(n.label for n in nodes if isinstance(n.label, Call))
+    kind = "move" if isinstance(rhs.label, Call) else (
+        "output" if all(isinstance(c.label, Call) for c in rhs.children)
+        else "general")
+    return kind, calls, len(nodes) - len(calls)
+
+
+def test_cached_rule_walks_match_fresh_walks():
+    general = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [Rule(
+        "q", "e", 0, None, out("sigma", out("e"), call("q", STAY)))])
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), leaf_chooser(), loop_transducer(),
+                general, normalize_general(general)]
+    for kind in DET_KINDS:
+        for det in (True, False):
+            machines += [random_transducer(seed, kind=kind, deterministic=det)
+                         for seed in range(10)]
+    kinds = set()
+    for M in machines:
+        for r in M.rules:
+            want = _walks(r.rhs)
+            for _ in range(2):  # the walk, then the kept values
+                assert (r.kind, r.calls(), r.output_symbol_count()) == want
+            kinds.add(r.kind)
+    assert kinds == {"move", "output", "general"}
 
 
 def test_deep_rhs_at_default_recursion_limit():
