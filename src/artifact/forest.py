@@ -8,6 +8,8 @@ label and one per bracket, so a forest with n nodes has bracket length 3n
 and its binary encoding has exactly 2n + 1 nodes.
 """
 
+import re
+
 from .core import (
     RankedAlphabet, TreeError, UP, down, leaf, tree_from_preorder,
     tree_metrics,
@@ -100,31 +102,45 @@ class Forest:
 
     @classmethod
     def parse(cls, text):
-        f, rest = _parse_forest(text.strip())
-        if rest.strip():
-            raise TreeError("trailing input in forest: %r" % (rest,))
-        return f
+        return _parse_forest(text.strip())
 
 
 EMPTY = Forest(())
 
 
+# a label runs up to a bracket or a space
+_LABEL = re.compile(r"[^\s\[\]]*")
+_SPACE = re.compile(r"\s*")
+
+
 def _parse_forest(text):
-    trees = []
-    rest = text.lstrip()
-    while rest and rest[0] != "]":
-        i = 0
-        while i < len(rest) and rest[i] not in "[]" and not rest[i].isspace():
-            i += 1
-        if i == 0 or i >= len(rest) or rest[i] != "[":
-            raise TreeError("expected sym'[' in forest at %r" % (rest,))
-        label = rest[:i]
-        child, rest = _parse_forest(rest[i + 1:])
-        if not rest.startswith("]"):
-            raise TreeError("missing ']' in forest at %r" % (rest,))
-        trees.append((label, child))
-        rest = rest[1:].lstrip()
-    return Forest(trees), rest
+    """The forest written in ``text``, in one left-to-right scan: each
+    element still open waits on a stack with its label and the trees
+    before it in the enclosing forest."""
+    stack = []  # per open element: (label, the trees before it)
+    trees, pos, end = [], 0, len(text)
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        if pos == end:
+            if stack:
+                raise TreeError("missing ']' in forest at ''")
+            return Forest(trees)
+        if text[pos] == "]":
+            if not stack:
+                raise TreeError("trailing input in forest: %r"
+                                % (text[pos:],))
+            label, outer = stack.pop()
+            outer.append((label, Forest(trees)))
+            trees = outer
+            pos += 1
+            continue
+        start, pos = pos, _LABEL.match(text, pos).end()
+        if pos == start or pos == end or text[pos] != "[":
+            raise TreeError("expected sym'[' in forest at %r"
+                            % (text[start:],))
+        stack.append((text[start:pos], trees))
+        trees = []
+        pos += 1
 
 
 def string_forest(labels):
@@ -135,11 +151,8 @@ def string_forest(labels):
 def bracket_tokens(f):
     """The bracket string of the forest as a token sequence."""
     toks = []
-    for label, child in f.trees:
-        toks.append(label)
-        toks.append("[")
-        toks.extend(bracket_tokens(f=child))
-        toks.append("]")
+    for el in f._elements():
+        toks += ["]"] if el is None else [el[0], "["]
     return tuple(toks)
 
 

@@ -2,14 +2,16 @@
 grammars, and the satisfiability fixtures.
 
 Pair membership evaluates the deterministic stages of a pipeline and
-decides a nondeterministic last stage by parsing the output with that
-stage's configuration grammar, the reduction of membership for a
-nondeterministic stage after deterministic ones to context-free
-membership.  The pipeline's linear-bound constant bounds only the
-intermediates of nondeterministic stages that are not last, which are
-still enumerated.  The output of a deterministic stage that is not last
-is handed on whole, unless it exceeds both the linear bound and
-INTERMEDIATE_CEILING, which raises ResourceError.
+decides a nondeterministic last stage by parsing the output bottom-up
+against that stage's configuration rules on its input, read straight off
+the machine (``transducer.config_rules``, ``regular.parse_member``): the
+reduction of membership for a nondeterministic stage after deterministic
+ones to context-free membership, without building the grammar's trees or
+closing its chain rules globally.  The pipeline's linear-bound constant
+bounds only the intermediates of nondeterministic stages that are not
+last, which are still enumerated.  The output of a deterministic stage
+that is not last is handed on whole, unless it exceeds both the linear
+bound and INTERMEDIATE_CEILING, which raises ResourceError.
 
 Output-language membership uses that inverse images of regular tree
 languages are regular: s is an output on some input in L exactly when L,
@@ -27,10 +29,11 @@ from .core import (
 )
 from .constructions import Pipeline, inverse_image, pruning_image
 from .regular import (
-    ResourceError, grammar_member, is_empty, singleton_automaton,
+    ResourceError, is_empty, parse_member, singleton_automaton,
+    _rhs_nonterminals,
 )
 from .transducer import (
-    ContractError, Rule, Transducer, call, classify, config_grammar,
+    ContractError, Rule, Transducer, call, classify, config_rules,
     enumerate_outputs, eval_deterministic, out,
 )
 
@@ -108,37 +111,36 @@ def verify_tree_fixed_point(g, h):
 def canonical_assignment(g):
     """The assignment mapping every nonterminal reachable from the start
     symbol to the unique tree it derives (None when the derivation does
-    not terminate); unreachable nonterminals stay undefined."""
+    not terminate); unreachable nonterminals stay undefined.
+
+    One depth-first post-order over the nonterminals, with an explicit
+    stack: a nonterminal's value is built once its rhs nonterminals are
+    settled, and one still on the path is part of a cycle, so whatever
+    reaches it stays None."""
     start = _check_forward_deterministic(g)
     rulemap = {lhs: rhs for lhs, rhs in g.rules}
-    reachable = set()
-    stack = [start]
+
+    def kids(nt):
+        rhs = rulemap.get(nt)
+        return iter(() if rhs is None else _rhs_nonterminals(rhs, g))
+
+    value = {}
+    path = {start}
+    stack = [(start, kids(start))]
     while stack:
-        nt = stack.pop()
-        if nt in reachable:
-            continue
-        reachable.add(nt)
-        rhs = rulemap.get(nt)
-        if rhs is None:
-            continue
-        inner = [rhs]
-        while inner:
-            node = inner.pop()
-            if node.label in g.nonterminals:
-                stack.append(node.label)
-            inner.extend(node.children)
-    memo = {}
-
-    def value(nt):
-        if nt in memo:
-            return memo[nt]
-        memo[nt] = None
-        rhs = rulemap.get(nt)
-        if rhs is not None:
-            memo[nt] = _substitute(rhs, value, g.nonterminals)
-        return memo[nt]
-
-    return FixedPointAssignment({nt: value(nt) for nt in reachable})
+        nt, pending = stack[-1]
+        for k in pending:
+            if k not in value and k not in path:
+                path.add(k)
+                stack.append((k, kids(k)))
+                break
+        else:
+            stack.pop()
+            path.discard(nt)
+            rhs = rulemap.get(nt)
+            value[nt] = None if rhs is None else _substitute(
+                rhs, value.get, g.nonterminals)
+    return FixedPointAssignment(value)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +161,10 @@ def _require_constant(const):
 def _member(stages, det, const, t, s):
     """Whether (t, s) is a pair of the stages, whose determinism flags are
     ``det``.  Deterministic stages are evaluated, a nondeterministic last
-    stage is decided by parsing s with its configuration grammar, and only
-    a nondeterministic stage before the last enumerates its outputs, up to
-    ``const * |s|`` nodes and smallest first.  Raises ResourceError when a
-    deterministic stage before the last outputs more than both
+    stage is decided by parsing s against its configuration rules, and
+    only a nondeterministic stage before the last enumerates its outputs,
+    up to ``const * |s|`` nodes and smallest first.  Raises ResourceError
+    when a deterministic stage before the last outputs more than both
     ``const * |s|`` and INTERMEDIATE_CEILING nodes."""
     for i, M in enumerate(stages):
         last = i == len(stages) - 1
@@ -178,7 +180,7 @@ def _member(stages, det, const, t, s):
                     "linear bound of %d and the ceiling of %d"
                     % (t.size, const * s.size, INTERMEDIATE_CEILING))
         elif last:
-            return grammar_member(config_grammar(M, t), s)
+            return parse_member(*config_rules(M, t), s)
         else:
             return any(_member(stages[i + 1:], det[i + 1:], const, r, s)
                        for r in sorted(enumerate_outputs(M, t,
@@ -191,13 +193,17 @@ def member_pair(P, t, s):
 
     Deterministic stages are evaluated and their outputs handed on whole;
     an intermediate beyond both the linear bound and INTERMEDIATE_CEILING
-    raises ResourceError.  A
-    nondeterministic last stage is decided without enumeration: s is
-    parsed with the configuration grammar of the stage on its input
-    (``regular.grammar_member``).  Only a nondeterministic stage that is
-    not last enumerates its candidate intermediates r, with |r| bounded by
-    the linear-bound constant times |s|, smallest first; a multi-stage
-    pipeline needs that constant even when no such stage exists."""
+    raises ResourceError.  A nondeterministic last stage is decided
+    without enumeration: s is parsed bottom-up (``regular.parse_member``)
+    against the stage's configuration rules on its input
+    (``transducer.config_rules``), its rules' depth-1 productions per
+    configuration with move rules as chain edges, so no configuration
+    grammar is built and each subtree of s closes only its own set of
+    configurations under the chain edges.  Only a nondeterministic stage
+    that is not last enumerates its candidate intermediates r, with |r|
+    bounded by the linear-bound constant times |s|, smallest first; a
+    multi-stage pipeline needs that constant even when no such stage
+    exists."""
     P = Pipeline.of(P)
     const = P.linear_bound_constant
     if len(P.stages) > 1:

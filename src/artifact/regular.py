@@ -500,22 +500,20 @@ class RegularTreeGrammar:
         return cls(nonterminals, terminals, initials, rules)
 
 
-def _flatten_grammar(g):
-    """Chain-eliminated, depth-1 rules: (lhs, symbol, tuple of nonterminal
-    children).  Fresh nonterminals are introduced for nested right-hand
-    sides."""
-    chain = grammar_chain_closure(g)
-    flat = []
+def _flatten_rules(g):
+    """g's rules as depth-1 productions (lhs, symbol, tuple of child
+    nonterminals) and chain edges (lhs, nonterminal).  Every inner node
+    of a rhs is named ("_flat", n), n counting in pre-order over the
+    rules, and its production comes before its parent's."""
+    flat, chains = [], []
     fresh = itertools.count()
-
-    def flatten_node(rhs):
-        """(label, child nonterminals) of rhs's root.  Every inner node
-        below is named ("_flat", n), n counting in pre-order, and its
-        rule goes to ``flat`` in post-order; built with an explicit
-        stack."""
+    for lhs, rhs in g.rules:
+        if g.is_nonterminal(rhs.label):
+            chains.append((lhs, rhs.label))
+            continue
         # [node, its children left, their nonterminals so far, its name]
-        stack = [(rhs, iter(rhs.children), [], None)]
-        while True:
+        stack = [(rhs, iter(rhs.children), [], lhs)]
+        while stack:
             node, kids, names, nt = stack[-1]
             for c in kids:
                 if g.is_nonterminal(c.label):
@@ -527,47 +525,66 @@ def _flatten_grammar(g):
                     break
             else:
                 stack.pop()
-                if not stack:
-                    return node.label, tuple(names)
                 flat.append((nt, node.label, tuple(names)))
+    return flat, chains
 
+
+def _flatten_grammar(g):
+    """Chain-eliminated, depth-1 rules: ``_flatten_rules`` with each rule
+    of a nonterminal copied to every nonterminal whose chain reaches it,
+    for ``min_witnesses``, which reads no chain edges."""
+    flat, _ = _flatten_rules(g)
+    chain = grammar_chain_closure(g)
     top = {}
-    for lhs, rhs in g.rules:
-        if not g.is_nonterminal(rhs.label):
-            top.setdefault(lhs, []).append(flatten_node(rhs))
+    for lhs, sym, kids in flat:
+        if lhs in g.nonterminals:
+            top.setdefault(lhs, []).append((sym, kids))
     for src in g.nonterminals:
-        for mid in chain[src]:
+        for mid in chain[src] - {src}:
             for sym, kids in top.get(mid, ()):
                 flat.append((src, sym, kids))
     return flat
 
 
-def _subset_step(g):
+def _subset_step(rules, chains):
     """The function (symbol, child sets) -> frozenset of the nonterminals
     that derive a node with that label and children derived from those
-    sets, read off the flattened rules of g.  A rule applies only to a
-    node with as many children as the rule has.  The rules are indexed
-    by (symbol, arity, first child), so a node reads only the rules that
-    its first child's set can satisfy."""
-    index = {}
-    for lhs, sym, kids in _flatten_grammar(g):
+    sets, by the depth-1 ``rules`` (lhs, symbol, kids) and the chain
+    edges (lhs, nonterminal).  A rule applies only to a node with as many
+    children as the rule has.  The rules are indexed by (symbol, arity,
+    first child), so a node reads only the rules that its first child's
+    set can satisfy; the heads found are then closed under the chain
+    edges, read backwards, for this set alone."""
+    index, up = {}, {}
+    for lhs, sym, kids in rules:
         index.setdefault((sym, len(kids), kids[0] if kids else None),
-                         []).append((lhs, kids))
+                         []).append((lhs, kids[1:]))
+    for lhs, nt in chains:
+        up.setdefault(nt, []).append(lhs)
 
     def target_of(sym, sets):
-        return frozenset(lhs for k in (sets[0] if sets else (None,))
-                         for lhs, kids in index.get((sym, len(sets), k), ())
-                         if all(x in m for x, m in zip(kids, sets)))
+        rest = sets[1:]
+        found = {lhs for k in (sets[0] if sets else (None,))
+                 for lhs, kids in index.get((sym, len(sets), k), ())
+                 if all(x in m for x, m in zip(kids, rest))}
+        stack = list(found)
+        while stack:
+            for lhs in up.get(stack.pop(), ()):
+                if lhs not in found:
+                    found.add(lhs)
+                    stack.append(lhs)
+        return frozenset(found)
     return target_of
 
 
-def grammar_member(g, s):
-    """Whether s is in L(g), in one bottom-up pass over the distinct
-    subtrees of s (CYK for tree grammars): each subtree gets the set of
-    nonterminals deriving it, read off the flattened rules of its label
-    from its children's sets.  Stops at the first subtree that nothing
-    derives."""
-    target_of = _subset_step(g)
+def parse_member(rules, chains, initials, s):
+    """Whether s derives from one of the ``initials`` by the depth-1
+    ``rules`` and chain edges (see ``_subset_step``), in one bottom-up
+    pass over the distinct subtrees of s (CYK for tree grammars): each
+    subtree gets the set of nonterminals deriving it, read off the rules
+    of its label from its children's sets.  Stops at the first subtree
+    that nothing derives."""
+    target_of = _subset_step(rules, chains)
     derives = {}
     for node in distinct_postorder(s):
         nts = target_of(node.label,
@@ -575,14 +592,21 @@ def grammar_member(g, s):
         if not nts:
             return False
         derives[id(node)] = nts
-    return not g.initials.isdisjoint(derives[id(s)])
+    return not derives[id(s)].isdisjoint(initials)
+
+
+def grammar_member(g, s):
+    """Whether s is in L(g): ``parse_member`` on g's flattened rules and
+    chain edges."""
+    return parse_member(*_flatten_rules(g), g.initials, s)
 
 
 def grammar_to_automaton(g, ceiling=4096):
-    """Subset construction over the grammar's flattened rules.  Raises
-    ResourceError when more than ``ceiling`` subset states appear."""
-    states, delta = explore(g.terminals, _subset_step(g), ceiling,
-                            "subset construction")
+    """Subset construction over the grammar's flattened rules and chain
+    edges.  Raises ResourceError when more than ``ceiling`` subset states
+    appear."""
+    states, delta = explore(g.terminals, _subset_step(*_flatten_rules(g)),
+                            ceiling, "subset construction")
     finals = {s for s in states if s & g.initials}
     return BottomUpAutomaton(g.terminals, states, finals, delta,
                              check_total=False)

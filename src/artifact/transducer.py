@@ -7,7 +7,8 @@ number, and the rule's node test all match; the right-hand side is a tree
 over the output alphabet whose leaves may be calls (state, instruction)
 that continue the walk at a neighbouring node.  The derivable output trees
 of an input t are exactly the language of the regular tree grammar built
-by ``config_grammar``.
+by ``config_grammar``; ``config_rules`` gives the same grammar as depth-1
+productions and chain edges, without building a right-hand side.
 """
 
 import itertools
@@ -73,7 +74,7 @@ class Rule:
     """
 
     __slots__ = ("state", "symbol", "child_no", "test", "rhs", "_kind",
-                 "_calls", "_outputs", "_valid_in")
+                 "_calls", "_outputs", "_flat", "_valid_in")
 
     def __init__(self, state, symbol, child_no, test, rhs):
         self.state = state
@@ -82,7 +83,8 @@ class Rule:
         self.test = test
         self.rhs = rhs
         # never mutated: rhs walks are kept, and the signature it was valid in
-        self._kind = self._calls = self._outputs = self._valid_in = None
+        self._kind = self._calls = self._outputs = self._flat = None
+        self._valid_in = None
 
     @property
     def kind(self):
@@ -110,6 +112,30 @@ class Rule:
     def output_symbol_count(self):
         self.calls()
         return self._outputs
+
+    def productions(self):
+        """The rhs as depth-1 productions (node, symbol, kids), one per
+        output node, numbered in pre-order with the root 0; a kid is
+        (True, k) for the k-th call of ``calls()`` or (False, n) for
+        output node n.  Empty for a move rule."""
+        if self._flat is None:
+            flat, calls = [], 0
+            # pre-order, each node adding itself to its parent's kids
+            stack = [] if self.kind == "move" else [(self.rhs, None)]
+            while stack:
+                node, siblings = stack.pop()
+                if isinstance(node.label, Call):
+                    siblings.append((True, calls))
+                    calls += 1
+                    continue
+                if siblings is not None:
+                    siblings.append((False, len(flat)))
+                kids = []
+                flat.append((len(flat), node.label, kids))
+                stack.extend((c, kids) for c in reversed(node.children))
+            self._flat = tuple((n, sym, tuple(kids))
+                               for n, sym, kids in flat)
+        return self._flat
 
     def __repr__(self):
         return "Rule(<%s,%s,%d%s> -> %s)" % (
@@ -506,6 +532,29 @@ def config_grammar(M, t):
                      for r in rs)
     initials = {(q0, ()) for q0 in M.initials}
     return RegularTreeGrammar(nts, M.output_alphabet, initials, rules)
+
+
+def config_rules(M, t):
+    """The configuration grammar of M on t read straight off the rules,
+    without building a rhs: (productions, chains, initials).  Each
+    applicable rule r, k-th at configuration c, gives the depth-1
+    productions (lhs, symbol, kids) of ``r.productions()``, its root
+    named c, its other output nodes n named (c, k, n) and its calls the
+    successor configurations; a move rule gives the chain edge (c, its
+    successor) instead."""
+    prods, chains = [], []
+    for cfg, rs in _applicable_all(M, t):
+        for k, r in enumerate(rs):
+            succ = _successors(r, t, cfg[1])
+            if r.kind == "move":
+                chains.append((cfg, succ[0]))
+                continue
+            for n, sym, kids in r.productions():
+                prods.append((
+                    (cfg, k, n) if n else cfg, sym,
+                    tuple(succ[i] if is_call else (cfg, k, i)
+                          for is_call, i in kids)))
+    return prods, chains, {(q0, ()) for q0 in M.initials}
 
 
 def _plug(rhs, items):

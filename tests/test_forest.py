@@ -116,6 +116,19 @@ def test_forest_walks_at_depth_3000():
     assert str(f) == "a[" * 3000 + "]" * 3000
 
 
+def test_forest_parse_roundtrip_at_depth_3000():
+    text = "b[]" + "a[" * 3000 + "c[]" + "]" * 3000
+    f = Forest.parse(text)
+    g = Forest.parse("c[]")
+    for _ in range(3000):
+        g = Forest((("a", g),))
+    assert f == Forest((("b", EMPTY),) + g.trees)
+    assert str(f) == text
+    assert Forest.parse(str(f)) == f
+    toks = bracket_tokens(f)
+    assert "".join(toks) == text and len(toks) == 3 * f.node_count
+
+
 def test_forest_hash_and_equality_at_depth_3000():
     def nested(innermost):
         f = Forest((("a", EMPTY), (innermost, EMPTY)))

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from artifact import membership
-from artifact.core import RankedAlphabet, Tree, all_trees, leaf
+from artifact import membership, regular, transducer
+from artifact.core import (
+    RankedAlphabet, Tree, all_trees, leaf, substitute_leaves,
+)
 from artifact.constructions import (
     Pipeline, compose_with_pruning, inverse_image, pipeline_outputs,
 )
@@ -22,7 +24,7 @@ from artifact.membership import (
 )
 from artifact.regular import (
     OracleTest, RegularTreeGrammar, ResourceError, automaton_all, decide,
-    grammar_member, singleton_automaton,
+    grammar_member, singleton_automaton, _rhs_nonterminals,
 )
 from artifact.transducer import (
     ContractError, Rule, Transducer, classify, config_grammar,
@@ -77,18 +79,49 @@ def test_fixed_point_rejects_nondeterministic_grammar():
         verify_tree_fixed_point(g, FixedPointAssignment({"S": leaf("a")}))
 
 
+def _canonical_assignment_recursive(g):
+    """Reference for ``canonical_assignment``: each reachable nonterminal
+    evaluated by recursion, memoized, None while it is being evaluated."""
+    start = next(iter(g.initials))
+    rulemap = dict(g.rules)
+    memo = {}
+
+    def value(nt):
+        if nt not in memo:
+            memo[nt] = None
+            rhs = rulemap.get(nt)
+            if rhs is not None:
+                kids = {x: value(x) for x in _rhs_nonterminals(rhs, g)}
+                if None not in kids.values():
+                    memo[nt] = substitute_leaves(rhs, kids.get)
+        return memo[nt]
+
+    value(start)
+    return memo
+
+
 def test_canonical_assignment_matches_evaluation():
     for M in (m_exp(), left_projection(), identity_relabeler()) + tuple(
             collect_machines(6, "local", True)):
         for t in SIG_TREES_5:
             g = config_grammar(M, t)
             h = canonical_assignment(g)
+            assert h.mapping == _canonical_assignment_recursive(g), (M, t)
             s, _ = eval_deterministic(M, t)
             if s is None:
                 assert not verify_tree_fixed_point(g, h), (M, t)
             else:
                 assert verify_tree_fixed_point(g, h), (M, t)
                 assert h.get(next(iter(g.initials))) == s
+
+
+def test_canonical_assignment_on_a_deep_comb():
+    """Far above the default recursion limit."""
+    t = comb_tree(3000)
+    g = config_grammar(identity_relabeler(), t)
+    h = canonical_assignment(g)
+    assert h.get(next(iter(g.initials))) == t
+    assert verify_tree_fixed_point(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +208,11 @@ def test_member_pair_deterministic_intermediate_ceiling(monkeypatch):
 @pytest.mark.parametrize("kind", ["local", "sub", "lookaround"])
 def test_grammar_member_agrees_with_enumeration(kind):
     """Parsing against enumeration on 30 nondeterministic machines with
-    one test.  Candidates are all outputs of up to 7 nodes and every
-    output of up to 9 nodes; ``enumerate_outputs(M, t, 9)`` holds exactly
-    the outputs of ``enumerate_outputs(M, t, |s|)`` for |s| <= 9."""
+    one test, through the grammar and through ``member_pair``, which
+    parses with the machine's configuration rules.  Candidates are all
+    outputs of up to 7 nodes and every output of up to 9 nodes;
+    ``enumerate_outputs(M, t, 9)`` holds exactly the outputs of
+    ``enumerate_outputs(M, t, |s|)`` for |s| <= 9."""
     small = set(all_trees(OUT3, 7))
     members = 0
     for M in collect_machines(30, kind, False, max_tests=1):
@@ -186,6 +221,7 @@ def test_grammar_member_agrees_with_enumeration(kind):
             g = config_grammar(M, t)
             for s in small | outs:
                 assert grammar_member(g, s) == (s in outs), (M, t, s)
+                assert member_pair(M, t, s) == (s in outs), (M, t, s)
                 members += s in outs
     assert members > 0
 
@@ -449,6 +485,40 @@ def test_np_pipeline_outputs_satisfiable_formulas():
             got = pipeline_outputs(P, t, bound, intermediate_size=64)
             want = {f for f in fset if satisfiable(f, n)}
             assert got == want, (m, n)
+
+
+def test_member_pair_parses_without_a_grammar(monkeypatch):
+    """The SAT pipeline's nondeterministic last stage is decided by the
+    machine's configuration rules: no configuration grammar is built and
+    no chain closure formed.  On a b^2 c d^64 e, whose intermediate has
+    535 nodes, the answers are the truth table's."""
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (transducer, regular, membership):
+        for name in ("config_grammar", "grammar_chain_closure"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    counted(name, getattr(mod, name)))
+    _, P = build_sat_fixtures()
+    P = Pipeline(P.stages, 16)
+    t = word_tree("abbc" + "d" * 64 + "e")
+    assert eval_deterministic(P.stages[0], t)[0].size == 535
+    answers = set()
+    for phi in formulas(1, 2):
+        not_phi = Tree("not", [phi])
+        for s in (phi, Tree("and", [phi, not_phi]),
+                  Tree("or", [phi, not_phi])):
+            want = satisfiable(s, 2)
+            assert member_pair(P, t, s) == want, s
+            answers.add(want)
+    assert answers == {True, False}
+    assert counts == {}
 
 
 def test_np_pipeline_member_pair():

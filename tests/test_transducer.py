@@ -450,6 +450,40 @@ def test_config_grammar_nonterminal_count():
         assert len(g.nonterminals) == len(m.states) * t.size
 
 
+def test_config_rules_rebuild_the_config_grammar():
+    """Each rule's productions, inner nodes expanded, and each chain edge
+    give back the rules of ``config_grammar``, as many times each."""
+    general = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [Rule(
+        "q", "e", 0, None, out("sigma", out("e"), call("q", STAY))),
+        Rule("q", "sigma", 0, None, out("sigma", out(
+            "sigma", call("q", down(2)), out("e")), call("q", down(1))))])
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), leaf_chooser(), loop_transducer(),
+                general, normalize_general(general)]
+    for kind in DET_KINDS:
+        machines += [random_transducer(seed, kind=kind, deterministic=False)
+                     for seed in range(5)]
+    kinds = set()
+    for M in machines:
+        kinds.update(r.kind for r in M.rules)
+        for t in all_trees(M.input_alphabet, 7):
+            prods, chains, initials = transducer.config_rules(M, t)
+            inner = {lhs: (sym, kids) for lhs, sym, kids in prods
+                     if len(lhs) == 3}  # (configuration, rule, node)
+
+            def build(sym, kids):
+                return Tree(sym, [build(*inner[k]) if k in inner
+                                  else leaf(k) for k in kids])
+
+            got = [(lhs, build(sym, kids)) for lhs, sym, kids in prods
+                   if lhs not in inner] + [(a, leaf(b)) for a, b in chains]
+            g = config_grammar(M, t)
+            assert sorted(map(repr, got)) == sorted(map(repr, g.rules)), \
+                (M, t)
+            assert initials == g.initials
+    assert kinds == {"move", "output", "general"}
+
+
 # ---------------------------------------------------------------------------
 # guards evaluated per tree
 
