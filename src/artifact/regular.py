@@ -8,6 +8,7 @@ per-tree oracles instead; only an explicit conversion pays the
 exponential automaton-construction cost.
 """
 
+import functools
 import heapq
 import itertools
 
@@ -695,7 +696,8 @@ def enumerate_grammar(g, max_size, max_chain_len=None, max_count=None):
         for rhs in prods.get(mid, ()):
             kids = _rhs_nonterminals(rhs, g)
             if kids:
-                rules.append((nts, rhs, kids, rhs.size - len(kids)))
+                rules.append((nts, _rhs_builder(rhs, g.nonterminals), kids,
+                              rhs.size - len(kids)))
             elif rhs.size <= max_size:
                 found(rhs, nts)
     while any(new.values()):
@@ -706,7 +708,7 @@ def enumerate_grammar(g, max_size, max_chain_len=None, max_count=None):
                 full[nt] = merged = dict(old[nt])
                 for size, ts in buckets.items():
                     merged[size] = merged.get(size, []) + ts
-        for nts, rhs, kids, base in rules:
+        for nts, build, kids, base in rules:
             for i, kid in enumerate(kids):
                 # the first child with a new tree is child i
                 pools = ([old[k] for k in kids[:i]] + [delta[kid]]
@@ -716,15 +718,27 @@ def enumerate_grammar(g, max_size, max_chain_len=None, max_count=None):
                 for sizes in _size_vectors(pools, max_size - base):
                     for picks in itertools.product(
                             *[p[s] for p, s in zip(pools, sizes)]):
-                        nxt = iter(picks).__next__
-                        found(substitute_leaves(
-                            rhs, lambda x: nxt() if x in g.nonterminals
-                            else None), nts)
+                        found(build(picks), nts)
         old = full
     out = set()
     for nt in g.initials:
         out |= lang[nt]
     return out
+
+
+def _rhs_builder(rhs, nonterminals):
+    """The function from picks, one tree per nonterminal leaf of rhs in
+    pre-order, to rhs with those leaves replaced by them.  A depth-1 rhs
+    whose leaves are all nonterminals builds ``Tree(rhs.label, picks)`` in
+    one step; any other rhs is copied by ``substitute_leaves``."""
+    if all(not c.children and c.label in nonterminals for c in rhs.children):
+        return functools.partial(Tree, rhs.label)
+
+    def build(picks):
+        nxt = iter(picks).__next__
+        return substitute_leaves(
+            rhs, lambda x: nxt() if x in nonterminals else None)
+    return build
 
 
 def _size_vectors(pools, budget):
