@@ -22,9 +22,9 @@ from .core import (
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
-    enumerate_grammar, eval_test, explore, grammar_finite,
-    grammar_to_automaton, least_model, min_witnesses, to_automaton_test,
-    _flatten_grammar, _labels, _realizable,
+    enumerate_grammar, eval_test, explore, grammar_finite, least_model,
+    min_witnesses, rules_to_automaton, to_automaton_test, _flatten_rules,
+    _labels, _realizable,
 )
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
@@ -1304,16 +1304,14 @@ def pruning_image(M, L=None, ceiling=4096):
     for key, pair in delta.items():
         prodlist.setdefault(pair, []).append(key)
 
-    nts = set()
-    grules = []
-    initials = set()
-    queue = []
+    # one nonterminal per (state, test states, L state, child number); the
+    # pruning shape makes each output rule one production and each move
+    # rule one chain edge
+    nts, prods, chains, queue = set(), [], [], []
     for (tup, la) in pairs:
         if la in L.finals:
-            for q0 in Ms.initials:
-                nt = ("I", q0, tup, la, 0)
-                initials.add(nt)
-                queue.append(nt)
+            queue.extend(("I", q0, tup, la, 0) for q0 in Ms.initials)
+    initials = set(queue)
     while queue:
         nt = queue.pop()
         if nt in nts:
@@ -1329,24 +1327,15 @@ def pruning_image(M, L=None, ceiling=4096):
                 if r.test is not None and not r.test.matches(
                         sym, [c[0] for c in combo]):
                     continue
-
-                def fill(cl):
-                    if not isinstance(cl, Call):
-                        return None
-                    c = cl.instr.index
-                    sub = ("I", cl.state, combo[c - 1][0], combo[c - 1][1], c)
-                    if sub not in nts:
-                        queue.append(sub)
-                    return leaf(sub)
-
-                grules.append((nt, substitute_leaves(r.rhs, fill)))
-    # queued nonterminals may still be pending
-    pending = {lhs for lhs, _ in grules} | initials
-    pending.update(l for l in _labels(rhs for _, rhs in grules)
-                   if isinstance(l, tuple) and l and l[0] == "I")
-    g = RegularTreeGrammar(pending | nts, Ms.output_alphabet, initials,
-                           grules)
-    return grammar_to_automaton(g, ceiling)
+                subs = tuple(("I", c.state, *combo[c.instr.index - 1],
+                              c.instr.index) for c in r.calls())
+                queue.extend(subs)
+                if r.kind == "move":
+                    chains.append((nt, subs[0]))
+                else:
+                    prods.append((nt, r.rhs.label, subs))
+    return rules_to_automaton(Ms.output_alphabet, prods, chains, initials,
+                              ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -1378,22 +1367,21 @@ def uniformize(M, subset_ceiling=6):
         # ("S", q)'s least tree uses only the rules it reaches, and with
         # the calls in D only: a flattened rule reading another outward
         # call derives nothing, nor does the rule it was flattened from
-        flat = _flatten_grammar(RegularTreeGrammar(nts, terminals, (), grules))
-        rhs_nts = {}
-        for lhs, rhs in grules:
-            rhs_nts.setdefault(lhs, set()).update(
-                l for l in _labels([rhs]) if l in nts)
+        flat, chains = _flatten_rules(
+            RegularTreeGrammar(nts, terminals, (), grules))
+        below = {}  # head -> the nonterminals and symbols its rules read
+        for lhs, label, kids in flat + [(lhs, nt, ()) for lhs, nt in chains]:
+            below.setdefault(lhs, set()).update(kids + (label,))
         for q in sorted({q for q, _ in pairs}, key=repr):
             reach = {("S", q)}
             frontier = [("S", q)]
             while frontier:
                 nt = frontier.pop()
-                for nxt in rhs_nts.get(nt, ()):
+                for nxt in below.get(nt, ()):
                     if nxt not in reach:
                         reach.add(nxt)
                         frontier.append(nxt)
-            sub = [(lhs, rhs) for lhs, rhs in grules if lhs in reach]
-            occ = sorted(_occurring_dnames([rhs for _, rhs in sub], dmap))
+            occ = sorted(x for x in reach if x in dmap)
             if len(occ) > subset_ceiling:
                 raise ResourceError(
                     "uniformization: %d outward calls exceed the ceiling "
@@ -1401,8 +1389,8 @@ def uniformize(M, subset_ceiling=6):
             for bits in itertools.product((0, 1), repeat=len(occ)):
                 D = frozenset(n for n, b in zip(occ, bits) if b)
                 wit = min_witnesses(
-                    r for r in flat if r[1] not in dmap or r[1] in D
-                ).get(("S", q))
+                    (r for r in flat if r[1] not in dmap or r[1] in D),
+                    chains).get(("S", q))
                 if wit is None:
                     continue
 

@@ -417,6 +417,29 @@ def substitute_leaves(t, fill):
             stack[-1][2].append(node)
 
 
+def depth1_productions(t, is_var):
+    """t as depth-1 productions (n, label, kids), one per node whose
+    label is not a variable, numbered in pre-order with the root 0; a kid
+    is (True, k) for the k-th variable leaf or (False, m) for node m.
+    Returns the productions in pre-order and the labels of the variable
+    leaves in pre-order.  A variable root gives no productions."""
+    prods, labels = [], []
+    stack = [(t, None)]  # each node adds itself to its parent's kids
+    while stack:
+        node, siblings = stack.pop()
+        if is_var(node.label):
+            if siblings is not None:
+                siblings.append((True, len(labels)))
+            labels.append(node.label)
+            continue
+        if siblings is not None:
+            siblings.append((False, len(prods)))
+        kids = []
+        prods.append((len(prods), node.label, kids))
+        stack.extend((c, kids) for c in reversed(node.children))
+    return [(n, sym, tuple(kids)) for n, sym, kids in prods], labels
+
+
 def tree_from_preorder(labels, rank):
     """The tree whose node labels in pre-order are ``labels``, a node
     labelled x having ``rank(x)`` children, built with an explicit stack.

@@ -14,9 +14,9 @@ import itertools
 
 from .core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
-    distinct_postorder, leaf, mark_node, marked_name, serialize_tree,
-    split_marked_name, substitute_leaves, subtree_at, tree_from_preorder,
-    tree_key, tree_metrics, unmark_tree,
+    depth1_productions, distinct_postorder, leaf, mark_node, marked_name,
+    serialize_tree, split_marked_name, substitute_leaves, subtree_at,
+    tree_from_preorder, tree_key, tree_metrics, unmark_tree,
 )
 
 
@@ -305,15 +305,18 @@ def least_model(clauses):
     return model
 
 
-def min_witnesses(rules):
+def min_witnesses(rules, chains=()):
     """Map each derivable head of the depth-1 rules (head, symbol, kids)
-    to the least tree it derives, ordered by size, then serialized text.
+    and chain edges (head, nonterminal) to the least tree it derives,
+    ordered by size, then serialized text.
 
     Knuth's generalization of Dijkstra's algorithm: a rule becomes a
     candidate once all its kids have their least tree, and the least
     candidate overall settles its head for good; a tree is larger than
-    each of its subtrees, so no later candidate can undercut it."""
-    rules = list(rules)
+    each of its subtrees, so no later candidate can undercut it.  A chain
+    edge is a rule with symbol None and one kid, whose tree it passes
+    on."""
+    rules = [*rules, *((head, None, (nt,)) for head, nt in chains)]
     witness = {}
     missing = []
     waiting = {}
@@ -321,7 +324,8 @@ def min_witnesses(rules):
 
     def push(k):
         head, sym, kids = rules[k]
-        t = Tree(sym, [witness[q] for q in kids])
+        t = witness[kids[0]] if sym is None else Tree(
+            sym, [witness[q] for q in kids])
         heapq.heappush(heap, (tree_key(t), k, head, t))
 
     for k, (_, _, kids) in enumerate(rules):
@@ -504,47 +508,20 @@ class RegularTreeGrammar:
 def _flatten_rules(g):
     """g's rules as depth-1 productions (lhs, symbol, tuple of child
     nonterminals) and chain edges (lhs, nonterminal).  Every inner node
-    of a rhs is named ("_flat", n), n counting in pre-order over the
-    rules, and its production comes before its parent's."""
-    flat, chains = [], []
-    fresh = itertools.count()
+    of a rhs but its root is named ("_flat", n), n counting in pre-order
+    over the rules."""
+    flat, chains, fresh = [], [], 0
     for lhs, rhs in g.rules:
-        if g.is_nonterminal(rhs.label):
-            chains.append((lhs, rhs.label))
+        prods, nts = depth1_productions(rhs, g.is_nonterminal)
+        if not prods:
+            chains.append((lhs, nts[0]))
             continue
-        # [node, its children left, their nonterminals so far, its name]
-        stack = [(rhs, iter(rhs.children), [], lhs)]
-        while stack:
-            node, kids, names, nt = stack[-1]
-            for c in kids:
-                if g.is_nonterminal(c.label):
-                    names.append(c.label)
-                else:
-                    sub = ("_flat", next(fresh))
-                    names.append(sub)
-                    stack.append((c, iter(c.children), [], sub))
-                    break
-            else:
-                stack.pop()
-                flat.append((nt, node.label, tuple(names)))
+        names = [lhs] + [("_flat", fresh + n) for n in range(len(prods) - 1)]
+        fresh += len(prods) - 1
+        flat.extend((names[n], sym, tuple(nts[k] if var else names[k]
+                                          for var, k in kids))
+                    for n, sym, kids in prods)
     return flat, chains
-
-
-def _flatten_grammar(g):
-    """Chain-eliminated, depth-1 rules: ``_flatten_rules`` with each rule
-    of a nonterminal copied to every nonterminal whose chain reaches it,
-    for ``min_witnesses``, which reads no chain edges."""
-    flat, _ = _flatten_rules(g)
-    chain = grammar_chain_closure(g)
-    top = {}
-    for lhs, sym, kids in flat:
-        if lhs in g.nonterminals:
-            top.setdefault(lhs, []).append((sym, kids))
-    for src in g.nonterminals:
-        for mid in chain[src] - {src}:
-            for sym, kids in top.get(mid, ()):
-                flat.append((src, sym, kids))
-    return flat
 
 
 def _subset_step(rules, chains):
@@ -603,13 +580,21 @@ def grammar_member(g, s):
 
 
 def grammar_to_automaton(g, ceiling=4096):
-    """Subset construction over the grammar's flattened rules and chain
-    edges.  Raises ResourceError when more than ``ceiling`` subset states
+    """``rules_to_automaton`` on the grammar's flattened rules and chain
+    edges."""
+    return rules_to_automaton(g.terminals, *_flatten_rules(g), g.initials,
+                              ceiling)
+
+
+def rules_to_automaton(terminals, rules, chains, initials, ceiling):
+    """Subset construction over depth-1 ``rules`` and chain edges (see
+    ``_subset_step``); a subset is final when it meets ``initials``.
+    Raises ResourceError when more than ``ceiling`` subset states
     appear."""
-    states, delta = explore(g.terminals, _subset_step(*_flatten_rules(g)),
+    states, delta = explore(terminals, _subset_step(rules, chains),
                             ceiling, "subset construction")
-    finals = {s for s in states if s & g.initials}
-    return BottomUpAutomaton(g.terminals, states, finals, delta,
+    finals = {s for s in states if s & initials}
+    return BottomUpAutomaton(terminals, states, finals, delta,
                              check_total=False)
 
 
@@ -990,10 +975,6 @@ def node_verdicts(test, ix):
             up[j] = ctx
             combo[k] = state[j]
     return verdicts
-
-
-def sub_test(aut):
-    return SubTest(aut)
 
 
 def subtest_to_marked(test, base_alphabet=None):

@@ -17,10 +17,10 @@ import re
 from dataclasses import dataclass
 
 from .core import (
-    MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError, all_trees,
-    child_number, down, leaf, preorder, split_marked_name, subtree_at,
-    substitute_leaves, tree_from_preorder, Instruction, TreeIndex, STAY, UP,
-    _parse_term,
+    AlphabetError, MarkedAlphabet, ParseError, RankedAlphabet, Tree,
+    TreeError, all_trees, child_number, depth1_productions, down, leaf,
+    preorder, split_marked_name, subtree_at, substitute_leaves,
+    tree_from_preorder, Instruction, TreeIndex, STAY, UP, _parse_term,
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, RegularTreeGrammar, SubTest,
@@ -119,22 +119,8 @@ class Rule:
         (True, k) for the k-th call of ``calls()`` or (False, n) for
         output node n.  Empty for a move rule."""
         if self._flat is None:
-            flat, calls = [], 0
-            # pre-order, each node adding itself to its parent's kids
-            stack = [] if self.kind == "move" else [(self.rhs, None)]
-            while stack:
-                node, siblings = stack.pop()
-                if isinstance(node.label, Call):
-                    siblings.append((True, calls))
-                    calls += 1
-                    continue
-                if siblings is not None:
-                    siblings.append((False, len(flat)))
-                kids = []
-                flat.append((len(flat), node.label, kids))
-                stack.extend((c, kids) for c in reversed(node.children))
-            self._flat = tuple((n, sym, tuple(kids))
-                               for n, sym, kids in flat)
+            self._flat = tuple(depth1_productions(
+                self.rhs, lambda label: isinstance(label, Call))[0])
         return self._flat
 
     def __repr__(self):
@@ -400,29 +386,42 @@ def _joint_nonempty(auts):
     return any(all(p in a.finals for p, a in zip(tup, auts)) for tup in reach)
 
 
+def _product_disjoint(M, r1, r2):
+    """Whether the automaton product proves the automaton-like guards of
+    two rules with the same (state, symbol, childNo) disjoint.  Raises
+    KeyError where a partial automaton lacks a transition it reads."""
+    a1 = to_automaton_test(r1.test, M.input_alphabet).aut
+    a2 = to_automaton_test(r2.test, M.input_alphabet).aut
+    pos = marked_position_automaton(M.input_alphabet, r1.symbol, r1.child_no)
+    return not _joint_nonempty([a1, a2, pos])
+
+
 def _tests_disjoint(M, r1, r2, corpus_bound):
     """Whether two rules with the same (state, symbol, childNo) can never
-    both be applicable."""
+    both be applicable: by the automaton product where it decides, else on
+    the inputs of size at most ``corpus_bound``."""
     if _automaton_like(r1.test) and _automaton_like(r2.test):
-        a1 = to_automaton_test(r1.test, M.input_alphabet).aut
-        a2 = to_automaton_test(r2.test, M.input_alphabet).aut
-        pos = marked_position_automaton(M.input_alphabet, r1.symbol,
-                                        r1.child_no)
-        return not _joint_nonempty([a1, a2, pos])
+        try:
+            return _product_disjoint(M, r1, r2)
+        except KeyError:  # a partial automaton: the corpus decides
+            pass
     for t in all_trees(M.input_alphabet, corpus_bound):
         for u, node in preorder(t):
             if node.label != r1.symbol or child_number(u) != r1.child_no:
                 continue
-            if eval_test(r1.test, t, u) and eval_test(r2.test, t, u):
-                return False
+            try:
+                if eval_test(r1.test, t, u) and eval_test(r2.test, t, u):
+                    return False
+            except (KeyError, AlphabetError):  # a guard whose run raises
+                pass  # does not hold here
     return True
 
 
 def _overlap_record(M):
     """The pairs of M's rules at one (state, symbol, childNo) key, by key
-    in rule order, that ``_tests_disjoint``'s automaton route does not
-    prove disjoint: an unguarded rule or an oracle guard, or a product that
-    is nonempty or raises KeyError (a partial automaton).  Kept on M."""
+    in rule order, that ``_product_disjoint`` does not prove disjoint: an
+    unguarded rule or an oracle guard, or a product that is nonempty or
+    raises KeyError (a partial automaton).  Kept on M."""
     if M._overlaps is None:
         record = {}
         for key, group in M._index.items():
@@ -430,7 +429,7 @@ def _overlap_record(M):
                 try:
                     proved = all(isinstance(r.test, (AutomatonTest, SubTest))
                                  for r in (r1, r2)) \
-                        and _tests_disjoint(M, r1, r2, None)
+                        and _product_disjoint(M, r1, r2)
                 except KeyError:
                     proved = False
                 if not proved:
@@ -874,25 +873,14 @@ def normalize_general(M):
         if r.kind != "general":
             rules.append(r)
             continue
-        # the output nodes in pre-order, each with the numbers of its
-        # output children; node k gets the state ("gen", idx, k)
-        found = []
-        stack = [(r.rhs, None)]
-        while stack:
-            node, parent = stack.pop()
-            if parent is not None:
-                found[parent][1].append(len(found))
-            stack.extend((c, len(found)) for c in reversed(node.children)
-                         if not isinstance(c.label, Call))
-            found.append((node, []))
-        for k, (node, kids) in enumerate(found):
+        # output node k of the rhs gets the state ("gen", idx, k)
+        calls = r.calls()
+        for k, sym, kids in r.productions():
             states.add(("gen", idx, k))
-            nums = iter(kids)
-            rhs = [Tree(c.label, ()) if isinstance(c.label, Call)
-                   else call(("gen", idx, next(nums)), STAY)
-                   for c in node.children]
+            rhs = [Tree(calls[i], ()) if is_call
+                   else call(("gen", idx, i), STAY) for is_call, i in kids]
             rules.append(Rule(("gen", idx, k), r.symbol, r.child_no,
-                              r.test, Tree(node.label, rhs)))
+                              r.test, Tree(sym, rhs)))
         rules.append(Rule(r.state, r.symbol, r.child_no, r.test,
                           call(("gen", idx, 0), STAY)))
     return Transducer(M.input_alphabet, M.output_alphabet, states,

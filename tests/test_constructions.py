@@ -25,12 +25,13 @@ from artifact.constructions import (
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, identity_relabeler, internal_sigma_test,
-    left_projection, m_exp, query_transducer, random_automaton,
-    random_transducer,
+    leaf_chooser, left_projection, m_exp, query_transducer,
+    random_automaton, random_transducer,
 )
 from artifact.regular import (
-    OracleTest, RegularTreeGrammar, ResourceError, SubTest,
-    enumerate_grammar, eval_test, singleton_automaton, _realizable,
+    OracleTest, RegularTreeGrammar, ResourceError, SubTest, automaton_all,
+    enumerate_grammar, eval_test, explore, grammar_to_automaton,
+    singleton_automaton, _labels, _realizable,
 )
 from artifact.transducer import (
     Call, Rule, Transducer, call, classify, enumerate_outputs,
@@ -405,6 +406,89 @@ def test_pruning_image_with_input_restriction():
     # restricting the input language can only shrink the image
     for s in all_trees(OUT3, 4):
         assert not A.accepts(s) or Afull.accepts(s), s
+
+
+def _pruning_image_reference(M, L=None, ceiling=4096):
+    """``pruning_image`` as it was, building a grammar with one rhs tree
+    per rule for ``grammar_to_automaton`` to flatten again."""
+    Ms = lookahead_of_topdown(M) if any(
+            not isinstance(t, ChildProfileTest)
+            for t in _distinct_tests(M)) else M
+    tests = _distinct_tests(Ms)
+    auts = list(tests[0].automata) if tests else []
+    base = Ms.input_alphabet
+    if L is None:
+        L = automaton_all(base)
+
+    def step(sym, combo):
+        tup = tuple(a.delta[(sym, tuple(c[0][i] for c in combo))]
+                    for i, a in enumerate(auts))
+        return tup, L.delta[(sym, tuple(c[1] for c in combo))]
+
+    pairs, delta = explore(base, step, ceiling, "image closure")
+    prodlist = {}
+    for key, pair in delta.items():
+        prodlist.setdefault(pair, []).append(key)
+    nts = set()
+    grules = []
+    initials = set()
+    queue = []
+    for (tup, la) in pairs:
+        if la in L.finals:
+            for q0 in Ms.initials:
+                nt = ("I", q0, tup, la, 0)
+                initials.add(nt)
+                queue.append(nt)
+    while queue:
+        nt = queue.pop()
+        if nt in nts:
+            continue
+        nts.add(nt)
+        _, q, tup, la, j = nt
+        for (sym, combo) in prodlist.get((tup, la), ()):
+            for r in Ms.rules_at(q, sym, j):
+                if r.test is not None and not r.test.matches(
+                        sym, [c[0] for c in combo]):
+                    continue
+
+                def fill(cl):
+                    if not isinstance(cl, Call):
+                        return None
+                    c = cl.instr.index
+                    sub = ("I", cl.state, combo[c - 1][0], combo[c - 1][1], c)
+                    if sub not in nts:
+                        queue.append(sub)
+                    return leaf(sub)
+
+                grules.append((nt, substitute_leaves(r.rhs, fill)))
+    pending = {lhs for lhs, _ in grules} | initials
+    pending.update(l for l in _labels(rhs for _, rhs in grules)
+                   if isinstance(l, tuple) and l and l[0] == "I")
+    g = RegularTreeGrammar(pending | nts, Ms.output_alphabet, initials,
+                           grules)
+    return grammar_to_automaton(g, ceiling)
+
+
+def test_pruning_image_matches_the_grammar_reference():
+    """The image read straight off the rules as productions and chain
+    edges is the automaton that the grammar of rhs trees gave: the same
+    subset states, finals and transitions, on the pruning fixtures and on
+    64 random pruning machines, over all inputs and over a random input
+    automaton."""
+    rng = random.Random("prune-reference")
+    machines = [identity_relabeler(), left_projection(), leaf_chooser()]
+    for max_tests in (0, 1):
+        for det in (True, False):
+            machines += collect_machines(16, "pruning", det, alphabet=OUT3,
+                                         output=OUT3, max_tests=max_tests)
+    for M in machines:
+        for L in (None, random_automaton(rng, M.input_alphabet)):
+            A, want = pruning_image(M, L), _pruning_image_reference(M, L)
+            assert (A.states, A.finals, A.delta) == \
+                (want.states, want.finals, want.delta), M
+    # chain edges and the look-ahead route are both exercised
+    assert any(r.kind == "move" for M in machines for r in M.rules)
+    assert any(has_tests(M) for M in machines)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from artifact.regular import (
     automaton_to_grammar, decide, derivation_grammar, derivation_yield_tree,
     enumerate_grammar, enumerate_language, eval_test, eval_test_all,
     grammar_finite, grammar_member, grammar_to_automaton, lift_mark,
-    node_verdicts, run_automaton, singleton_automaton, sub_test,
+    node_verdicts, run_automaton, singleton_automaton,
     subtest_to_marked, to_automaton_test,
 )
 from artifact.transducer import marked_position_automaton
@@ -360,7 +360,7 @@ def test_always_true_test():
 
 
 def test_sub_test_leaf_language():
-    T = sub_test(singleton_automaton(leaf("e"), SIGMA_E))
+    T = SubTest(singleton_automaton(leaf("e"), SIGMA_E))
     for t in all_trees(SIGMA_E, 4):
         for u in addresses(t):
             expected = subtree_at(t, u) == leaf("e")
@@ -368,8 +368,8 @@ def test_sub_test_leaf_language():
 
 
 def test_sub_test_of_all_and_none():
-    top = sub_test(automaton_all(SIGMA_E))
-    bot = sub_test(automaton_none(SIGMA_E))
+    top = SubTest(automaton_all(SIGMA_E))
+    bot = SubTest(automaton_none(SIGMA_E))
     for t in all_trees(SIGMA_E, 4):
         for u in addresses(t):
             assert eval_test(top, t, u)
@@ -377,7 +377,7 @@ def test_sub_test_of_all_and_none():
 
 
 def test_subtest_to_marked_agrees():
-    T = sub_test(parity_automaton())
+    T = SubTest(parity_automaton())
     M = subtest_to_marked(T)
     for t in all_trees(SIGMA_E, 5):
         for u in addresses(t):
@@ -394,8 +394,8 @@ def test_to_automaton_test_none():
 def test_lift_mark_disregards_marking():
     """mu(T) on a marked tree agrees with T on the unmarked tree."""
     base_tests = [
-        sub_test(parity_automaton()),
-        subtest_to_marked(sub_test(parity_automaton())),
+        SubTest(parity_automaton()),
+        subtest_to_marked(SubTest(parity_automaton())),
         OracleTest(lambda t, u: subtree_at(t, u).label == "e", "is-e"),
     ]
     marked = MarkedAlphabet(SIGMA_E)
@@ -411,8 +411,8 @@ def test_lift_mark_disregards_marking():
 def test_subtest_complement_law():
     """complement of T(L) equals T(complement L) under eval."""
     L = parity_automaton()
-    t_l = sub_test(L)
-    t_not = sub_test(L.complement())
+    t_l = SubTest(L)
+    t_not = SubTest(L.complement())
     for t in all_trees(SIGMA_E, 5):
         for u in addresses(t):
             assert eval_test(t_not, t, u) == (not eval_test(t_l, t, u))
@@ -421,8 +421,8 @@ def test_subtest_complement_law():
 def test_subtest_intersection_law():
     L1 = parity_automaton()
     L2 = singleton_automaton(parse_tree("sigma(e,e)", SIGMA_E), SIGMA_E)
-    t12 = sub_test(L1.intersect(L2))
-    ta, tb = sub_test(L1), sub_test(L2)
+    t12 = SubTest(L1.intersect(L2))
+    ta, tb = SubTest(L1), SubTest(L2)
     for t in all_trees(SIGMA_E, 5):
         for u in addresses(t):
             assert eval_test(t12, t, u) == \
@@ -509,13 +509,13 @@ def _with_extra(aut, extra):
 
 def test_all_nodes_table_label_outside_alphabet():
     t = Tree("sigma", [leaf("e"), Tree("sigma", [leaf("a"), leaf("e")])])
-    parity = sub_test(parity_automaton())
+    parity = SubTest(parity_automaton())
     pos = marked_position_automaton(SIGMA_E, "sigma", 2)
     tests = _machine_tests(query_transducer()) | {
         AutomatonTest(pos), parity,
         AutomatonTest(_with_extra(pos, {("a#0", ()): "none",
                                         ("a#1", ()): "just"})),
-        sub_test(_with_extra(parity_automaton(), {("a", ()): "odd"}))}
+        SubTest(_with_extra(parity_automaton(), {("a", ()): "odd"}))}
     _assert_table_is_eval_test(tests, [t])
     # a marked run reads the whole tree, a sub-test run only the subtree
     assert {_per_node(T, t, u) for T in tests if not T.subtest
@@ -616,8 +616,8 @@ def test_all_nodes_table_matches_reference():
                                         check_total=False)),
         AutomatonTest(_with_extra(pos[2], {("a#0", ()): "none",
                                            ("a#1", ()): "just"})),
-        sub_test(parity_automaton()),
-        sub_test(_with_extra(parity_automaton(), {("a", ()): "odd"})),
+        SubTest(parity_automaton()),
+        SubTest(_with_extra(parity_automaton(), {("a", ()): "odd"})),
         OracleTest(lambda t, u: True, "true")}
     rng = random.Random(12)
     trees = [_random_tree(rng, rng.randint(15, 60)) for _ in range(12)]

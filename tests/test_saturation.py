@@ -30,7 +30,7 @@ from artifact.regular import (
     automaton_to_grammar, decide, enumerate_grammar, explore,
     grammar_chain_closure, grammar_finite, grammar_to_automaton,
     least_model, min_witnesses,
-    to_automaton_test, _flatten_grammar, _realizable, _rhs_nonterminals,
+    to_automaton_test, _flatten_rules, _realizable, _rhs_nonterminals,
     _rhs_productive,
 )
 
@@ -823,7 +823,7 @@ def test_grammar_closures_match_round_robin():
         assert grammar_chain_closure(g) == _chain_closure_by_rounds(g)
         assert grammar_finite(g) == _grammar_finite_by_rounds(g)
         finite.add(grammar_finite(g))
-        wit = min_witnesses(_flatten_grammar(g))
+        wit = min_witnesses(*_flatten_rules(g))
         assert {nt: t for nt, t in wit.items() if nt in g.nonterminals} \
             == _grammar_min_witness_by_rounds(g)
     assert finite == {True, False}

@@ -11,16 +11,18 @@ from artifact import regular, transducer
 from artifact.constructions import rename_states
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
-    addresses, all_trees, child_number, down, leaf, mark_node, navigate,
-    parse_tree, preorder, serialize_tree, substitute_leaves, subtree_at,
-    tree_from_preorder, STAY, UP,
+    addresses, all_trees, child_number, depth1_productions, down, leaf,
+    mark_node, navigate, parse_tree, preorder, serialize_tree,
+    substitute_leaves, subtree_at, tree_from_preorder, STAY, UP,
 )
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
     internal_sigma_test, leaf_chooser, left_projection, loop_transducer,
     m_exp, query_transducer, random_marked_test, random_transducer,
 )
-from artifact.regular import AutomatonTest, BottomUpAutomaton
+from artifact.regular import (
+    AutomatonTest, BottomUpAutomaton, SubTest, grammar_member,
+)
 from artifact.transducer import (
     Call, ContractError, Rule, Transducer, call, check_single_use, classify,
     config_grammar, enumerate_outputs, eval_deterministic, eval_streaming,
@@ -272,9 +274,10 @@ def test_cached_rule_walks_match_fresh_walks():
 
 def test_deep_rhs_at_default_recursion_limit():
     """A rule emitting a chain of 5000 tau nodes is formatted, evaluated
-    by both engines, turned into a configuration grammar, parsed back from
-    its text and renamed, and a faulty one is reported by its
-    ValueError."""
+    by both engines, flattened into depth-1 productions, turned into a
+    configuration grammar that parses its output, normalized into output
+    rules, parsed back from its text and renamed, and a faulty one is
+    reported by its ValueError."""
     depth = 5000
 
     def chain(leaf_):
@@ -291,9 +294,19 @@ def test_deep_rhs_at_default_recursion_limit():
     want = chain(leaf("e"))
     assert eval_deterministic(M, leaf("e")) == (want, depth + 3)
     assert eval_streaming(M, leaf("e")) == (want, 1)
+    prods, calls = depth1_productions(rule.rhs,
+                                      lambda x: isinstance(x, Call))
+    assert rule.productions() == tuple(prods)
+    assert prods[-1] == (depth - 1, "tau", ((True, 0),))
+    assert calls == [Call("p", STAY)]
     g = config_grammar(M, leaf("e"))
     assert set(g.rules) == {(("q", ()), chain(leaf(("p", ())))),
                             (("p", ()), leaf("e"))}
+    assert grammar_member(g, want)
+    assert not grammar_member(g, want.children[0])
+    N = normalize_general(M)
+    assert len(N.rules) == depth + 2
+    assert eval_deterministic(N, leaf("e"))[0] == want
 
     def rule_tuples(M):
         return [(r.state, r.symbol, r.child_no, r.test, r.rhs)
@@ -388,6 +401,22 @@ def test_classify_two_initials_not_deterministic():
     m = Transducer(SIGMA_E, SIGMA_E, ["q", "p"], ["q", "p"],
                    [Rule("q", "e", 0, None, leaf("e"))])
     assert not classify(m).deterministic
+
+
+def test_classify_partial_subtest_automaton():
+    """Sub-tests over an automaton with the one transition e -> p: the
+    automaton product reads a transition it lacks, so the input corpus
+    decides, and there a guard whose run raises at a node does not
+    hold."""
+    L = BottomUpAutomaton(SIGMA_E, ["p"], ["p"], {("e", ()): "p"},
+                          check_total=False)
+
+    def twice(symbol):
+        return Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [
+            Rule("q", symbol, 0, SubTest(L), out("e")) for _ in range(2)])
+
+    assert not classify(twice("e")).deterministic  # both hold at the root e
+    assert classify(twice("sigma")).deterministic  # neither holds at sigma
 
 
 def test_class_flag_implications_on_random_machines():
@@ -972,7 +1001,9 @@ def test_classify_reads_the_overlap_record():
         want = _outcome(lambda: _classify_every_pair(make()))
         assert _outcome(lambda: classify(make())) == want
         seen.add(getattr(want, "deterministic", want))
-    assert seen == {True, False, KeyError}
+    # a partial guard automaton sends its pair to the corpus, so no
+    # KeyError leaks
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
