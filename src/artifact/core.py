@@ -524,12 +524,14 @@ def addresses(t):
 
 class TreeIndex:
     """The nodes of t in pre-order, the root 0, without recursion: per
-    node id its subtree, child number and child ids.  The Dewey addresses
-    (which take memory quadratic in the depth) and the 0-marked labels are
-    computed on first use and then shared."""
+    node id its subtree, child number, parent id (None at the root) and
+    child ids.  The Dewey addresses (which take memory quadratic in the
+    depth) and the 0-marked labels are computed on first use and then
+    shared."""
 
     def __init__(self, t):
         self.nodes, self.child_nos, self.kids = [], [], []
+        self.parents = []
         stack = [(t, 0, None)]
         while stack:
             node, j, parent = stack.pop()
@@ -538,6 +540,7 @@ class TreeIndex:
                 self.kids[parent].append(i)
             self.nodes.append(node)
             self.child_nos.append(j)
+            self.parents.append(parent)
             self.kids.append([])
             for k in range(len(node.children), 0, -1):
                 stack.append((node.children[k - 1], k, i))

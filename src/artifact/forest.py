@@ -179,32 +179,63 @@ def encode(f):
     return tree_from_preorder(toks, lambda sym: 0 if sym == "e" else 2)
 
 
+def _read_forest(t, step):
+    """The forest that t spells, read in one pre-order walk with an
+    explicit stack.  ``step(x)`` raises TreeError on a malformed node x,
+    or returns whether x opens an element labelled x.label and the child
+    numbers to read in order, where None closes the element x opened.  A
+    missing child raises IndexError when reached, so the first error is
+    the one a recursive reading raises first."""
+    trees, opened, work = [], [], [([t], 0)]
+    while work:
+        item = work.pop()
+        if item is None:
+            label, outer = opened.pop()
+            outer.append((label, Forest(trees)))
+            trees = outer
+            continue
+        x = item[0][item[1]]
+        opens, reads = step(x)
+        if opens:
+            opened.append((x.label, trees))
+            trees = []
+        work += [None if k is None else (x.children, k)
+                 for k in reversed(reads)]
+    return Forest(trees)
+
+
 def decode(t):
     """The inverse of encode: the rank-2 tree read back as a forest."""
-    if not t.children:
-        if t.label != "e":
-            raise TreeError("decode leaf must be e, got %r" % (t.label,))
-        return EMPTY
-    if len(t.children) != 2:
-        raise TreeError("decode needs rank-2 nodes, got %r" % (t.label,))
-    head = (t.label, decode(t.children[0]))
-    return Forest((head,) + decode(t.children[1]).trees)
+    def step(x):
+        if not x.children:
+            if x.label != "e":
+                raise TreeError("decode leaf must be e, got %r" % (x.label,))
+            return False, ()
+        if len(x.children) != 2:
+            raise TreeError("decode needs rank-2 nodes, got %r" % (x.label,))
+        return True, (0, None, 1)
+
+    return _read_forest(t, step)
 
 
 def flatten(t):
     """The forest value of a tree over a concatenation alphabet:
     e is the empty forest, @ concatenates, and every rank-1 symbol wraps
     its argument.  Surjective but not injective."""
-    if not t.children:
-        if t.label != "e":
-            raise TreeError("flatten leaf must be e, got %r" % (t.label,))
-        return EMPTY
-    if t.label == CONCAT:
-        left = flatten(t.children[0])
-        return Forest(left.trees + flatten(t.children[1]).trees)
-    if len(t.children) != 1:
-        raise TreeError("flatten symbol %r must have rank 1" % (t.label,))
-    return Forest(((t.label, flatten(t.children[0])),))
+    def step(x):
+        if not x.children:
+            if x.label != "e":
+                raise TreeError("flatten leaf must be e, got %r"
+                                % (x.label,))
+            return False, ()
+        if x.label == CONCAT:
+            return False, (0, 1)
+        if len(x.children) != 1:
+            raise TreeError("flatten symbol %r must have rank 1"
+                            % (x.label,))
+        return True, (0, None)
+
+    return _read_forest(t, step)
 
 
 def tree_yield(t, alphabet):

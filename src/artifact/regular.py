@@ -13,10 +13,10 @@ import heapq
 import itertools
 
 from .core import (
-    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
-    depth1_productions, distinct_postorder, leaf, mark_node, marked_name,
-    serialize_tree, split_marked_name, substitute_leaves, subtree_at,
-    tree_from_preorder, tree_key, tree_metrics, unmark_tree,
+    AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, depth1_productions,
+    distinct_postorder, leaf, mark_node, marked_name, serialize_tree,
+    split_marked_name, substitute_leaves, subtree_at, tree_from_preorder,
+    tree_key, tree_metrics, unmark_tree,
 )
 
 
@@ -901,32 +901,18 @@ def eval_test(test, t, u):
     return test.eval(t, u)
 
 
-def eval_test_all(test, t):
-    """``node_verdicts`` as a dict from the address of each node where
-    ``eval_test(test, t, u)`` answers to that answer, or None for an
-    oracle."""
-    ix = TreeIndex(t)
-    verdicts = node_verdicts(test, ix)
-    if verdicts is None:
-        return None
-    return {u: v for u, v in zip(ix.addrs, verdicts) if v is not None}
-
-
 def node_verdicts(test, ix):
-    """The verdict of an automaton-backed test at every node of the
-    indexed tree ``ix`` (a ``core.TreeIndex``), as a list by node id, or
-    None for a test without an automaton (an oracle).  A node where
-    ``eval_test`` raises (a label outside the automaton's alphabet, or a
-    run that hits a transition the automaton lacks) has the verdict None;
-    which nodes those are differs from node to node for sub-tests and
-    partial automata.
+    """The verdicts of an automaton-backed test on the indexed tree ``ix``
+    (a ``core.TreeIndex``), read by node id (``verdicts[i]``), or None for
+    a test without an automaton (an oracle).  A node where ``eval_test``
+    raises (a label outside the automaton's alphabet, or a run that hits a
+    transition the automaton lacks) has the verdict None; which nodes those
+    are differs from node to node for sub-tests and partial automata.
 
-    A ``SubTest`` needs only the bottom-up run.  An ``AutomatonTest`` runs
-    bottom-up once with every label unmarked, then passes top-down, per
-    node, its context: the outcome each state of that node's subtree would
-    lead to at the root.  The verdict at u is the outcome of the state u's
-    subtree takes when u is marked (look-around by relabeling, Bloem and
-    Engelfriet).  Both passes are iterative."""
+    A ``SubTest`` needs only the bottom-up run, and its verdicts are a
+    list.  An ``AutomatonTest`` runs bottom-up once with every label
+    unmarked; its verdicts are a ``LookAround``, which builds the top-down
+    contexts on demand."""
     if not isinstance(test, (AutomatonTest, SubTest)):
         return None
     aut = test.aut
@@ -935,46 +921,76 @@ def node_verdicts(test, ix):
     labels = ix.marked if marked else [n.label for n in ix.nodes]
     if marked and any(name not in alphabet for name in labels):
         return [None] * len(labels)  # every marked run reads the whole tree
-    # state[i] is None where the run on node i's subtree raises
-    state = [None] * len(labels)
+    # state[i] is None where the run on node i's subtree raises; combos[i]
+    # holds the states of node i's children
+    state, combos = [None] * len(labels), [None] * len(labels)
     for i in reversed(range(len(labels))):  # children before parents
-        combo = tuple(state[j] for j in ix.kids[i])
+        combo = combos[i] = tuple([state[j] for j in ix.kids[i]])
         if labels[i] in alphabet and None not in combo:
             state[i] = delta.get((labels[i], combo))
     if not marked:
         return [None if p is None else p in aut.finals for p in state]
-    # A context maps a state of a node's subtree to whether the run then
-    # ends in a final state; a state whose run up hits a missing transition
-    # has no entry.  Contexts are interned by content, so that the child
-    # context of each (context, parent label, sibling states around the
-    # hole) is built once; ``interned`` keeps every context alive, so the
-    # ids in ``made``'s keys stay unique.
-    up = [{p: p in aut.finals for p in aut.states}] + \
-        [None] * (len(labels) - 1)
-    interned = {frozenset(up[0].items()): up[0]}
-    made = {}
-    verdicts = []
-    for i, cs in enumerate(ix.kids):  # parents before children
-        above, name = up[i], labels[i]
-        combo = [state[j] for j in cs]
-        verdicts.append(above.get(delta.get(
-            (marked_name(ix.nodes[i].label, 1), tuple(combo)))))
-        for k, j in enumerate(cs):
+    return LookAround(aut, ix, combos)
+
+
+class LookAround:
+    """The verdicts of an ``AutomatonTest`` on an indexed tree, each
+    computed when first read (``self[i]``) and then kept.
+
+    A node's context maps a state of its subtree to whether the run then
+    ends in a final state; a state whose run up hits a missing transition
+    has no entry.  The verdict at node i is the outcome of the state its
+    subtree takes when i is marked (look-around by relabeling, Bloem and
+    Engelfriet).  Reading node i climbs ``ix.parents`` to the nearest node
+    with a context and builds the contexts back down that path, so each
+    node's context is built at most once, in any read order, and only on
+    the root paths of the nodes read.  Contexts are interned by content,
+    so that the child context of each (context, parent label, sibling
+    states around the hole) is built once; ``interned`` keeps every
+    context alive, so the ids in ``made``'s keys stay unique."""
+
+    def __init__(self, aut, ix, combos):
+        self.aut, self.ix, self.combos = aut, ix, combos
+        root = {p: p in aut.finals for p in aut.states}
+        self.contexts = [root] + [None] * (len(combos) - 1)
+        self.interned = {frozenset(root.items()): root}
+        self.made, self.verdicts = {}, {}
+
+    def __getitem__(self, i):
+        verdicts = self.verdicts
+        if i in verdicts:
+            return verdicts[i]
+        verdict = verdicts[i] = self.context(i).get(self.aut.delta.get(
+            (marked_name(self.ix.nodes[i].label, 1), self.combos[i])))
+        return verdict
+
+    def context(self, i):
+        """Node i's context, built down from its nearest ancestor with
+        one."""
+        ix, combos, contexts = self.ix, self.combos, self.contexts
+        delta, states = self.aut.delta, self.aut.states
+        path = []
+        while contexts[i] is None:
+            path.append(i)
+            i = ix.parents[i]
+        above = contexts[i]
+        for j in reversed(path):
+            p, k = ix.parents[j], ix.child_nos[j] - 1
+            name, combo = ix.marked[p], list(combos[p])
             combo[k] = None
             key = (id(above), name, tuple(combo))
-            ctx = made.get(key)
+            ctx = self.made.get(key)
             if ctx is None:
                 ctx = {}
-                for q in aut.states:
+                for q in states:
                     combo[k] = q
                     r = delta.get((name, tuple(combo)))
                     if r in above:
                         ctx[q] = above[r]
-                ctx = made[key] = interned.setdefault(
+                ctx = self.made[key] = self.interned.setdefault(
                     frozenset(ctx.items()), ctx)
-            up[j] = ctx
-            combo[k] = state[j]
-    return verdicts
+            above = contexts[j] = ctx
+        return above
 
 
 def subtest_to_marked(test, base_alphabet=None):

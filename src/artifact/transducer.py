@@ -487,10 +487,12 @@ def classify(M, finitary_asserted=False, corpus_bound=6):
 def _rule_reader(M, t, ix):
     """``applicable(q, i, u)``: the rules of M applicable at configuration
     (q, u) of t, where u is node i of t's index ``ix``.  Each automaton or
-    sub-test guard is evaluated for all nodes at once, the first time a
-    rule asks about it (``node_verdicts``), and read by node id.  Oracle
-    guards go to ``eval_test`` per node, and so does a node without a
-    verdict, where it raises its own exception."""
+    sub-test guard gets one verdict lookup (``node_verdicts``) the first
+    time a rule asks about it, read by node id: a sub-test runs bottom-up
+    once, and an automaton guard also builds its top-down contexts only on
+    the root paths of the nodes asked about.  Oracle guards go to
+    ``eval_test`` per node, and so does a node without a verdict, where it
+    raises its own exception."""
     tables = {}
 
     def holds(test, i, u):

@@ -279,10 +279,14 @@ def test_tree_index_is_preorder():
         at_root = mark_node(t, ())  # 0-marked everywhere but the root
         assert ix.marked == [marked_name(t.label, 0)] + [
             subtree_at(at_root, u).label for u in ix.addrs[1:]]
-        for node, cs in zip(ix.nodes, ix.kids):
+        for i, (node, cs) in enumerate(zip(ix.nodes, ix.kids)):
             assert len(cs) == len(node.children)
             assert all(node.children[k] is ix.nodes[j]
                        for k, j in enumerate(cs))
+            assert all(ix.parents[j] == i for j in cs)
+        assert ix.parents[0] is None
+        assert [ix.addrs[p] for p in ix.parents[1:]] == \
+            [u[:-1] for u in ix.addrs[1:]]
 
 
 def test_tree_index_deep_comb():

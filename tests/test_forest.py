@@ -1,7 +1,9 @@
 """Tests for forests, the binary encoding, flattening, the bridge
 transducers, and pipeline runs on forests."""
 
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -185,6 +187,105 @@ def test_decode_encode_identity_on_trees():
 def test_decode_rejects_bad_shapes():
     with pytest.raises(TreeError):
         decode(leaf("a"))
+
+
+def _decode_recursive(t):
+    """decode as a structural recursion, kept as its reference."""
+    if not t.children:
+        if t.label != "e":
+            raise TreeError("decode leaf must be e, got %r" % (t.label,))
+        return EMPTY
+    if len(t.children) != 2:
+        raise TreeError("decode needs rank-2 nodes, got %r" % (t.label,))
+    head = (t.label, _decode_recursive(t.children[0]))
+    return Forest((head,) + _decode_recursive(t.children[1]).trees)
+
+
+def _flatten_recursive(t):
+    """flatten as a structural recursion, kept as its reference."""
+    if not t.children:
+        if t.label != "e":
+            raise TreeError("flatten leaf must be e, got %r" % (t.label,))
+        return EMPTY
+    if t.label == CONCAT:
+        left = _flatten_recursive(t.children[0])
+        return Forest(left.trees + _flatten_recursive(t.children[1]).trees)
+    if len(t.children) != 1:
+        raise TreeError("flatten symbol %r must have rank 1" % (t.label,))
+    return Forest(((t.label, _flatten_recursive(t.children[0])),))
+
+
+def _unranked_trees(labels, max_size, max_rank=3):
+    """Every tree of at most ``max_size`` nodes over ``labels``, each node
+    with 0 to ``max_rank`` children whatever its label."""
+    by_size = [[], [leaf(x) for x in labels]]
+    for n in range(2, max_size + 1):
+        level = []
+        for rank in range(1, max_rank + 1):
+            for sizes in _compositions(n - 1, rank):
+                for kids in itertools.product(*(by_size[k] for k in sizes)):
+                    level += [Tree(x, kids) for x in labels]
+        by_size.append(level)
+    return [t for level in by_size for t in level]
+
+
+def _compositions(n, parts):
+    if parts == 1:
+        return [(n,)]
+    return [(k,) + rest for k in range(1, n)
+            for rest in _compositions(n - k, parts - 1)]
+
+
+def _outcome(fn, t):
+    try:
+        return "value", fn(t)
+    except (TreeError, IndexError) as e:
+        return type(e), str(e)
+
+
+def test_decode_and_flatten_match_recursive_references():
+    """The same forest, or the same first error, on every tree of up to 6
+    nodes whatever its labels' ranks, malformed ones included."""
+    trees = _unranked_trees(("e", CONCAT, "a"), 6)
+    assert len(trees) > 10000
+    kinds = set()
+    for fn, ref in ((decode, _decode_recursive),
+                    (flatten, _flatten_recursive)):
+        for t in trees:
+            got = _outcome(fn, t)
+            assert got == _outcome(ref, t), (fn, t)
+            kinds.add(got[0])
+    assert kinds == {"value", TreeError, IndexError}
+
+
+def test_decode_and_flatten_at_depth_3000():
+    """Right and left spines far above the default recursion limit, well
+    formed and with a malformed bottom."""
+    n = 3000
+    assert sys.getrecursionlimit() < n
+    nested = EMPTY
+    for _ in range(n):
+        nested = Forest((("a", nested),))
+    for f in (string_forest(["a"] * n), nested):
+        assert decode(encode(f)) == f
+    right = left = chain = leaf("e")
+    for _ in range(n):
+        right = Tree(CONCAT, [Tree("a", [leaf("e")]), right])
+        left = Tree(CONCAT, [left, Tree("a", [leaf("e")])])
+        chain = Tree("a", [chain])
+    for t in (right, left):
+        assert flatten(t) == string_forest(["a"] * n)
+    assert flatten(chain) == nested
+    bottom = Tree("a", [leaf("b")])
+    for _ in range(n):
+        bottom = Tree("a", [bottom])
+    with pytest.raises(TreeError, match="flatten leaf must be e, got 'b'"):
+        flatten(bottom)
+    spine = leaf("b")
+    for _ in range(n):
+        spine = Tree("a", [leaf("e"), spine])
+    with pytest.raises(TreeError, match="decode leaf must be e, got 'b'"):
+        decode(spine)
 
 
 # ---------------------------------------------------------------------------

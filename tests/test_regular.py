@@ -18,10 +18,10 @@ from artifact.fixtures import (
     OUT3, comb_tree, full_binary, query_transducer, random_transducer,
 )
 from artifact.regular import (
-    AutomatonTest, BottomUpAutomaton, OracleTest, RegularTreeGrammar,
-    ResourceError, SubTest, automaton_all, automaton_none,
-    automaton_to_grammar, decide, derivation_grammar, derivation_yield_tree,
-    enumerate_grammar, enumerate_language, eval_test, eval_test_all,
+    AutomatonTest, BottomUpAutomaton, LookAround, OracleTest,
+    RegularTreeGrammar, ResourceError, SubTest, automaton_all,
+    automaton_none, automaton_to_grammar, decide, derivation_grammar,
+    derivation_yield_tree, enumerate_grammar, enumerate_language, eval_test,
     grammar_finite, grammar_member, grammar_to_automaton, lift_mark,
     node_verdicts, run_automaton, singleton_automaton,
     subtest_to_marked, to_automaton_test,
@@ -432,6 +432,18 @@ def test_subtest_intersection_law():
 # ---------------------------------------------------------------------------
 # node tests evaluated at all nodes at once
 
+def eval_test_all(test, t):
+    """Reference helper: the verdicts of ``node_verdicts`` read at every
+    node, as a dict from the address of each node where ``eval_test``
+    answers to that answer, or None for an oracle."""
+    ix = TreeIndex(t)
+    verdicts = node_verdicts(test, ix)
+    if verdicts is None:
+        return None
+    return {u: verdicts[i] for i, u in enumerate(ix.addrs)
+            if verdicts[i] is not None}
+
+
 def _per_node(test, t, u):
     try:
         return eval_test(test, t, u)
@@ -597,10 +609,10 @@ def _random_tree(rng, internal, leaves=("e",)):
                           _random_tree(rng, internal - 1 - k, leaves)])
 
 
-def test_all_nodes_table_matches_reference():
-    """eval_test_all, and node_verdicts read through the index's
-    addresses, give the reference's table on trees of 31 to 121 nodes,
-    where top-down maps can be shared."""
+def _reference_bank():
+    """The guards of the query machine, of 40 random look-around and
+    sub-test machines and of partial and extended automata, with 16
+    random trees of 31 to 121 nodes, where top-down maps can be shared."""
     tests = _machine_tests(query_transducer())
     for seed in range(40):
         for kind in ("lookaround", "sub"):
@@ -625,6 +637,13 @@ def test_all_nodes_table_matches_reference():
               for _ in range(4)]
     assert min(t.size for t in trees) >= 31
     assert max(t.size for t in trees) <= 121
+    return tests, trees
+
+
+def test_all_nodes_table_matches_reference():
+    """eval_test_all, and node_verdicts read at every node id in
+    pre-order, give the reference's table."""
+    tests, trees = _reference_bank()
     for t in trees:
         ix = TreeIndex(t)
         for T in tests:
@@ -634,11 +653,46 @@ def test_all_nodes_table_matches_reference():
             if want is None:
                 assert verdicts is None
             else:
-                assert verdicts == [want.get(u) for u in ix.addrs], (T, t)
+                assert [verdicts[i] for i in range(t.size)] == \
+                    [want.get(u) for u in ix.addrs], (T, t)
+
+
+def test_verdicts_in_any_read_order():
+    """Read in random orders and random subsets, so that contexts start
+    from partly built ancestors, every verdict is the reference's, and
+    contexts are built only on the root paths of the nodes read."""
+    tests, trees = _reference_bank()
+    rng = random.Random(31)
+    for t in trees:
+        ix = TreeIndex(t)
+        for T in tests:
+            want = _eval_test_all_reference(T, t)
+            if want is None:
+                continue
+            order = list(range(t.size))
+            rng.shuffle(order)
+            for read in (order, order[:rng.randint(1, t.size)]):
+                verdicts = node_verdicts(T, ix)
+                for i in read:
+                    assert verdicts[i] == want.get(ix.addrs[i]), (T, t, i)
+                if isinstance(verdicts, LookAround):
+                    built = {i for i, c in enumerate(verdicts.contexts)
+                             if c is not None}
+                    assert built <= _root_paths(ix, read)
+
+
+def _root_paths(ix, ids):
+    """The nodes on the paths from the root to the nodes ``ids``."""
+    seen = set()
+    for i in ids:
+        while i is not None and i not in seen:
+            seen.add(i)
+            i = ix.parents[i]
+    return seen
 
 
 class _CountingDelta(dict):
-    """A transition map that counts its ``get`` calls."""
+    """A transition map, or any dict, that counts its ``get`` calls."""
 
     gets = 0
 
@@ -649,13 +703,22 @@ class _CountingDelta(dict):
 
 def test_all_nodes_table_lookups_per_node():
     """With contexts interned by content, a comb costs the bottom-up and
-    the marked transition per node and a few context builds in all; the
-    reference builds a context per node, |Q| lookups each."""
+    the marked transition per node and a few context builds in all, read
+    parents first, leaf first or shuffled, and each node below the root
+    takes its context once; the reference builds a context per node, |Q|
+    lookups each."""
     t = comb_tree(3000)
     aut = marked_position_automaton(SIGMA_E, "e", 1)
-    aut.delta = _CountingDelta(aut.delta)
-    node_verdicts(AutomatonTest(aut), TreeIndex(t))
-    assert aut.delta.gets <= 3 * t.size
+    shuffled = list(range(t.size))
+    random.Random(3).shuffle(shuffled)
+    for order in (range(t.size), reversed(range(t.size)), shuffled):
+        aut.delta = _CountingDelta(aut.delta)
+        verdicts = node_verdicts(AutomatonTest(aut), TreeIndex(t))
+        verdicts.made = _CountingDelta()
+        for i in order:
+            verdicts[i]
+        assert aut.delta.gets <= 3 * t.size
+        assert verdicts.made.gets == t.size - 1
     aut.delta = _CountingDelta(aut.delta)
     _eval_test_all_reference(AutomatonTest(aut), t)
     assert aut.delta.gets >= (len(aut.states) + 1) * t.size

@@ -979,6 +979,38 @@ def test_guards_are_read_on_demand(monkeypatch):
     assert len(products) == len(pairs)
 
 
+def test_contexts_only_on_the_root_paths_asked_about(monkeypatch):
+    """On the tree above, eval_deterministic builds a look-around guard's
+    top-down contexts only on the root paths of the nodes it asks that
+    guard about, and at fewer than |t| nodes.  The bank machine asks no
+    guard there, so the first 40 random look-around machines run too."""
+    lookups = []
+    node_verdicts = transducer.node_verdicts
+    monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix: (
+        lookups.append((ix, node_verdicts(test, ix))) or lookups[-1][1]))
+    t = _random_binary_tree(random.Random(5), 41)
+    assert t.size == 81
+    eval_deterministic(random_transducer(9, kind="lookaround"), t)
+    assert lookups == []
+    for seed in range(40):
+        eval_deterministic(random_transducer(seed, kind="lookaround"), t)
+    built = asked = 0
+    for ix, verdicts in lookups:
+        assert isinstance(verdicts, regular.LookAround)
+        paths = set()
+        for i in verdicts.verdicts:
+            while i is not None and i not in paths:
+                paths.add(i)
+                i = ix.parents[i]
+        made = {i for i, c in enumerate(verdicts.contexts) if c is not None}
+        assert made <= paths
+        assert len(made) < t.size
+        built, asked = built + len(made), asked + len(verdicts.verdicts)
+    # 30 guard lookups ask 33 verdicts and build 54 contexts, where every
+    # node's context was built for each guard before
+    assert asked and built * 10 < len(lookups) * t.size
+
+
 def _classify_every_pair(M):
     """Reference: classify as before the overlap record, every pair of
     rules at a key decided by ``_tests_disjoint`` in rule order."""
