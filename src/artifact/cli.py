@@ -17,7 +17,6 @@ outputs sorted, so byte-identical runs produce byte-identical reports.
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 
@@ -30,12 +29,12 @@ from .regular import (
     automaton_all,
 )
 from .transducer import (
-    ContractError, Rule, Transducer, check_single_use, classify,
+    ContractError, Transducer, check_single_use, classify,
     enumerate_outputs, eval_deterministic,
 )
 from .constructions import (
-    ChildProfileTest, Pipeline, absorb_right, compose_det_topdown,
-    compose_su, compose_with_pruning, domain_automaton, inverse_image,
+    Pipeline, absorb_right, compose_det_topdown, compose_su,
+    compose_with_pruning, domain_automaton, inverse_image,
     linear_bounded_factorization, linear_bounded_pipeline,
     lookahead_of_topdown, split_lookaround, split_lookaround_nondet,
     uniformize,
@@ -219,30 +218,6 @@ def _remark(aut):
                              check_total=False)
 
 
-def _profile_subtest(test, alphabet):
-    """An automaton subtree test equivalent to a child-profile test: the
-    product of the profile automata plus a root verdict bit."""
-    auts = test.automata
-    combos = list(itertools.product(*[sorted(a.states, key=repr)
-                                      for a in auts])) or [()]
-    states = [(v, c) for v in (False, True) for c in combos]
-    delta = {}
-    for sym in alphabet:
-        rank = alphabet.rank(sym)
-        for kids in itertools.product(states, repeat=rank):
-            comps = [k[1] for k in kids]
-            nxt = tuple(a.delta[(sym, tuple(c[i] for c in comps))]
-                        for i, a in enumerate(auts))
-            verdict = sym == test.symbol and all(
-                tuple(c[i] for c in comps)[:len(test.profiles[i])]
-                == test.profiles[i][:rank]
-                for i in range(len(auts)))
-            delta[(sym, kids)] = (verdict, nxt)
-    finals = [(True, c) for c in combos]
-    return SubTest(BottomUpAutomaton(alphabet, states, finals, delta,
-                                     check_total=False))
-
-
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -261,21 +236,7 @@ def _write(path, text):
 
 def save_transducer(M, path):
     """Write a transducer and sidecar .aut files for its automaton-backed
-    tests; child-profile tests are converted to subtree tests first, and
-    machines carrying oracle tests are not serializable."""
-    converted = {}
-    rules = []
-    for r in M.rules:
-        t = r.test
-        if isinstance(t, ChildProfileTest):
-            if id(t) not in converted:
-                converted[id(t)] = _profile_subtest(t, M.input_alphabet)
-            r = Rule(r.state, r.symbol, r.child_no, converted[id(t)],
-                     r.rhs)
-        rules.append(r)
-    if converted:
-        M = Transducer(M.input_alphabet, M.output_alphabet, M.states,
-                       M.initials, rules)
+    tests; machines carrying oracle tests are not serializable."""
     names = {}
     lines = []
     for r in M.rules:

@@ -20,7 +20,7 @@ from .core import (
     subtree_at, tree_key, try_navigate, STAY, UP,
 )
 from .regular import (
-    AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
+    AutomatonTest, BottomUpAutomaton, OracleTest,
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
     enumerate_grammar, eval_test, explore, grammar_finite, least_model,
     min_witnesses, rules_to_automaton, to_automaton_test, _flatten_rules,
@@ -184,10 +184,11 @@ def _chi_augment(M):
 _SINK = "~product-sink~"
 
 
-def _product_automaton(auts, ceiling=4096):
-    """The reachable product of several automata over a shared alphabet,
-    totalized with a sink state.  Returns (states, delta, sink)."""
-    alphabet = auts[0].alphabet
+def _product_automaton(auts, ceiling=4096, alphabet=None):
+    """The reachable product of several automata over a shared alphabet
+    (given for no automata), totalized with a sink state.  Returns
+    (states, delta, sink)."""
+    alphabet = alphabet or auts[0].alphabet
 
     def step(sym, combo):
         try:
@@ -203,12 +204,6 @@ def _product_automaton(auts, ceiling=4096):
         for combo in itertools.product(allstates, repeat=rank):
             delta.setdefault((sym, combo), _SINK)
     return allstates, delta, _SINK
-
-
-def _pattern_of(state, auts):
-    if state == _SINK:
-        return tuple(False for _ in auts)
-    return tuple(state[i] in a.finals for i, a in enumerate(auts))
 
 
 def _stay_closure_groups(M):
@@ -293,14 +288,13 @@ def disjoint_tests(M, ceiling=4096):
         kind = AutomatonTest
         auts = [to_automaton_test(t, M.input_alphabet).aut for t in tests]
     states, delta, sink = _product_automaton(auts, ceiling)
-    real = _realizable(BottomUpAutomaton(
-        auts[0].alphabet, states, [], delta, check_total=False))
-    patterns = sorted({_pattern_of(p, auts) for p in real})
-    atoms = {}
-    for pat in patterns:
-        finals = [p for p in states if _pattern_of(p, auts) == pat]
-        atoms[pat] = kind(BottomUpAutomaton(
-            auts[0].alphabet, states, finals, delta, check_total=False))
+    whole = BottomUpAutomaton(auts[0].alphabet, states, [], delta,
+                              check_total=False)
+    pattern = {p: tuple(p != sink and p[i] in a.finals
+                        for i, a in enumerate(auts)) for p in states}
+    patterns = sorted({pattern[p] for p in _realizable(whole)})
+    atoms = {pat: kind(whole.with_finals(
+        p for p in states if pattern[p] == pat)) for pat in patterns}
     rules = []
     for r in M.rules:
         if r.test is None:
@@ -481,33 +475,19 @@ def split_lookaround(M):
     return N, M2
 
 
-class ChildProfileTest(NodeTest):
-    """Holds at (t, u) iff u's label is ``symbol`` and, for every tracked
-    automaton, the states of u's child subtrees match the stored profile.
-    A subtree-only test: it never looks above u."""
+class ChildProfileTest(SubTest):
+    """A look-ahead guard: a sub-test whose automaton, shared by all guards
+    of one converted machine, takes a node to its label and its children's
+    states in the unmarked product; (symbol, profile) is its only final."""
 
-    subtest = True
+    __slots__ = ("symbol", "profile")
 
-    def __init__(self, symbol, profiles, automata):
-        self.symbol = symbol
-        self.profiles = tuple(tuple(p) for p in profiles)
-        self.automata = tuple(automata)
-
-    def matches(self, symbol, kid_states):
-        """Whether the test holds at a node labelled ``symbol`` whose
-        children run to ``kid_states``, one tuple of automaton states per
-        child."""
-        return symbol == self.symbol and all(
-            kid[i] == prof[k] for k, kid in enumerate(kid_states)
-            for i, prof in enumerate(self.profiles))
-
-    def eval(self, t, u):
-        node = subtree_at(t, u)
-        return self.matches(node.label, (
-            tuple(a.run(c) for a in self.automata) for c in node.children))
+    def __init__(self, aut, symbol, profile):
+        super().__init__(aut)
+        self.symbol, self.profile = symbol, profile
 
     def __repr__(self):
-        return "ChildProfileTest(%s, %r)" % (self.symbol, self.profiles)
+        return "ChildProfileTest(%s, %r)" % (self.symbol, self.profile)
 
 
 def _marked_product(tests, base):
@@ -540,7 +520,7 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     """Convert the look-around tests of a machine without up-moves into
     look-ahead: states carry, per test, the set of marked-run product
     states the context above maps to acceptance, and rules carry
-    child-profile tests pinning the children's subtree states."""
+    child-profile sub-tests pinning the children's subtree states."""
     for r in M.rules:
         for c in r.calls():
             if c.instr.kind == "up":
@@ -555,10 +535,14 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     finals0 = tuple(frozenset(p for p in p1 if p[i] in a.finals)
                     for i, a in enumerate(auts))
     profiles = sorted(p0, key=repr)
+    # a node's guard state is its proj key: (label, children's proj states)
+    gstates, gdelta = explore(base, lambda sym, kids: (sym, tuple(
+        proj.delta[k] for k in kids)), len(proj.delta), "look-ahead guards")
+    guards = BottomUpAutomaton(base, gstates, [], gdelta, check_total=False)
 
     @functools.lru_cache(maxsize=None)
     def mk_test(sym, prof):
-        return ChildProfileTest(sym, (prof,), (proj,))
+        return ChildProfileTest(guards.with_finals([(sym, prof)]), sym, prof)
 
     seen_ceiling = [0]
     by_state = _rules_by(M, lambda r: r.state)
@@ -609,55 +593,69 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     return _assemble(base, M.output_alphabet, initials, rules_for)
 
 
+def _child_quotient(alphabet, tests):
+    """The sub-tests' product up to how a state acts as a child: the
+    coarsest partition (Moore refinement) in which swapping a child's
+    state within its block keeps the parent's class (the tests it passes)
+    and block.  Returns the classes, as verdict tuples, and a map from
+    (symbol, the children's blocks) to (the node's block, its class
+    number).  A block is named by its only state, or by its state set."""
+    auts = [t.aut for t in tests]
+    # tests that share a transition table (look-ahead guards) share one
+    # component of the product
+    reps = list({id(a.delta): a for a in auts}.values())
+    slot = {id(r.delta): j for j, r in enumerate(reps)}
+    _, delta, sink = _product_automaton(reps, alphabet=alphabet)
+    live = {k: p for k, p in delta.items() if p != sink and sink not in k[1]}
+    verdicts = {p: tuple(p[slot[id(a.delta)]] in a.finals for a in auts)
+                for p in live.values()}
+    patterns = sorted(set(verdicts.values()))
+    cls = {k: patterns.index(verdicts[p]) for k, p in live.items()}
+    block = dict.fromkeys(verdicts, 0)
+    while True:
+        # a signature holds the old block, so the partition only refines
+        sigs = {q: {(b,)} for q, b in block.items()}
+        for (sym, combo), p in live.items():
+            for k, q in enumerate(combo):
+                sigs[q].add((sym, k, combo[:k] + combo[k + 1:],
+                             cls[(sym, combo)], block[p]))
+        groups = {}
+        for q, sig in sigs.items():
+            groups.setdefault(frozenset(sig), []).append(q)
+        if len(groups) == len(set(block.values())):
+            break
+        block = {q: i for i, g in enumerate(groups.values()) for q in g}
+    name = {q: q if len(g) == 1 else frozenset(g)
+            for g in groups.values() for q in g}
+    return patterns, {(sym, tuple(map(name.get, combo))): (
+        name[p], cls[(sym, combo)]) for (sym, combo), p in live.items()}
+
+
 def split_lookaround_nondet(M):
-    """Split a machine whose tests are all subtree tests, or all
-    child-profile tests over one shared automaton family, into a
-    nondeterministic annotating relabeler (guessing subtree states and
-    verifying them bottom-up) and a local machine."""
+    """Split a machine whose tests are all subtree tests into a
+    nondeterministic relabeler, which guesses how each node's product
+    state acts as a child (``_child_quotient``), verifies that bottom-up
+    and annotates the node with the tests it passes, and a local machine."""
     tests = _distinct_tests(M)
     if not tests:
         return identity_like(M.input_alphabet), M
-    subtests = all(isinstance(t, SubTest) for t in tests)
-    if subtests:
-        auts = [t.aut for t in tests]
-    elif all(isinstance(t, ChildProfileTest) for t in tests):
-        if any(t.automata != tests[0].automata for t in tests):
-            raise ContractError("child-profile tests over mixed automata")
-        auts = list(tests[0].automata)
-    else:
+    if not all(isinstance(t, SubTest) for t in tests):
         raise ContractError("cannot split tests of mixed or oracle kinds")
-    states, delta, sink = _product_automaton(auts)
-    live = {k: p for k, p in delta.items() if p != sink and sink not in k[1]}
-    if subtests:
-        # class of a node: which tests its subtree passes
-        tindex = {id(t): i for i, t in enumerate(tests)}
-        patterns = sorted({_pattern_of(p, auts) for p in states})
-        pindex = {pat: c for c, pat in enumerate(patterns)}
-        cls = {k: pindex[_pattern_of(p, auts)] for k, p in live.items()}
-        n_classes = len(patterns)
+    patterns, moves = _child_quotient(M.input_alphabet, tests)
+    tindex = {id(t): i for i, t in enumerate(tests)}
+    at = {}  # the classes that occur at each symbol
+    for (sym, _), (_, c) in moves.items():
+        at.setdefault(sym, set()).add(c)
 
-        def admits(r):
-            if r.test is None:
-                return range(len(patterns))
-            i = tindex[id(r.test)]
-            return [c for c, pat in enumerate(patterns) if pat[i]]
-    else:
-        # class of a node: its symbol plus its children's state tuples
-        combos = sorted(live, key=repr)
-        cls = {k: c for c, k in enumerate(combos)}
-        n_classes = len(combos)
-
-        def admits(r):
-            return [c for c, (sym, combo) in enumerate(combos)
-                    if sym == r.symbol
-                    and (r.test is None or r.test.matches(sym, combo))]
+    def admits(r):
+        return [c for c in sorted(at.get(r.symbol, ())) if r.test is None
+                or patterns[c][tindex[id(r.test)]]]
     alphabet = M.input_alphabet
-    ann = _annotated_alphabet(alphabet, n_classes)
+    ann = _annotated_alphabet(alphabet, len(patterns))
     nrules = []
-    for (sym, combo), p in live.items():
-        nrules += relabel_rules(alphabet, p, sym,
-                                "%s~c%d" % (sym, cls[(sym, combo)]), combo)
-    guesses = [s for s in states if s != sink]
+    for (sym, kids), (b, c) in moves.items():
+        nrules += relabel_rules(alphabet, b, sym, "%s~c%d" % (sym, c), kids)
+    guesses = list(dict.fromkeys(b for b, _ in moves.values()))
     N = Transducer(alphabet, ann, guesses, guesses, nrules)
     return N, _annotated_remainder(M, ann, admits)
 
@@ -682,28 +680,14 @@ def localize_second(M1, M2):
     tests2 = _distinct_tests(M2)
     if not tests2:
         return M1, M2
-    if all(isinstance(t, SubTest) for t in tests2):
-        M2d = disjoint_tests(M2)
-        atoms = _distinct_tests(M2d)
-        classes = list(atoms)
-        bottom = None
-    elif all(isinstance(t, ChildProfileTest) for t in tests2):
-        M2d = M2
-        classes = list(tests2)
-        bottom = "bottom"
-        classes.append(bottom)
-    else:
+    if not all(isinstance(t, SubTest) for t in tests2):
         raise ContractError(
             "localization needs subtree-style tests on the second machine")
+    M2d = disjoint_tests(M2)
+    classes = _distinct_tests(M2d)
     cindex = {id(c): i for i, c in enumerate(classes)}
     M1n = normalize_general(M1)
     values = deterministic_values(M1n)
-
-    def class_holds(c, v):
-        if c == "bottom":
-            return not any(eval_test(x, v, ()) for x in classes
-                           if x != "bottom")
-        return eval_test(c, v, ())
 
     ann = _annotated_alphabet(M1n.output_alphabet, len(classes))
     rules1 = []
@@ -714,7 +698,7 @@ def localize_second(M1, M2):
         for c, cls in enumerate(classes):
             def fn(t, u, r=r, cls=cls):
                 v = values(t).get((r.state, u))
-                return v is not None and class_holds(cls, v)
+                return v is not None and eval_test(cls, v, ())
             inv = OracleTest(fn, "outclass%d" % c)
             rhs = Tree("%s~c%d" % (r.rhs.label, c),
                        [Tree(ch.label, ()) for ch in r.rhs.children])
@@ -722,8 +706,8 @@ def localize_second(M1, M2):
                                intersect_tests(r.test, inv), rhs))
     M1p = Transducer(M1n.input_alphabet, ann, M1n.states, M1n.initials,
                      rules1)
-    M2p = _annotated_remainder(M2d, ann, lambda r: range(len(classes))
-                               if r.test is None else [cindex[id(r.test)]])
+    # disjoint_tests gives every rule a test
+    M2p = _annotated_remainder(M2d, ann, lambda r: [cindex[id(r.test)]])
     return M1p, M2p
 
 
@@ -1021,8 +1005,7 @@ def absorb_right(M1, M2, corpus_bound=4):
     f1 = classify(M1, corpus_bound=corpus_bound)
     f2 = classify(M2, corpus_bound=corpus_bound)
     route_ok = all(r.test is None
-                   or isinstance(r.test, (SubTest, AutomatonTest,
-                                          ChildProfileTest))
+                   or isinstance(r.test, (SubTest, AutomatonTest))
                    for r in M2.rules)
     if not route_ok:
         raise ContractError("absorption needs automaton-backed tests")
@@ -1274,37 +1257,32 @@ def pruning_image(M, L=None, ceiling=4096):
         raise ContractError("image automaton needs a pruning machine")
     for r in M.rules:
         if r.test is not None and not isinstance(
-                r.test, (SubTest, AutomatonTest, ChildProfileTest)):
+                r.test, (SubTest, AutomatonTest)):
             raise ContractError("image automaton needs automaton-backed "
                                 "tests")
     Ms = lookahead_of_topdown(M) if any(
-            not isinstance(t, ChildProfileTest)
-            for t in _distinct_tests(M)) else M
+            isinstance(t, AutomatonTest) for t in _distinct_tests(M)) else M
     tests = _distinct_tests(Ms)
-    if tests:
-        fams = {t.automata for t in tests}
-        if len(fams) != 1:
-            raise ContractError("child-profile tests over mixed automata")
-        auts = list(tests[0].automata)
-    else:
-        auts = []
+    tindex = {id(t): i for i, t in enumerate(tests)}
     base = Ms.input_alphabet
+    # a node's test state is its block, and a transition gives its class
+    patterns, moves = _child_quotient(base, tests)
     if L is None:
         L = automaton_all(base)
     if L.alphabet.symbols != base.symbols:
         raise ContractError("input automaton is over the wrong alphabet")
 
     def step(sym, combo):
-        tup = tuple(a.delta[(sym, tuple(c[0][i] for c in combo))]
-                    for i, a in enumerate(auts))
-        return tup, L.delta[(sym, tuple(c[1] for c in combo))]
+        move = moves.get((sym, tuple(c[0] for c in combo)))
+        if move is not None:
+            return move[0], L.delta[(sym, tuple(c[1] for c in combo))]
 
     pairs, delta = explore(base, step, ceiling, "image closure")
     prodlist = {}
     for key, pair in delta.items():
         prodlist.setdefault(pair, []).append(key)
 
-    # one nonterminal per (state, test states, L state, child number); the
+    # one nonterminal per (state, test block, L state, child number); the
     # pruning shape makes each output rule one production and each move
     # rule one chain edge
     nts, prods, chains, queue = set(), [], [], []
@@ -1321,11 +1299,11 @@ def pruning_image(M, L=None, ceiling=4096):
             raise ResourceError(
                 "image grammar: %d nonterminals exceed the ceiling of %d"
                 % (len(nts), ceiling))
-        _, q, tup, la, j = nt
-        for (sym, combo) in prodlist.get((tup, la), ()):
+        _, q, b, la, j = nt
+        for (sym, combo) in prodlist.get((b, la), ()):
+            passed = patterns[moves[(sym, tuple(c[0] for c in combo))][1]]
             for r in Ms.rules_at(q, sym, j):
-                if r.test is not None and not r.test.matches(
-                        sym, [c[0] for c in combo]):
+                if r.test is not None and not passed[tindex[id(r.test)]]:
                     continue
                 subs = tuple(("I", c.state, *combo[c.instr.index - 1],
                               c.instr.index) for c in r.calls())

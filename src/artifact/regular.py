@@ -8,6 +8,7 @@ per-tree oracles instead; only an explicit conversion pays the
 exponential automaton-construction cost.
 """
 
+import copy
 import functools
 import heapq
 import itertools
@@ -81,10 +82,14 @@ class BottomUpAutomaton:
     def accepts(self, t):
         return self.run(t) in self.finals
 
+    def with_finals(self, finals):
+        """This automaton with other finals, sharing states and transitions."""
+        twin = copy.copy(self)
+        twin.finals = frozenset(finals)
+        return twin
+
     def complement(self):
-        return BottomUpAutomaton(self.alphabet, self.states,
-                                 self.states - self.finals, self.delta,
-                                 check_total=False)
+        return self.with_finals(self.states - self.finals)
 
     def _product(self, other, final_pred):
         if self.alphabet.symbols != other.alphabet.symbols:

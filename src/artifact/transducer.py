@@ -388,8 +388,15 @@ def _joint_nonempty(auts):
 
 def _product_disjoint(M, r1, r2):
     """Whether the automaton product proves the automaton-like guards of
-    two rules with the same (state, symbol, childNo) disjoint.  Raises
-    KeyError where a partial automaton lacks a transition it reads."""
+    two rules with the same (state, symbol, childNo) disjoint; two
+    sub-tests with one transition table and no common final state need
+    no product.  Raises KeyError where a partial automaton lacks a
+    transition it reads."""
+    t1, t2 = r1.test, r2.test
+    if isinstance(t1, SubTest) and isinstance(t2, SubTest) \
+            and t1.aut.finals.isdisjoint(t2.aut.finals) and (
+                t1.aut.delta is t2.aut.delta or t1.aut.delta == t2.aut.delta):
+        return True
     a1 = to_automaton_test(r1.test, M.input_alphabet).aut
     a2 = to_automaton_test(r2.test, M.input_alphabet).aut
     pos = marked_position_automaton(M.input_alphabet, r1.symbol, r1.child_no)
@@ -490,9 +497,10 @@ def _rule_reader(M, t, ix):
     sub-test guard gets one verdict lookup (``node_verdicts``) the first
     time a rule asks about it, read by node id: a sub-test runs bottom-up
     once, and an automaton guard also builds its top-down contexts only on
-    the root paths of the nodes asked about.  Oracle guards go to
-    ``eval_test`` per node, and so does a node without a verdict, where it
-    raises its own exception."""
+    the root paths of the nodes asked about.  Oracle guards are evaluated
+    per node (``test.eval``, on the address the index gave), and so is a
+    node without a verdict, where the evaluation raises its own
+    exception."""
     tables = {}
 
     def holds(test, i, u):
@@ -501,7 +509,7 @@ def _rule_reader(M, t, ix):
         if test not in tables:
             tables[test] = node_verdicts(test, ix) or [None] * len(ix.nodes)
         verdict = tables[test][i]
-        return eval_test(test, t, u) if verdict is None else verdict
+        return test.eval(t, u) if verdict is None else verdict
 
     rules_at, nodes, child_nos = M._index.get, ix.nodes, ix.child_nos
 

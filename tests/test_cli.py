@@ -140,6 +140,18 @@ def test_lookahead_verify(capsys):
     assert code == 0 and "EQUIVALENT" in out
 
 
+def test_lookahead_out_verifies_against_its_source(capsys, tmp_path):
+    path = str(tmp_path / "la.ttt")
+    code, out, _ = run_cli(capsys, "lookahead", "--transducer",
+                           "random:topdown:0", "--out", path)
+    assert code == 0 and out.startswith("WROTE")
+    assert (tmp_path / "la.t0.aut").exists()
+    code, out, _ = run_cli(capsys, "verify", "--left", path, "--right",
+                           "random:topdown:0", "--max-size", "4",
+                           "--max-output", "6")
+    assert code == 0 and "EQUIVALENT" in out
+
+
 def test_uniformize_report(capsys):
     code, out, _ = run_cli(capsys, "uniformize", "--transducer",
                            "leafchooser", "--max-size", "1")

@@ -1,6 +1,7 @@
 """Tests for the semantics-preserving machine rewrites."""
 
 import itertools
+import math
 
 import pytest
 
@@ -23,20 +24,22 @@ from artifact.constructions import (
     _leaves_phase, _marked_product, _monadic_phase, _normalize_for_pruning,
     _per_tree, _rank1_symbols, _rebuild, _rules_by,
 )
+from artifact import transducer
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, identity_relabeler, internal_sigma_test,
     leaf_chooser, left_projection, m_exp, query_transducer,
     random_automaton, random_transducer,
 )
 from artifact.regular import (
-    OracleTest, RegularTreeGrammar, ResourceError, SubTest, automaton_all,
-    enumerate_grammar, eval_test, explore, grammar_to_automaton,
-    singleton_automaton, _labels, _realizable,
+    BottomUpAutomaton, NodeTest, OracleTest, RegularTreeGrammar,
+    ResourceError, SubTest, automaton_all, enumerate_grammar, eval_test,
+    explore, grammar_to_automaton, singleton_automaton, to_automaton_test,
+    _labels, _realizable,
 )
 from artifact.transducer import (
     Call, Rule, Transducer, call, classify, enumerate_outputs,
     eval_deterministic, out, relabel_rules, trace_productive,
-    _applicable_all,
+    _applicable_all, _product_disjoint,
 )
 from corpus import (
     OUT_TREES_5, SIG_TREES_5, collect_machines, has_tests,
@@ -174,12 +177,30 @@ def test_split_lookaround_random():
         check_split(M, N, M2, SIG_TREES_5)
 
 
+def check_annotation(M, N, M2, corpus):
+    """N relabels each node of a tree in one way, and M2 offers at the
+    label it gives exactly M's rules whose tests hold at the node."""
+    def offered(rules):
+        return sorted(((r.state, r.child_no, r.rhs) for r in rules), key=repr)
+
+    for t in corpus:
+        (s,) = enumerate_outputs(N, t, 2 * t.size + 64)
+        for u, node in preorder(t):
+            label = subtree_at(s, u).label
+            assert offered(r for r in M2.rules if r.symbol == label) == \
+                offered(r for r in M.rules if r.symbol == node.label
+                        and eval_test(r.test, t, u)), (t, u)
+
+
 def test_split_lookaround_nondet_random():
-    for M in collect_machines(8, "sub", False, pred=has_tests):
+    for M in collect_machines(8, "sub", False, pred=has_tests) + [
+            lookahead_of_topdown(M) for M in
+            collect_machines(4, "topdown", False, pred=has_tests)]:
         N, M2 = split_lookaround_nondet(M)
         assert classify(N).relabeling
         assert classify(M2).local
         check_split(M, N, M2, SIG_TREES_5)
+        check_annotation(M, N, M2, all_trees(SIGMA_E, 7))
 
 
 def test_split_lookaround_nondet_rejects_marked_tests():
@@ -225,7 +246,9 @@ def test_localize_second_random():
     firsts = collect_machines(4, "local", True)
     seconds = collect_machines(4, "sub", True, alphabet=OUT3,
                                output=OUT3, pred=has_tests)
-    for M1, M2 in zip(firsts, seconds):
+    seconds += [lookahead_of_topdown(M) for M in collect_machines(
+        4, "topdown", True, alphabet=OUT3, output=OUT3, pred=has_tests)]
+    for M1, M2 in zip(firsts + firsts, seconds):
         M1p, M2p = localize_second(M1, M2)
         assert classify(M2p).local
         for t in SIG_TREES_5:
@@ -408,11 +431,25 @@ def test_pruning_image_with_input_restriction():
         assert not A.accepts(s) or Afull.accepts(s), s
 
 
+def _same_language(A, B):
+    """Whether two deterministic, possibly partial, automata over one
+    alphabet accept the same trees: no reachable pair of their states
+    (None where a run has no state) is final on one side only."""
+    def step(sym, combo):
+        a = A.delta.get((sym, tuple(p for p, _ in combo)))
+        b = B.delta.get((sym, tuple(q for _, q in combo)))
+        return None if a is None and b is None else (a, b)
+
+    pairs, _ = explore(A.alphabet, step, math.inf, "language equality")
+    return all((a in A.finals) == (b in B.finals) for a, b in pairs)
+
+
 def _pruning_image_reference(M, L=None, ceiling=4096):
     """``pruning_image`` as it was, building a grammar with one rhs tree
-    per rule for ``grammar_to_automaton`` to flatten again."""
-    Ms = lookahead_of_topdown(M) if any(
-            not isinstance(t, ChildProfileTest)
+    per rule for ``grammar_to_automaton`` to flatten again, over the
+    profile automaton of the reference look-ahead conversion."""
+    Ms = _lookahead_of_topdown_reference(M) if any(
+            not isinstance(t, ChildProfileTestReference)
             for t in _distinct_tests(M)) else M
     tests = _distinct_tests(Ms)
     auts = list(tests[0].automata) if tests else []
@@ -484,8 +521,14 @@ def test_pruning_image_matches_the_grammar_reference():
     for M in machines:
         for L in (None, random_automaton(rng, M.input_alphabet)):
             A, want = pruning_image(M, L), _pruning_image_reference(M, L)
-            assert (A.states, A.finals, A.delta) == \
-                (want.states, want.finals, want.delta), M
+            if has_tests(M):
+                # the grammar's nonterminals name blocks of the guards'
+                # states, not the reference's profile states
+                assert _same_language(A, want), M
+                assert len(A.states) == len(want.states), M
+            else:
+                assert (A.states, A.finals, A.delta) == \
+                    (want.states, want.finals, want.delta), M
     # chain edges and the look-ahead route are both exercised
     assert any(r.kind == "move" for M in machines for r in M.rules)
     assert any(has_tests(M) for M in machines)
@@ -909,9 +952,40 @@ def test_productive_configs_nondet_matches_fixpoint():
 # The phases and the look-ahead conversion as they were before they built
 # each rule body and call leaf once, kept as references
 
+class ChildProfileTestReference(NodeTest):
+    """``ChildProfileTest`` as it was before look-ahead guards became
+    sub-tests.  Holds at (t, u) iff u's label is ``symbol`` and, for every
+    tracked automaton, the states of u's child subtrees match the stored
+    profile.  A subtree-only test: it never looks above u."""
+
+    subtest = True
+
+    def __init__(self, symbol, profiles, automata):
+        self.symbol = symbol
+        self.profiles = tuple(tuple(p) for p in profiles)
+        self.automata = tuple(automata)
+
+    def matches(self, symbol, kid_states):
+        """Whether the test holds at a node labelled ``symbol`` whose
+        children run to ``kid_states``, one tuple of automaton states per
+        child."""
+        return symbol == self.symbol and all(
+            kid[i] == prof[k] for k, kid in enumerate(kid_states)
+            for i, prof in enumerate(self.profiles))
+
+    def eval(self, t, u):
+        node = subtree_at(t, u)
+        return self.matches(node.label, (
+            tuple(a.run(c) for a in self.automata) for c in node.children))
+
+    def __repr__(self):
+        return "ChildProfileTest(%s, %r)" % (self.symbol, self.profiles)
+
+
 def _lookahead_of_topdown_reference(M, state_ceiling=4096):
     """``lookahead_of_topdown`` as it was, computing the children's
-    context classes once per rule and a fresh leaf per call."""
+    context classes once per rule and a fresh leaf per call, with guards
+    of the reference class."""
     for r in M.rules:
         for c in r.calls():
             if c.instr.kind == "up":
@@ -931,7 +1005,8 @@ def _lookahead_of_topdown_reference(M, state_ceiling=4096):
     def mk_test(sym, prof):
         key = (sym, prof)
         if key not in test_cache:
-            test_cache[key] = ChildProfileTest(sym, (prof,), (proj,))
+            test_cache[key] = ChildProfileTestReference(sym, (prof,),
+                                                        (proj,))
         return test_cache[key]
 
     seen_ceiling = [0]
@@ -1245,15 +1320,19 @@ def _monadic_phase_reference(M):
 def _test_classes(M):
     """Per rule, the first rule index sharing its test object (so the
     partition of the rules by test identity), the test's class, and what
-    the test reads: an oracle's tag, a profile test's symbol and
-    profiles."""
+    the test reads: an oracle's tag, a profile test's symbol and profile.
+    A child-profile test and its reference copy count as one class."""
     first = {}
     found = []
     for k, r in enumerate(M.rules):
         t = r.test
-        what = None if t is None else getattr(t, "tag", None) or (
-            t.symbol, t.profiles)
-        found.append((first.setdefault(id(t), k), type(t).__name__, what))
+        what = None if t is None else getattr(t, "tag", None)
+        if isinstance(t, ChildProfileTestReference):
+            what = (t.symbol, t.profiles[0])
+        elif isinstance(t, ChildProfileTest):
+            what = (t.symbol, t.profile)
+        found.append((first.setdefault(id(t), k),
+                      type(t).__name__.replace("Reference", ""), what))
     return found
 
 
@@ -1315,12 +1394,65 @@ def test_phases_match_the_references():
 
 
 def test_lookahead_matches_the_reference():
+    """The same machines as the reference conversion, and each sub-test
+    guard holds where its reference profile test does, at every node of
+    every tree of up to 7 nodes."""
     converted = 0
     machines = [m_exp(), query_transducer()]
     for det in (True, False):
-        machines += collect_machines(15, "topdown", det, pred=has_tests)
+        machines += collect_machines(30, "topdown", det, pred=has_tests)
+    trees = all_trees(SIGMA_E, 7)
     for M in machines:
-        assert_same_result(lookahead_of_topdown,
-                           _lookahead_of_topdown_reference, M)
-        converted += has_tests(M)
-    assert converted >= 30, converted
+        got = assert_same_result(lookahead_of_topdown,
+                                 _lookahead_of_topdown_reference, M)
+        if got is None or got is M:
+            continue
+        converted += 1
+        want = _lookahead_of_topdown_reference(M)
+        pairs = {(id(a.test), id(b.test)): (a.test, b.test)
+                 for a, b in zip(got.rules, want.rules) if a.test is not None}
+        for a, b in pairs.values():
+            assert isinstance(a, SubTest)
+            for t in trees:
+                for u in addresses(t):
+                    assert eval_test(a, t, u) == eval_test(b, t, u), (a, t, u)
+    assert converted >= 60, converted
+
+
+def test_shared_guard_shortcut_agrees_with_the_product(monkeypatch):
+    """Two look-ahead guards at one rule key are proved disjoint, without
+    a product, exactly when the product of their marked forms proves it;
+    so are equal copies of them, as text gives back."""
+    products = []
+    joint_nonempty = transducer._joint_nonempty
+    monkeypatch.setattr(transducer, "_joint_nonempty", lambda auts: (
+        products.append(auts) or joint_nonempty(auts)))
+
+    def unshared(test):
+        a = test.aut
+        return SubTest(BottomUpAutomaton(a.alphabet, a.states, a.finals,
+                                         a.delta, check_total=False))
+
+    pairs = disjoint = 0
+    for det in (True, False):
+        for M in collect_machines(4, "topdown", det, pred=has_tests,
+                                  max_tests=1):
+            L = lookahead_of_topdown(M)
+            for group in L._index.values():
+                for r1, r2 in itertools.combinations(group, 2):
+                    if r1.test is None or r2.test is None:
+                        continue
+                    marked = [Rule(r.state, r.symbol, r.child_no,
+                                   to_automaton_test(r.test, L.input_alphabet),
+                                   r.rhs) for r in (r1, r2)]
+                    want = _product_disjoint(L, *marked)
+                    for convert in (lambda t: t, unshared):
+                        del products[:]
+                        got = _product_disjoint(L, *[Rule(
+                            r.state, r.symbol, r.child_no, convert(r.test),
+                            r.rhs) for r in (r1, r2)])
+                        assert got == want, (r1, r2)
+                        assert products == [] or not got
+                    pairs += 1
+                    disjoint += want
+    assert 0 < disjoint < pairs, (disjoint, pairs)

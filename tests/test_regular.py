@@ -103,7 +103,7 @@ M = lookahead_of_topdown(random_transducer(3, kind="topdown", max_tests=1))
 tests = list(dict.fromkeys(r.test for r in M.rules if r.test is not None))
 print(M.format({t: "t%d" % i for i, t in enumerate(tests)}))
 for t in tests:
-    print("".join(a.format() for a in t.automata))
+    print(t.aut.format())
 """
 
 

@@ -44,6 +44,18 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_isinstance_names_child_profile_tests():
+    """Look-ahead guards are sub-tests: no code takes a path of its own
+    for their class."""
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in MODULES for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and "ChildProfileTest" in _used_names(node)]
+    assert found == []
+
+
 def test_every_private_function_is_referenced():
     files = [p for d in ("src", "tests", "bench")
              for p in sorted((ROOT / d).rglob("*.py"))]
