@@ -37,7 +37,7 @@ from .constructions import (
     compose_with_pruning, domain_automaton, inverse_image,
     linear_bounded_factorization, linear_bounded_pipeline,
     lookahead_of_topdown, split_lookaround, split_lookaround_nondet,
-    uniformize,
+    uniformize, _automaton_tests,
 )
 from .membership import (
     build_sat_fixtures, leeuw_transducer, member_pair,
@@ -237,23 +237,21 @@ def _write(path, text):
 def save_transducer(M, path):
     """Write a transducer and sidecar .aut files for its automaton-backed
     tests; machines carrying oracle tests are not serializable."""
+    try:
+        tests = _automaton_tests(
+            M, "machine carries tests without an automaton text form")
+    except ContractError as e:
+        raise CliError(3, str(e)) from None
     names = {}
     lines = []
-    for r in M.rules:
-        t = r.test
-        if t is None or id(t) in names:
-            continue
-        if not isinstance(t, (SubTest, AutomatonTest)):
-            raise CliError(3, "machine carries tests without an automaton "
-                              "text form")
-        name = "t%d" % len(names)
-        kind = "sub" if isinstance(t, SubTest) else "node"
+    for t in tests:
+        name = names[t] = "t%d" % len(names)
+        kind = "sub" if t.subtest else "node"
         aut_path = "%s.%s.aut" % (os.path.splitext(path)[0], name)
         _write(aut_path, t.aut.format())
-        names[id(t)] = (t, name)
         lines.append("# test %s %s %s" % (name, kind,
                                           os.path.basename(aut_path)))
-    body = M.format({t: n for t, n in names.values()})
+    body = M.format(names)
     _write(path, "".join(l + "\n" for l in lines) + body)
 
 

@@ -23,7 +23,7 @@ from .regular import (
     AutomatonTest, BottomUpAutomaton, OracleTest,
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
     enumerate_grammar, eval_test, explore, grammar_finite, least_model,
-    min_witnesses, rules_to_automaton, to_automaton_test, _flatten_rules,
+    marked_automaton, min_witnesses, rules_to_automaton, _flatten_rules,
     _labels, _realizable,
 )
 from .transducer import (
@@ -57,12 +57,6 @@ def rename_states(M, prefix="q"):
                       [names[q] for q in M.initials], rules)
 
 
-def _test_base_alphabet(test):
-    if isinstance(test, AutomatonTest):
-        return test.aut.alphabet.base
-    return test.aut.alphabet
-
-
 def intersect_tests(a, b):
     """The conjunction of two node tests, staying in the most structured
     representation available (None absorbs; two subtree tests stay a
@@ -71,18 +65,14 @@ def intersect_tests(a, b):
         return b
     if b is None:
         return a
-    if isinstance(a, SubTest) and isinstance(b, SubTest) \
-            and a.aut.alphabet == b.aut.alphabet:
-        return SubTest(a.aut.intersect(b.aut))
-    if isinstance(a, (SubTest, AutomatonTest)) \
-            and isinstance(b, (SubTest, AutomatonTest)):
-        base = _test_base_alphabet(a)
-        return AutomatonTest(to_automaton_test(a, base).aut.intersect(
-            to_automaton_test(b, base).aut))
-    sub = getattr(a, "subtest", False) and getattr(b, "subtest", False)
+    if a.aut is not None and b.aut is not None:
+        if a.subtest and b.subtest and a.aut.alphabet == b.aut.alphabet:
+            return SubTest(a.aut.intersect(b.aut))
+        return AutomatonTest(marked_automaton(a).intersect(
+            marked_automaton(b)))
     return OracleTest(
         lambda t, u, a=a, b=b: eval_test(a, t, u) and eval_test(b, t, u),
-        "and(%r,%r)" % (a, b), subtest=sub)
+        "and(%r,%r)" % (a, b), subtest=a.subtest and b.subtest)
 
 
 def _per_tree(fn):
@@ -270,23 +260,29 @@ def _distinct_tests(M):
     return tests
 
 
+def _automaton_tests(M, message):
+    """M's distinct guards, or a ``ContractError`` with ``message``
+    (formatted with the guard) for the first one without an automaton."""
+    tests = _distinct_tests(M)
+    for t in tests:
+        if t.aut is None:
+            raise ContractError(message.format(t))
+    return tests
+
+
 def disjoint_tests(M, ceiling=4096):
     """Replace the tests of M by atoms of the boolean algebra they
     generate, so that any two rule tests are identical or disjoint.  Rules
     without a test are copied once per atom.  Semantics is unchanged;
     oracle tests are rejected."""
-    tests = _distinct_tests(M)
+    tests = _automaton_tests(M, "cannot disjointify {!r}")
     if not tests:
         return M
-    for t in tests:
-        if not isinstance(t, (SubTest, AutomatonTest)):
-            raise ContractError("cannot disjointify %r" % (t,))
     tindex = {id(t): i for i, t in enumerate(tests)}
-    if all(isinstance(t, SubTest) for t in tests):
+    if all(t.subtest for t in tests):
         kind, auts = SubTest, [t.aut for t in tests]
     else:
-        kind = AutomatonTest
-        auts = [to_automaton_test(t, M.input_alphabet).aut for t in tests]
+        kind, auts = AutomatonTest, [marked_automaton(t) for t in tests]
     states, delta, sink = _product_automaton(auts, ceiling)
     whole = BottomUpAutomaton(auts[0].alphabet, states, [], delta,
                               check_total=False)
@@ -494,7 +490,7 @@ def _marked_product(tests, base):
     """The joint product of the marked automata of several tests, split
     into the states reachable without a mark (P0, the subtree states of
     unmarked trees) and with exactly one mark (P1)."""
-    auts = [to_automaton_test(t, base).aut for t in tests]
+    auts = [marked_automaton(t) for t in tests]
     marked = MarkedAlphabet(base)
     pstates, pdelta, sink = _product_automaton(auts)
 
@@ -639,7 +635,7 @@ def split_lookaround_nondet(M):
     tests = _distinct_tests(M)
     if not tests:
         return identity_like(M.input_alphabet), M
-    if not all(isinstance(t, SubTest) for t in tests):
+    if not all(t.aut is not None and t.subtest for t in tests):
         raise ContractError("cannot split tests of mixed or oracle kinds")
     patterns, moves = _child_quotient(M.input_alphabet, tests)
     tindex = {id(t): i for i, t in enumerate(tests)}
@@ -680,7 +676,7 @@ def localize_second(M1, M2):
     tests2 = _distinct_tests(M2)
     if not tests2:
         return M1, M2
-    if not all(isinstance(t, SubTest) for t in tests2):
+    if not all(t.aut is not None and t.subtest for t in tests2):
         raise ContractError(
             "localization needs subtree-style tests on the second machine")
     M2d = disjoint_tests(M2)
@@ -1004,11 +1000,7 @@ def absorb_right(M1, M2, corpus_bound=4):
     Requires automaton-backed tests on M2."""
     f1 = classify(M1, corpus_bound=corpus_bound)
     f2 = classify(M2, corpus_bound=corpus_bound)
-    route_ok = all(r.test is None
-                   or isinstance(r.test, (SubTest, AutomatonTest))
-                   for r in M2.rules)
-    if not route_ok:
-        raise ContractError("absorption needs automaton-backed tests")
+    _automaton_tests(M2, "absorption needs automaton-backed tests")
     if f1.deterministic and f2.deterministic and f2.top_down:
         M2a = lookahead_of_topdown(M2)
         M1p, M2p = localize_second(M1, M2a)
@@ -1149,11 +1141,8 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
     state, exit-state set) claims have a complete computation inside the
     subtree.  Each distinct (symbol, guard truths, children's summaries)
     is summarized once per construction."""
-    tests = _distinct_tests(M)
-    for t in tests:
-        if not isinstance(t, (SubTest, AutomatonTest)):
-            raise ContractError(
-                "domain automaton needs automaton-backed tests")
+    tests = _automaton_tests(
+        M, "domain automaton needs automaton-backed tests")
     base = M.input_alphabet
     tindex = {id(t): i for i, t in enumerate(tests)}
     rules_at = {}
@@ -1255,13 +1244,9 @@ def pruning_image(M, L=None, ceiling=4096):
     inputs from L (all inputs when L is None)."""
     if not _pruning_shape(M):
         raise ContractError("image automaton needs a pruning machine")
-    for r in M.rules:
-        if r.test is not None and not isinstance(
-                r.test, (SubTest, AutomatonTest)):
-            raise ContractError("image automaton needs automaton-backed "
-                                "tests")
-    Ms = lookahead_of_topdown(M) if any(
-            isinstance(t, AutomatonTest) for t in _distinct_tests(M)) else M
+    tests = _automaton_tests(
+        M, "image automaton needs automaton-backed tests")
+    Ms = M if all(t.subtest for t in tests) else lookahead_of_topdown(M)
     tests = _distinct_tests(Ms)
     tindex = {id(t): i for i, t in enumerate(tests)}
     base = Ms.input_alphabet

@@ -17,7 +17,7 @@ from .core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, depth1_productions,
     distinct_postorder, leaf, mark_node, marked_name, serialize_tree,
     split_marked_name, substitute_leaves, subtree_at, tree_from_preorder,
-    tree_key, tree_metrics, unmark_tree,
+    tree_key, tree_metrics,
 )
 
 
@@ -841,6 +841,10 @@ def derivation_yield_tree(d, g):
 # Node tests
 
 class NodeTest:
+    """A guard.  ``aut`` is its automaton, None for an oracle; a
+    ``subtest`` reads only the node's subtree."""
+
+    aut = None
     subtest = False
 
     def eval(self, t, u):
@@ -918,11 +922,11 @@ def node_verdicts(test, ix):
     list.  An ``AutomatonTest`` runs bottom-up once with every label
     unmarked; its verdicts are a ``LookAround``, which builds the top-down
     contexts on demand."""
-    if not isinstance(test, (AutomatonTest, SubTest)):
-        return None
     aut = test.aut
+    if aut is None:
+        return None
     delta, alphabet = aut.delta, aut.alphabet
-    marked = isinstance(test, AutomatonTest)
+    marked = not test.subtest
     labels = ix.marked if marked else [n.label for n in ix.nodes]
     if marked and any(name not in alphabet for name in labels):
         return [None] * len(labels)  # every marked run reads the whole tree
@@ -998,12 +1002,18 @@ class LookAround:
         return above
 
 
-def subtest_to_marked(test, base_alphabet=None):
-    """Convert a SubTest into an equivalent AutomatonTest over the marked
-    alphabet: run the subtree automaton below the mark, freeze the verdict
-    at the marked node, and pass it upward."""
+def marked_automaton(test):
+    """The automaton over the marked alphabet of the test's own alphabet
+    that accepts the trees marked at a node where the test holds.  A
+    marked guard is its own automaton; a sub-test's automaton runs below
+    the mark, freezes its verdict at the marked node and passes it upward.
+    An oracle has none and is rejected."""
     aut = test.aut
-    marked = MarkedAlphabet(base_alphabet or aut.alphabet)
+    if aut is None:
+        raise ValueError("cannot convert %r to an automaton test" % (test,))
+    if not test.subtest:
+        return aut
+    marked = MarkedAlphabet(aut.alphabet)
     bot = [("bot", p) for p in aut.states]
     states = bot + [("top", False), ("top", True), ("sink",)]
     delta = {}
@@ -1023,52 +1033,5 @@ def subtest_to_marked(test, base_alphabet=None):
                     delta[(name, combo)] = ("top", p in aut.finals)
                 else:
                     delta[(name, combo)] = ("bot", p)
-    return AutomatonTest(BottomUpAutomaton(
-        marked, states, [("top", True)], delta, check_total=False))
-
-
-def to_automaton_test(test, base_alphabet):
-    """Normalize a (possibly None / SubTest) test to an AutomatonTest over
-    the marked alphabet of ``base_alphabet``.  Oracle tests have no such
-    normal form and are rejected."""
-    if test is None:
-        return AutomatonTest(automaton_all(MarkedAlphabet(base_alphabet)))
-    if isinstance(test, AutomatonTest):
-        return test
-    if isinstance(test, SubTest):
-        return subtest_to_marked(test, base_alphabet)
-    raise ValueError("cannot convert %r to an automaton test" % (test,))
-
-
-def lift_mark(test):
-    """mu(T): the test on marked trees that disregards the tree's own
-    marking."""
-    if test is None:
-        return None
-    if isinstance(test, AutomatonTest):
-        aut = test.aut
-        outer = MarkedAlphabet(aut.alphabet)
-        delta = {}
-        for name in outer.symbols:
-            inner_name, _outer_bit = split_marked_name(name)
-            inner_base, _inner_bit = split_marked_name(inner_name)
-            for key, p in aut.delta.items():
-                sym, combo = key
-                if sym == marked_name(inner_base, _outer_bit):
-                    delta[(name, combo)] = p
-        return AutomatonTest(BottomUpAutomaton(
-            outer, aut.states, aut.finals, delta, check_total=False))
-    if isinstance(test, SubTest):
-        aut = test.aut
-        outer = MarkedAlphabet(aut.alphabet)
-        delta = {}
-        for name in outer.symbols:
-            base, _ = split_marked_name(name)
-            for key, p in aut.delta.items():
-                sym, combo = key
-                if sym == base:
-                    delta[(name, combo)] = p
-        return SubTest(BottomUpAutomaton(
-            outer, aut.states, aut.finals, delta, check_total=False))
-    return OracleTest(lambda t, u, _t=test: _t.eval(unmark_tree(t), u),
-                      "mu(%r)" % (test,), subtest=test.subtest)
+    return BottomUpAutomaton(
+        marked, states, [("top", True)], delta, check_total=False)

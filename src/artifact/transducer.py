@@ -23,8 +23,8 @@ from .core import (
     tree_from_preorder, Instruction, TreeIndex, STAY, UP, _parse_term,
 )
 from .regular import (
-    AutomatonTest, BottomUpAutomaton, NodeTest, RegularTreeGrammar, SubTest,
-    eval_test, explore, node_verdicts, to_automaton_test, _state_names,
+    BottomUpAutomaton, NodeTest, RegularTreeGrammar, eval_test, explore,
+    marked_automaton, node_verdicts, _state_names,
 )
 
 
@@ -371,10 +371,6 @@ def marked_position_automaton(alphabet, symbol, child_no):
     return BottomUpAutomaton(marked, states, finals, delta, check_total=False)
 
 
-def _automaton_like(test):
-    return test is None or isinstance(test, (AutomatonTest, SubTest))
-
-
 def _joint_nonempty(auts):
     """Whether the intersection of the automata languages is nonempty:
     whether some reachable tuple of their states is final in each."""
@@ -387,27 +383,27 @@ def _joint_nonempty(auts):
 
 
 def _product_disjoint(M, r1, r2):
-    """Whether the automaton product proves the automaton-like guards of
-    two rules with the same (state, symbol, childNo) disjoint; two
-    sub-tests with one transition table and no common final state need
-    no product.  Raises KeyError where a partial automaton lacks a
-    transition it reads."""
+    """Whether the automaton product proves the guards of two rules with
+    the same (state, symbol, childNo) disjoint, where each guard is absent
+    or has an automaton; an absent guard holds everywhere and takes no
+    part in the product.  Two sub-tests with one transition table and no
+    common final state need no product.  Raises KeyError where a partial
+    automaton lacks a transition it reads."""
     t1, t2 = r1.test, r2.test
-    if isinstance(t1, SubTest) and isinstance(t2, SubTest) \
+    if t1 is not None and t2 is not None and t1.subtest and t2.subtest \
             and t1.aut.finals.isdisjoint(t2.aut.finals) and (
                 t1.aut.delta is t2.aut.delta or t1.aut.delta == t2.aut.delta):
         return True
-    a1 = to_automaton_test(r1.test, M.input_alphabet).aut
-    a2 = to_automaton_test(r2.test, M.input_alphabet).aut
     pos = marked_position_automaton(M.input_alphabet, r1.symbol, r1.child_no)
-    return not _joint_nonempty([a1, a2, pos])
+    return not _joint_nonempty([marked_automaton(t) for t in (t1, t2)
+                                if t is not None] + [pos])
 
 
 def _tests_disjoint(M, r1, r2, corpus_bound):
     """Whether two rules with the same (state, symbol, childNo) can never
     both be applicable: by the automaton product where it decides, else on
     the inputs of size at most ``corpus_bound``."""
-    if _automaton_like(r1.test) and _automaton_like(r2.test):
+    if all(r.test is None or r.test.aut is not None for r in (r1, r2)):
         try:
             return _product_disjoint(M, r1, r2)
         except KeyError:  # a partial automaton: the corpus decides
@@ -434,7 +430,7 @@ def _overlap_record(M):
         for key, group in M._index.items():
             for r1, r2 in itertools.combinations(group, 2):
                 try:
-                    proved = all(isinstance(r.test, (AutomatonTest, SubTest))
+                    proved = all(r.test is not None and r.test.aut is not None
                                  for r in (r1, r2)) \
                         and _product_disjoint(M, r1, r2)
                 except KeyError:

@@ -37,8 +37,8 @@ from corpus import (
     stay_acyclic,
 )
 from test_constructions import (
-    brute_domain, check_decomposition, check_factorization, check_split,
-    same_outputs,
+    brute_domain, check_annotation, check_decomposition, check_factorization,
+    check_split, same_outputs,
 )
 from test_forest import all_forests
 
@@ -97,6 +97,7 @@ def test_criterion_02_construction_equivalence():
             machines(("local-nd",), 15, "local", False):
         N, M2 = split_lookaround_nondet(M)
         check_split(M, N, M2, SIG_TREES_5)
+        check_annotation(M, N, M2, all_trees(SIGMA_E, 7))
 
     # look-ahead form of top-down machines
     for det in (True, False):

@@ -28,13 +28,13 @@ from artifact import transducer
 from artifact.fixtures import (
     OUT3, SIGMA_E, comb_tree, identity_relabeler, internal_sigma_test,
     leaf_chooser, left_projection, m_exp, query_transducer,
-    random_automaton, random_transducer,
+    random_automaton, random_marked_test, random_subtest, random_transducer,
 )
 from artifact.regular import (
-    BottomUpAutomaton, NodeTest, OracleTest, RegularTreeGrammar,
-    ResourceError, SubTest, automaton_all, enumerate_grammar, eval_test,
-    explore, grammar_to_automaton, singleton_automaton, to_automaton_test,
-    _labels, _realizable,
+    AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
+    RegularTreeGrammar, ResourceError, SubTest, automaton_all,
+    enumerate_grammar, eval_test, explore, grammar_to_automaton,
+    marked_automaton, singleton_automaton, _labels, _realizable,
 )
 from artifact.transducer import (
     Call, Rule, Transducer, call, classify, enumerate_outputs,
@@ -905,9 +905,35 @@ def test_rename_states_preserves_semantics():
 
 
 def test_intersect_tests_none_absorbs():
-    t = internal_sigma_test()
-    assert intersect_tests(None, t) is t
-    assert intersect_tests(t, None) is t
+    """None absorbs, and the conjunction of any two guards holds where
+    both do.  It keeps the most structured kind the two share: two
+    sub-tests stay a sub-test, two automaton-backed guards become a
+    marked guard, and a pair with an oracle becomes an oracle, which reads
+    only the subtree when both guards do."""
+    rng = random.Random(5)
+    guards = {
+        SubTest: [random_subtest(rng), random_subtest(rng)],
+        AutomatonTest: [internal_sigma_test(), random_marked_test(rng)],
+        OracleTest: [
+            OracleTest(lambda t, u: subtree_at(t, u).label == "e", "leaf",
+                       subtest=True),
+            OracleTest(lambda t, u: len(u) % 2 == 0, "even-depth")],
+    }
+    for g in itertools.chain(*guards.values()):
+        assert intersect_tests(None, g) is g
+        assert intersect_tests(g, None) is g
+    assert intersect_tests(None, None) is None
+    trees = all_trees(SIGMA_E, 6)
+    for (ka, as_), (kb, bs) in itertools.product(guards.items(), repeat=2):
+        kind = (OracleTest if OracleTest in (ka, kb) else
+                SubTest if ka is kb is SubTest else AutomatonTest)
+        for a, b in itertools.product(as_, bs):
+            c = intersect_tests(a, b)
+            assert type(c) is kind and c.subtest == (a.subtest and b.subtest)
+            for t in trees:
+                for u in addresses(t):
+                    assert eval_test(c, t, u) == (
+                        eval_test(a, t, u) and eval_test(b, t, u)), (a, b)
 
 
 def test_identity_like():
@@ -1443,7 +1469,7 @@ def test_shared_guard_shortcut_agrees_with_the_product(monkeypatch):
                     if r1.test is None or r2.test is None:
                         continue
                     marked = [Rule(r.state, r.symbol, r.child_no,
-                                   to_automaton_test(r.test, L.input_alphabet),
+                                   AutomatonTest(marked_automaton(r.test)),
                                    r.rhs) for r in (r1, r2)]
                     want = _product_disjoint(L, *marked)
                     for convert in (lambda t: t, unshared):

@@ -11,8 +11,8 @@ import pytest
 
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
-    addresses, all_trees, leaf, mark_node, marked_name, parse_tree,
-    serialize_tree, subtree_at,
+    addresses, all_trees, leaf, marked_name, parse_tree,
+    serialize_tree, split_marked_name, subtree_at,
 )
 from artifact.fixtures import (
     OUT3, comb_tree, full_binary, query_transducer, random_transducer,
@@ -22,9 +22,8 @@ from artifact.regular import (
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
     automaton_none, automaton_to_grammar, decide, derivation_grammar,
     derivation_yield_tree, enumerate_grammar, enumerate_language, eval_test,
-    grammar_finite, grammar_member, grammar_to_automaton, lift_mark,
+    grammar_finite, grammar_member, grammar_to_automaton, marked_automaton,
     node_verdicts, run_automaton, singleton_automaton,
-    subtest_to_marked, to_automaton_test,
 )
 from artifact.transducer import marked_position_automaton
 
@@ -376,36 +375,60 @@ def test_sub_test_of_all_and_none():
             assert not eval_test(bot, t, u)
 
 
+def _subtest_to_marked_reference(test, base_alphabet=None):
+    """``subtest_to_marked`` as it was before ``marked_automaton`` took
+    its place, kept as the reference: run the subtree automaton below the
+    mark, freeze the verdict at the marked node, and pass it upward."""
+    aut = test.aut
+    marked = MarkedAlphabet(base_alphabet or aut.alphabet)
+    bot = [("bot", p) for p in aut.states]
+    states = bot + [("top", False), ("top", True), ("sink",)]
+    delta = {}
+    for name in marked.symbols:
+        base, bit = split_marked_name(name)
+        rank = marked.rank(name)
+        for combo in itertools.product(states, repeat=rank):
+            tops = [x for x in combo if x[0] == "top"]
+            if any(x == ("sink",) for x in combo) or len(tops) > 1 or \
+                    (tops and bit == 1):
+                delta[(name, combo)] = ("sink",)
+            elif tops:
+                delta[(name, combo)] = tops[0]
+            else:
+                p = aut.delta[(base, tuple(x[1] for x in combo))]
+                if bit == 1:
+                    delta[(name, combo)] = ("top", p in aut.finals)
+                else:
+                    delta[(name, combo)] = ("bot", p)
+    return AutomatonTest(BottomUpAutomaton(
+        marked, states, [("top", True)], delta, check_total=False))
+
+
 def test_subtest_to_marked_agrees():
-    T = SubTest(parity_automaton())
-    M = subtest_to_marked(T)
-    for t in all_trees(SIGMA_E, 5):
-        for u in addresses(t):
-            assert eval_test(T, t, u) == eval_test(M, t, u)
-
-
-def test_to_automaton_test_none():
-    M = to_automaton_test(None, SIGMA_E)
-    for t in all_trees(SIGMA_E, 4):
-        for u in addresses(t):
-            assert eval_test(M, t, u)
-
-
-def test_lift_mark_disregards_marking():
-    """mu(T) on a marked tree agrees with T on the unmarked tree."""
-    base_tests = [
-        SubTest(parity_automaton()),
-        subtest_to_marked(SubTest(parity_automaton())),
-        OracleTest(lambda t, u: subtree_at(t, u).label == "e", "is-e"),
-    ]
-    marked = MarkedAlphabet(SIGMA_E)
-    for T in base_tests:
-        mu = lift_mark(T)
-        for t in all_trees(SIGMA_E, 4):
-            for w in addresses(t):
-                mt = mark_node(t, w)
-                for u in addresses(mt):
-                    assert eval_test(mu, mt, u) == eval_test(T, t, u)
+    """The marked automaton of a sub-test is the reference conversion's,
+    and holds where the sub-test does, at every node of every tree of up
+    to 7 nodes; a marked guard is its own marked automaton, and an oracle
+    has none."""
+    tests = [SubTest(parity_automaton()), SubTest(automaton_all(SIGMA_E)),
+             SubTest(automaton_none(SIGMA_E))]
+    for seed in range(30):
+        tests += _machine_tests(random_transducer(seed, kind="sub"))
+    assert len(tests) > 30
+    trees = all_trees(SIGMA_E, 7)
+    for T in tests:
+        assert T.subtest
+        got = marked_automaton(T)
+        want = _subtest_to_marked_reference(T).aut
+        assert (got.alphabet, got.states, got.finals, got.delta) == \
+            (want.alphabet, want.states, want.finals, want.delta)
+        for t in trees:
+            for u in addresses(t):
+                assert eval_test(AutomatonTest(got), t, u) == \
+                    eval_test(T, t, u), (T, t, u)
+    for T in _machine_tests(query_transducer()):
+        assert marked_automaton(T) is T.aut
+    with pytest.raises(ValueError):
+        marked_automaton(OracleTest(lambda t, u: True, "true"))
 
 
 def test_subtest_complement_law():

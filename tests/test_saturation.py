@@ -29,8 +29,8 @@ from artifact.regular import (
     SubTest,
     automaton_to_grammar, decide, enumerate_grammar, explore,
     grammar_chain_closure, grammar_finite, grammar_to_automaton,
-    least_model, min_witnesses,
-    to_automaton_test, _flatten_rules, _realizable, _rhs_nonterminals,
+    least_model, marked_automaton, min_witnesses,
+    _flatten_rules, _realizable, _rhs_nonterminals,
     _rhs_productive,
 )
 
@@ -672,7 +672,7 @@ def test_product_and_marked_product_match_round_robin(monkeypatch):
             continue
         count += 1
         base = M.input_alphabet
-        auts = [to_automaton_test(t, base).aut for t in tests]
+        auts = [marked_automaton(t) for t in tests]
         new, old = _by_rounds(monkeypatch,
                               lambda: _product_automaton(auts))
         assert new == old

@@ -45,14 +45,19 @@ def test_no_unused_imports():
 
 
 def test_no_isinstance_names_child_profile_tests():
-    """Look-ahead guards are sub-tests: no code takes a path of its own
-    for their class."""
+    """Guards answer for themselves through ``aut`` and ``subtest``: no
+    ``isinstance`` outside ``regular`` names a guard class, and none at
+    all names ``ChildProfileTest``, whose look-ahead guards are sub-tests
+    with no path of their own."""
+    guard_classes = {"SubTest", "AutomatonTest", "OracleTest",
+                     "ChildProfileTest"}
     found = [
         "%s:%d" % (path.name, node.lineno)
         for path in MODULES for node in ast.walk(_parse(path))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "isinstance"
-        and "ChildProfileTest" in _used_names(node)]
+        and _used_names(node) & (guard_classes if path.name != "regular.py"
+                                 else {"ChildProfileTest"})]
     assert found == []
 
 
