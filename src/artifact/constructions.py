@@ -325,6 +325,11 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
     rules = []
     for (sym, j, test), pairs in groups.items():
         nts, grules = _closure_grammar(pairs)
+        # a rule that reads an unproductive nonterminal derives nothing;
+        # enumeration would still expand its other nonterminals
+        kids = [[x for x in _labels([rhs]) if x in nts] for _, rhs in grules]
+        live = least_model(zip([lhs for lhs, _ in grules], kids))
+        grules = [r for r, ks in zip(grules, kids) if live.issuperset(ks)]
         for q in sorted({q for q, _ in pairs}, key=repr):
             g = RegularTreeGrammar(nts, terminals, {("S", q)}, grules)
             members = set()
@@ -371,6 +376,8 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
 # Domain and range restriction
 
 def _restrict_domain_test(M, test):
+    """Restrict the domain of M to the trees whose root satisfies
+    ``test``: the root rules of initial states get it conjoined."""
     rules = []
     for r in M.rules:
         if r.state in M.initials and r.child_no == 0:
@@ -380,15 +387,6 @@ def _restrict_domain_test(M, test):
             rules.append(r)
     return Transducer(M.input_alphabet, M.output_alphabet, M.states,
                       M.initials, rules)
-
-
-def restrict_domain(M, L):
-    """Restrict the domain of M to the language of the automaton L over
-    the input alphabet: the root rules of initial states get the subtree
-    test for L conjoined."""
-    if L.alphabet.symbols != M.input_alphabet.symbols:
-        raise ContractError("domain automaton is over the wrong alphabet")
-    return _restrict_domain_test(M, SubTest(L))
 
 
 def _identity_on(L):

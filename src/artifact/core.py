@@ -377,21 +377,6 @@ def _parse_term(text, alphabet, read_leaf=None):
             done = make(name, start, children)
 
 
-def tree_metrics(t, alphabet=None):
-    """Return (size, height, yield) where the yield is the tuple of leaf
-    labels in pre-order, skipping the alphabet's yield-invisible symbols."""
-    invisible = alphabet.yield_invisible if alphabet is not None else frozenset()
-    out = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            stack.extend(reversed(node.children))
-        elif node.label not in invisible:
-            out.append(node.label)
-    return t.size, t.height, tuple(out)
-
-
 def substitute_leaves(t, fill):
     """t with every leaf whose label ``fill`` maps to a tree replaced by
     that tree; a leaf for which ``fill`` returns None stays.  ``fill`` is
@@ -646,21 +631,6 @@ def mark_node(t, u):
         kids[i - 1] = marked
         marked = Tree(marked_name(node.label, 0), kids)
     return marked
-
-
-def unmark_tree(t):
-    """The base tree of a marked tree, built once per distinct subtree."""
-    plain = {}
-    for node in distinct_postorder(t):
-        plain[id(node)] = Tree(split_marked_name(node.label)[0],
-                               [plain[id(c)] for c in node.children])
-    return plain[id(t)]
-
-
-def marked_address(t):
-    """The address of the unique 1-marked node of a marked tree, or None."""
-    found = [u for u, node in preorder(t) if split_marked_name(node.label)[1]]
-    return found[0] if len(found) == 1 else None
 
 
 def all_trees(alphabet, max_size):

@@ -12,7 +12,6 @@ import re
 
 from .core import (
     RankedAlphabet, TreeError, UP, down, leaf, tree_from_preorder,
-    tree_metrics,
 )
 from .constructions import Pipeline, pipeline_outputs
 from .regular import _labels
@@ -238,12 +237,6 @@ def flatten(t):
     return _read_forest(t, step)
 
 
-def tree_yield(t, alphabet):
-    """Leaf labels in pre-order, skipping the alphabet's yield-invisible
-    symbols."""
-    return tree_metrics(t, alphabet)[2]
-
-
 # ---------------------------------------------------------------------------
 # Running pipelines on forests
 
@@ -362,41 +355,6 @@ def flatten_yield(symbols):
                               out("omega", leaf(sym), leaf("lbr"),
                                   call("p", down(1)), leaf("rbr"))))
     return Transducer(delta_at, omega, ["p"], ["p"], rules)
-
-
-def chomsky_encoding(gamma):
-    """The injection of trees over a ranked alphabet into rank-2 forest
-    encodings, listing the children of each node as a chain of a fresh
-    binary symbol, together with the local top-down single-use machine
-    inverting it.  Returns the (homomorphism, inverse) pair."""
-    if "omega" in gamma or "e" in gamma:
-        raise ContractError("alphabet reserves 'omega' and 'e'")
-    syms = sorted(gamma.symbols)
-    delta_e = RankedAlphabet({**{s: 2 for s in syms}, "omega": 2, "e": 0})
-    h_rules = []
-    for j in range(gamma.max_rank + 1):
-        for sym in syms:
-            rank = gamma.rank(sym)
-            chain = leaf("e")
-            for i in range(rank, 0, -1):
-                chain = out("omega", call("q", down(i)), chain)
-            h_rules.append(Rule("q", sym, j, None,
-                               out(sym, leaf("e"), chain)))
-    h = Transducer(gamma, delta_e, ["q"], ["q"], h_rules)
-    states = ["q%d" % i for i in range(gamma.max_rank + 1)]
-    inv_rules = []
-    for j in range(3):
-        for sym in syms:
-            rank = gamma.rank(sym)
-            inv_rules.append(Rule("q0", sym, j, None,
-                                  out(sym, *[call("q%d" % i, down(2))
-                                             for i in range(1, rank + 1)])))
-    inv_rules.append(Rule("q1", "omega", 2, None, call("q0", down(1))))
-    for i in range(2, gamma.max_rank + 1):
-        inv_rules.append(Rule("q%d" % i, "omega", 2, None,
-                              call("q%d" % (i - 1), down(2))))
-    inv = Transducer(delta_e, gamma, states, ["q0"], inv_rules)
-    return h, inv
 
 
 # ---------------------------------------------------------------------------

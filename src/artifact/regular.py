@@ -15,9 +15,8 @@ import itertools
 
 from .core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, depth1_productions,
-    distinct_postorder, leaf, mark_node, marked_name, serialize_tree,
-    split_marked_name, substitute_leaves, subtree_at, tree_from_preorder,
-    tree_key, tree_metrics,
+    distinct_postorder, mark_node, marked_name, serialize_tree,
+    split_marked_name, substitute_leaves, subtree_at, tree_key,
 )
 
 
@@ -184,12 +183,6 @@ def _state_names(order):
             for i, p in enumerate(order)}
 
 
-def run_automaton(aut, t):
-    """Return (state, accepted)."""
-    p = aut.run(t)
-    return p, p in aut.finals
-
-
 def automaton_all(alphabet):
     """The automaton accepting every tree over the alphabet."""
     delta = {}
@@ -198,11 +191,6 @@ def automaton_all(alphabet):
         for combo in itertools.product(["*"], repeat=rank):
             delta[(sym, combo)] = "*"
     return BottomUpAutomaton(alphabet, ["*"], ["*"], delta, check_total=False)
-
-
-def automaton_none(alphabet):
-    aut = automaton_all(alphabet)
-    return aut.complement()
 
 
 def singleton_automaton(s, alphabet):
@@ -362,17 +350,6 @@ def _realizable(aut):
                          for (sym, combo), p in aut.delta.items())
 
 
-def _coreachable(aut, realizable):
-    """The states from which a final state is reachable upward through
-    transitions whose other arguments are realizable: q <- p for every
-    such transition into p with q among its arguments."""
-    unrealizable = aut.states.difference(realizable)
-    edges = {(q, p) for (sym, combo), p in aut.delta.items()
-             if unrealizable.isdisjoint(combo) for q in combo}
-    return least_model([(p, ()) for p in aut.finals]
-                       + [(q, (p,)) for q, p in edges])
-
-
 def is_empty(aut):
     """Whether the automaton accepts no tree: ``decide(aut)[0]``, from the
     least model of the transitions alone, without witness trees."""
@@ -390,35 +367,38 @@ def decide(aut):
             best = witness[p]
     if best is None:
         return True, True, None
-    useful = _coreachable(aut, witness) & set(witness)
-    # p -> p'' whenever p can be embedded in a one-symbol context whose
-    # remaining slots are realizable; a useful state on a cycle pumps.
-    edges = {}
-    for (sym, combo), p2 in aut.delta.items():
-        if not combo:
-            continue
-        if all(q in witness for q in combo):
-            for q in combo:
-                edges.setdefault(q, set()).add(p2)
-    finite = True
+    rules = [(p, sym, combo) for (sym, combo), p in aut.delta.items()]
+    return False, _finite(rules, (), aut.finals, witness), best
+
+
+def _finite(rules, chains, initials, realizable):
+    """Whether the language derived from ``initials`` by the depth-1
+    ``rules`` (head, symbol, kids) and chain edges (head, nonterminal) is
+    finite, given the ``realizable`` heads.  A head is useful when it is
+    realizable and an initial reaches it through rules whose other kids
+    are all realizable.  The language is infinite exactly when a useful
+    head lies on a cycle that passes through a rule: a rule adds a node,
+    a chain edge does not (Comon et al., TATA, ch. 1)."""
+    below, down = {}, {}  # a head's kids by its rules, and by its chains too
+    for head, _, kids in rules:
+        if all(q in realizable for q in kids):
+            below.setdefault(head, set()).update(kids)
+            down.setdefault(head, set()).update(kids)
+    for head, nt in chains:
+        if nt in realizable:
+            down.setdefault(head, set()).add(nt)
+    useful = least_model([(p, ()) for p in initials if p in realizable]
+                         + [(q, (p,)) for p, kids in down.items()
+                            for q in kids])
     for p in useful:
         seen = set()
-        frontier = set(edges.get(p, ()))
+        frontier = set(below.get(p, ()))
         while frontier:
             if p in frontier:
-                finite = False
-                break
+                return False
             seen |= frontier
-            frontier = {r for q in frontier for r in edges.get(q, ())} - seen
-        if not finite:
-            break
-    return False, finite, best
-
-
-def enumerate_language(aut, max_size):
-    """Exactly the accepted trees of size <= max_size: the language of
-    the automaton's grammar, enumerated."""
-    return enumerate_grammar(automaton_to_grammar(aut), max_size)
+            frontier = {r for q in frontier for r in down.get(q, ())} - seen
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +437,6 @@ class RegularTreeGrammar:
 
     def is_nonterminal(self, label):
         return label in self.nonterminals
-
-    def rules_for(self, nt):
-        return [rhs for lhs, rhs in self.rules if lhs == nt]
 
     def format(self):
         lines = ["alphabet:"]
@@ -578,12 +555,6 @@ def parse_member(rules, chains, initials, s):
     return not derives[id(s)].isdisjoint(initials)
 
 
-def grammar_member(g, s):
-    """Whether s is in L(g): ``parse_member`` on g's flattened rules and
-    chain edges."""
-    return parse_member(*_flatten_rules(g), g.initials, s)
-
-
 def grammar_to_automaton(g, ceiling=4096):
     """``rules_to_automaton`` on the grammar's flattened rules and chain
     edges."""
@@ -601,17 +572,6 @@ def rules_to_automaton(terminals, rules, chains, initials, ceiling):
     finals = {s for s in states if s & initials}
     return BottomUpAutomaton(terminals, states, finals, delta,
                              check_total=False)
-
-
-def automaton_to_grammar(aut):
-    """The inverse direction: one nonterminal per state, initials are the
-    final states."""
-    nts = {p: ("N", p) for p in aut.states}
-    rules = []
-    for (sym, combo), p in aut.delta.items():
-        rules.append((nts[p], Tree(sym, [leaf(nts[q]) for q in combo])))
-    return RegularTreeGrammar(nts.values(), aut.alphabet,
-                              [nts[p] for p in aut.finals], rules)
 
 
 def grammar_chain_closure(g, max_len=None):
@@ -750,46 +710,12 @@ def _size_vectors(pools, budget):
 
 
 def grammar_finite(g):
-    """Whether L(g) is finite.  A useful nonterminal that derives a proper
-    context around itself pumps."""
-    prod = least_model((lhs, _rhs_nonterminals(rhs, g))
-                       for lhs, rhs in g.rules)
-    reach = least_model(
-        [(nt, ()) for nt in g.initials]
-        + [(nt, (lhs,)) for lhs, rhs in g.rules
-           for nt in _rhs_nonterminals(rhs, g)])
-    useful = prod & reach
-    # weighted edges: weight 1 when the rhs is bigger than a bare chain
-    edges = {}
-    for lhs, rhs in g.rules:
-        if lhs not in useful:
-            continue
-        nts = [nt for nt in _rhs_nonterminals(rhs, g) if nt in useful]
-        if g.is_nonterminal(rhs.label):
-            for nt in nts:
-                edges.setdefault(lhs, set()).add((nt, 0))
-        else:
-            ok = _rhs_productive(rhs, g, prod)
-            if ok:
-                for nt in nts:
-                    edges.setdefault(lhs, set()).add((nt, 1))
-    # infinite iff some cycle has positive weight
-    for start in useful:
-        # BFS over (node, sawWeight) pairs
-        seen = set()
-        frontier = {(nt, w) for nt, w in edges.get(start, ())}
-        while frontier:
-            if (start, 1) in frontier:
-                return False
-            nxt = set()
-            for nt, w in frontier:
-                if (nt, w) in seen:
-                    continue
-                seen.add((nt, w))
-                for nt2, w2 in edges.get(nt, ()):
-                    nxt.add((nt2, max(w, w2)))
-            frontier = nxt - seen
-    return True
+    """Whether L(g) is finite: ``_finite`` on g's flattened rules and
+    chain edges."""
+    rules, chains = _flatten_rules(g)
+    realizable = least_model([(head, kids) for head, _, kids in rules]
+                             + [(head, (nt,)) for head, nt in chains])
+    return _finite(rules, chains, g.initials, realizable)
 
 
 def _labels(trees):
@@ -805,36 +731,6 @@ def _labels(trees):
 def _rhs_nonterminals(rhs, g):
     """The nonterminal leaves of a right-hand side, left to right."""
     return [label for label in _labels([rhs]) if g.is_nonterminal(label)]
-
-
-def _rhs_productive(rhs, g, prod):
-    return all(nt in prod for nt in _rhs_nonterminals(rhs, g))
-
-
-def derivation_grammar(g):
-    """The grammar of g's derivation trees: each rule X -> zeta becomes
-    X -> Xk(pre-order items of zeta) where k is the number of symbols in
-    zeta, terminals appear as leaves, and nonterminal occurrences recurse."""
-    symbols = {sym: 0 for sym in g.terminals.symbols}
-    rules = []
-    for lhs, rhs in g.rules:
-        kids = [leaf(label) for label in _labels([rhs])]
-        name = "%s%d" % (lhs, len(kids))
-        symbols[name] = len(kids)
-        rules.append((lhs, Tree(name, kids)))
-    return RegularTreeGrammar(g.nonterminals,
-                              RankedAlphabet(symbols),
-                              g.initials, rules)
-
-
-def derivation_yield_tree(d, g):
-    """Reconstruct the derived tree from a derivation tree: read terminal
-    leaves in pre-order and rebuild by rank."""
-    labels = [x for x in tree_metrics(d)[2] if x in g.terminals.symbols]
-    try:
-        return tree_from_preorder(labels, g.terminals.rank)
-    except ValueError:
-        raise ValueError("derivation yield is not a single tree") from None
 
 
 # ---------------------------------------------------------------------------

@@ -422,16 +422,16 @@ def _tests_disjoint(M, r1, r2, corpus_bound):
 
 def _overlap_record(M):
     """The pairs of M's rules at one (state, symbol, childNo) key, by key
-    in rule order, that ``_product_disjoint`` does not prove disjoint: an
-    unguarded rule or an oracle guard, or a product that is nonempty or
+    in rule order, that ``_product_disjoint`` does not prove disjoint: two
+    unguarded rules or an oracle guard, or a product that is nonempty or
     raises KeyError (a partial automaton).  Kept on M."""
     if M._overlaps is None:
         record = {}
         for key, group in M._index.items():
             for r1, r2 in itertools.combinations(group, 2):
+                tests = [r.test for r in (r1, r2) if r.test is not None]
                 try:
-                    proved = all(r.test is not None and r.test.aut is not None
-                                 for r in (r1, r2)) \
+                    proved = tests and all(t.aut is not None for t in tests) \
                         and _product_disjoint(M, r1, r2)
                 except KeyError:
                     proved = False

@@ -1,8 +1,11 @@
 """Shared corpora, machine collectors, and oracles for the construction
 test suites."""
 
-from artifact.core import all_trees, STAY
+import random
+
+from artifact.core import Tree, all_trees, leaf, STAY
 from artifact.fixtures import OUT3, SIGMA_E, random_transducer
+from artifact.regular import RegularTreeGrammar
 from artifact.transducer import (
     check_single_use, enumerate_outputs, eval_deterministic,
 )
@@ -25,6 +28,58 @@ def collect_machines(n, kind, deterministic=True, alphabet=SIGMA_E,
             if len(found) == n:
                 return found
     raise AssertionError("only %d/%d machines found" % (len(found), n))
+
+
+def automaton_to_grammar(aut):
+    """The grammar of an automaton: one nonterminal per state, a rule per
+    transition, and the final states as initials."""
+    nts = {p: ("N", p) for p in aut.states}
+    rules = [(nts[p], Tree(sym, [leaf(nts[q]) for q in combo]))
+             for (sym, combo), p in aut.delta.items()]
+    return RegularTreeGrammar(nts.values(), aut.alphabet,
+                              [nts[p] for p in aut.finals], rules)
+
+
+def pumping_beside_unproductive(n=100):
+    """Grammars over SIGMA_E in which a pumping nonterminal sits beside
+    one that derives nothing, as in S -> f(X, U), X -> g(X) | a: six
+    written out, whose languages are finite but for the fifth, then n
+    random ones whose right-hand sides may read U, which has no rule."""
+    def sigma(a, b):
+        return Tree("sigma", [a, b])
+
+    S, U, X, Y, e = (leaf(x) for x in ("S", "U", "X", "Y", "e"))
+    pump = [("X", sigma(X, e)), ("X", e)]
+    written = [
+        [("S", sigma(X, U))] + pump,
+        [("S", e), ("S", sigma(X, U))] + pump,
+        [("S", e), ("S", sigma(sigma(X, e), U)), ("X", sigma(e, X)),
+         ("X", e)],
+        [("S", e), ("S", sigma(Y, U)), ("Y", X), ("X", sigma(X, X)),
+         ("X", e)],
+        [("S", e), ("S", sigma(X, U)), ("S", sigma(X, e))] + pump,
+        [("S", X), ("S", e), ("X", S)],
+    ]
+    out = [RegularTreeGrammar(["S", "U", "X", "Y"], SIGMA_E, ["S"], rules)
+           for rules in written]
+    rng = random.Random("beside")
+    for _ in range(n):
+        nts = ["S", "A", "B"][:rng.randint(1, 3)]
+        rules = [(nt, random_rhs(rng, nts + ["U"], 2)) for nt in nts
+                 for _ in range(rng.randint(1, 3))]
+        out.append(RegularTreeGrammar(nts + ["U"], SIGMA_E, ["S"], rules))
+    return out
+
+
+def random_rhs(rng, nts, depth):
+    """A right-hand side over SIGMA_E of depth at most ``depth`` whose
+    leaves may be the nonterminals ``nts``."""
+    label = rng.choice(["e", "sigma", "sigma"] + nts if depth else
+                       ["e"] + nts)
+    if label == "sigma":
+        return Tree("sigma", [random_rhs(rng, nts, depth - 1)
+                              for _ in range(2)])
+    return leaf(label)
 
 
 def has_tests(M):

@@ -16,13 +16,12 @@ from artifact.constructions import (
     domain_automaton, identity_like, intersect_tests, inverse_image,
     linear_bounded_factorization, linear_bounded_pipeline, localize_second,
     lookahead_of_topdown, pipeline_outputs, productivity_decompose,
-    productive_configs_nondet, pruning_image, rename_states,
-    restrict_domain, restrict_range,
+    productive_configs_nondet, pruning_image, rename_states, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
     _abstract_exits, _assemble, _chain_endpoints, _distinct_tests,
     _excursion_exits, _gamma_candidates, _is_deterministic_local,
     _leaves_phase, _marked_product, _monadic_phase, _normalize_for_pruning,
-    _per_tree, _rank1_symbols, _rebuild, _rules_by,
+    _per_tree, _rank1_symbols, _rebuild, _restrict_domain_test, _rules_by,
 )
 from artifact import transducer
 from artifact.fixtures import (
@@ -147,6 +146,25 @@ def test_stay_free_bounds_the_number_of_trees():
     with pytest.raises(ResourceError, match=r"^grammar enumeration: 9 "
                                             r"trees exceed the ceiling of 8$"):
         enumerate_grammar(g, 7, max_count=8)
+
+
+def test_stay_free_keeps_an_output_beside_an_unproductive_stay():
+    """On s(e), q's second rule stays into u, which has no rule, and into
+    x, which pumps g(...) but can also go up.  The closure rule through u
+    derives nothing, so x is not useful from q: q's closure family is
+    finite, and the output c survives stay removal."""
+    I = RankedAlphabet({"s": 1, "e": 0})
+    O = RankedAlphabet({"f": 2, "g": 1, "c": 0})
+    M = Transducer(I, O, ["r", "q", "u", "x", "a"], ["r"], [
+        Rule("r", "s", 0, None, call("q", down(1))),
+        Rule("q", "e", 1, None, call("a", UP)),
+        Rule("q", "e", 1, None, out("f", call("u", STAY), call("x", STAY))),
+        Rule("x", "e", 1, None, out("g", call("x", STAY))),
+        Rule("x", "e", 1, None, call("a", UP)),
+        Rule("a", "s", 0, None, leaf("c"))])
+    t = Tree("s", [leaf("e")])
+    assert enumerate_outputs(M, t, 6) == {leaf("c")}
+    assert enumerate_outputs(stay_free(M), t, 6) == {leaf("c")}
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +579,7 @@ def test_uniformize_leaf_chooser():
 def test_restrict_domain():
     M = identity_relabeler()
     L = domain_automaton(left_projection())
-    Mr = restrict_domain(M, L)
+    Mr = _restrict_domain_test(M, SubTest(L))
     for t in SIG_TREES_5:
         got = enumerate_outputs(Mr, t, 8)
         want = {t} if L.accepts(t) else set()

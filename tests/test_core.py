@@ -7,9 +7,8 @@ import pytest
 from artifact.core import (
     AlphabetError, MarkedAlphabet, ParseError, RankedAlphabet, Tree, TreeError,
     TreeIndex, STAY, UP, addresses, all_trees, child_number, down, leaf,
-    mark_node, marked_address, marked_name, navigate, parse_tree, preorder,
-    serialize_tree, subtree_at, tree_key, tree_metrics, unmark_tree,
-    _valid_symbol_name,
+    mark_node, marked_name, navigate, parse_tree, preorder, serialize_tree,
+    split_marked_name, subtree_at, tree_key, _valid_symbol_name,
 )
 from artifact.fixtures import OUT3, comb_tree
 
@@ -196,23 +195,17 @@ def test_serialize_comb_of_1e5_leaves_at_default_recursion_limit():
 # metrics
 
 def test_metrics_leaf():
-    assert tree_metrics(leaf("e")) == (1, 0, ("e",))
+    assert (leaf("e").size, leaf("e").height) == (1, 0)
 
 
 def test_metrics_example_tree():
     t = parse_tree("sigma(tau(tau(a)),a)", GRAMMAR_ALPHA)
-    assert tree_metrics(t) == (5, 3, ("a", "a"))
+    assert (t.size, t.height) == (5, 3)
 
 
 def test_metrics_right_comb():
     t = parse_tree("sigma(e,sigma(e,e))", SIGMA_E)
-    assert tree_metrics(t) == (5, 2, ("e", "e", "e"))
-
-
-def test_yield_invisible_symbols_skipped():
-    alpha = RankedAlphabet({"f": 2, "a": 0, "lam": 0}, yield_invisible=["lam"])
-    t = parse_tree("f(lam,a)", alpha)
-    assert tree_metrics(t, alpha) == (3, 1, ("a",))
+    assert (t.size, t.height) == (5, 2)
 
 
 def test_size_law_leaves_and_monadic():
@@ -316,12 +309,20 @@ def test_mark_second_child():
     assert serialize_tree(m) == "sigma#0(e#0,e#1)"
 
 
+def _assert_marked(m, t, u):
+    """m has t's shape, and each node carries t's label, 1-marked at u
+    and 0-marked elsewhere."""
+    pairs = list(zip(preorder(m), preorder(t)))
+    assert m.size == t.size == len(pairs)
+    for (a, node), (b, base) in pairs:
+        assert a == b
+        assert split_marked_name(node.label) == (base.label, int(a == u))
+
+
 def test_mark_unmark_roundtrip_exhaustive():
     for t in all_trees(SIGMA_E, 6):
         for u in addresses(t):
-            m = mark_node(t, u)
-            assert marked_address(m) == u
-            assert unmark_tree(m) == t
+            _assert_marked(mark_node(t, u), t, u)
 
 
 def test_mark_deep_comb_at_default_recursion_limit():
@@ -342,17 +343,7 @@ def test_deep_marked_comb_reads_back_at_default_recursion_limit():
     assert sys.getrecursionlimit() <= n
     t = comb_tree(n)
     for u in ((), (2,) * (n - 1), (2,) * (n // 2) + (1,)):
-        m = mark_node(t, u)
-        assert unmark_tree(m) == t
-        assert marked_address(m) == u
-
-
-def test_marked_address_counts_each_occurrence_of_a_shared_subtree():
-    hit = leaf("e#1")
-    assert marked_address(Tree("sigma#0", [hit, hit])) is None
-    assert marked_address(Tree("sigma#0", [leaf("e#0"), leaf("e#0")])) \
-        is None
-    assert marked_address(Tree("sigma#0", [leaf("e#0"), hit])) == (2,)
+        _assert_marked(mark_node(t, u), t, u)
 
 
 def test_marked_alphabet_shape():

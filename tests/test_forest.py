@@ -11,11 +11,11 @@ from artifact.core import RankedAlphabet, Tree, TreeError, all_trees, leaf
 from artifact.constructions import Pipeline
 from artifact.fixtures import SIGMA_E, identity_relabeler
 from artifact.forest import (
-    CONCAT, EMPTY, Forest, at_exponential, bracket_tokens, chomsky_encoding,
-    decode, decode_homomorphism, encode, encoding_alphabets, flatten,
+    CONCAT, EMPTY, Forest, at_exponential, bracket_tokens, decode,
+    decode_homomorphism, encode, encoding_alphabets, flatten,
     flatten_simulator, flatten_yield, forest_pipeline, string_forest,
-    tree_yield,
 )
+from artifact.regular import _labels
 from artifact.transducer import (
     ContractError, check_single_use, classify, eval_deterministic,
 )
@@ -338,28 +338,15 @@ def test_flatten_simulator_class():
 
 def test_flatten_yield():
     M = flatten_yield(("a", "b"))
+    A = M.output_alphabet
     assert classify(M).deterministic and classify(M).top_down
     for t in all_trees(M.input_alphabet, 7):
         s, _ = eval_deterministic(M, t)
+        # the yield: the leaves in pre-order, less the invisible ones
         toks = tuple("[" if x == "lbr" else "]" if x == "rbr" else x
-                     for x in tree_yield(s, M.output_alphabet))
+                     for x in _labels([s])
+                     if A.rank(x) == 0 and x not in A.yield_invisible)
         assert toks == bracket_tokens(flatten(t)), t
-
-
-def test_chomsky_encoding_roundtrip():
-    gamma = RankedAlphabet({"f": 2, "g": 1, "c": 0})
-    h, inv = chomsky_encoding(gamma)
-    seen = set()
-    for t in all_trees(gamma, 5):
-        s, _ = eval_deterministic(h, t)
-        assert s not in seen
-        seen.add(s)
-        r, _ = eval_deterministic(inv, s)
-        assert r == t, (t, s)
-    ok, _ = check_single_use(inv, list(seen))
-    assert ok
-    flags = classify(inv)
-    assert flags.deterministic and flags.local and flags.top_down
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from artifact.core import (
 )
 from artifact.fixtures import OUT3
 from artifact.regular import RegularTreeGrammar, enumerate_grammar, \
-    grammar_member, _labels
+    parse_member, _flatten_rules, _labels
 
 NONTERMINALS = ("S", "A", "B")
 
@@ -39,8 +39,10 @@ def grammars(draw):
 @given(grammars(), st.integers(1, 7))
 def test_enumeration_and_parsing_agree(g, n):
     lang = enumerate_grammar(g, n)
+    rules, chains = _flatten_rules(g)
     for t in all_trees(g.terminals, n):
-        assert (t in lang) == grammar_member(g, t), (g.format(), t)
+        assert (t in lang) == parse_member(rules, chains, g.initials, t), \
+            (g.format(), t)
 
 
 # ---------------------------------------------------------------------------

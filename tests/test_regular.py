@@ -19,13 +19,13 @@ from artifact.fixtures import (
 )
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, LookAround, OracleTest,
-    RegularTreeGrammar, ResourceError, SubTest, automaton_all,
-    automaton_none, automaton_to_grammar, decide, derivation_grammar,
-    derivation_yield_tree, enumerate_grammar, enumerate_language, eval_test,
-    grammar_finite, grammar_member, grammar_to_automaton, marked_automaton,
-    node_verdicts, run_automaton, singleton_automaton,
+    RegularTreeGrammar, ResourceError, SubTest, automaton_all, decide,
+    enumerate_grammar, eval_test, grammar_finite, grammar_to_automaton,
+    marked_automaton, node_verdicts, parse_member, singleton_automaton,
+    _flatten_rules,
 )
 from artifact.transducer import marked_position_automaton
+from corpus import automaton_to_grammar, pumping_beside_unproductive
 
 SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
 STA = RankedAlphabet({"sigma": 2, "tau": 1, "a": 0})
@@ -46,13 +46,15 @@ def parity_automaton():
 
 def test_run_automaton_leaf():
     aut = parity_automaton()
-    assert run_automaton(aut, leaf("e")) == ("odd", False)
+    assert aut.run(leaf("e")) == "odd"
+    assert not aut.accepts(leaf("e"))
 
 
 def test_run_automaton_two_leaves():
     aut = parity_automaton()
     t = parse_tree("sigma(e,e)", SIGMA_E)
-    assert run_automaton(aut, t) == ("even", True)
+    assert aut.run(t) == "even"
+    assert aut.accepts(t)
 
 
 def test_all_finals_accepts_everything():
@@ -64,7 +66,8 @@ def test_all_finals_accepts_everything():
 def test_run_deep_comb():
     t = comb_tree(10 ** 4)
     assert automaton_all(SIGMA_E).accepts(t)
-    assert run_automaton(parity_automaton(), t) == ("even", True)
+    assert parity_automaton().run(t) == "even"
+    assert parity_automaton().accepts(t)
     assert eval_test(SubTest(automaton_all(SIGMA_E)), comb_tree(500), ())
 
 
@@ -229,23 +232,27 @@ def test_grammar_member_agrees_with_enumeration():
         g = _random_grammar(rng)
         lang = enumerate_grammar(g, 7)
         for t in small:
-            assert grammar_member(g, t) == (t in lang), (g.format(), t)
+            assert parse_member(*_flatten_rules(g), g.initials, t) == \
+                (t in lang), (g.format(), t)
     g = RegularTreeGrammar(
         ["S"], SIGMA_E, ["S"],
         [("S", leaf("e")), ("S", Tree("sigma", [leaf("e"), leaf("S")]))])
-    assert grammar_member(g, comb_tree(5000))
-    assert not grammar_member(g, Tree("sigma", [comb_tree(2), leaf("e")]))
+    rules, chains = _flatten_rules(g)
+    assert parse_member(rules, chains, g.initials, comb_tree(5000))
+    assert not parse_member(rules, chains, g.initials,
+                            Tree("sigma", [comb_tree(2), leaf("e")]))
     full = leaf("e")
     for _ in range(40):
         full = Tree("sigma", [full, full])
     g = RegularTreeGrammar(["S"], SIGMA_E, ["S"],
                            [("S", leaf("e")),
                             ("S", Tree("sigma", [leaf("S"), leaf("S")]))])
-    assert grammar_member(g, full)
+    rules, chains = _flatten_rules(g)
+    assert parse_member(rules, chains, g.initials, full)
     # ill-ranked trees: a rule applies only to a node of its own arity
     for bad in (leaf("sigma"), Tree("sigma", [leaf("e")]),
                 Tree("sigma", [leaf("e")] * 3)):
-        assert not grammar_member(g, bad), bad
+        assert not parse_member(rules, chains, g.initials, bad), bad
         assert bad not in enumerate_grammar(g, 4)
 
 
@@ -259,7 +266,7 @@ def test_subset_construction_ceiling():
 # decide / enumerate
 
 def test_decide_empty():
-    empty, finite, witness = decide(automaton_none(SIGMA_E))
+    empty, finite, witness = decide(automaton_all(SIGMA_E).complement())
     assert (empty, finite, witness) == (True, True, None)
 
 
@@ -277,12 +284,16 @@ def test_decide_all_trees_infinite():
 
 
 def test_decide_finiteness_agrees_with_grammar():
+    """Also where a pumping nonterminal is reached only beside one that
+    derives nothing: it is not useful, so it does not pump."""
     rng = random.Random(11)
-    for _ in range(30):
-        g = _random_grammar(rng)
+    grammars = [_random_grammar(rng) for _ in range(30)]
+    beside = pumping_beside_unproductive()
+    assert [grammar_finite(g) for g in beside[:6]] == [True] * 4 + [False, True]
+    for g in grammars + beside:
         aut = grammar_to_automaton(g)
         _, finite, _ = decide(aut)
-        assert finite == grammar_finite(g)
+        assert finite == grammar_finite(g), g.format()
 
 
 def test_singleton_automaton_accepts_exactly_its_tree():
@@ -315,21 +326,22 @@ def test_singleton_automaton_of_a_tree_outside_the_alphabet():
 
 def test_enumerate_language_singleton():
     aut = singleton_automaton(leaf("e"), SIGMA_E)
-    assert enumerate_language(aut, 3) == {leaf("e")}
+    assert enumerate_grammar(automaton_to_grammar(aut), 3) == {leaf("e")}
 
 
 def test_enumerate_language_all():
-    got = enumerate_language(automaton_all(SIGMA_E), 3)
+    got = enumerate_grammar(automaton_to_grammar(automaton_all(SIGMA_E)), 3)
     assert got == {leaf("e"), parse_tree("sigma(e,e)", SIGMA_E)}
 
 
 def test_enumerate_language_empty():
-    assert enumerate_language(automaton_none(SIGMA_E), 4) == set()
+    aut = automaton_all(SIGMA_E).complement()
+    assert enumerate_grammar(automaton_to_grammar(aut), 4) == set()
 
 
 def test_enumerate_matches_membership():
     aut = parity_automaton()
-    got = enumerate_language(aut, 6)
+    got = enumerate_grammar(automaton_to_grammar(aut), 6)
     assert got == {t for t in all_trees(SIGMA_E, 6) if aut.accepts(t)}
 
 
@@ -337,16 +349,15 @@ def test_nonempty_has_small_witness():
     """decide's witness stays within the state-count-derived size bound."""
     rng = random.Random(3)
     for _ in range(20):
-        aut = grammar_to_automaton(_random_grammar(rng))
+        g = _random_grammar(rng)
+        aut = grammar_to_automaton(g)
         empty, _, witness = decide(aut)
         bound = len(aut.states) * max(aut.alphabet.max_rank, 1) + 1
         if not empty:
             assert witness is not None
             assert aut.accepts(witness)
             assert witness.size <= 2 ** bound  # loose sanity cap
-            assert enumerate_language(aut, witness.size - 1) == set() or \
-                min(t.size for t in enumerate_language(aut, witness.size)) \
-                == witness.size
+            assert enumerate_grammar(g, witness.size - 1) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +379,7 @@ def test_sub_test_leaf_language():
 
 def test_sub_test_of_all_and_none():
     top = SubTest(automaton_all(SIGMA_E))
-    bot = SubTest(automaton_none(SIGMA_E))
+    bot = SubTest(automaton_all(SIGMA_E).complement())
     for t in all_trees(SIGMA_E, 4):
         for u in addresses(t):
             assert eval_test(top, t, u)
@@ -410,7 +421,7 @@ def test_subtest_to_marked_agrees():
     to 7 nodes; a marked guard is its own marked automaton, and an oracle
     has none."""
     tests = [SubTest(parity_automaton()), SubTest(automaton_all(SIGMA_E)),
-             SubTest(automaton_none(SIGMA_E))]
+             SubTest(automaton_all(SIGMA_E).complement())]
     for seed in range(30):
         tests += _machine_tests(random_transducer(seed, kind="sub"))
     assert len(tests) > 30
@@ -748,41 +759,11 @@ def test_all_nodes_table_lookups_per_node():
 
 
 # ---------------------------------------------------------------------------
-# derivation grammars
-
-def test_derivation_grammar_paper_example():
-    g = RegularTreeGrammar.parse(
-        "alphabet:\nsigma:2\ntau:1\na:0\n"
-        "initial: S\n"
-        "S -> sigma(X,Y)\nX -> tau(Y)\nY -> tau(a)\nY -> a\n")
-    der = derivation_grammar(g)
-    derivations = enumerate_grammar(der, 10)
-    target = parse_tree(
-        "S3(sigma,X2(tau,Y2(tau,a)),Y1(a))", der.terminals)
-    assert target in derivations
-
-
-def test_derivation_grammar_singleton():
-    g = RegularTreeGrammar(["S"], SIGMA_E, ["S"], [("S", leaf("e"))])
-    der = derivation_grammar(g)
-    assert enumerate_grammar(der, 3) == {parse_tree("S1(e)", der.terminals)}
-
-
-def test_derivation_yields_match_direct_enumeration():
-    rng = random.Random(23)
-    for _ in range(20):
-        g = _random_grammar(rng)
-        der = derivation_grammar(g)
-        lang = enumerate_grammar(g, 6)
-        for d in enumerate_grammar(der, 11):
-            t = derivation_yield_tree(d, g)
-            if t.size <= 6:
-                assert t in lang
-
+# forward-deterministic grammars
 
 def test_forward_deterministic_singleton_and_height():
-    """A forward-deterministic grammar derives at most one tree, and its
-    derivation tree height is at most the number of nonterminals."""
+    """A forward-deterministic grammar derives at most one tree; with
+    depth-1 rules its height is less than the number of nonterminals."""
     # forward deterministic: at most one rule per nonterminal
     g = RegularTreeGrammar.parse(
         "alphabet:\nsigma:2\ne:0\n"
@@ -790,7 +771,4 @@ def test_forward_deterministic_singleton_and_height():
         "S -> sigma(A,B)\nA -> sigma(B,B)\nB -> e\n")
     lang = enumerate_grammar(g, 12)
     assert len(lang) == 1
-    der = derivation_grammar(g)
-    ds = enumerate_grammar(der, 12)
-    assert len(ds) == 1
-    assert next(iter(ds)).height <= len(g.nonterminals)
+    assert next(iter(lang)).height < len(g.nonterminals)

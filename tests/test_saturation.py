@@ -27,14 +27,13 @@ from artifact.fixtures import (
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, RegularTreeGrammar, ResourceError,
     SubTest,
-    automaton_to_grammar, decide, enumerate_grammar, explore,
-    grammar_chain_closure, grammar_finite, grammar_to_automaton,
-    least_model, marked_automaton, min_witnesses,
-    _flatten_rules, _realizable, _rhs_nonterminals,
-    _rhs_productive,
+    decide, enumerate_grammar, explore, grammar_chain_closure,
+    grammar_finite, grammar_to_automaton, least_model, marked_automaton,
+    min_witnesses, _flatten_rules, _realizable, _rhs_nonterminals,
 )
 
 from artifact.transducer import ContractError
+from corpus import automaton_to_grammar, pumping_beside_unproductive, random_rhs
 
 KINDS = ("local", "sub", "lookaround", "topdown", "relabeling", "pruning")
 FIXTURES = (m_exp, identity_relabeler, left_projection, query_transducer)
@@ -150,18 +149,35 @@ def _realizable_by_rounds(aut):
     return witness
 
 
-def _coreachable_by_rounds(aut, realizable):
-    co = set(aut.finals)
+def _finite_by_rounds(rules, chains, initials, realizable):
+    """``regular._finite`` without chain edges, as ``decide`` ran it: the
+    useful heads by rounds, then a search from each useful head for a
+    path back to it through rules whose kids are all realizable."""
+    assert not chains
+    useful = {p for p in initials if p in realizable}
     changed = True
     while changed:
         changed = False
-        for (sym, combo), p in aut.delta.items():
-            if p in co and all(q in realizable for q in combo):
-                for q in combo:
-                    if q not in co:
-                        co.add(q)
+        for p, _, kids in rules:
+            if p in useful and all(q in realizable for q in kids):
+                for q in kids:
+                    if q not in useful:
+                        useful.add(q)
                         changed = True
-    return co
+    up = {}
+    for p, _, kids in rules:
+        if all(q in realizable for q in kids):
+            for q in kids:
+                up.setdefault(q, set()).add(p)
+    for p in useful:
+        seen = set()
+        frontier = set(up.get(p, ()))
+        while frontier:
+            if p in frontier:
+                return False
+            seen |= frontier
+            frontier = {r for q in frontier for r in up.get(q, ())} - seen
+    return True
 
 
 def _grammar_min_witness_by_rounds(g):
@@ -203,20 +219,27 @@ def _chain_closure_by_rounds(g):
 
 
 def _grammar_finite_by_rounds(g):
+    """Finiteness on the rules as written: a useful nonterminal is
+    productive and reached from an initial through rules whose
+    nonterminals are all productive; it pumps when it derives a proper
+    context around itself."""
+    def productive(rhs):
+        return all(nt in prod for nt in _rhs_nonterminals(rhs, g))
+
     prod = set()
     changed = True
     while changed:
         changed = False
         for lhs, rhs in g.rules:
-            if lhs not in prod and _rhs_productive(rhs, g, prod):
+            if lhs not in prod and productive(rhs):
                 prod.add(lhs)
                 changed = True
-    reach = set(g.initials)
+    reach = set(g.initials) & prod
     changed = True
     while changed:
         changed = False
         for lhs, rhs in g.rules:
-            if lhs in reach:
+            if lhs in reach and productive(rhs):
                 for nt in _rhs_nonterminals(rhs, g):
                     if nt not in reach:
                         reach.add(nt)
@@ -230,7 +253,7 @@ def _grammar_finite_by_rounds(g):
         if g.is_nonterminal(rhs.label):
             for nt in nts:
                 edges.setdefault(lhs, set()).add((nt, 0))
-        elif _rhs_productive(rhs, g, prod):
+        elif productive(rhs):
             for nt in nts:
                 edges.setdefault(lhs, set()).add((nt, 1))
     for start in useful:
@@ -545,15 +568,6 @@ def _machines(kinds=KINDS, n=30):
     return ms
 
 
-def _random_rhs(rng, nts, depth):
-    label = rng.choice(["e", "sigma", "sigma"] + nts if depth else
-                       ["e"] + nts)
-    if label == "sigma":
-        return Tree("sigma", [_random_rhs(rng, nts, depth - 1)
-                              for _ in range(2)])
-    return leaf(label)
-
-
 def _random_grammars(n, seed="grammars"):
     """Grammars with chain rules, nested right-hand sides, unproductive
     and unreachable nonterminals."""
@@ -561,7 +575,7 @@ def _random_grammars(n, seed="grammars"):
     out = []
     for _ in range(n):
         nts = ["S", "A", "B", "C"][:rng.randint(1, 4)]
-        rules = [(nt, _random_rhs(rng, nts, 2)) for nt in nts
+        rules = [(nt, random_rhs(rng, nts, 2)) for nt in nts
                  for _ in range(rng.randint(0, 3))]
         out.append(RegularTreeGrammar(nts, SIGMA_E, ["S"], rules))
     return out
@@ -800,28 +814,31 @@ def _automata():
 
 
 def test_decide_matches_round_robin(monkeypatch):
-    emptiness = set()
+    outcomes = set()
     for A in _automata():
         real = _realizable(A)
         assert real == _realizable_by_rounds(A)
-        assert regular._coreachable(A, real) == \
-            _coreachable_by_rounds(A, real)
         new = decide(A)
         assert regular.is_empty(A) == new[0]
-        emptiness.add(new[0])
+        outcomes.add(new[:2])
         with monkeypatch.context() as m:
             m.setattr(regular, "_realizable", _realizable_by_rounds)
-            m.setattr(regular, "_coreachable", _coreachable_by_rounds)
+            m.setattr(regular, "_finite", _finite_by_rounds)
             assert decide(A) == new
-    assert emptiness == {True, False}
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_grammar_closures_match_round_robin():
-    grammars = _random_grammars(200) + _closure_grammars()
+    """Finiteness also agrees with ``decide`` on the grammar's automaton,
+    among others on grammars where a pumping nonterminal sits beside one
+    that derives nothing."""
+    grammars = _random_grammars(200) + _closure_grammars() \
+        + pumping_beside_unproductive()
     finite = set()
     for g in grammars:
         assert grammar_chain_closure(g) == _chain_closure_by_rounds(g)
-        assert grammar_finite(g) == _grammar_finite_by_rounds(g)
+        assert grammar_finite(g) == _grammar_finite_by_rounds(g) \
+            == decide(grammar_to_automaton(g))[1], g.format()
         finite.add(grammar_finite(g))
         wit = min_witnesses(*_flatten_rules(g))
         assert {nt: t for nt, t in wit.items() if nt in g.nonterminals} \

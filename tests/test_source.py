@@ -1,6 +1,7 @@
 """Static checks over the package source: every import is used, every
 module-level private function is referenced somewhere in the program, its
-tests or its benchmark, and only the named functions recurse."""
+tests or its benchmark, every public one has a user besides the tests,
+and only the named functions recurse."""
 
 import ast
 import pathlib
@@ -73,6 +74,33 @@ def test_every_private_function_is_referenced():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
         and node.name not in used]
     assert unreferenced == []
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    """A public module-level function is named somewhere in ``src/``
+    other than its own ``def``, in ``bench/*.py`` (a string counts: the
+    tracer names the functions it wraps), or in ``test_acceptance.py``;
+    none is there only for the other tests."""
+    trees = {path: _parse(path) for path in MODULES}
+    used = {}  # name -> the src top-level statements naming it
+    for tree in trees.values():
+        for node in tree.body:
+            for name in _used_names(node):
+                used.setdefault(name, []).append(node)
+    outside = _used_names(_parse(ROOT / "tests" / "test_acceptance.py"))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = _parse(path)
+        outside |= _used_names(tree)
+        outside.update(n.value for n in ast.walk(tree)
+                       if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str))
+    unused = [
+        "%s: %s" % (path.name, node.name)
+        for path, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in outside
+        and all(stmt is node for stmt in used.get(node.name, ()))]
+    assert unused == []
 
 
 # Each of these still calls itself, so an input deep enough raises

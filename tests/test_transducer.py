@@ -21,7 +21,7 @@ from artifact.fixtures import (
     m_exp, query_transducer, random_marked_test, random_transducer,
 )
 from artifact.regular import (
-    AutomatonTest, BottomUpAutomaton, SubTest, grammar_member,
+    AutomatonTest, BottomUpAutomaton, SubTest, parse_member, _flatten_rules,
 )
 from artifact.transducer import (
     Call, ContractError, Rule, Transducer, call, check_single_use, classify,
@@ -302,8 +302,8 @@ def test_deep_rhs_at_default_recursion_limit():
     g = config_grammar(M, leaf("e"))
     assert set(g.rules) == {(("q", ()), chain(leaf(("p", ())))),
                             (("p", ()), leaf("e"))}
-    assert grammar_member(g, want)
-    assert not grammar_member(g, want.children[0])
+    assert parse_member(*_flatten_rules(g), g.initials, want)
+    assert not parse_member(*_flatten_rules(g), g.initials, want.children[0])
     N = normalize_general(M)
     assert len(N.rules) == depth + 2
     assert eval_deterministic(N, leaf("e"))[0] == want
@@ -468,7 +468,7 @@ def test_config_grammar_on_leaf():
 def test_config_grammar_empty_when_no_rule_applies():
     t = parse_tree("sigma(e,e)", SIGMA_E)
     g = config_grammar(loop_transducer(), t)
-    assert g.rules_for(("q", ())) == []
+    assert all(lhs != ("q", ()) for lhs, _ in g.rules)
     assert enumerate_outputs(loop_transducer(), t, 10) == set()
 
 
@@ -1037,6 +1037,33 @@ def test_classify_reads_the_overlap_record():
     # a partial guard automaton sends its pair to the corpus, so no
     # KeyError leaks
     assert seen == {True, False}
+
+
+def test_overlap_record_keeps_exactly_the_unproved_pairs():
+    """On 300 random machines the record holds each pair of two unguarded
+    rules, and each other pair exactly when ``_product_disjoint`` does not
+    prove it disjoint: a pair with one unguarded rule is tried by the
+    product too.  ``classify`` gives the flags of deciding every pair."""
+    one_guard_proved = 0
+    for kind in ("sub", "lookaround", "topdown", "pruning", "relabeling"):
+        for det in (True, False):
+            for seed in range(30):
+                M = random_transducer(seed, kind, det)
+                record = transducer._overlap_record(M)
+                for key, group in M._index.items():
+                    for pair in itertools.combinations(group, 2):
+                        tests = [r.test for r in pair if r.test is not None]
+                        try:
+                            proved = bool(tests) and all(
+                                t.aut is not None for t in tests) \
+                                and transducer._product_disjoint(M, *pair)
+                        except KeyError:
+                            proved = False
+                        assert (pair in record.get(key, ())) != proved
+                        one_guard_proved += proved and len(tests) == 1
+                want = _classify_every_pair(random_transducer(seed, kind, det))
+                assert classify(M) == want
+    assert one_guard_proved > 0
 
 
 # ---------------------------------------------------------------------------
