@@ -238,6 +238,15 @@ def _closure_grammar(pairs):
     return nts, [(("S", q), rhs) for q, rhs in pairs]
 
 
+def _productive_rules(nts, rules):
+    """The rules whose nonterminals all derive some tree.  A rule that
+    reads an unproductive nonterminal derives nothing, but enumeration
+    would still expand its other nonterminals."""
+    kids = [[x for x in _labels([rhs]) if x in nts] for _, rhs in rules]
+    live = least_model(zip([lhs for lhs, _ in rules], kids))
+    return [r for r, ks in zip(rules, kids) if live.issuperset(ks)]
+
+
 def _occurring_dnames(rhs_list, dmap):
     return {l for l in _labels(rhs_list) if l in dmap}
 
@@ -325,11 +334,7 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
     rules = []
     for (sym, j, test), pairs in groups.items():
         nts, grules = _closure_grammar(pairs)
-        # a rule that reads an unproductive nonterminal derives nothing;
-        # enumeration would still expand its other nonterminals
-        kids = [[x for x in _labels([rhs]) if x in nts] for _, rhs in grules]
-        live = least_model(zip([lhs for lhs, _ in grules], kids))
-        grules = [r for r, ks in zip(grules, kids) if live.issuperset(ks)]
+        grules = _productive_rules(nts, grules)
         for q in sorted({q for q, _ in pairs}, key=repr):
             g = RegularTreeGrammar(nts, terminals, {("S", q)}, grules)
             members = set()
@@ -352,8 +357,9 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
                         raise ResourceError(
                             "stay-removal search: %d checks exceed the "
                             "ceiling of %d" % (checks, search_ceiling))
-                    sub_rules = [(lhs, rhs) for lhs, rhs in grules
-                                 if _occurring_dnames([rhs], dmap) <= keep]
+                    sub_rules = _productive_rules(nts, [
+                        (lhs, rhs) for lhs, rhs in grules
+                        if _occurring_dnames([rhs], dmap) <= keep])
                     gk = RegularTreeGrammar(nts, terminals, {("S", q)},
                                             sub_rules)
                     if grammar_finite(gk):

@@ -167,6 +167,24 @@ def test_stay_free_keeps_an_output_beside_an_unproductive_stay():
     assert enumerate_outputs(stay_free(M), t, 6) == {leaf("c")}
 
 
+def test_stay_free_cut_back_drops_what_an_unproductive_stay_leaves():
+    """On s(e), q's family f(c, g^n(c)) is infinite, so it is cut back.
+    Without the outward call of u, u derives nothing, and the x beside it
+    must not be enumerated: the cut-back family is empty, not an
+    enumeration of g^n(c) that exceeds its ceiling."""
+    I = RankedAlphabet({"s": 1, "e": 0})
+    O = RankedAlphabet({"f": 2, "g": 1, "c": 0})
+    M = Transducer(I, O, ["r", "q", "u", "x", "a"], ["r"], [
+        Rule("r", "s", 0, None, call("q", down(1))),
+        Rule("q", "e", 1, None, out("f", call("u", STAY), call("x", STAY))),
+        Rule("u", "e", 1, None, call("a", UP)),
+        Rule("x", "e", 1, None, out("g", call("x", STAY))),
+        Rule("x", "e", 1, None, leaf("c")),
+        Rule("a", "s", 0, None, leaf("c"))])
+    t = Tree("s", [leaf("e")])
+    assert enumerate_outputs(stay_free(M), t, 6) == set()
+
+
 # ---------------------------------------------------------------------------
 # Look-around splitting
 
