@@ -290,14 +290,6 @@ def cmd_run(ws, args):
     return 0
 
 
-def cmd_enumerate(ws, args):
-    M = ws.transducer(args.transducer)
-    t = ws.tree(args.input, M.input_alphabet)
-    outs = enumerate_outputs(M, t, args.max_size, args.max_chain)
-    print(_outputs_line(serialize_tree(t), outs, serialize_tree))
-    return 0
-
-
 def _compose_auto(M1, M2):
     err = None
     for fn in (compose_det_topdown, compose_su, compose_with_pruning):
@@ -353,20 +345,14 @@ def cmd_split(ws, args):
 
 def cmd_lookahead(ws, args):
     M = lookahead_of_topdown(ws.transducer(args.transducer))
-    save_transducer(M, args.out)
-    print("WROTE %s (%d states, %d rules)" % (args.out, len(M.states),
-                                              len(M.rules)))
-    return 0
+    return _emit_machine(M, args)
 
 
 def cmd_uniformize(ws, args):
     M = ws.transducer(args.transducer)
     U = uniformize(M)
     if args.out:
-        save_transducer(U, args.out)
-        print("WROTE %s (%d states, %d rules)" % (args.out, len(U.states),
-                                                  len(U.rules)))
-        return 0
+        return _emit_machine(U, args)
     # the uniformizer's guards have no text form in general, so without
     # --out report its value on every input up to the size bound
     for t in all_trees(M.input_alphabet, args.max_size):
@@ -536,7 +522,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     size_flags(p)
 
-    p = add("enumerate", cmd_enumerate,
+    p = add("enumerate", cmd_run,
             help="enumerate outputs up to a size bound")
     p.add_argument("--transducer", required=True)
     p.add_argument("--input", required=True)

@@ -28,8 +28,9 @@ from .regular import (
 )
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
-    enumerate_outputs, eval_deterministic, normalize_general,
-    normalize_outputs_stay, out, relabel_rules, trace_productive,
+    enumerate_outputs, eval_deterministic, is_local, is_pruning,
+    is_relabeling, is_top_down, normalize_general, normalize_outputs_stay,
+    out, relabel_rules, trace_productive,
     _applicable_all, _computation, _successors, _values,
 )
 
@@ -72,7 +73,7 @@ def intersect_tests(a, b):
             marked_automaton(b)))
     return OracleTest(
         lambda t, u, a=a, b=b: eval_test(a, t, u) and eval_test(b, t, u),
-        "and(%r,%r)" % (a, b), subtest=a.subtest and b.subtest)
+        "and(%r,%r)" % (a, b))
 
 
 def _per_tree(fn):
@@ -329,7 +330,7 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
         raise ContractError("stay removal needs the finitary assertion")
     if all(c.instr != STAY for r in M.rules for c in r.calls()):
         return M
-    Md = disjoint_tests(M) if _distinct_tests(M) else M
+    Md = disjoint_tests(M)
     groups, dmap, terminals = _stay_closure_groups(Md)
     rules = []
     for (sym, j, test), pairs in groups.items():
@@ -521,11 +522,9 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     look-ahead: states carry, per test, the set of marked-run product
     states the context above maps to acceptance, and rules carry
     child-profile sub-tests pinning the children's subtree states."""
-    for r in M.rules:
-        for c in r.calls():
-            if c.instr.kind == "up":
-                raise ContractError(
-                    "look-ahead conversion needs a machine without up-moves")
+    if not is_top_down(M):
+        raise ContractError(
+            "look-ahead conversion needs a machine without up-moves")
     tests = _distinct_tests(M)
     if not tests:
         return M
@@ -719,37 +718,15 @@ def _check_alphabets(M1, M2):
         raise ContractError("composition needs matching middle alphabets")
 
 
-def _require_local(M2):
-    if any(r.test is not None for r in M2.rules):
-        raise ContractError("second machine must be local here")
-
-
-def _pruning_shape(M2):
-    for r in M2.rules:
-        if r.kind == "move":
-            if r.rhs.label.instr.kind != "down":
-                return False
-        elif r.kind == "output":
-            idxs = []
-            for c in r.rhs.children:
-                if c.label.instr.kind != "down":
-                    return False
-                idxs.append(c.label.instr.index)
-            if not all(a < b for a, b in zip(idxs, idxs[1:])):
-                return False
-        else:
-            return False
-    return True
-
-
 def compose_with_pruning(M1, M2):
     """Compose an arbitrary machine with a local pruning machine.  Pruning
     never copies its input, so nondeterminism in M1 is harmless; a deleted
     subtree only needs an oracle check that M1 could have produced some
     output for it."""
     _check_alphabets(M1, M2)
-    _require_local(M2)
-    if not _pruning_shape(M2):
+    if not is_local(M2):
+        raise ContractError("second machine must be local here")
+    if not is_pruning(M2):
         raise ContractError("second machine must be pruning here")
     M1a = _chi_augment(normalize_general(M1))
     prod = productive_configs_nondet(M1a)
@@ -810,7 +787,8 @@ def compose_with_pruning(M1, M2):
 
 def _check_product(M1, M2):
     _check_alphabets(M1, M2)
-    _require_local(M2)
+    if not is_local(M2):
+        raise ContractError("second machine must be local here")
     if len(M1.initials) != 1 or len(M2.initials) != 1:
         raise ContractError("this composition needs single initial states")
 
@@ -820,10 +798,11 @@ def compose_det_topdown(M1, M2):
     that never moves up.  When the second machine is also stay-free the
     product substitutes its moves directly and preserves the pruning
     shape; the composition is guarded on membership in dom(M1)."""
-    if _pruning_shape(M2):
+    if is_pruning(M2):
         # stay-free deleting-only second machine: reuse the pruning
         # product (which keeps the pruning shape), then guard the domain
-        _require_local(M2)
+        if not is_local(M2):
+            raise ContractError("second machine must be local here")
         if len(M1.initials) != 1:
             raise ContractError("this composition needs a single initial "
                                 "state on the first machine")
@@ -831,7 +810,7 @@ def compose_det_topdown(M1, M2):
         dom = _domain_oracle(_chi_augment(normalize_general(M1)))
         return _guard_initial(prodM, dom)
     _check_product(M1, M2)
-    if any(c.instr.kind == "up" for r in M2.rules for c in r.calls()):
+    if not is_top_down(M2):
         raise ContractError("up-moves of the second machine need the "
                             "single-use composition")
     # without up-moves the second machine never reaches a "fin" state, so
@@ -863,6 +842,7 @@ def compose_su(M1, M2):
     M2n = normalize_general(M2)
     rules1 = list(M1a.rules)
     ridx_of = {id(r): i for i, r in enumerate(rules1)}
+    by_state = _rules_by(M1a, lambda r: r.state)
 
     def parents_of(t):
         init = (next(iter(M1a.initials)), ())
@@ -901,9 +881,7 @@ def compose_su(M1, M2):
     def pq_rules(state):
         _, pa, q = state
         made = []
-        for r in rules1:
-            if r.state != pa:
-                continue
+        for r in by_state.get(pa, ()):
             if r.kind == "move":
                 c = r.rhs.label
                 made.append(Rule(state, r.symbol, r.child_no, r.test,
@@ -964,9 +942,7 @@ def compose_su(M1, M2):
     def back_rules(state):
         _, pbar, q = state
         made = []
-        for r in rules1:
-            if r.state != pbar:
-                continue
+        for r in by_state.get(pbar, ()):
             if r.kind == "move":
                 made += to_parent(state, pbar, q, r.symbol, r.child_no,
                                   r.test)
@@ -1246,7 +1222,7 @@ def inverse_image(M, L):
 def pruning_image(M, L=None, ceiling=4096):
     """The automaton for the set of outputs of a pruning machine on
     inputs from L (all inputs when L is None)."""
-    if not _pruning_shape(M):
+    if not is_pruning(M):
         raise ContractError("image automaton needs a pruning machine")
     tests = _automaton_tests(
         M, "image automaton needs automaton-backed tests")
@@ -1312,20 +1288,12 @@ def uniformize(M, subset_ceiling=6):
     """A machine computing a function contained in M's relation, with the
     same domain: per left-hand side the least output shape, guarded by an
     oracle pinning the exact productivity pattern of the outward calls."""
-    for r in M.rules:
-        for c in r.calls():
-            if c.instr.kind == "up":
-                raise ContractError(
-                    "uniformization needs a machine without up-moves")
-    Md = disjoint_tests(M) if _distinct_tests(M) else M
+    if not is_top_down(M):
+        raise ContractError(
+            "uniformization needs a machine without up-moves")
+    Md = disjoint_tests(M)
     if len(Md.initials) > 1:
-        fresh = ("uni0",)
-        rules0 = list(Md.rules)
-        for r in Md.rules:
-            if r.state in Md.initials and r.child_no == 0:
-                rules0.append(Rule(fresh, r.symbol, 0, r.test, r.rhs))
-        Md = Transducer(Md.input_alphabet, Md.output_alphabet,
-                        set(Md.states) | {fresh}, [fresh], rules0)
+        Md = _guard_initial(Md, None)
     prod = productive_configs_nondet(Md)
     groups, dmap, terminals = _stay_closure_groups(Md)
     rules = []
@@ -1621,14 +1589,10 @@ def _is_deterministic_local(M):
 
 
 def _normalize_for_pruning(M):
-    _require_local_tests(M)
-    return rename_states(normalize_outputs_stay(normalize_general(M)))
-
-
-def _require_local_tests(M):
-    if any(r.test is not None for r in M.rules):
+    if not is_local(M):
         raise ContractError("productivity decomposition needs a local "
                             "machine")
+    return rename_states(normalize_outputs_stay(normalize_general(M)))
 
 
 def _remainder_rules(gamma_syms, maxr, kept_of, gamma_leaf):
@@ -1720,13 +1684,13 @@ def _leaves_phase(M):
     if det:
         def witness(t):
             try:
-                tr = trace_productive(Mn, t)
+                productive = trace_productive(Mn, t)
             except ContractError:
                 return None
             # the productive nodes and their ancestors; each walk up
             # stops at the first node an earlier walk reached
             hot = set()
-            for u in tr.productive_nodes:
+            for u in productive:
                 while u not in hot:
                     hot.add(u)
                     u = u[:-1]
@@ -1881,13 +1845,13 @@ def _monadic_phase(M):
     if det:
         def witness(t):
             try:
-                tr = trace_productive(Mn, t)
+                productive = trace_productive(Mn, t)
             except ContractError:
                 return None
 
             def mark(u, node, picks, kids):
                 if len(kids) == 1 and u != () \
-                        and u not in tr.productive_nodes \
+                        and u not in productive \
                         and node.label in hat:
                     return Tree(hat[node.label], kids)
                 return Tree(node.label, kids)
@@ -1951,13 +1915,13 @@ def linear_bounded_factorization(M):
             # every leaf and every non-root monadic node must draw output
             # (the root stays even when it contributes nothing)
             try:
-                tr = trace_productive(rem, t)
+                productive = trace_productive(rem, t)
             except ContractError:
                 return False
             for v, node in preorder(t):
                 if not node.children or (len(node.children) == 1
                                          and v != ()):
-                    if v not in tr.productive_nodes:
+                    if v not in productive:
                         return False
             return True
         remainder = _restrict_domain_test(
@@ -1975,8 +1939,7 @@ def linear_bounded_pipeline(P, corpus_bound=4):
     stages = list(P.stages)
     if len(stages) <= 1:
         return Pipeline(tuple(stages), 1)
-    if all(classify(s, corpus_bound=corpus_bound).relabeling
-           for s in stages):
+    if all(is_relabeling(s) for s in stages):
         return Pipeline(tuple(stages), 1)
     out_stages = [stages[0]]
     constant = 1

@@ -30,28 +30,19 @@ class TreeError(ValueError):
 
 
 class RankedAlphabet:
-    """A finite map from symbol names to ranks (non-negative arities).
+    """A finite map from symbol names to ranks (non-negative arities)."""
 
-    ``yield_invisible`` is an optional set of rank-0 symbols that are
-    skipped when computing yields.
-    """
+    __slots__ = ("symbols", "max_rank")
 
-    __slots__ = ("symbols", "max_rank", "yield_invisible")
-
-    def __init__(self, symbols, yield_invisible=()):
+    def __init__(self, symbols):
         symbols = dict(symbols)
         for name, rank in symbols.items():
             if not _valid_symbol_name(name):
                 raise AlphabetError("invalid symbol name: %r" % (name,))
             if not isinstance(rank, int) or rank < 0:
                 raise AlphabetError("invalid rank for %r: %r" % (name, rank))
-        for name in yield_invisible:
-            if symbols.get(name) != 0:
-                raise AlphabetError(
-                    "yield-invisible symbol %r must have rank 0" % (name,))
         self.symbols = symbols
         self.max_rank = max(symbols.values(), default=0)
-        self.yield_invisible = frozenset(yield_invisible)
 
     def rank(self, name):
         try:
@@ -70,11 +61,10 @@ class RankedAlphabet:
 
     def __eq__(self, other):
         return (isinstance(other, RankedAlphabet)
-                and self.symbols == other.symbols
-                and self.yield_invisible == other.yield_invisible)
+                and self.symbols == other.symbols)
 
     def __hash__(self):
-        return hash((frozenset(self.symbols.items()), self.yield_invisible))
+        return hash(frozenset(self.symbols.items()))
 
     def __repr__(self):
         items = ",".join("%s:%d" % (n, r) for n, r in sorted(self.symbols.items()))
@@ -84,13 +74,12 @@ class RankedAlphabet:
     def parse(cls, text):
         """Parse the ``name:rank`` line format (blank lines ignored)."""
         symbols = {}
-        invisible = []
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(":")
-            if len(parts) not in (2, 3):
+            if len(parts) != 2:
                 raise AlphabetError("line %d: expected name:rank" % lineno)
             name = parts[0].strip()
             try:
@@ -100,17 +89,12 @@ class RankedAlphabet:
             if name in symbols:
                 raise AlphabetError("line %d: duplicate symbol %r" % (lineno, name))
             symbols[name] = rank
-            if len(parts) == 3:
-                if parts[2].strip() != "invisible":
-                    raise AlphabetError("line %d: unknown flag %r" % (lineno, parts[2]))
-                invisible.append(name)
-        return cls(symbols, invisible)
+        return cls(symbols)
 
     def format(self):
         lines = []
         for name in sorted(self.symbols):
-            suffix = ":invisible" if name in self.yield_invisible else ""
-            lines.append("%s:%d%s" % (name, self.symbols[name], suffix))
+            lines.append("%s:%d" % (name, self.symbols[name]))
         return "\n".join(lines) + "\n"
 
 

@@ -95,10 +95,6 @@ class Forest:
         bracket."""
         return 3 * self.node_count
 
-    def symbols(self):
-        """All labels occurring in the forest."""
-        return {el[0] for el in self._elements() if el is not None}
-
     @classmethod
     def parse(cls, text):
         return _parse_forest(text.strip())
@@ -336,14 +332,12 @@ def flatten_simulator(symbols):
 
 def flatten_yield(symbols):
     """The deterministic top-down local machine whose output yield is the
-    bracket string of the flattened input; the padding symbol is
-    yield-invisible."""
+    bracket string of the flattened input, less the padding symbol."""
     _, delta_at = encoding_alphabets(symbols)
     syms = sorted(set(symbols))
     omega = RankedAlphabet(
         {**{s: 0 for s in syms},
-         "lbr": 0, "rbr": 0, LAMBDA: 0, CONCAT: 2, "omega": 4},
-        yield_invisible=(LAMBDA,))
+         "lbr": 0, "rbr": 0, LAMBDA: 0, CONCAT: 2, "omega": 4})
     rules = []
     for j in range(3):
         rules.append(Rule("p", CONCAT, j, None,

@@ -15,8 +15,8 @@ import itertools
 
 from .core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, depth1_productions,
-    distinct_postorder, mark_node, marked_name, serialize_tree,
-    split_marked_name, substitute_leaves, subtree_at, tree_key,
+    distinct_postorder, mark_node, marked_name, split_marked_name,
+    substitute_leaves, subtree_at, tree_key,
 )
 
 
@@ -438,54 +438,6 @@ class RegularTreeGrammar:
     def is_nonterminal(self, label):
         return label in self.nonterminals
 
-    def format(self):
-        lines = ["alphabet:"]
-        lines.append(self.terminals.format().rstrip("\n"))
-        lines.append("initial: " + " ".join(
-            sorted(str(i) for i in self.initials)))
-        for lhs, rhs in self.rules:
-            lines.append("%s -> %s" % (lhs, serialize_tree(rhs)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text):
-        alpha_lines, initials, rule_lines = [], [], []
-        section = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "alphabet:":
-                section = "alphabet"
-                continue
-            if line.startswith("initial:"):
-                initials = line[len("initial:"):].split()
-                section = "rules"
-                continue
-            if "->" in line:
-                rule_lines.append(line)
-                section = "rules"
-                continue
-            if section == "alphabet":
-                alpha_lines.append(line)
-            else:
-                raise ValueError("unexpected line %r" % line)
-        terminals = RankedAlphabet.parse("\n".join(alpha_lines))
-        nonterminals = set(initials)
-        parsed = []
-        for line in rule_lines:
-            lhs, _, rhs_text = line.partition("->")
-            nonterminals.add(lhs.strip())
-            parsed.append((lhs.strip(), rhs_text.strip()))
-        # nonterminals are the rule left-hand sides plus the initials;
-        # any other name in a rhs must be a terminal
-        ext = RankedAlphabet(dict(terminals.symbols,
-                                  **{nt: 0 for nt in nonterminals
-                                     if nt not in terminals.symbols}))
-        from .core import parse_tree
-        rules = [(lhs, parse_tree(rhs_text, ext)) for lhs, rhs_text in parsed]
-        return cls(nonterminals, terminals, initials, rules)
-
 
 def _flatten_rules(g):
     """g's rules as depth-1 productions (lhs, symbol, tuple of child
@@ -784,12 +736,11 @@ class OracleTest(NodeTest):
     """An exact test backed by a deterministic, terminating evaluator
     closure; carries a description tag for diagnostics."""
 
-    __slots__ = ("fn", "tag", "subtest")
+    __slots__ = ("fn", "tag")
 
-    def __init__(self, fn, tag, subtest=False):
+    def __init__(self, fn, tag):
         self.fn = fn
         self.tag = tag
-        self.subtest = subtest
 
     def eval(self, t, u):
         return bool(self.fn(t, u))

@@ -441,29 +441,39 @@ def _overlap_record(M):
     return M._overlaps
 
 
-def classify(M, finitary_asserted=False, corpus_bound=6):
-    """Compute the class flags of M by rule inspection; the determinism
-    flag additionally needs pairwise test disjointness, decided exactly for
-    automaton-backed tests and on a bounded input corpus otherwise, for
-    the pairs that the overlap record does not prove disjoint."""
-    local = all(r.test is None for r in M.rules)
-    sub_testing = all(r.test is None or r.test.subtest for r in M.rules)
-    top_down = all(c.instr.kind != "up" for r in M.rules for c in r.calls())
+def is_local(M):
+    """Whether no rule of M carries a test."""
+    return all(r.test is None for r in M.rules)
 
-    def rule_pruning(r):
+
+def is_top_down(M):
+    """Whether no rule of M moves up."""
+    return all(c.instr.kind != "up" for r in M.rules for c in r.calls())
+
+
+def is_pruning(M):
+    """Whether every rule of M is a move down or an output rule whose
+    calls all move down, to increasing children."""
+    for r in M.rules:
         if r.kind == "move":
-            return r.rhs.label.instr.kind == "down"
-        if r.kind != "output":
-            return False
-        idxs = []
-        for c in r.rhs.children:
-            if c.label.instr.kind != "down":
+            if r.rhs.label.instr.kind != "down":
                 return False
-            idxs.append(c.label.instr.index)
-        return all(a < b for a, b in zip(idxs, idxs[1:]))
+        elif r.kind == "output":
+            idxs = []
+            for c in r.rhs.children:
+                if c.label.instr.kind != "down":
+                    return False
+                idxs.append(c.label.instr.index)
+            if not all(a < b for a, b in zip(idxs, idxs[1:])):
+                return False
+        else:
+            return False
+    return True
 
-    pruning = top_down and all(rule_pruning(r) for r in M.rules)
 
+def is_relabeling(M):
+    """Whether every rule of M outputs one symbol whose children are the
+    calls down to each input child in order."""
     def rule_relabeling(r):
         if r.kind != "output":
             return False
@@ -472,16 +482,22 @@ def classify(M, finitary_asserted=False, corpus_bound=6):
             return False
         return all(c.label.instr == down(i)
                    for i, c in enumerate(r.rhs.children, 1))
+    return all(rule_relabeling(r) for r in M.rules)
 
-    relabeling = all(rule_relabeling(r) for r in M.rules)
 
+def classify(M, finitary_asserted=False, corpus_bound=6):
+    """Compute the class flags of M by rule inspection; the determinism
+    flag additionally needs pairwise test disjointness, decided exactly for
+    automaton-backed tests and on a bounded input corpus otherwise, for
+    the pairs that the overlap record does not prove disjoint."""
     deterministic = len(M.initials) == 1 and all(
         _tests_disjoint(M, r1, r2, corpus_bound)
         for pairs in _overlap_record(M).values() for r1, r2 in pairs)
-    return ClassFlags(deterministic=deterministic, local=local,
-                      sub_testing=sub_testing, top_down=top_down,
-                      pruning=pruning, relabeling=relabeling,
-                      finitary_asserted=finitary_asserted)
+    return ClassFlags(
+        deterministic=deterministic, local=is_local(M),
+        sub_testing=all(r.test is None or r.test.subtest for r in M.rules),
+        top_down=is_top_down(M), pruning=is_pruning(M),
+        relabeling=is_relabeling(M), finitary_asserted=finitary_asserted)
 
 
 # ---------------------------------------------------------------------------
@@ -821,21 +837,12 @@ def check_single_use(M, corpus):
     return True, None
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    productive_nodes: frozenset
-    zero_productive: bool
-    productive: bool
-
-
 def trace_productive(M, t, run=None):
-    """The input nodes at which the (chosen) accepting computation applies
-    a rule that emits at least one output symbol.
+    """The frozenset of input nodes at which the (chosen) accepting
+    computation applies a rule that emits at least one output symbol.
 
     ``run`` optionally maps configurations to the rule to apply there; for
-    deterministic M it may be omitted.  zero_productive holds when every
-    leaf is productive; productive additionally needs every monadic node.
-    """
+    deterministic M it may be omitted."""
     roots = [(q0, ()) for q0 in M.initials]
     rmap, prod, order, succs = _computation(M, t, roots, run)
     live = {cfg for cfg in roots if cfg in prod}
@@ -849,17 +856,7 @@ def trace_productive(M, t, run=None):
             live.update(succs[cfg])
             if rmap[cfg].output_symbol_count() > 0:
                 nodes.add(cfg[1])
-    leaves = []
-    monadic = []
-    for u, node in preorder(t):
-        k = len(node.children)
-        if k == 0:
-            leaves.append(u)
-        elif k == 1:
-            monadic.append(u)
-    zero = all(u in nodes for u in leaves)
-    full = zero and all(u in nodes for u in monadic)
-    return TraceResult(frozenset(nodes), zero, full)
+    return frozenset(nodes)
 
 
 # ---------------------------------------------------------------------------

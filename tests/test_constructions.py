@@ -353,6 +353,50 @@ def test_compose_su_random():
                 sequential_outputs(M1, M2, t, 8), t
 
 
+def _one_state(*rules):
+    return Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], rules)
+
+
+def test_preconditions_raise_their_exact_messages():
+    """Each construction raises its precondition's message on a machine
+    that breaks it, and not on the smallest machine that meets it."""
+    ident = identity_relabeler()
+    guard = SubTest(automaton_all(SIGMA_E))
+    emit = _one_state(Rule("q", "e", 0, None, leaf("e")))
+    guarded = _one_state(Rule("q", "e", 0, guard, leaf("e")))
+    staying = _one_state(Rule("q", "e", 0, None, call("q", STAY)))
+    guarded_stay = _one_state(Rule("q", "e", 0, guard, call("q", STAY)))
+    climbing = _one_state(Rule("q", "e", 0, None, leaf("e")),
+                          Rule("q", "e", 1, None, call("q", UP)))
+    local = "second machine must be local here"
+    cases = [
+        (lambda M: compose_with_pruning(ident, M), guarded, emit, local),
+        (lambda M: compose_with_pruning(ident, M), staying, emit,
+         "second machine must be pruning here"),
+        (lambda M: compose_det_topdown(ident, M), guarded, emit, local),
+        (lambda M: compose_det_topdown(ident, M), guarded_stay, staying,
+         local),
+        (lambda M: compose_det_topdown(ident, M), climbing, staying,
+         "up-moves of the second machine need the single-use composition"),
+        (lambda M: compose_su(ident, M), guarded, emit, local),
+        (pruning_image, staying, emit,
+         "image automaton needs a pruning machine"),
+        (lookahead_of_topdown, climbing, emit,
+         "look-ahead conversion needs a machine without up-moves"),
+        (uniformize, climbing, emit,
+         "uniformization needs a machine without up-moves"),
+    ]
+    for phase in ("leaves", "monadic"):
+        cases.append((lambda M, p=phase: productivity_decompose(M, p),
+                      guarded, emit,
+                      "productivity decomposition needs a local machine"))
+    for construct, bad, good, message in cases:
+        with pytest.raises(ContractError) as raised:
+            construct(bad)
+        assert str(raised.value) == message
+        construct(good)
+
+
 # ---------------------------------------------------------------------------
 # Absorbing a right-hand stage
 
@@ -944,15 +988,13 @@ def test_intersect_tests_none_absorbs():
     """None absorbs, and the conjunction of any two guards holds where
     both do.  It keeps the most structured kind the two share: two
     sub-tests stay a sub-test, two automaton-backed guards become a
-    marked guard, and a pair with an oracle becomes an oracle, which reads
-    only the subtree when both guards do."""
+    marked guard, and a pair with an oracle becomes an oracle."""
     rng = random.Random(5)
     guards = {
         SubTest: [random_subtest(rng), random_subtest(rng)],
         AutomatonTest: [internal_sigma_test(), random_marked_test(rng)],
         OracleTest: [
-            OracleTest(lambda t, u: subtree_at(t, u).label == "e", "leaf",
-                       subtest=True),
+            OracleTest(lambda t, u: subtree_at(t, u).label == "e", "leaf"),
             OracleTest(lambda t, u: len(u) % 2 == 0, "even-depth")],
     }
     for g in itertools.chain(*guards.values()):
@@ -1197,13 +1239,13 @@ def _leaves_phase_reference(M):
     if det:
         def witness(t):
             try:
-                tr = trace_productive(Mn, t)
+                productive = trace_productive(Mn, t)
             except ContractError:
                 return None
             # the productive nodes and their ancestors; each walk up
             # stops at the first node an earlier walk reached
             hot = set()
-            for u in tr.productive_nodes:
+            for u in productive:
                 while u not in hot:
                     hot.add(u)
                     u = u[:-1]
@@ -1361,13 +1403,13 @@ def _monadic_phase_reference(M):
     if det:
         def witness(t):
             try:
-                tr = trace_productive(Mn, t)
+                productive = trace_productive(Mn, t)
             except ContractError:
                 return None
 
             def mark(u, node, picks, kids):
                 if len(kids) == 1 and u != () \
-                        and u not in tr.productive_nodes \
+                        and u not in productive \
                         and node.label in hat:
                     return Tree(hat[node.label], kids)
                 return Tree(node.label, kids)

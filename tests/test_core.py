@@ -10,6 +10,7 @@ from artifact.core import (
     mark_node, marked_name, navigate, parse_tree, preorder, serialize_tree,
     split_marked_name, subtree_at, tree_key, _valid_symbol_name,
 )
+from artifact.cli import main
 from artifact.fixtures import OUT3, comb_tree
 
 SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
@@ -53,16 +54,23 @@ def test_symbol_name_check_matches_the_character_predicate():
         assert _valid_symbol_name(name) == _valid_by_characters(name)
 
 
-def test_alphabet_yield_invisible_must_be_nullary():
-    with pytest.raises(AlphabetError):
-        RankedAlphabet({"a": 1}, yield_invisible=["a"])
-
-
 def test_alphabet_text_roundtrip():
     text = SIGMA_E.format()
     assert RankedAlphabet.parse(text) == SIGMA_E
-    lam = RankedAlphabet({"a": 0, "lam": 0}, yield_invisible=["lam"])
-    assert RankedAlphabet.parse(lam.format()) == lam
+
+
+def test_alphabet_line_has_two_fields(tmp_path, capsys):
+    """A third field, such as the flag ``invisible``, is a format error,
+    also in an ``.alpha`` file given to the command line."""
+    text = "sigma:2\ne:0\nlambda:0:invisible\n"
+    with pytest.raises(AlphabetError, match="line 3: expected name:rank"):
+        RankedAlphabet.parse(text)
+    path = tmp_path / "lambda.alpha"
+    path.write_text(text)
+    code = main(["inverse-image", "--transducer", "identity", "--language",
+                 "all:%s" % path, "--out", str(tmp_path / "out.aut")])
+    assert code == 2
+    assert "expected name:rank" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def _agree(g, max_size, max_chain_len=None, counts=True):
     result's size.  Returns the number of trees found."""
     want = _enumerate_grammar_by_substitution(g, max_size, max_chain_len)
     got = enumerate_grammar(g, max_size, max_chain_len)
-    assert got == want, (g.format(), max_size, max_chain_len)
+    assert got == want, (g.rules, max_size, max_chain_len)
     if counts:
         ceilings = {0, 1, 2, 3, 5, 8, 13, 21, len(want) - 1, len(want),
                     len(want) + 1}
@@ -125,7 +125,7 @@ def _agree(g, max_size, max_chain_len=None, counts=True):
                             max_count=c) == \
                 _outcome(_enumerate_grammar_by_substitution, g, max_size,
                          max_chain_len, max_count=c), \
-                (g.format(), max_size, max_chain_len, c)
+                (g.rules, max_size, max_chain_len, c)
     return len(want)
 
 

@@ -11,7 +11,7 @@ from artifact.core import RankedAlphabet, Tree, TreeError, all_trees, leaf
 from artifact.constructions import Pipeline
 from artifact.fixtures import SIGMA_E, identity_relabeler
 from artifact.forest import (
-    CONCAT, EMPTY, Forest, at_exponential, bracket_tokens, decode,
+    CONCAT, EMPTY, LAMBDA, Forest, at_exponential, bracket_tokens, decode,
     decode_homomorphism, encode, encoding_alphabets, flatten,
     flatten_simulator, flatten_yield, forest_pipeline, string_forest,
 )
@@ -84,14 +84,6 @@ def _node_count_recursive(f):
     return sum(1 + _node_count_recursive(child) for _, child in f.trees)
 
 
-def _symbols_recursive(f):
-    syms = set()
-    for label, child in f.trees:
-        syms.add(label)
-        syms |= _symbols_recursive(child)
-    return syms
-
-
 def _str_recursive(f):
     return "".join("%s[%s]" % (label, _str_recursive(child))
                    for label, child in f.trees)
@@ -103,7 +95,6 @@ def test_forest_walks_match_recursive_references():
         _random_forest(rng, rng.randint(0, 80)) for _ in range(200)]
     for f in forests:
         assert f.node_count == _node_count_recursive(f)
-        assert f.symbols() == _symbols_recursive(f)
         assert str(f) == _str_recursive(f)
 
 
@@ -114,7 +105,6 @@ def test_forest_walks_at_depth_3000():
         f = Forest((("a", f),))
     assert f.node_count == 3000
     assert f.bracket_length == 9000
-    assert f.symbols() == {"a"}
     assert str(f) == "a[" * 3000 + "]" * 3000
 
 
@@ -342,10 +332,10 @@ def test_flatten_yield():
     assert classify(M).deterministic and classify(M).top_down
     for t in all_trees(M.input_alphabet, 7):
         s, _ = eval_deterministic(M, t)
-        # the yield: the leaves in pre-order, less the invisible ones
+        # the yield: the leaves in pre-order, less the padding
         toks = tuple("[" if x == "lbr" else "]" if x == "rbr" else x
                      for x in _labels([s])
-                     if A.rank(x) == 0 and x not in A.yield_invisible)
+                     if A.rank(x) == 0 and x != LAMBDA)
         assert toks == bracket_tokens(flatten(t)), t
 
 

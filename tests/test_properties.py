@@ -42,7 +42,7 @@ def test_enumeration_and_parsing_agree(g, n):
     rules, chains = _flatten_rules(g)
     for t in all_trees(g.terminals, n):
         assert (t in lang) == parse_member(rules, chains, g.initials, t), \
-            (g.format(), t)
+            (g.rules, t)
 
 
 # ---------------------------------------------------------------------------

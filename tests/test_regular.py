@@ -31,6 +31,17 @@ SIGMA_E = RankedAlphabet({"sigma": 2, "e": 0})
 STA = RankedAlphabet({"sigma": 2, "tau": 1, "a": 0})
 
 
+def _grammar(terminals, initial, lines):
+    """The grammar of the rules ``lhs -> rhs``, whose nonterminals are the
+    left-hand sides."""
+    rules = [tuple(part.strip() for part in line.split("->"))
+             for line in lines]
+    nts = {lhs for lhs, _ in rules}
+    ext = RankedAlphabet(dict(terminals.symbols, **dict.fromkeys(nts, 0)))
+    return RegularTreeGrammar(nts, terminals, [initial], [
+        (lhs, parse_tree(rhs, ext)) for lhs, rhs in rules])
+
+
 def parity_automaton():
     """delta(t) tracks the parity of the number of leaves."""
     delta = {("e", ()): "odd"}
@@ -149,12 +160,10 @@ def test_boolean_ops_pointwise():
 
 def test_intersection_enumeration_example():
     # trees with >= 1 tau, intersected with trees of height <= 1
-    g1 = RegularTreeGrammar.parse(
-        "alphabet:\nsigma:2\ntau:1\na:0\n"
-        "initial: S\n"
-        "S -> tau(T)\nS -> sigma(S,T)\nS -> sigma(T,S)\nS -> sigma(S,S)\n"
-        "S -> tau(S)\n"
-        "T -> a\nT -> tau(T)\nT -> sigma(T,T)\n")
+    g1 = _grammar(STA, "S", [
+        "S -> tau(T)", "S -> sigma(S,T)", "S -> sigma(T,S)",
+        "S -> sigma(S,S)", "S -> tau(S)",
+        "T -> a", "T -> tau(T)", "T -> sigma(T,T)"])
     has_tau = grammar_to_automaton(g1)
     low = {t for t in all_trees(STA, 4) if t.height <= 1}
     # brute-force the intersection among trees up to size 4
@@ -173,10 +182,8 @@ def test_grammar_singleton():
 
 
 def test_paper_example_grammar():
-    g = RegularTreeGrammar.parse(
-        "alphabet:\nsigma:2\ntau:1\na:0\n"
-        "initial: S\n"
-        "S -> sigma(X,Y)\nX -> tau(Y)\nY -> tau(a)\nY -> a\n")
+    g = _grammar(STA, "S", [
+        "S -> sigma(X,Y)", "X -> tau(Y)", "Y -> tau(a)", "Y -> a"])
     aut = grammar_to_automaton(g)
     assert aut.accepts(parse_tree("sigma(tau(tau(a)),a)", STA))
     expected = enumerate_grammar(g, 7)
@@ -233,7 +240,7 @@ def test_grammar_member_agrees_with_enumeration():
         lang = enumerate_grammar(g, 7)
         for t in small:
             assert parse_member(*_flatten_rules(g), g.initials, t) == \
-                (t in lang), (g.format(), t)
+                (t in lang), (g.rules, t)
     g = RegularTreeGrammar(
         ["S"], SIGMA_E, ["S"],
         [("S", leaf("e")), ("S", Tree("sigma", [leaf("e"), leaf("S")]))])
@@ -293,7 +300,7 @@ def test_decide_finiteness_agrees_with_grammar():
     for g in grammars + beside:
         aut = grammar_to_automaton(g)
         _, finite, _ = decide(aut)
-        assert finite == grammar_finite(g), g.format()
+        assert finite == grammar_finite(g), g.rules
 
 
 def test_singleton_automaton_accepts_exactly_its_tree():
@@ -765,10 +772,8 @@ def test_forward_deterministic_singleton_and_height():
     """A forward-deterministic grammar derives at most one tree; with
     depth-1 rules its height is less than the number of nonterminals."""
     # forward deterministic: at most one rule per nonterminal
-    g = RegularTreeGrammar.parse(
-        "alphabet:\nsigma:2\ne:0\n"
-        "initial: S\n"
-        "S -> sigma(A,B)\nA -> sigma(B,B)\nB -> e\n")
+    g = _grammar(SIGMA_E, "S", [
+        "S -> sigma(A,B)", "A -> sigma(B,B)", "B -> e"])
     lang = enumerate_grammar(g, 12)
     assert len(lang) == 1
     assert next(iter(lang)).height < len(g.nonterminals)

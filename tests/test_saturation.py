@@ -838,7 +838,7 @@ def test_grammar_closures_match_round_robin():
     for g in grammars:
         assert grammar_chain_closure(g) == _chain_closure_by_rounds(g)
         assert grammar_finite(g) == _grammar_finite_by_rounds(g) \
-            == decide(grammar_to_automaton(g))[1], g.format()
+            == decide(grammar_to_automaton(g))[1], g.rules
         finite.add(grammar_finite(g))
         wit = min_witnesses(*_flatten_rules(g))
         assert {nt: t for nt, t in wit.items() if nt in g.nonterminals} \
@@ -854,7 +854,7 @@ def test_enumerate_grammar_matches_round_robin():
             for size in (1, 4, 7):
                 got = enumerate_grammar(g, size, chain)
                 assert got == _enumerate_grammar_by_rounds(g, size, chain), \
-                    (g.format(), size, chain)
+                    (g.rules, size, chain)
                 nonempty += bool(got)
     assert nonempty > 1000
 
