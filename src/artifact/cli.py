@@ -366,8 +366,8 @@ def _pipeline_report(P):
     print("CONSTANT %s" % (P.linear_bound_constant,))
     print("STAGES %d" % len(P.stages))
     for i, M in enumerate(P.stages):
-        print("STAGE %d states=%d rules=%d" % (i, len(M.states),
-                                               len(M.rules)))
+        print("STAGE %d states=%d rules=%d symbols=%d" % (
+            i, len(M.states), len(M.rules), len(M.input_alphabet)))
 
 
 def cmd_factorize(ws, args):

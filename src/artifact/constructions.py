@@ -24,7 +24,7 @@ from .regular import (
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
     enumerate_grammar, eval_test, explore, grammar_finite, least_model,
     marked_automaton, min_witnesses, rules_to_automaton, _flatten_rules,
-    _labels, _realizable,
+    _labels,
 )
 from .transducer import (
     Call, ContractError, Rule, Transducer, call, classify,
@@ -298,7 +298,8 @@ def disjoint_tests(M, ceiling=4096):
                               check_total=False)
     pattern = {p: tuple(p != sink and p[i] in a.finals
                         for i, a in enumerate(auts)) for p in states}
-    patterns = sorted({pattern[p] for p in _realizable(whole)})
+    patterns = sorted({pattern[p] for p in least_model(
+        (p, combo) for (_, combo), p in delta.items())})
     atoms = {pat: kind(whole.with_finals(
         p for p in states if pattern[p] == pat)) for pat in patterns}
     rules = []
@@ -1595,18 +1596,18 @@ def _normalize_for_pruning(M):
     return rename_states(normalize_outputs_stay(normalize_general(M)))
 
 
-def _remainder_rules(gamma_syms, maxr, kept_of, gamma_leaf):
+def _remainder_rules(gamma_syms, places, kept_of, gamma_leaf):
     """The rules of a phase's remainder.  At gamma symbol ``name`` of
-    (sym, j, group, gamma) and each child number jp (0 when j is 0, else
-    1..maxr) come the (state, rhs) bodies ``kept_of(sym, j, group)`` keeps
-    of the normalized machine, made once per (sym, j, group), and then a
-    rule q -> ``gamma_leaf(g)`` per pair (q, g) of gamma."""
+    (sym, j, group, gamma) and each child number jp where the pruner can
+    place it (0 when j is 0, else ``places(j, group)``) come the bodies
+    ``kept_of(sym, j, group)`` keeps of the normalized machine, made once
+    per (sym, j, group), then a rule q -> ``gamma_leaf(g)`` per (q, g)."""
     kept_of = functools.lru_cache(maxsize=None)(kept_of)
     rules = []
     for name, (sym, j, group, gamma) in gamma_syms.items():
         body = kept_of(sym, j, group) + [
             (q, gamma_leaf(g)) for q, g in sorted(gamma)]
-        for jp in (0,) if j == 0 else range(1, maxr + 1):
+        for jp in (0,) if j == 0 else places(j, group):
             rules += [Rule(q, name, jp, None, rhs) for q, rhs in body]
     return rules
 
@@ -1675,8 +1676,8 @@ def _leaves_phase(M):
                 rhs = calls(c.state, down(picks.index(c.instr.index) + 1))
             body.append((r.state, rhs))
         return body
-    mrules = _remainder_rules(gamma_syms, gamma_alphabet.max_rank, kept_of,
-                              lambda qbar: calls(qbar, STAY))
+    mrules = _remainder_rules(gamma_syms, lambda j, picks: range(1, j + 1),
+                              kept_of, lambda qbar: calls(qbar, STAY))
     Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
                     Mn.initials, mrules)
 
@@ -1729,15 +1730,12 @@ def _monadic_phase(M):
     down_end, up_end = _chain_endpoints(Mn)
     hatted = set(hat.values())
 
-    def is_hat(label):
-        return label in hatted
-
     def base_label(label):
         return label[:-2] if label in hatted else label
 
     def ghost_rel(that, u):
         def inside(v):
-            return is_hat(subtree_at(that, v).label)
+            return subtree_at(that, v).label in hatted
         rel = set()
         for q, s, x in _excursion_exits(Mn, that, u, base_label, inside):
             beta = "s" if x == u else (
@@ -1750,11 +1748,11 @@ def _monadic_phase(M):
     @_per_tree
     def adjacency(that, u):
         tags = set()
-        if u and is_hat(subtree_at(that, u[:-1]).label):
+        if u and subtree_at(that, u[:-1]).label in hatted:
             tags.add("u")
         node = subtree_at(that, u)
         for i in range(1, len(node.children) + 1):
-            if is_hat(node.children[i - 1].label):
+            if node.children[i - 1].label in hatted:
                 tags.add("d%d" % i)
         return frozenset(tags)
 
@@ -1766,16 +1764,14 @@ def _monadic_phase(M):
 
     by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
     gamma_syms = {}
-    n2rules = []
-    for h in hat.values():
-        for j in range(1, maxr + 1):
-            n2rules.append(Rule("p", h, j, None, calls("p", down(1))))
+    n2rules = [Rule("p", h, j, None, calls("p", down(1)))
+               for h in hat.values() for j in range(1, maxr + 1)]
     for sym in alphabet:
         rank = alphabet.rank(sym)
         for j in range(maxr + 1):
             tags = []
             if syms1:
-                if j >= 1:
+                if j == 1:  # a hat has rank 1
                     tags.append("u")
                 tags.extend("d%d" % i for i in range(1, rank + 1))
             for n in range(len(tags) + 1):
@@ -1836,8 +1832,9 @@ def _monadic_phase(M):
             body.append((r.state, r.rhs))
         return body
     mrules = _remainder_rules(
-        gamma_syms, maxr, kept_of,
-        lambda end: calls(end[0], beta_instr(end[1])))
+        gamma_syms,
+        lambda j, uset: range(1, maxr + 1) if "u" in uset else (j,),
+        kept_of, lambda end: calls(end[0], beta_instr(end[1])))
     Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
                     Mn.initials, mrules)
 
@@ -1868,7 +1865,10 @@ def productivity_decompose(M, phase):
     remainder.  Phase "leaves" deletes subtrees no computation draws
     output from; phase "monadic" contracts chains of output-free monadic
     nodes.  Composing pruner and remainder refines M; restricted to
-    outputs of fully productive runs it is exact."""
+    outputs of fully productive runs it is exact.  The remainder reads a
+    gamma symbol only at the child numbers where the pruner places it:
+    the root at 0, a kept child j at 1..j (leaves), a node at its own j,
+    or at any below a hatted parent, in the chain top's place (monadic)."""
     if phase == "leaves":
         return _leaves_phase(M)
     if phase == "monadic":

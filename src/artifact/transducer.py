@@ -338,7 +338,6 @@ class ClassFlags:
     top_down: bool
     pruning: bool
     relabeling: bool
-    finitary_asserted: bool
 
 
 def marked_position_automaton(alphabet, symbol, child_no):
@@ -485,7 +484,7 @@ def is_relabeling(M):
     return all(rule_relabeling(r) for r in M.rules)
 
 
-def classify(M, finitary_asserted=False, corpus_bound=6):
+def classify(M, corpus_bound=6):
     """Compute the class flags of M by rule inspection; the determinism
     flag additionally needs pairwise test disjointness, decided exactly for
     automaton-backed tests and on a bounded input corpus otherwise, for
@@ -497,7 +496,7 @@ def classify(M, finitary_asserted=False, corpus_bound=6):
         deterministic=deterministic, local=is_local(M),
         sub_testing=all(r.test is None or r.test.subtest for r in M.rules),
         top_down=is_top_down(M), pruning=is_pruning(M),
-        relabeling=is_relabeling(M), finitary_asserted=finitary_asserted)
+        relabeling=is_relabeling(M))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: formats, exit codes, report
 lines, and byte stability."""
 
+import re
+
 import pytest
 
 from artifact.cli import main
@@ -166,11 +168,23 @@ def test_uniformize_oracle_guards_not_writable(capsys, tmp_path):
 
 
 def test_factorize_report(capsys):
-    code, out, _ = run_cli(capsys, "factorize", "--transducer", "mexp")
-    lines = out.splitlines()
-    assert code == 0
-    assert lines[0] == "CONSTANT 2"
-    assert lines[1].startswith("STAGES ")
+    # (rules, input symbols) per stage: the split of the tests (query
+    # only), the leaves pruner, the hatting, the monadic pruner and the
+    # remainder, which reads each gamma symbol only where the pruner can
+    # place it
+    for name, stages in [
+            ("query", [(12, 2), (60, 4), (228, 60), (1452, 84),
+                       (9580, 1404)]),
+            ("mexp", [(15, 2), (57, 15), (256, 21), (555, 244)])]:
+        code, out, _ = run_cli(capsys, "factorize", "--transducer", name)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["CONSTANT 2", "STAGES %d" % len(stages)]
+        got = [re.fullmatch(
+            r"STAGE (\d+) states=\d+ rules=(\d+) symbols=(\d+)", line).groups()
+            for line in lines[2:]]
+        assert got == [(str(i), str(r), str(n))
+                       for i, (r, n) in enumerate(stages)]
 
 
 def test_optimize_pipeline(capsys, tmp_path):

@@ -18,10 +18,11 @@ from artifact.constructions import (
     lookahead_of_topdown, pipeline_outputs, productivity_decompose,
     productive_configs_nondet, pruning_image, rename_states, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
-    _abstract_exits, _assemble, _chain_endpoints, _distinct_tests,
-    _excursion_exits, _gamma_candidates, _is_deterministic_local,
-    _leaves_phase, _marked_product, _monadic_phase, _normalize_for_pruning,
-    _per_tree, _rank1_symbols, _rebuild, _restrict_domain_test, _rules_by,
+    _abstract_exits, _assemble, _automaton_tests, _chain_endpoints,
+    _distinct_tests, _excursion_exits, _gamma_candidates,
+    _is_deterministic_local, _leaves_phase, _marked_product, _monadic_phase,
+    _normalize_for_pruning, _per_tree, _product_automaton, _rank1_symbols,
+    _rebuild, _restrict_domain_test, _rules_by,
 )
 from artifact import transducer
 from artifact.fixtures import (
@@ -89,6 +90,59 @@ def test_disjoint_tests_random_lookaround_machines():
     for M in collect_machines(8, "lookaround", True, pred=has_tests):
         Md = disjoint_tests(M)
         same_outputs(M, Md, SIG_TREES_5)
+
+
+def _disjoint_tests_reference(M, ceiling=4096):
+    """``disjoint_tests`` as it was, taking the realizable product states
+    from a least witness tree per state."""
+    tests = _automaton_tests(M, "cannot disjointify {!r}")
+    if not tests:
+        return M
+    tindex = {id(t): i for i, t in enumerate(tests)}
+    if all(t.subtest for t in tests):
+        kind, auts = SubTest, [t.aut for t in tests]
+    else:
+        kind, auts = AutomatonTest, [marked_automaton(t) for t in tests]
+    states, delta, sink = _product_automaton(auts, ceiling)
+    whole = BottomUpAutomaton(auts[0].alphabet, states, [], delta,
+                              check_total=False)
+    pattern = {p: tuple(p != sink and p[i] in a.finals
+                        for i, a in enumerate(auts)) for p in states}
+    patterns = sorted({pattern[p] for p in _realizable(whole)})
+    atoms = {pat: kind(whole.with_finals(
+        p for p in states if pattern[p] == pat)) for pat in patterns}
+    rules = []
+    for r in M.rules:
+        if r.test is None:
+            hits = patterns
+        else:
+            i = tindex[id(r.test)]
+            hits = [pat for pat in patterns if pat[i]]
+        for pat in hits:
+            rules.append(Rule(r.state, r.symbol, r.child_no, atoms[pat],
+                              r.rhs))
+    return Transducer(M.input_alphabet, M.output_alphabet, M.states,
+                      M.initials, rules)
+
+
+def test_disjoint_tests_match_the_reference():
+    """The same atoms as the witness-tree route, for the query transducer,
+    m_exp and 30 machines per determinism flag of three tested kinds."""
+    machines = [query_transducer(), m_exp()]
+    for kind in ("lookaround", "sub", "topdown"):
+        for det in (True, False):
+            machines += collect_machines(30, kind, det)
+    atoms = 0
+    for M in machines:
+        got = assert_same_result(disjoint_tests, _disjoint_tests_reference,
+                                 M)
+        want = _disjoint_tests_reference(M)
+        for a, b in zip(got.rules, want.rules):
+            if a.test is not None:
+                assert (type(a.test), a.test.aut.finals, a.test.aut.delta) \
+                    == (type(b.test), b.test.aut.finals, b.test.aut.delta)
+                atoms += 1
+    assert atoms >= 500, atoms
 
 
 # ---------------------------------------------------------------------------
@@ -1484,17 +1538,123 @@ def _phase_cases():
                                         alphabet=alphabet, output=OUT3)
 
 
+def _placements(name, maxr):
+    """The child numbers at which a phase's pruner can place the gamma
+    symbol ``name``: the root at 0, a kept child j of the leaves phase
+    (``~k`` names) at its position among the picks, 1..j, and a node of
+    the monadic phase (``~U`` names) at its own child number j, or where
+    the topmost hatted ancestor stood when its parent is hatted (tag u),
+    which a hat of rank 1 allows only at j = 1."""
+    _, n, group, _ = name.rsplit("~", 3)
+    j = int(n[1:])
+    if j == 0:
+        return range(1)
+    if group.startswith("k"):
+        return range(1, j + 1)
+    if "u" not in group[1:]:
+        return range(j, j + 1)
+    return range(1, maxr + 1) if j == 1 else range(0)
+
+
+def _without_unplaced(d):
+    """The reference decomposition ``d`` less what its own pruner never
+    reaches: the monadic pruner's rules that offer tag u at a child
+    number of 2 or more, the gamma symbols only those rules output, and
+    each remainder rule at a child number where the pruner cannot place
+    its gamma symbol (see ``_placements``)."""
+    *front, N = d.pruner.stages
+    gammas = d.remainder.input_alphabet
+    places = {name: _placements(name, gammas.max_rank) for name in gammas}
+    kept = RankedAlphabet({name: gammas.rank(name)
+                           for name in gammas if places[name]})
+    N = Transducer(N.input_alphabet, kept, N.states, N.initials, [
+        r for r in N.rules if r.kind != "output" or r.rhs.label in kept])
+    Mp = d.remainder
+    Mp = Transducer(kept, Mp.output_alphabet, Mp.states, Mp.initials, [
+        r for r in Mp.rules if r.child_no in places[r.symbol]])
+    return Decomposition(Pipeline((*front, N)), Mp,
+                         witness_map=d.witness_map)
+
+
 def test_phases_match_the_references():
+    """Both phases build their references' machines less the pruner rules,
+    gamma symbols and remainder rules that the pruner never reaches
+    (``test_phases_drop_only_what_the_pruners_never_reach``)."""
+    def leaves(M):
+        return _without_unplaced(_leaves_phase_reference(M))
+
+    def monadic(M):
+        return _without_unplaced(_monadic_phase_reference(M))
+
     remainders = 0
     for M in _phase_cases():
-        d1 = assert_same_result(_leaves_phase, _leaves_phase_reference, M)
-        assert_same_result(_monadic_phase, _monadic_phase_reference, M)
+        d1 = assert_same_result(_leaves_phase, leaves, M)
+        assert_same_result(_monadic_phase, monadic, M)
         if d1 is not None:
             # a factorization runs the monadic phase on this remainder
-            assert_same_result(_monadic_phase, _monadic_phase_reference,
-                               d1.remainder)
+            assert_same_result(_monadic_phase, monadic, d1.remainder)
             remainders += 1
     assert remainders >= 100, remainders
+
+
+def _check_placed(got, want, outputs):
+    """No output of ``want``'s pruner carries a gamma symbol that ``got``
+    drops, and wherever one places a gamma symbol, ``got``'s remainder
+    has the rules of ``want``'s there."""
+    dropped = set(want.remainder.input_alphabet) - \
+        set(got.remainder.input_alphabet)
+    have, need = (_rules_by(d.remainder, lambda r: (r.symbol, r.child_no))
+                  for d in (got, want))
+    places = {(node.label, child_number(u))
+              for s in outputs for u, node in preorder(s)}
+    for place in places:
+        assert place[0] not in dropped, place
+        assert [(r.state, r.test, r.rhs) for r in have.get(place, ())] == \
+            [(r.state, r.test, r.rhs) for r in need.get(place, ())], place
+    return len(places)
+
+
+def test_phases_drop_only_what_the_pruners_never_reach():
+    """On every input of up to 7 nodes, every output of a factorization's
+    reference pruners (the leaves pruner, then the hatting and the
+    monadic pruner on each of its outputs) avoids the dropped gamma
+    symbols and places gamma symbols only where the new remainders keep
+    the reference's rules; and the witness, run through the new
+    remainder, gives the machine's output."""
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer()]
+    for det in (True, False):
+        machines += [random_transducer(seed, kind="local", deterministic=det,
+                                       output=OUT3) for seed in range(30)]
+    places = witnesses = 0
+    for M in machines:
+        inputs = all_trees(M.input_alphabet, 7)
+        front, Ml = split_lookaround(M) if _distinct_tests(M) else (None, M)
+        fronted = inputs if front is None else [
+            eval_deterministic(front, t)[0] for t in inputs]
+        want1, got1 = _leaves_phase_reference(Ml), _leaves_phase(Ml)
+        pruned = set()
+        for t in fronted:
+            pruned |= enumerate_outputs(want1.pruner.stages[0], t, 7)
+        places += _check_placed(got1, want1, pruned)
+        want2 = _monadic_phase_reference(got1.remainder)
+        got2 = _monadic_phase(got1.remainder)
+        N1, N2 = want2.pruner.stages
+        contracted = set()
+        for t in pruned:
+            for that in enumerate_outputs(N1, t, 7):
+                contracted |= enumerate_outputs(N2, that, 7)
+        places += _check_placed(got2, want2, contracted)
+        d = linear_bounded_factorization(M)
+        if d.witness_map is None:
+            continue
+        for t in inputs:
+            s = eval_deterministic(M, t)[0]
+            if s is not None:
+                w = d.witness_map(t)
+                assert eval_deterministic(d.remainder, w)[0] == s, t
+                witnesses += 1
+    assert witnesses >= 100 and places >= 5000, (witnesses, places)
 
 
 def test_lookahead_matches_the_reference():
