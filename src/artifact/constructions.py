@@ -31,7 +31,7 @@ from .transducer import (
     enumerate_outputs, eval_deterministic, is_local, is_pruning,
     is_relabeling, is_top_down, normalize_general, normalize_outputs_stay,
     out, relabel_rules, trace_productive,
-    _applicable_all, _computation, _successors, _values,
+    _applicable_all, _Computation, _successors, _values,
 )
 
 
@@ -106,9 +106,10 @@ def deterministic_values(M):
     """Per-tree map from every productive configuration of a deterministic
     machine to the output subtree it generates."""
     def compute(t):
-        every = ((q, u) for u, _ in preorder(t) for q in M.states)
-        rmap, _, order, succs = _computation(M, t, every)
-        return _values(rmap, order, succs)[0]
+        tab = _Computation(
+            M, t, [(q, i) for i in range(t.size) for q in M.states])
+        value = _values(tab)[0]
+        return {tab.cfgs[n]: value[n] for n in tab.order}
     return _per_tree(compute)
 
 
@@ -846,17 +847,17 @@ def compose_su(M1, M2):
     by_state = _rules_by(M1a, lambda r: r.state)
 
     def parents_of(t):
-        init = (next(iter(M1a.initials)), ())
-        _, prodc, order, succs = _computation(M1a, t, [init])
-        pm = {}
-        if init in prodc:
-            for cfg in order:
-                for s in succs[cfg]:
-                    if s in pm:
-                        raise ContractError(
-                            "first machine is not single-use at %r" % (s,))
-                    pm[s] = cfg
-        return pm
+        tab = _Computation(M1a, t, [(next(iter(M1a.initials)), 0)])
+        pm = [None] * len(tab.cfgs)
+        if tab.status[tab.roots[0]]:
+            for n in tab.order:
+                for s in tab.succs[n]:
+                    if pm[s] is not None:
+                        raise ContractError("first machine is not single-use"
+                                            " at %r" % (tab.cfgs[s],))
+                    pm[s] = n
+        return {tab.cfgs[s]: tab.cfgs[p]
+                for s, p in enumerate(pm) if p is not None}
     parents = _per_tree(parents_of)
     cands = {}
     for r in rules1:

@@ -757,7 +757,7 @@ def eval_test(test, t, u):
     return test.eval(t, u)
 
 
-def node_verdicts(test, ix):
+def node_verdicts(test, ix, runs=None):
     """The verdicts of an automaton-backed test on the indexed tree ``ix``
     (a ``core.TreeIndex``), read by node id (``verdicts[i]``), or None for
     a test without an automaton (an oracle).  A node where ``eval_test``
@@ -768,7 +768,9 @@ def node_verdicts(test, ix):
     A ``SubTest`` needs only the bottom-up run, and its verdicts are a
     list.  An ``AutomatonTest`` runs bottom-up once with every label
     unmarked; its verdicts are a ``LookAround``, which builds the top-down
-    contexts on demand."""
+    contexts on demand.  ``runs``, a dict kept only while the tests read
+    with it live, holds the bottom-up run of each transition table, so
+    that tests differing only in their final states share one run."""
     aut = test.aut
     if aut is None:
         return None
@@ -777,13 +779,17 @@ def node_verdicts(test, ix):
     labels = ix.marked if marked else [n.label for n in ix.nodes]
     if marked and any(name not in alphabet for name in labels):
         return [None] * len(labels)  # every marked run reads the whole tree
-    # state[i] is None where the run on node i's subtree raises; combos[i]
-    # holds the states of node i's children
-    state, combos = [None] * len(labels), [None] * len(labels)
-    for i in reversed(range(len(labels))):  # children before parents
-        combo = combos[i] = tuple([state[j] for j in ix.kids[i]])
-        if labels[i] in alphabet and None not in combo:
-            state[i] = delta.get((labels[i], combo))
+    runs = {} if runs is None else runs
+    key = (id(delta), id(alphabet), marked)
+    if key not in runs:
+        # state[i] is None where the run on node i's subtree raises;
+        # combos[i] holds the states of node i's children
+        state, combos = runs[key] = [None] * len(labels), [None] * len(labels)
+        for i in reversed(range(len(labels))):  # children before parents
+            combo = combos[i] = tuple([state[j] for j in ix.kids[i]])
+            if labels[i] in alphabet and None not in combo:
+                state[i] = delta.get((labels[i], combo))
+    state, combos = runs[key]
     if not marked:
         return [None if p is None else p in aut.finals for p in state]
     return LookAround(aut, ix, combos)

@@ -506,19 +506,20 @@ def _rule_reader(M, t, ix):
     """``applicable(q, i, u)``: the rules of M applicable at configuration
     (q, u) of t, where u is node i of t's index ``ix``.  Each automaton or
     sub-test guard gets one verdict lookup (``node_verdicts``) the first
-    time a rule asks about it, read by node id: a sub-test runs bottom-up
-    once, and an automaton guard also builds its top-down contexts only on
-    the root paths of the nodes asked about.  Oracle guards are evaluated
-    per node (``test.eval``, on the address the index gave), and so is a
-    node without a verdict, where the evaluation raises its own
-    exception."""
-    tables = {}
+    time a rule asks about it, read by node id: the guards over one
+    transition table share one bottom-up run, and an automaton guard
+    builds its top-down contexts only on the root paths of the nodes
+    asked about.  Oracle guards are evaluated per node (``test.eval``, on
+    the address the index gave), and so is a node without a verdict,
+    where the evaluation raises its own exception."""
+    tables, runs = {}, {}
 
     def holds(test, i, u):
         if test is None:
             return True
         if test not in tables:
-            tables[test] = node_verdicts(test, ix) or [None] * len(ix.nodes)
+            tables[test] = node_verdicts(test, ix, runs) \
+                or [None] * len(ix.nodes)
         verdict = tables[test][i]
         return test.eval(t, u) if verdict is None else verdict
 
@@ -599,49 +600,6 @@ def enumerate_outputs(M, t, max_output_size, max_chain_len=None):
 # ---------------------------------------------------------------------------
 # Deterministic evaluation
 
-class _Choice:
-    """The rule (or None) at each configuration of M on t, chosen when the
-    search first asks (``get``) and kept in ``rules``.  With ``run`` absent
-    the choice must be unique (two applicable rules raise ContractError);
-    otherwise ``run`` maps configurations to the rule to apply and is
-    validated against applicability.  Only the keys of M's overlap record
-    can be ambiguous, so they and the run's configurations are checked at
-    every node up front, in pre-order and in ``M.states`` order."""
-
-    def __init__(self, M, t, run=None):
-        self.ix = ix = TreeIndex(t)
-        self.applicable = _rule_reader(M, t, ix)
-        self.run, self.rules, self.ids = run, {}, {(): 0}
-        overlaps = _overlap_record(M)
-        for i, u in enumerate(ix.addrs if overlaps or run else ()):
-            for q in M.states:
-                key = (q, ix.nodes[i].label, ix.child_nos[i])
-                if key in overlaps or run and (q, u) in run:
-                    self.choose((q, u), i)
-
-    def choose(self, cfg, i):  # cfg at node i
-        cands = self.applicable(cfg[0], i, cfg[1])
-        run = self.run
-        if run is not None and cfg in run:
-            if run[cfg] not in cands:
-                raise ContractError(
-                    "run chooses an inapplicable rule at %r" % (cfg,))
-            cands = [run[cfg]]
-        elif len(cands) > 1:
-            raise ContractError((
-                "two rules applicable at configuration %r" if run is None
-                else "ambiguous configuration %r needs a run choice") % (cfg,))
-        rule = self.rules[cfg] = cands[0] if cands else None
-        return rule
-
-    def get(self, cfg):
-        u = cfg[1]
-        i = self.ids.get(u)
-        if i is None:  # the search enters a node's parent first
-            i = self.ids[u] = self.ix.kids[self.ids[u[:-1]]][u[-1] - 1]
-        return self.choose(cfg, i)
-
-
 def _successors(rule, t, u):
     """Successor configurations of applying ``rule`` at node u, in rhs
     pre-order, with repetition.  Only down calls need the node, walked to
@@ -665,81 +623,123 @@ def _successors(rule, t, u):
     return found
 
 
-def _productive_from(roots, rmap, t):
-    """Demand-driven productivity: one iterative depth-first search from
-    the ``roots`` over the successors of the rules chosen by ``rmap.get``
-    (a dict, or a ``_Choice`` that picks the rule on first entry).
+class _Computation:
+    """The configurations of M on t that one depth-first search from each
+    root, a (state, node id) pair of t's ``TreeIndex``, reaches.  Each
+    yield of a root or ``_successors`` is one lookup in a dict that
+    numbers a configuration when first met, its node id read off the
+    yielding node; all else reads by number.  ``cfgs[n]`` is (state,
+    address); once n is entered, ``rules[n]`` is the rule chosen there
+    (or None), ``succs[n]`` its successors in rhs pre-order, ``status[n]``
+    whether it is productive (None while on the search path).  ``order``
+    is the post-order of the productive ones, ``roots`` each root's number.
+
+    With ``run`` absent the choice must be unique (two applicable rules
+    raise ContractError); otherwise ``run`` maps configurations to the
+    rule to apply and is validated against applicability.  Only the keys
+    of M's overlap record can be ambiguous, so they and the run's
+    configurations are checked at every node up front, in pre-order and
+    in ``M.states`` order.
 
     A configuration is productive iff it has a chosen rule, all of its
-    successors are productive, and it does not reach itself.  Successors
-    are computed only for configurations the search reaches.  A reached
-    configuration without a rule, or an edge back to a configuration on
-    the current search path, makes the configuration that reaches it
-    unproductive, and the search leaves its remaining successors alone.
+    successors are productive, and it does not reach itself.  A reached
+    configuration without a rule, or an edge back to one on the search
+    path, makes the configuration that reaches it unproductive, and the
+    search leaves its remaining successors alone."""
 
-    Returns (productive set, post-order of the productive configurations
-    reached, successor lists of the configurations expanded).  Every
-    successor of a productive configuration precedes it in the post-order.
-    """
-    prod = set()
-    order = []
-    succs = {}
-    status = {}  # True productive, False not, None on the search path
-    path = []  # [configuration, its successors, index of the next one]
+    __slots__ = ("cfgs", "rules", "succs", "status", "order", "roots")
 
-    def enter(cfg):
-        rule = rmap.get(cfg)
-        if rule is None:
-            status[cfg] = False
-            return
-        status[cfg] = None
-        succs[cfg] = ss = _successors(rule, t, cfg[1])
-        path.append([cfg, ss, 0])
+    def __init__(self, M, t, roots, run=None):
+        ix = TreeIndex(t)
+        applicable = _rule_reader(M, t, ix)
+        overlaps = _overlap_record(M)
 
-    for root in roots:
-        if root in status:
-            continue
-        enter(root)
-        while path:
-            frame = path[-1]
-            cfg, ss, i = frame
-            if i < len(ss):
-                s = ss[i]
-                if s not in status:
-                    enter(s)
-                    if status[s] is None:
-                        continue  # descend; s is decided when it is popped
-                if status[s]:
-                    frame[2] = i + 1
-                    continue
-                status[cfg] = False  # no rule, unproductive, or a cycle
-            else:
-                status[cfg] = True
-                prod.add(cfg)
-                order.append(cfg)
-            path.pop()
-    return prod, order, succs
+        def choose(cfg, i):  # cfg at node i
+            cands = applicable(cfg[0], i, cfg[1])
+            if run is not None and cfg in run:
+                if run[cfg] not in cands:
+                    raise ContractError(
+                        "run chooses an inapplicable rule at %r" % (cfg,))
+                return run[cfg]
+            if len(cands) > 1:
+                raise ContractError((
+                    "two rules applicable at configuration %r" if run is None
+                    else "ambiguous configuration %r needs a run choice")
+                    % (cfg,))
+            return cands[0] if cands else None
+
+        for i, u in enumerate(ix.addrs if overlaps or run else ()):
+            for q in M.states:
+                key = (q, ix.nodes[i].label, ix.child_nos[i])
+                if key in overlaps or run and (q, u) in run:
+                    choose((q, u), i)
+
+        cfgs, rules, succs, status = [], {}, {}, {}
+        number, nodes, kids, parents = {}, [], ix.kids, ix.parents
+        self.cfgs, self.rules, self.succs = cfgs, rules, succs
+        self.status, self.order, self.roots = status, [], []
+        path = []  # [configuration number, its successors, next index]
+
+        def add(cfg, i):  # cfg at node i, met for the first time
+            number[cfg] = len(cfgs)
+            cfgs.append(cfg)
+            nodes.append(i)
+            return len(cfgs) - 1
+
+        def enter(n):
+            cfg, i = cfgs[n], nodes[n]
+            rule = rules[n] = choose(cfg, i)
+            if rule is None:
+                status[n] = False
+                return
+            status[n] = None
+            ss = succs[n] = []
+            for c, s in zip(rule.calls(), _successors(rule, t, cfg[1])):
+                m = number.get(s)
+                if m is None:
+                    kind = c.instr.kind
+                    m = add(s, i if kind == "stay" else parents[i]
+                            if kind == "up" else kids[i][c.instr.index - 1])
+                ss.append(m)
+            path.append([n, ss, 0])
+
+        for q, i in roots:
+            cfg = (q, ix.addrs[i] if i else ())
+            root = number[cfg] if cfg in number else add(cfg, i)
+            self.roots.append(root)
+            if root in status:
+                continue
+            enter(root)
+            while path:
+                frame = path[-1]
+                n, ss, k = frame
+                if k < len(ss):
+                    s = ss[k]
+                    if s not in status:
+                        enter(s)
+                        if status[s] is None:
+                            continue  # descend; s is decided when popped
+                    if status[s]:
+                        frame[2] = k + 1
+                        continue
+                    status[n] = False  # no rule, unproductive, or a cycle
+                else:
+                    status[n] = True
+                    self.order.append(n)
+                path.pop()
 
 
-def _computation(M, t, roots, run=None):
-    """(chosen rules, productive set, post-order, successor lists) of M on
-    t from ``roots`` (at the root, or all in pre-order), rules on demand."""
-    choice = _Choice(M, t, run)
-    return (choice.rules,) + _productive_from(roots, choice, t)
-
-
-def _values(rmap, order, succs):
-    """The output tree of every configuration in ``order`` (a post-order of
-    productive configurations) and the step count of building them: a rule
-    instantiation per configuration, a chain edge per move rule, and a
-    constructed node per output symbol.  Repeated configurations share
-    their output subtree."""
-    value = {}
-    steps = 0
-    for cfg in order:
-        rule = rmap[cfg]
+def _values(tab):
+    """The output tree of every productive configuration of ``tab`` (a
+    ``_Computation``), by number (None at the others), and the step count
+    of building them: a rule instantiation per configuration, a chain
+    edge per move rule, and a constructed node per output symbol.
+    Repeated configurations share their output subtree."""
+    value, steps = [None] * len(tab.cfgs), 0
+    for n in tab.order:  # every successor comes first
+        rule = tab.rules[n]
         # the successors are listed in the rhs pre-order of their calls
-        value[cfg] = _plug(rule.rhs, [value[s] for s in succs[cfg]])
+        value[n] = _plug(rule.rhs, [value[s] for s in tab.succs[n]])
         # a rule instantiation, a chain edge for a move, the output nodes
         steps += 1 + (rule.kind == "move") + rule.output_symbol_count()
     return value, steps
@@ -757,12 +757,11 @@ def eval_deterministic(M, t):
     """
     if len(M.initials) != 1:
         raise ContractError("deterministic evaluation needs one initial state")
-    init = (next(iter(M.initials)), ())
-    rmap, prod, order, succs = _computation(M, t, [init])
-    if init not in prod:
+    tab = _Computation(M, t, [(next(iter(M.initials)), 0)])
+    if not tab.status[tab.roots[0]]:
         return None, 0
-    value, steps = _values(rmap, order, succs)
-    return value[init], steps
+    value, steps = _values(tab)
+    return value[tab.roots[0]], steps
 
 
 # ---------------------------------------------------------------------------
@@ -770,39 +769,35 @@ def eval_deterministic(M, t):
 
 def eval_streaming(M, t):
     """Evaluate a deterministic transducer by replaying its computation in
-    leftmost-derivation order with a tree cursor and a stack of pending
-    states and cursor restores; output symbols are emitted in pre-order.
+    leftmost-derivation order with a stack of pending configurations and
+    cursor restores; output symbols are emitted in pre-order.
 
     Returns (output tree or None, maximum stack length).  Output rules are
     internally normalized to stay-only calls first, so the stack holds
-    only states and the addresses that moves return to.  Rules, guards and
-    ambiguity are read as in ``eval_deterministic``.
+    only states, each at its node, and a marker where a move returns.
+    Rules, guards and ambiguity are read as in ``eval_deterministic``.
     """
     if len(M.initials) != 1:
         raise ContractError("streaming evaluation needs one initial state")
     N = normalize_outputs_stay(normalize_general(M))
     N._overlaps = _overlap_record(M)  # the keys they add hold one rule each
-    q0 = next(iter(N.initials))
-    rmap, prod, _, succs = _computation(N, t, [(q0, ())])
-    if (q0, ()) not in prod:
+    tab = _Computation(N, t, [(next(iter(N.initials)), 0)])
+    if not tab.status[tab.roots[0]]:
         return None, 0
-    emitted, u, stack, max_len = [], (), [("state", q0)], 1
+    rules, succs = tab.rules, tab.succs
+    emitted, stack, max_len = [], [tab.roots[0]], 1
     while stack:
-        kind, x = stack.pop()
-        if kind == "restore":
-            u = x
+        n = stack.pop()
+        if n is None:  # a cursor restore
             continue
-        rule = rmap[(x, u)]
+        rule = rules[n]
         if rule.kind == "move":
-            q, v = succs[(x, u)][0]
             if rule.rhs.label.instr.kind != "stay":
-                stack.append(("restore", u))
-                u = v
-            stack.append(("state", q))
+                stack.append(None)
+            stack.append(succs[n][0])
         else:
             emitted.append(rule.rhs.label)
-            stack.extend(("state", c.label.state)
-                         for c in reversed(rule.rhs.children))
+            stack.extend(reversed(succs[n]))
         max_len = max(max_len, len(stack))
     try:
         return tree_from_preorder(emitted, N.output_alphabet.rank), max_len
@@ -817,22 +812,21 @@ def check_single_use(M, corpus):
     """Whether M visits no input node twice in the same state, over the
     unique derivations on the given corpus trees.  Returns (flag,
     counterexample) where the counterexample is (tree, state, address)."""
-    roots = [(q0, ()) for q0 in M.initials]
     for t in sorted(corpus):
-        _, prod, order, succs = _computation(M, t, roots)
-        for init in roots:
-            if init not in prod:
+        tab = _Computation(M, t, [(q0, 0) for q0 in M.initials])
+        for root in tab.roots:
+            if not tab.status[root]:
                 continue
             # derivation multiplicities, pushed from each configuration to
             # its successors in reverse post-order
-            mult = dict.fromkeys(order, 0)
-            mult[init] = 1
-            for cfg in reversed(order):
-                for s in succs[cfg]:
-                    mult[s] += mult[cfg]
-            for (q, u), m in mult.items():
-                if m >= 2:
-                    return False, (t, q, u)
+            mult = [0] * len(tab.cfgs)
+            mult[root] = 1
+            for n in reversed(tab.order):
+                for s in tab.succs[n]:
+                    mult[s] += mult[n]
+            for n in tab.order:
+                if mult[n] >= 2:
+                    return False, (t,) + tab.cfgs[n]
     return True, None
 
 
@@ -842,19 +836,18 @@ def trace_productive(M, t, run=None):
 
     ``run`` optionally maps configurations to the rule to apply there; for
     deterministic M it may be omitted."""
-    roots = [(q0, ()) for q0 in M.initials]
-    rmap, prod, order, succs = _computation(M, t, roots, run)
-    live = {cfg for cfg in roots if cfg in prod}
+    tab = _Computation(M, t, [(q0, 0) for q0 in M.initials], run)
+    live = {n for n in tab.roots if tab.status[n]}
     if not live:
         raise ContractError("no accepting computation on this input")
     # the configurations reachable from a productive initial one, found in
     # reverse post-order, where every predecessor comes first
     nodes = set()
-    for cfg in reversed(order):
-        if cfg in live:
-            live.update(succs[cfg])
-            if rmap[cfg].output_symbol_count() > 0:
-                nodes.add(cfg[1])
+    for n in reversed(tab.order):
+        if n in live:
+            live.update(tab.succs[n])
+            if tab.rules[n].output_symbol_count() > 0:
+                nodes.add(tab.cfgs[n][1])
     return frozenset(nodes)
 
 

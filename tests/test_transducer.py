@@ -7,8 +7,11 @@ import random
 
 import pytest
 
+import engine_reference as reference
 from artifact import regular, transducer
-from artifact.constructions import rename_states
+from artifact.constructions import (
+    deterministic_values, lookahead_of_topdown, rename_states,
+)
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
     addresses, all_trees, child_number, depth1_productions, down, leaf,
@@ -27,7 +30,7 @@ from artifact.transducer import (
     Call, ContractError, Rule, Transducer, call, check_single_use, classify,
     config_grammar, enumerate_outputs, eval_deterministic, eval_streaming,
     marked_position_automaton, normalize_general, normalize_outputs_stay,
-    out, trace_productive, _applicable_all, _format_rhs, _productive_from,
+    out, trace_productive, _applicable_all, _format_rhs,
 )
 
 DET_KINDS = ("local", "sub", "lookaround", "topdown", "pruning", "relabeling")
@@ -757,16 +760,18 @@ def test_productivity_matches_least_fixpoint():
     cyclic = 0
     for M in machines:
         for t in all_trees(M.input_alphabet, 7):
-            rmap = _choice_map(M, t)
-            want, _ = _fixpoint_productive(rmap, t)
-            prod, order, succs = _productive_from(rmap, rmap, t)
-            assert prod == want
-            assert sorted(order) == sorted(want)
-            position = {cfg: i for i, cfg in enumerate(order)}
-            assert all(position[s] < position[cfg]
-                       for cfg in order for s in succs[cfg])
+            want, _ = _fixpoint_productive(_choice_map(M, t), t)
+            tab = transducer._Computation(
+                M, t, [(q, i) for i in range(t.size) for q in M.states])
+            prod = [tab.cfgs[n] for n in tab.order]
+            assert sorted(prod) == sorted(want)
+            assert all(tab.status[n] == (tab.cfgs[n] in want)
+                       for n in range(len(tab.cfgs)))
+            position = {n: k for k, n in enumerate(tab.order)}
+            assert all(position[s] < position[n]
+                       for n in tab.order for s in tab.succs[n])
             assert eval_deterministic(M, t) == _fixpoint_eval(M, t)
-            cyclic += any(cfg in ss for cfg, ss in succs.items())
+            cyclic += any(n in ss for n, ss in tab.succs.items())
     assert cyclic
 
 
@@ -835,21 +840,28 @@ def test_ambiguity_of_overlapping_guards_at_an_unreachable_key_raises():
 
 
 def test_eval_deep_comb():
-    t = comb_tree(3000)
-    assert eval_deterministic(identity_relabeler(), t)[0] == t
-    t = comb_tree(2000)
-    assert eval_streaming(identity_relabeler(), t) == (t, 2001)
+    """On the identity comb of 3000 leaves: the input back, with the
+    reference engine's steps and stack length, output at every node, and
+    no node visited twice."""
+    M, t = identity_relabeler(), comb_tree(3000)
+    got = eval_deterministic(M, t)
+    assert got[0] == t
+    assert got == reference.eval_deterministic(M, t)
+    assert eval_streaming(M, t) == reference.eval_streaming(M, t) \
+        == (t, 3001)
+    assert trace_productive(M, t) == frozenset(addresses(t))
+    assert check_single_use(M, [t]) == (True, None)
 
 
 # ---------------------------------------------------------------------------
 # rules chosen on demand
 
 def _eager_computation(M, t, roots, run=None):
-    """Reference for ``transducer._computation``: the eager pair it
+    """Reference for ``engine_reference._computation``: the eager pair it
     replaced, a rule chosen at every configuration by ``_choice_map``,
     then ``_productive_from`` over that dict."""
     rmap = _choice_map(M, t, run)
-    return (rmap,) + _productive_from(roots, rmap, t)
+    return (rmap,) + reference._productive_from(roots, rmap, t)
 
 
 def _answer(fn):
@@ -880,11 +892,12 @@ def test_rules_chosen_on_demand_match_the_eager_engine(monkeypatch):
         _random_binary_tree(rng, rng.randint(16, 61)) for _ in range(16)]
     trees += A_LEAF_TREES
 
-    def outcomes(M, t, stream):
-        return [_answer(lambda: eval_deterministic(M, t)),
-                _answer(lambda: eval_streaming(M, t)) if stream else None,
-                _answer(lambda: trace_productive(M, t)),
-                _answer(lambda: check_single_use(M, [t]))]
+    def outcomes(M, t, stream, engine=transducer):
+        return [_answer(lambda: engine.eval_deterministic(M, t)),
+                _answer(lambda: engine.eval_streaming(M, t))
+                if stream else None,
+                _answer(lambda: engine.trace_productive(M, t)),
+                _answer(lambda: engine.check_single_use(M, [t]))]
 
     kinds = set()
     answered = 0
@@ -897,8 +910,8 @@ def test_rules_chosen_on_demand_match_the_eager_engine(monkeypatch):
                 or s[0].size <= 10 ** 4
             new = outcomes(M, t, stream)
             with monkeypatch.context() as m:
-                m.setattr(transducer, "_computation", _eager_computation)
-                old = outcomes(M, t, stream)
+                m.setattr(reference, "_computation", _eager_computation)
+                old = outcomes(M, t, stream, reference)
             for got, want in zip(new, old):
                 if want is None:
                     continue
@@ -936,8 +949,9 @@ def test_run_choices_match_the_eager_engine(monkeypatch):
             for run in (first, some, wrong):
                 got = _answer(lambda: trace_productive(M, t, run))
                 with monkeypatch.context() as m:
-                    m.setattr(transducer, "_computation", _eager_computation)
-                    assert _answer(lambda: trace_productive(M, t, run)) == got
+                    m.setattr(reference, "_computation", _eager_computation)
+                    assert _answer(
+                        lambda: reference.trace_productive(M, t, run)) == got
                 messages.add(got[2].split(" ")[0] if got[0] == "raised"
                              else "answer")
     assert messages == {"answer", "no", "ambiguous", "run"}
@@ -951,8 +965,8 @@ def test_guards_are_read_on_demand(monkeypatch):
     tables, products = [], []
     node_verdicts, joint_nonempty = (transducer.node_verdicts,
                                      transducer._joint_nonempty)
-    monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix: (
-        tables.append(test) or node_verdicts(test, ix)))
+    monkeypatch.setattr(transducer, "node_verdicts", lambda test, *args: (
+        tables.append(test) or node_verdicts(test, *args)))
     monkeypatch.setattr(transducer, "_joint_nonempty", lambda auts: (
         products.append(auts) or joint_nonempty(auts)))
     t = _random_binary_tree(random.Random(11), 41)
@@ -963,8 +977,8 @@ def test_guards_are_read_on_demand(monkeypatch):
              for r1, r2 in itertools.combinations(group, 2)]
     assert pairs and all(r.test is not None for p in pairs for r in p)
     with monkeypatch.context() as m:
-        m.setattr(transducer, "_computation", _eager_computation)
-        want = eval_deterministic(M, t)
+        m.setattr(reference, "_computation", _eager_computation)
+        want = reference.eval_deterministic(M, t)
     assert len(tables) == len(guards)
     tables.clear()
     assert eval_deterministic(M, t) == want
@@ -987,8 +1001,9 @@ def test_contexts_only_on_the_root_paths_asked_about(monkeypatch):
     guard there, so the first 40 random look-around machines run too."""
     lookups = []
     node_verdicts = transducer.node_verdicts
-    monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix: (
-        lookups.append((ix, node_verdicts(test, ix))) or lookups[-1][1]))
+    monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix, *runs: (
+        lookups.append((ix, node_verdicts(test, ix, *runs)))
+        or lookups[-1][1]))
     t = _random_binary_tree(random.Random(5), 41)
     assert t.size == 81
     eval_deterministic(random_transducer(9, kind="lookaround"), t)
@@ -1106,7 +1121,7 @@ def _cursor_streaming(M, t):
     N = normalize_outputs_stay(normalize_general(M))
     N._overlaps = transducer._overlap_record(M)
     q0 = next(iter(N.initials))
-    rmap, prod, _, _ = transducer._computation(N, t, [(q0, ())])
+    rmap, prod, _, _ = reference._computation(N, t, [(q0, ())])
     if (q0, ()) not in prod:
         return None, 0
     emitted = []
@@ -1138,7 +1153,7 @@ def _cursor_streaming(M, t):
 
 
 def _substitution_values(rmap, order, succs):
-    """Reference for ``transducer._values``: a move rule takes its
+    """Reference for ``engine_reference._values``: a move rule takes its
     successor's value, an output rule fills its call leaves in turn."""
     value = {}
     steps = 0
@@ -1181,8 +1196,8 @@ def test_successors_and_replay_match_the_navigate_engine(monkeypatch):
     """Same successor lists at every configuration and applicable rule,
     the same outputs and steps, streamed outputs and stack lengths,
     traces, single-use verdicts and grammar rules, or the same exception
-    and message, as with one ``navigate`` per call and the streaming
-    cursor walked by inverse instructions."""
+    and message, as the reference engine with one ``navigate`` per call
+    and the streaming cursor walked by inverse instructions."""
     machines = [m_exp(), identity_relabeler(), left_projection(),
                 query_transducer(), leaf_chooser(), loop_transducer()]
     machines += [random_transducer(seed, kind)
@@ -1192,15 +1207,15 @@ def test_successors_and_replay_match_the_navigate_engine(monkeypatch):
         _random_binary_tree(rng, rng.randint(16, 61)) for _ in range(16)]
     trees.append(ILL_RANKED)
 
-    def outcomes(M, t, evaluate_streaming):
-        det = _result(lambda: eval_deterministic(M, t))
+    def outcomes(M, t, engine, evaluate_streaming=eval_streaming):
+        det = _result(lambda: engine.eval_deterministic(M, t))
         # streaming builds the explicit output: m_exp's has 2^height
         # leaves
         big = det[0] == "answer" and det[1][0] is not None \
             and det[1][0].size > 10 ** 4
         stream = None if big else _result(lambda: evaluate_streaming(M, t))
-        return [det, stream, _result(lambda: trace_productive(M, t)),
-                _result(lambda: check_single_use(M, [t]))]
+        return [det, stream, _result(lambda: engine.trace_productive(M, t)),
+                _result(lambda: engine.check_single_use(M, [t]))]
 
     messages = set()
 
@@ -1223,11 +1238,11 @@ def test_successors_and_replay_match_the_navigate_engine(monkeypatch):
         for t in trees:
             assert _result(lambda: config_grammar(M, t).rules) == \
                 _result(lambda: grammar_rules(M, t))
-            new = outcomes(M, t, eval_streaming)
+            new = outcomes(M, t, transducer)
             with monkeypatch.context() as m:
-                m.setattr(transducer, "_successors", _navigate_successors)
-                m.setattr(transducer, "_values", _substitution_values)
-                old = outcomes(M, t, _cursor_streaming)
+                m.setattr(reference, "_successors", _navigate_successors)
+                m.setattr(reference, "_values", _substitution_values)
+                old = outcomes(M, t, reference, _cursor_streaming)
             assert new == old
             messages.update(x[2] for x in new if x and x[0] == "raised")
     assert "down_2 at a node of rank 1" in messages
@@ -1253,6 +1268,99 @@ def test_successors_walk_to_a_node_once(monkeypatch):
             walks.clear()
             assert evaluate(identity_relabeler(), t)[0] == t
             assert len(walks) == count
+
+
+def test_successors_run_once_per_entered_configuration(monkeypatch):
+    """``_successors`` runs once at each configuration the search entered
+    and found a rule at, and these are the configurations the reference
+    engine expands; the table numbers each configuration once."""
+    calls = []
+    successors = transducer._successors
+    monkeypatch.setattr(transducer, "_successors", lambda rule, t, u: (
+        calls.append(u) or successors(rule, t, u)))
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), loop_transducer()]
+    machines += [random_transducer(seed, kind)
+                 for kind in ("local", "lookaround") for seed in range(10)]
+    entered = 0
+    for M in machines:
+        for t in all_trees(SIGMA_E, 7):
+            roots = [(q0, 0) for q0 in M.initials]
+            calls.clear()
+            tab = transducer._Computation(M, t, roots)
+            ruled = [tab.cfgs[n] for n, r in tab.rules.items()
+                     if r is not None]
+            assert sorted(calls) == sorted(u for _, u in ruled)
+            assert len(set(tab.cfgs)) == len(tab.cfgs)
+            _, _, _, succs = reference._computation(
+                M, t, [(q0, ()) for q0 in M.initials])
+            assert sorted(succs) == sorted(ruled)
+            entered += len(ruled)
+    assert entered
+
+
+def test_table_engine_matches_the_reference_engine():
+    """Every configuration's output (``deterministic_values``), traces with
+    and without a run, and single-use verdicts, on machines with one
+    initial state and with every state initial, or the same exception and
+    message, as the reference engine."""
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), leaf_chooser(), loop_transducer()]
+    machines += [random_transducer(seed, kind, deterministic=det)
+                 for kind in ("local", "lookaround", "topdown")
+                 for det in (True, False) for seed in range(8)]
+    machines += _partial_query_machines()
+    machines += [Transducer(M.input_alphabet, M.output_alphabet, M.states,
+                            M.states, M.rules) for M in machines[6:30]]
+    trees = all_trees(SIGMA_E, 5) + A_LEAF_TREES + [ILL_RANKED]
+    seen = set()
+    for M in machines:
+        values = deterministic_values(M)
+        for t in trees:
+            first = _result(lambda: {cfg: rs[0] for cfg, rs
+                                     in _applicable_all(M, t) if rs})
+            run = first[1] if first[0] == "answer" else None
+            for new, old in (
+                    (lambda: values(t),
+                     lambda: reference.deterministic_values(M, t)),
+                    (lambda: trace_productive(M, t),
+                     lambda: reference.trace_productive(M, t)),
+                    (lambda: trace_productive(M, t, run),
+                     lambda: reference.trace_productive(M, t, run)),
+                    (lambda: check_single_use(M, [t]),
+                     lambda: reference.check_single_use(M, [t]))):
+                got = _result(new)
+                assert got == _result(old)
+                seen.add((len(M.initials), got[0] == "answer" or got[1]))
+    assert {(1, True), (2, True), (1, ContractError), (2, ContractError),
+            (1, TreeError)} <= seen
+
+
+def test_guards_over_one_table_share_one_bottom_up_run(monkeypatch):
+    """The look-ahead machine's 16 sub-test guards read one transition
+    table, so reading every configuration runs it bottom-up once per tree;
+    each guard's verdicts are those it has on its own."""
+    N = lookahead_of_topdown(random_transducer(0, kind="topdown"))
+    guards = {r.test for r in N.rules if r.test is not None}
+    assert len(guards) == 16
+    assert len({id(g.aut.delta) for g in guards}) == 1
+    reads = []
+    node_verdicts = transducer.node_verdicts
+    monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix, runs: (
+        reads.append((test, ix, runs)) or node_verdicts(test, ix, runs)))
+    most = 0
+    for t in all_trees(N.input_alphabet, 7):
+        want = [((q, u), _applicable_rules(N, q, t, u))
+                for u in addresses(t) for q in N.states]
+        reads.clear()
+        assert list(_applicable_all(N, t)) == want
+        # one runs dict for the tree, and at most one bottom-up run in it
+        assert len({id(runs) for _, _, runs in reads}) <= 1
+        assert all(len(runs) == 1 for _, _, runs in reads)
+        for g, ix, runs in reads:
+            assert node_verdicts(g, ix, runs) == node_verdicts(g, ix)
+        most = max(most, len(reads))
+    assert most == len(guards)
 
 
 # ---------------------------------------------------------------------------
