@@ -9,6 +9,7 @@ chain contraction), and the linear-bounded pipeline factorization built
 from them.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -40,10 +41,12 @@ from .transducer import (
 
 def rename_states(M, prefix="q"):
     """An isomorphic copy of M whose states are short strings, numbered in
-    a repr-sorted order."""
+    a repr-sorted order; M itself when its states have those names."""
     names = {}
     for s in sorted(M.states, key=repr):
         names[s] = "%s%d" % (prefix, len(names))
+    if all(names[s] == s for s in names):
+        return M
 
     def fill(c):
         if isinstance(c, Call):
@@ -1405,107 +1408,6 @@ def pipeline_outputs(stages, t, max_size, intermediate_size=None):
 # ---------------------------------------------------------------------------
 # Productivity decomposition
 
-def _least_sets(keys, facts, copies):
-    """The least sets over ``keys`` that hold each fact (key, value) and,
-    for each copy (key, source, guard), every value of source once all
-    the (key, value) atoms of guard hold.
-
-    They are the least model of the Horn clauses (key, v) <- (source, v)
-    & guard.  Copies pass values through unchanged, so v ranges over the
-    fact values alone."""
-    values = {v for _, v in facts}
-    model = least_model(
-        [(f, ()) for f in facts]
-        + [((key, v), ((src, v),) + guard)
-           for key, src, guard in copies for v in values])
-    sets = {key: set() for key in keys}
-    for key, v in model:
-        sets[key].add(v)
-    return sets
-
-
-def _abstract_exits(Mn):
-    """Over-approximate, for every child number i and state q, the states
-    in which a move-only computation entering a subtree at child number i
-    in state q can leave it upward again: an up move is an exit, a stay
-    move shares the exits of its target, and a down_k move into state p
-    shares the exits of (i, q3) for every exit q3 of (k, p)."""
-    states = sorted(Mn.states, key=repr)
-    keys = [(i, q) for i in range(1, Mn.input_alphabet.max_rank + 1)
-            for q in states]
-    moves = [(r, r.rhs.label) for r in Mn.rules
-             if r.kind == "move" and r.child_no]
-    facts = [((r.child_no, r.state), c.state) for r, c in moves
-             if c.instr.kind == "up"]
-    exits = {v for _, v in facts}
-    copies = []
-    for r, c in moves:
-        i = r.child_no
-        if c.instr == STAY:
-            copies.append(((i, r.state), (i, c.state), ()))
-        elif c.instr.kind == "down":
-            copies += [((i, r.state), (i, q3),
-                        (((c.instr.index, c.state), q3),)) for q3 in exits]
-    return _least_sets(keys, facts, copies)
-
-
-def _rank1_symbols(alphabet):
-    return [s for s in alphabet if alphabet.rank(s) == 1]
-
-
-def _chain_endpoints(Mn):
-    """Over-approximate the endpoints of move-only excursions through
-    chains of monadic nodes.  Returns (down_end, up_end): down_end[(i, q)]
-    are ("stay"|"down", state) endpoints after entering a chain hanging
-    below child i in state q; up_end[q] are ("stay"|"up", state) endpoints
-    after entering the chain above in state q."""
-    syms1 = _rank1_symbols(Mn.input_alphabet)
-    maxr = Mn.input_alphabet.max_rank
-    states = sorted(Mn.states, key=repr)
-
-    def moves(q, js):
-        return [r.rhs.label for s1 in syms1 for j in js
-                for r in Mn.rules_at(q, s1, j) if r.kind == "move"]
-
-    # descent: positions ("top", i) with child number i, or "deep" with
-    # child number 1; endpoints arrive back at the entry node ("stay") or
-    # at the first unmarked descendant ("down").  ascent: positions
-    # "chtop" (child number unknown, 1..maxr) or "chin" (child number 1);
-    # endpoints arrive back at the entry node ("stay") or at the nearest
-    # unmarked ancestor ("up").
-    descent = [("top", i) for i in range(1, maxr + 1)] + ["deep"]
-    ascent = ["chtop", "chin"]
-    keys = [(q, pos) for q in states for pos in descent + ascent]
-    facts, copies = [], []
-    for q, pos in keys:
-        js = range(1, maxr + 1) if pos == "chtop" else (
-            (1,) if pos in ("deep", "chin") else (pos[1],))
-        for c in moves(q, js):
-            via = []
-            if c.instr == STAY:
-                via = [pos]
-            elif c.instr.kind == "down" and pos in descent:
-                facts.append(((q, pos), ("down", c.state)))
-                via = ["deep"]
-            elif c.instr.kind == "down":
-                facts.append(((q, pos), ("stay", c.state)))
-                via = ["chin"]
-            elif pos == "deep":
-                via = descent
-            elif pos == "chin":
-                via = ascent
-            else:  # up from the top of the chain
-                facts.append(((q, pos), (
-                    "stay" if pos in descent else "up", c.state)))
-            copies += [((q, pos), (c.state, p), ()) for p in via]
-    ends = _least_sets(keys, facts, copies)
-    down_end = {(i, q): frozenset(ends[(q, ("top", i))])
-                for i in range(1, maxr + 1) for q in states}
-    up_end = {q: frozenset(ends[(q, "chtop")] | ends[(q, "chin")])
-              for q in states}
-    return down_end, up_end
-
-
 def _excursion_exits(Mn, t, u, label, inside):
     """The move-only excursions from node u of t: every (q, s, x) such
     that a move rule of state q at u enters a node where ``inside`` holds
@@ -1533,37 +1435,130 @@ def _excursion_exits(Mn, t, u, label, inside):
                     stack.append((s, x))
 
 
-# The most candidate excursion pairs at one symbol for which a phase on a
-# nondeterministic machine makes a gamma symbol per subset: 2**12 of them.
-_PAIR_CEILING = 12
+# The most excursion behaviours a productivity phase explores.
+_BEHAVIOUR_CEILING = 4096
 
 
-def _gamma_candidates(cand_by_source, deterministic):
-    """All candidate excursion summaries: partial choice functions over
-    the sources for a deterministic machine, arbitrary subsets of the
-    candidate pairs otherwise."""
-    sources = sorted(cand_by_source, key=repr)
-    if deterministic:
-        per = []
-        for q in sources:
-            opts = [None] + sorted(cand_by_source[q], key=repr)
-            per.append([(q, o) for o in opts])
-        result = []
-        for choice in itertools.product(*per):
-            result.append(frozenset((q, o) for q, o in choice
-                                    if o is not None))
-        return result
-    pairs = sorted({(q, o) for q in sources for o in cand_by_source[q]},
-                   key=repr)
-    if len(pairs) > _PAIR_CEILING:
-        raise ResourceError(
-            "candidate excursion pairs: %d pairs exceed the ceiling of %d"
-            % (len(pairs), _PAIR_CEILING))
-    result = []
-    for n in range(len(pairs) + 1):
-        for combo in itertools.combinations(pairs, n):
-            result.append(frozenset(combo))
-    return result
+def _bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _move_tables(Mn):
+    """The move rules of Mn per (symbol, child number), one row per state
+    of ``sorted(Mn.states)``: (k, s) for a move into state number s, k
+    being 0 for a stay, i for down_i and -1 for up."""
+    number = {q: n for n, q in enumerate(sorted(Mn.states))}
+    tables = collections.defaultdict(lambda: [[] for _ in number])
+    for r in Mn.rules:
+        if r.kind == "move":
+            instr, s = r.rhs.label.instr, number[r.rhs.label.state]
+            k = instr.index if instr.kind == "down" else -(instr == UP)
+            tables[(r.symbol, r.child_no)][number[r.state]].append((k, s))
+    return tables
+
+
+def _exit_masks(rows, regions, n):
+    """Per entry state of a node with the move ``rows``, the mask of the
+    states its moves leave it in: bit s for a move -1 in state s; a move
+    k >= 1 enters region k, whose ``regions[k-1][s]`` has the states it
+    comes back in (bits below n) and leaves through (bits n and up).  A
+    run reaching an entry state done before takes that state's exits."""
+    low = (1 << n) - 1
+    rel = []
+    for p in range(n):
+        seen, todo, exits = 1 << p, [p], 0
+        while todo:
+            for k, s in rows[todo.pop()]:
+                if k < 0:
+                    exits |= 1 << s
+                    continue
+                m = 1 << s if k == 0 else regions[k - 1][s]
+                exits |= m & ~low
+                back = m & low & ~seen
+                seen |= back
+                for r in _bits(back):
+                    if r < p:
+                        exits |= rel[r]
+                    else:
+                        todo.append(r)
+        rel.append(exits)
+    return tuple(rel)
+
+
+def _through(rows, k, rels, order, tag=None):
+    """Per behaviour in ``rels``, the excursions from a node's ``rows`` into
+    its region k (-1: up): pairs (q, s), or with a ``tag`` (q, (s, "s"))
+    back and (q, (s, tag)) through."""
+    n = len(order)
+    pairs = [(order[q], p) for q, row in enumerate(rows) for kk, p in row
+             if kk == k]
+    return {frozenset((q, order[s] if tag is None else (
+        order[s % n], "s" if s < n else tag)) for q, p in pairs
+        for s in _bits(rel[p])) for rel in rels}
+
+
+def _subtree_behaviours(Mn, tables):
+    """``explore``'s (states, delta) of the subtrees' crossing behaviours
+    (Shepherdson): per child number c = 1..max rank, the ``_exit_masks``
+    of the move-only runs entering the root at c and leaving upward."""
+    n, positions = len(Mn.states), range(1, Mn.input_alphabet.max_rank + 1)
+    return explore(Mn.input_alphabet, lambda sym, kids: tuple(_exit_masks(
+        tables[(sym, c)], [kid[i] for i, kid in enumerate(kids)], n)
+        for c in positions), _BEHAVIOUR_CEILING, "excursion behaviours")
+
+
+def _closure(found, step):
+    """Grow ``found`` (value -> witness) breadth first by ``step(value)``'s
+    (value, symbol) pairs: a new value's witness is its source's + symbol."""
+    todo = collections.deque(found)
+    while todo:
+        x = todo.popleft()
+        for y, sym in step(x):
+            if y not in found:
+                found[y] = found[x] + (sym,)
+                todo.append(y)
+                if len(found) > _BEHAVIOUR_CEILING:
+                    raise ResourceError(
+                        "chain behaviours: %d states exceed the ceiling of "
+                        "%d" % (len(found), _BEHAVIOUR_CEILING))
+    return found
+
+
+def _chain_behaviours(Mn, tables, fits, sits):
+    """The behaviours of chains of rank-1 nodes, each a child 1 as ``fits``
+    allows, with least witnesses: (down, up).  ``down`` has (top, masks),
+    masks[c-1] for the chain entered at its top at child number c, left
+    back up (low bits) or out of its bottom; witnesses list the bottom
+    first.  ``up`` has (bottom, masks) for the chain entered from below,
+    left back down (low bits) or out of its top at a child number c where
+    ``sits(top, c)``; witnesses list the top first."""
+    alphabet, n = Mn.input_alphabet, len(Mn.states)
+    syms1 = [a for a in alphabet if alphabet.rank(a) == 1]
+    positions = range(1, alphabet.max_rank + 1)
+    end = tuple(1 << (n + s) for s in range(n))
+
+    @functools.lru_cache(maxsize=None)
+    def rise(a, rel):  # a over the chain rel, at each child number
+        return tuple(_exit_masks(tables[(a, c)], [rel], n)
+                     for c in positions)
+
+    @functools.lru_cache(maxsize=None)
+    def fall(a, c, rel):  # a under the chain rel: up enters it
+        return _exit_masks([[(-k, s) for k, s in row]
+                            for row in tables[(a, c)]], [rel], n)
+
+    down = _closure({(a, rise(a, end)): (a,) for a in syms1},
+                    lambda x: (((a, rise(a, x[1][0])), a)
+                               for a in syms1 if fits(a, 1, x[0])))
+    up = _closure({(a, fall(a, c, end)): (a,) for a in syms1
+                   for c in positions if sits(a, c)},
+                  lambda x: (((b, fall(b, 1, x[1])), b)
+                             for b in syms1 if fits(x[0], 1, b)))
+    return down, up
 
 
 def _rebuild(t, kept, make):
@@ -1618,7 +1613,6 @@ def _leaves_phase(M):
     calls = functools.lru_cache(maxsize=None)(call)  # shared leaves
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
-    ex = _abstract_exits(Mn)
 
     def ghost_rel(t, u, picks):
         def inside(v):  # below a child of u that is not picked
@@ -1635,6 +1629,13 @@ def _leaves_phase(M):
         return "%s~n%d~k%s~g%s" % (sym, j, ps, gs)
 
     by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
+    tables, order = _move_tables(Mn), sorted(Mn.states)
+    behaviours, _ = _subtree_behaviours(Mn, tables)
+
+    through = functools.lru_cache(maxsize=None)(  # into child i
+        lambda sym, j, i: _through(tables[(sym, j)], i, {
+            b[i - 1] for b in behaviours}, order))
+
     gamma_syms = {}
     nrules = []
     for sym in alphabet:
@@ -1642,17 +1643,13 @@ def _leaves_phase(M):
         for j in range(alphabet.max_rank + 1):
             for n in range(rank + 1):
                 for picks in itertools.combinations(range(1, rank + 1), n):
-                    cand = {}
-                    for r in by_sym.get((sym, j), ()):
-                        if r.kind != "move":
-                            continue
-                        c = r.rhs.label
-                        if c.instr.kind != "down" \
-                                or c.instr.index in picks:
-                            continue
-                        for qbar in ex[(c.instr.index, c.state)]:
-                            cand.setdefault(r.state, set()).add(qbar)
-                    for gamma in _gamma_candidates(cand, det):
+                    kids = [calls("p", down(i)) for i in picks]
+                    gammas = {frozenset().union(*each) for each in
+                              itertools.product(*[
+                                  through(sym, j, i)
+                                  for i in range(1, rank + 1)
+                                  if i not in picks])}
+                    for gamma in sorted(gammas, key=sorted):
                         name = gname(sym, j, picks, gamma)
                         gamma_syms[name] = (sym, j, picks, gamma)
 
@@ -1661,8 +1658,7 @@ def _leaves_phase(M):
                         nrules.append(Rule(
                             "p", sym, j,
                             OracleTest(fn, "exact-excursions"),
-                            out(name, *[calls("p", down(i))
-                                        for i in picks])))
+                            out(name, *kids)))
     gamma_alphabet = RankedAlphabet(
         {name: len(info[2]) for name, info in gamma_syms.items()})
     N = Transducer(alphabet, gamma_alphabet, ["p"], ["p"], nrules)
@@ -1710,14 +1706,15 @@ def _leaves_phase(M):
     return Decomposition(Pipeline((N,)), Mp, witness_map=witness)
 
 
-def _monadic_phase(M):
+def _monadic_phase(M, fits=None):
+    """``fits(parent, k, sym)``, if given, says whether the inputs can have
+    sym as the k-th child of parent (the root: child 0 of None)."""
     Mn = _normalize_for_pruning(M)
     calls = functools.lru_cache(maxsize=None)(call)  # shared leaves
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
     maxr = alphabet.max_rank
-    syms1 = _rank1_symbols(alphabet)
-    hat = {s: "%s~h" % s for s in syms1}
+    hat = {s: "%s~h" % s for s in alphabet if alphabet.rank(s) == 1}
     hat_alphabet = RankedAlphabet(
         dict(alphabet.symbols, **{h: 1 for h in hat.values()}))
     n1rules = []
@@ -1728,34 +1725,32 @@ def _monadic_phase(M):
             n1rules += relabel_rules(alphabet, "h", sym, hat[sym], ["h"])[1:]
     N1 = Transducer(alphabet, hat_alphabet, ["h"], ["h"], n1rules)
 
-    down_end, up_end = _chain_endpoints(Mn)
+    fits = fits or (lambda parent, k, sym: True)
+
+    @functools.lru_cache(maxsize=None)
+    def sits(sym, j):  # whether sym can be the root or a child j
+        return fits(None, 0, sym) if j == 0 else any(
+            fits(x, j, sym) for x in alphabet if alphabet.rank(x) >= j)
+
     hatted = set(hat.values())
 
     def base_label(label):
         return label[:-2] if label in hatted else label
 
-    def ghost_rel(that, u):
-        def inside(v):
-            return subtree_at(that, v).label in hatted
-        rel = set()
-        for q, s, x in _excursion_exits(Mn, that, u, base_label, inside):
-            beta = "s" if x == u else (
-                "u" if len(x) < len(u) else "d%d" % x[len(u)])
-            rel.add((q, (s, beta)))
-        return frozenset(rel)
-
-    ghost = _per_tree(ghost_rel)
+    @_per_tree
+    def ghost(that, u):
+        return frozenset((q, (s, "s" if x == u else "u" if len(x) < len(u)
+                              else "d%d" % x[len(u)]))
+                         for q, s, x in _excursion_exits(
+                             Mn, that, u, base_label,
+                             lambda v: subtree_at(that, v).label in hatted))
 
     @_per_tree
     def adjacency(that, u):
-        tags = set()
-        if u and subtree_at(that, u[:-1]).label in hatted:
-            tags.add("u")
-        node = subtree_at(that, u)
-        for i in range(1, len(node.children) + 1):
-            if node.children[i - 1].label in hatted:
-                tags.add("d%d" % i)
-        return frozenset(tags)
+        up = u and subtree_at(that, u[:-1]).label in hatted
+        return frozenset(["u"] * bool(up) + [
+            "d%d" % i for i, c in enumerate(subtree_at(that, u).children, 1)
+            if c.label in hatted])
 
     def g2name(sym, j, uset, gamma):
         us = "".join(sorted(uset)) or "0"
@@ -1764,40 +1759,39 @@ def _monadic_phase(M):
         return "%s~n%d~U%s~g%s" % (sym, j, us, gs)
 
     by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
+    tables, order = _move_tables(Mn), sorted(Mn.states)
+    down_chains, up_chains = _chain_behaviours(Mn, tables, fits, sits)
+
+    @functools.lru_cache(maxsize=None)
+    def neighbours(sym, k):  # the behaviours of a hatted neighbour
+        if k < 0:
+            return {rel for b, rel in up_chains if fits(b, 1, sym)}
+        return {rel[k - 1] for a, rel in down_chains if fits(sym, k, a)}
+
+    @functools.lru_cache(maxsize=None)
+    def through(sym, j, tag):  # the excursions into it, per behaviour
+        k = -1 if tag == "u" else int(tag[1:])
+        return _through(tables[(sym, j)], k, neighbours(sym, k), order,
+                        tag)
+
     gamma_syms = {}
     n2rules = [Rule("p", h, j, None, calls("p", down(1)))
                for h in hat.values() for j in range(1, maxr + 1)]
     for sym in alphabet:
         rank = alphabet.rank(sym)
+        kids = [calls("p", down(i)) for i in range(1, rank + 1)]
         for j in range(maxr + 1):
-            tags = []
-            if syms1:
-                if j == 1:  # a hat has rank 1
-                    tags.append("u")
-                tags.extend("d%d" % i for i in range(1, rank + 1))
-            for n in range(len(tags) + 1):
-                for utags in itertools.combinations(tags, n):
+            tags = ["u"] * (j == 1) + [  # a hat has rank 1
+                "d%d" % i for i in range(1, rank + 1)]
+            for size in range(len(tags) + 1):
+                for utags in itertools.combinations(tags, size):
                     uset = frozenset(utags)
-                    cand = {}
-                    for r in by_sym.get((sym, j), ()):
-                        if r.kind != "move":
-                            continue
-                        c = r.rhs.label
-                        if c.instr.kind == "up" and "u" in uset:
-                            ends = up_end[c.state]
-                            for kind, qbar in ends:
-                                beta = "s" if kind == "stay" else "u"
-                                cand.setdefault(r.state, set()).add(
-                                    (qbar, beta))
-                        elif c.instr.kind == "down" \
-                                and ("d%d" % c.instr.index) in uset:
-                            ends = down_end[(c.instr.index, c.state)]
-                            for kind, qbar in ends:
-                                beta = "s" if kind == "stay" \
-                                    else "d%d" % c.instr.index
-                                cand.setdefault(r.state, set()).add(
-                                    (qbar, beta))
-                    for gamma in _gamma_candidates(cand, det):
+                    if "u" not in uset and not sits(sym, j):
+                        continue
+                    gammas = {frozenset().union(*each) for each in
+                              itertools.product(*[through(sym, j, tag)
+                                                  for tag in utags])}
+                    for gamma in sorted(gammas, key=sorted):
                         name = g2name(sym, j, uset, gamma)
                         gamma_syms[name] = (sym, j, uset, gamma)
 
@@ -1807,35 +1801,24 @@ def _monadic_phase(M):
                         n2rules.append(Rule(
                             "p", sym, j,
                             OracleTest(fn, "exact-chain-excursions"),
-                            out(name, *[calls("p", down(i))
-                                        for i in range(1, rank + 1)])))
+                            out(name, *kids)))
     gamma_alphabet = RankedAlphabet(
         {name: alphabet.rank(info[0])
          for name, info in gamma_syms.items()})
     N2 = Transducer(hat_alphabet, gamma_alphabet, ["p"], ["p"], n2rules)
 
-    def beta_instr(beta):
-        if beta == "s":
-            return STAY
-        if beta == "u":
-            return UP
-        return down(int(beta[1:]))
+    def tag(instr):  # the neighbour a move enters, None for a stay
+        return None if instr == STAY else "u" if instr == UP else (
+            "d%d" % instr.index)
 
     def kept_of(sym, j, uset):  # a move into a hatted neighbour leaves
-        body = []
-        for r in by_sym.get((sym, j), ()):
-            if r.kind == "move":
-                c = r.rhs.label
-                tag = "u" if c.instr.kind == "up" else (
-                    None if c.instr == STAY else "d%d" % c.instr.index)
-                if tag is not None and tag in uset:
-                    continue
-            body.append((r.state, r.rhs))
-        return body
+        return [(r.state, r.rhs) for r in by_sym.get((sym, j), ())
+                if r.kind != "move" or tag(r.rhs.label.instr) not in uset]
     mrules = _remainder_rules(
         gamma_syms,
         lambda j, uset: range(1, maxr + 1) if "u" in uset else (j,),
-        kept_of, lambda end: calls(end[0], beta_instr(end[1])))
+        kept_of, lambda end: calls(end[0], {"s": STAY, "u": UP}.get(
+            end[1]) or down(int(end[1][1:]))))
     Mp = Transducer(gamma_alphabet, Mn.output_alphabet, Mn.states,
                     Mn.initials, mrules)
 
@@ -1859,6 +1842,15 @@ def _monadic_phase(M):
             return eval_deterministic(N2, that)[0]
 
     return Decomposition(Pipeline((N1, N2)), Mp, witness_map=witness)
+
+
+def _leaves_fits(N):
+    """``fits`` for the outputs of the leaves pruner N: the child k of a
+    gamma symbol is one that N makes at its k-th pick (the root at 0)."""
+    slot = {r.rhs.label: r.child_no for r in N.rules}
+    picks = {r.rhs.label: [0] + [c.label.instr.index for c in r.rhs.children]
+             for r in N.rules}
+    return lambda parent, k, sym: slot[sym] == picks.get(parent, (0,))[k]
 
 
 def productivity_decompose(M, phase):
@@ -1893,7 +1885,7 @@ def linear_bounded_factorization(M):
         stages.append(N)
         wit_front = N
     d1 = _leaves_phase(Mc)
-    d2 = _monadic_phase(d1.remainder)
+    d2 = _monadic_phase(d1.remainder, _leaves_fits(d1.pruner.stages[0]))
     stages.extend(d1.pruner.stages)
     stages.extend(d2.pruner.stages)
     remainder = d2.remainder

@@ -524,7 +524,8 @@ class TreeIndex:
 
     @functools.cached_property
     def marked(self):
-        return [marked_name(n.label, 0) for n in self.nodes]
+        suffix = marked_name("", 0)
+        return [n.label + suffix for n in self.nodes]
 
 
 class Instruction:

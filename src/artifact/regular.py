@@ -774,20 +774,20 @@ def node_verdicts(test, ix, runs=None):
     aut = test.aut
     if aut is None:
         return None
-    delta, alphabet = aut.delta, aut.alphabet
+    delta, symbols = aut.delta, aut.alphabet.symbols
     marked = not test.subtest
     labels = ix.marked if marked else [n.label for n in ix.nodes]
-    if marked and any(name not in alphabet for name in labels):
+    if marked and not symbols.keys() >= set(labels):
         return [None] * len(labels)  # every marked run reads the whole tree
     runs = {} if runs is None else runs
-    key = (id(delta), id(alphabet), marked)
+    key = (id(delta), id(aut.alphabet), marked)
     if key not in runs:
         # state[i] is None where the run on node i's subtree raises;
         # combos[i] holds the states of node i's children
         state, combos = runs[key] = [None] * len(labels), [None] * len(labels)
         for i in reversed(range(len(labels))):  # children before parents
             combo = combos[i] = tuple([state[j] for j in ix.kids[i]])
-            if labels[i] in alphabet and None not in combo:
+            if labels[i] in symbols and None not in combo:
                 state[i] = delta.get((labels[i], combo))
     state, combos = runs[key]
     if not marked:

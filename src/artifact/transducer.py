@@ -420,22 +420,28 @@ def _tests_disjoint(M, r1, r2, corpus_bound):
 
 
 def _overlap_record(M):
-    """The pairs of M's rules at one (state, symbol, childNo) key, by key
-    in rule order, that ``_product_disjoint`` does not prove disjoint: two
-    unguarded rules or an oracle guard, or a product that is nonempty or
-    raises KeyError (a partial automaton).  Kept on M."""
+    """The pairs (r1, r2, overlap) of M's rules at one (state, symbol,
+    childNo) key, by key in rule order, that ``_product_disjoint`` does
+    not prove disjoint: overlap is True for a nonempty product (taken once
+    per (symbol, childNo) for unguarded pairs), None for an oracle guard
+    or a partial automaton, whose product raises KeyError.  Kept on M."""
     if M._overlaps is None:
-        record = {}
+        record, bare = {}, {}
         for key, group in M._index.items():
             for r1, r2 in itertools.combinations(group, 2):
-                tests = [r.test for r in (r1, r2) if r.test is not None]
-                try:
-                    proved = tests and all(t.aut is not None for t in tests) \
-                        and _product_disjoint(M, r1, r2)
-                except KeyError:
-                    proved = False
-                if not proved:
-                    record.setdefault(key, []).append((r1, r2))
+                overlap = None
+                if r1.test is None and r2.test is None:
+                    if key[1:] not in bare:
+                        bare[key[1:]] = not _product_disjoint(M, r1, r2)
+                    overlap = bare[key[1:]]
+                elif all(r.test is None or r.test.aut is not None
+                         for r in (r1, r2)):
+                    try:
+                        overlap = not _product_disjoint(M, r1, r2)
+                    except KeyError:
+                        pass
+                if overlap is not False:
+                    record.setdefault(key, []).append((r1, r2, overlap))
         M._overlaps = record
     return M._overlaps
 
@@ -486,12 +492,13 @@ def is_relabeling(M):
 
 def classify(M, corpus_bound=6):
     """Compute the class flags of M by rule inspection; the determinism
-    flag additionally needs pairwise test disjointness, decided exactly for
-    automaton-backed tests and on a bounded input corpus otherwise, for
-    the pairs that the overlap record does not prove disjoint."""
+    flag additionally needs pairwise test disjointness, read from the
+    overlap record where its product decides and tried on a bounded input
+    corpus otherwise."""
     deterministic = len(M.initials) == 1 and all(
-        _tests_disjoint(M, r1, r2, corpus_bound)
-        for pairs in _overlap_record(M).values() for r1, r2 in pairs)
+        overlap is None and _tests_disjoint(M, r1, r2, corpus_bound)
+        for pairs in _overlap_record(M).values()
+        for r1, r2, overlap in pairs)
     return ClassFlags(
         deterministic=deterministic, local=is_local(M),
         sub_testing=all(r.test is None or r.test.subtest for r in M.rules),

@@ -171,11 +171,13 @@ def test_factorize_report(capsys):
     # (rules, input symbols) per stage: the split of the tests (query
     # only), the leaves pruner, the hatting, the monadic pruner and the
     # remainder, which reads each gamma symbol only where the pruner can
-    # place it
+    # place it; the phases build only the gamma symbols some input
+    # realizes, and the monadic phase reads only the leaves pruner's
+    # outputs
     for name, stages in [
-            ("query", [(12, 2), (60, 4), (228, 60), (1452, 84),
-                       (9580, 1404)]),
-            ("mexp", [(15, 2), (57, 15), (256, 21), (555, 244)])]:
+            ("query", [(12, 2), (60, 4), (228, 60), (568, 84),
+                       (3752, 520)]),
+            ("mexp", [(15, 2), (57, 15), (148, 21), (347, 136)])]:
         code, out, _ = run_cli(capsys, "factorize", "--transducer", name)
         lines = out.splitlines()
         assert code == 0

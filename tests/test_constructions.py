@@ -8,7 +8,7 @@ import pytest
 from artifact.core import (
     RankedAlphabet, Tree, addresses, all_trees, child_number, down, leaf,
     marked_name, navigate, preorder, substitute_leaves, subtree_at,
-    try_navigate, STAY, UP,
+    tree_key, try_navigate, STAY, UP,
 )
 from artifact.constructions import (
     ChildProfileTest, ContractError, Decomposition, Pipeline, absorb_right,
@@ -18,11 +18,11 @@ from artifact.constructions import (
     lookahead_of_topdown, pipeline_outputs, productivity_decompose,
     productive_configs_nondet, pruning_image, rename_states, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
-    _abstract_exits, _assemble, _automaton_tests, _chain_endpoints,
-    _distinct_tests, _excursion_exits, _gamma_candidates,
-    _is_deterministic_local, _leaves_phase, _marked_product, _monadic_phase,
-    _normalize_for_pruning, _per_tree, _product_automaton, _rank1_symbols,
-    _rebuild, _restrict_domain_test, _rules_by,
+    _assemble, _automaton_tests, _chain_behaviours, _distinct_tests,
+    _excursion_exits, _is_deterministic_local, _leaves_fits, _leaves_phase,
+    _marked_product, _monadic_phase, _move_tables, _normalize_for_pruning,
+    _per_tree, _product_automaton, _rebuild, _restrict_domain_test,
+    _rules_by, _subtree_behaviours,
 )
 from artifact import transducer
 from artifact.fixtures import (
@@ -34,7 +34,8 @@ from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
     RegularTreeGrammar, ResourceError, SubTest, automaton_all,
     enumerate_grammar, eval_test, explore, grammar_to_automaton,
-    marked_automaton, singleton_automaton, _labels, _realizable,
+    marked_automaton, min_witnesses, singleton_automaton, _labels,
+    _realizable,
 )
 from artifact.transducer import (
     Call, Rule, Transducer, call, classify, enumerate_outputs,
@@ -44,6 +45,9 @@ from artifact.transducer import (
 from corpus import (
     OUT_TREES_5, SIG_TREES_5, collect_machines, has_tests,
     sequential_outputs, single_use_on, stay_acyclic,
+)
+from phase_reference import (
+    _abstract_exits, _chain_endpoints, _gamma_candidates, _rank1_symbols,
 )
 
 import random
@@ -772,22 +776,43 @@ def test_decompose_rejects_tested_machines():
         productivity_decompose(query_transducer(), "leaves")
 
 
-def test_decompose_names_the_pair_ceiling_and_the_count():
-    # four states move down into child 1 at sigma, and every state can
-    # come back up in every state: 4 x 4 candidate pairs at sigma
+def _all_up_machine():
+    """Four states move down into child 1 at sigma, and every state can
+    come back up in every state: 4 x 4 candidate excursion pairs at
+    sigma, past the 12 of the old phases' pair ceiling."""
     states = ["q0", "q1", "q2", "q3"]
     rules = [Rule(q, "sigma", j, None, call(q, down(1)))
              for q in states for j in (0, 1, 2)]
     rules += [Rule(q, sym, j, None, call(p, UP))
               for q in states for p in states
               for sym in ("sigma", "e") for j in (1, 2)]
-    M = Transducer(SIGMA_E, SIGMA_E, states, ["q0"], rules)
-    message = (r"^candidate excursion pairs: 16 pairs exceed the ceiling "
-               r"of 12$")
+    return Transducer(SIGMA_E, SIGMA_E, states, ["q0"], rules)
+
+
+def test_decompose_answers_the_machine_past_the_old_pair_ceiling():
+    M = _all_up_machine()
+    with pytest.raises(ResourceError, match=r"^candidate excursion pairs: "
+                       r"16 pairs exceed the ceiling of 12$"):
+        _leaves_phase_reference(M)
+    d = productivity_decompose(M, "leaves")
+    # one behaviour: each state comes back up in every state
+    assert len(d.remainder.input_alphabet) == 15
+    check_decomposition(M, d, SIG_TREES_5)
+    check_factorization(M, SIG_TREES_5)
+
+
+def test_decompose_names_the_behaviour_ceiling_and_the_count(monkeypatch):
+    from artifact import constructions
+    monkeypatch.setattr(constructions, "_BEHAVIOUR_CEILING", 1)
+    message = r"^excursion behaviours: 2 states exceed the ceiling of 1$"
     with pytest.raises(ResourceError, match=message):
-        productivity_decompose(M, "leaves")
+        productivity_decompose(m_exp(), "leaves")
     with pytest.raises(ResourceError, match=message):
-        linear_bounded_factorization(M)
+        linear_bounded_factorization(m_exp())
+    M = random_transducer(0, kind="local", alphabet=OUT3)
+    with pytest.raises(ResourceError, match=r"^chain behaviours: \d+ states "
+                       r"exceed the ceiling of 1$"):
+        productivity_decompose(M, "monadic")
 
 
 # The two move-only excursion searches that the phases carried before
@@ -1036,6 +1061,7 @@ def test_rename_states_preserves_semantics():
     Mr = rename_states(M)
     same_outputs(M, Mr, SIG_TREES_5, 20)
     assert all(q.startswith("q") for q in Mr.states)
+    assert rename_states(Mr) is Mr  # already named so
 
 
 def test_intersect_tests_none_absorbs():
@@ -1576,25 +1602,76 @@ def _without_unplaced(d):
                          witness_map=d.witness_map)
 
 
+def _within(d, names):
+    """The machines of the decomposition ``d`` with only the gamma symbols
+    ``names``: the pruner rules that output another and the remainder
+    rules at another go, and each machine's rules are put in one order."""
+    *front, N = d.pruner.stages
+    gammas = d.remainder.input_alphabet
+    kept = RankedAlphabet({name: gammas.rank(name)
+                           for name in gammas if name in names})
+
+    def ordered(M, rules, inp, outp):
+        return Transducer(inp, outp, M.states, M.initials, sorted(
+            rules, key=lambda r: (r.state, r.symbol, r.child_no, str(r.rhs))))
+    Mp = d.remainder
+    return [ordered(M, M.rules, M.input_alphabet, M.output_alphabet)
+            for M in front] + [
+        ordered(N, [r for r in N.rules
+                    if r.kind != "output" or r.rhs.label in kept],
+                N.input_alphabet, kept),
+        ordered(Mp, [r for r in Mp.rules if r.symbol in kept], kept,
+                Mp.output_alphabet)]
+
+
+def assert_within_reference(got, want):
+    """``got`` builds some of the gamma symbols of ``want`` and, for
+    those, the same pruner and remainder rules.  Returns their count."""
+    names = set(got.remainder.input_alphabet)
+    assert names <= set(want.remainder.input_alphabet)
+    machines = _within(got, names), _within(want, names)
+    assert len(machines[0]) == len(machines[1])
+    for a, b in zip(*machines):
+        assert_same_machine(a, b)
+    return len(names)
+
+
 def test_phases_match_the_references():
-    """Both phases build their references' machines less the pruner rules,
-    gamma symbols and remainder rules that the pruner never reaches
-    (``test_phases_drop_only_what_the_pruners_never_reach``)."""
-    def leaves(M):
-        return _without_unplaced(_leaves_phase_reference(M))
+    """Both phases build some of the gamma symbols of their references (the
+    old over-approximations less what the pruner never reaches) and, for
+    those, the references' rules; the leaves phase keeps all of them on
+    the deterministic fixtures.  The monadic phase of a factorization,
+    which reads only the leaves pruner's outputs, builds some of the
+    symbols of the plain monadic phase on the same machine."""
+    def reference(phase, M):
+        try:
+            return _without_unplaced(phase(M))
+        except ResourceError:  # the old pair ceiling
+            return None
 
-    def monadic(M):
-        return _without_unplaced(_monadic_phase_reference(M))
-
-    remainders = 0
-    for M in _phase_cases():
-        d1 = assert_same_result(_leaves_phase, leaves, M)
-        assert_same_result(_monadic_phase, monadic, M)
-        if d1 is not None:
-            # a factorization runs the monadic phase on this remainder
-            assert_same_result(_monadic_phase, monadic, d1.remainder)
-            remainders += 1
-    assert remainders >= 100, remainders
+    built, refused, remainders = [0, 0, 0], 0, 0
+    for k, M in enumerate(_phase_cases()):
+        d1 = _leaves_phase(M)
+        want1 = reference(_leaves_phase_reference, M)
+        if want1 is not None:
+            built[0] += assert_within_reference(d1, want1)
+            if k < 4:  # the fixtures
+                assert set(d1.remainder.input_alphabet) == \
+                    set(want1.remainder.input_alphabet)
+        want2 = reference(_monadic_phase_reference, M)
+        if want2 is not None:
+            built[1] += assert_within_reference(_monadic_phase(M), want2)
+        want3 = reference(_monadic_phase_reference, d1.remainder)
+        if want3 is None:
+            refused += 1
+            continue
+        plain = _monadic_phase(d1.remainder)
+        assert_within_reference(plain, want3)
+        built[2] += assert_within_reference(_monadic_phase(
+            d1.remainder, _leaves_fits(d1.pruner.stages[0])), plain)
+        remainders += 1
+    assert remainders >= 100 and min(built) >= 2000, (remainders, built)
+    assert refused <= 5, refused
 
 
 def _check_placed(got, want, outputs):
@@ -1655,6 +1732,258 @@ def test_phases_drop_only_what_the_pruners_never_reach():
                 assert eval_deterministic(d.remainder, w)[0] == s, t
                 witnesses += 1
     assert witnesses >= 100 and places >= 5000, (witnesses, places)
+
+
+def _gname(sym, j, picks, gamma):
+    ps = "".join(str(i) for i in picks) or "0"
+    gs = "-".join("%s.%s" % p for p in sorted(gamma)) or "0"
+    return "%s~n%d~k%s~g%s" % (sym, j, ps, gs)
+
+
+def _g2name(sym, j, uset, gamma):
+    us = "".join(sorted(uset)) or "0"
+    gs = "-".join("%s.%s.%s" % (q, p[0], p[1])
+                  for q, p in sorted(gamma)) or "0"
+    return "%s~n%d~U%s~g%s" % (sym, j, us, gs)
+
+
+def _leaves_ghost(Mn, t, u, picks):
+    """What the leaves pruner's guard reads at u of t for ``picks``: each
+    (q, s) such that q moves down into a child that is not picked and a
+    run of moves comes back up to u in s."""
+    def inside(v):
+        return len(v) > len(u) and v[len(u)] not in picks
+    return frozenset((q, s) for q, s, x in _excursion_exits(
+        Mn, t, u, lambda label: label, inside) if x == u)
+
+
+def _monadic_ghost(Mn, that, u):
+    """What the monadic pruner's guard reads at the unhatted node u of the
+    hatted tree ``that``: the hatted neighbours and the excursions
+    through them."""
+    def hatted(v):
+        return subtree_at(that, v).label.endswith("~h")
+    gamma = frozenset(
+        (q, (s, "s" if x == u else "u" if len(x) < len(u)
+             else "d%d" % x[len(u)]))
+        for q, s, x in _excursion_exits(
+            Mn, that, u, lambda label: label.removesuffix("~h"), hatted))
+    node = subtree_at(that, u)
+    uset = {"d%d" % i for i, c in enumerate(node.children, 1)
+            if c.label.endswith("~h")}
+    if u and hatted(u[:-1]):
+        uset.add("u")
+    return frozenset(uset), gamma
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, n) for n in range(len(items) + 1))
+
+
+def _leaves_exactly(Ml, d1):
+    """The leaves phase of Ml builds exactly the gamma symbols that its
+    pruner places on trees made of the explored witnesses: one per
+    subtree behaviour at each child, the least witness elsewhere.  Each
+    built symbol's guard holds on its witness.  Returns their count."""
+    Mn = _normalize_for_pruning(Ml)
+    alphabet = Mn.input_alphabet
+    states, delta = _subtree_behaviours(Mn, _move_tables(Mn))
+    wit = min_witnesses((p, sym, kids) for (sym, kids), p in delta.items())
+    least = min(wit.values(), key=tree_key)
+    per = [{} for _ in range(alphabet.max_rank)]  # one witness a behaviour
+    for b in states:
+        for i, rel in enumerate(b):
+            per[i].setdefault(rel, wit[b])
+    big = max(alphabet, key=alphabet.rank)  # a parent at every child number
+
+    def place(sym, j, kids):
+        if j == 0:
+            return Tree(sym, kids), ()
+        return Tree(big, [Tree(sym, kids) if k == j else least
+                          for k in range(1, alphabet.rank(big) + 1)]), (j,)
+
+    realized = {}
+    for sym in alphabet:
+        rank = alphabet.rank(sym)
+        for j in range(alphabet.max_rank + 1):
+            through = []  # per child i: what its excursions read, a witness
+            for i in range(1, rank + 1):
+                others = tuple(k for k in range(1, rank + 1) if k != i)
+                seen = {}
+                for w in per[i - 1].values():
+                    t, u = place(sym, j, [w if k == i else least
+                                          for k in range(1, rank + 1)])
+                    seen.setdefault(_leaves_ghost(Mn, t, u, others), w)
+                through.append(seen)
+            for picks in _subsets(range(1, rank + 1)):
+                free = [i for i in range(1, rank + 1) if i not in picks]
+                for each in itertools.product(
+                        *[through[i - 1].items() for i in free]):
+                    kids = [least] * rank
+                    for i, (_, w) in zip(free, each):
+                        kids[i - 1] = w
+                    gamma = frozenset().union(*(g for g, _ in each))
+                    realized.setdefault(_gname(sym, j, picks, gamma),
+                                        (sym, j, picks, kids))
+    assert set(realized) == set(d1.remainder.input_alphabet)
+    guards = {r.rhs.label: r.test for r in d1.pruner.stages[0].rules}
+    for name, (sym, j, picks, kids) in realized.items():
+        t, u = place(sym, j, kids)
+        assert _gname(sym, j, picks, _leaves_ghost(Mn, t, u, picks)) == name
+        assert eval_test(guards[name], t, u), (name, t)
+    return len(realized)
+
+
+def _monadic_exactly(Mm, d2, fits):
+    """The monadic phase of Mm, on the inputs that ``fits`` allows, builds
+    exactly the gamma symbols that its pruner places on trees made of the
+    explored chain witnesses, each hatted chain completed by least
+    subtrees and placed under a root or, for a chain above, with its top
+    under a root at every child number; every such tree obeys ``fits``.
+    Each built symbol's guard holds on its witness.  Returns their
+    count."""
+    Mn = _normalize_for_pruning(Mm)
+    alphabet = Mn.input_alphabet
+    fits = fits or (lambda parent, k, sym: True)
+
+    def sits(sym, j):
+        return fits(None, 0, sym) if j == 0 else any(
+            fits(x, j, sym) for x in alphabet if alphabet.rank(x) >= j)
+    down_chains, up_chains = _chain_behaviours(Mn, _move_tables(Mn), fits,
+                                               sits)
+    full = min_witnesses(  # the least subtree at each child of each symbol
+        [(x, x, tuple(("kid", x, k) for k in range(1, alphabet.rank(x) + 1)))
+         for x in alphabet],
+        [(("kid", x, k), y) for x in alphabet
+         for k in range(1, alphabet.rank(x) + 1)
+         for y in alphabet if fits(x, k, y)])
+    roots = [y for y in alphabet if fits(None, 0, y)]
+
+    def obeys(t):  # t, unhatted, is a tree that fits allows
+        stack = [(None, 0, t)]
+        while stack:
+            parent, k, node = stack.pop()
+            label = node.label.removesuffix("~h")
+            if not fits(parent, k, label):
+                return False
+            stack.extend((label, i, c) for i, c in enumerate(node.children, 1))
+        return True
+
+    def hats(chain, below):  # the chain, top first, hatted over below
+        for a in reversed(chain):
+            below = Tree(a + "~h", [below])
+        return below
+
+    def tree(sym, j, below, above):
+        made = placed(sym, j, below, above)
+        assert made is None or obeys(made[0]), made
+        return made
+
+    def placed(sym, j, below, above):
+        node = Tree(sym, [hats(below[i], full[("kid", below[i][-1], 1)])
+                          if i in below else full[("kid", sym, i)]
+                          for i in range(1, alphabet.rank(sym) + 1)])
+        if above is not None:
+            y, c, chain = above
+            node, u = hats(chain, node), (c,) + (1,) * len(chain)
+        elif j == 0:
+            return (node, ()) if fits(None, 0, sym) else None
+        else:
+            ys = [y for y in roots
+                  if alphabet.rank(y) >= j and fits(y, j, sym)]
+            if not ys:
+                return None
+            y, c, u = ys[0], j, (j,)
+        return Tree(y, [node if k == c else full[("kid", y, k)]
+                        for k in range(1, alphabet.rank(y) + 1)]), u
+
+    realized = {}
+    for sym in alphabet:
+        rank = alphabet.rank(sym)
+        for j in range(alphabet.max_rank + 1):
+            through = {}  # per tag: what its excursions read, a witness
+            for i in range(1, rank + 1):
+                seen = through["d%d" % i] = {}
+                for (a, _), w in down_chains.items():
+                    if fits(sym, i, a):
+                        made = tree(sym, j, {i: w[::-1]}, None)
+                        if made is not None:
+                            seen.setdefault(_monadic_ghost(Mn, *made)[1],
+                                            ({i: w[::-1]}, None))
+            if j == 1:
+                seen = through["u"] = {}
+                for (b, _), w in up_chains.items():
+                    for y in roots:
+                        for c in range(1, alphabet.rank(y) + 1):
+                            if fits(b, 1, sym) and fits(y, c, w[0]):
+                                above = (y, c, w)
+                                seen.setdefault(_monadic_ghost(
+                                    Mn, *tree(sym, j, {}, above))[1],
+                                    ({}, above))
+            for uset in _subsets(sorted(through)):
+                if "u" not in uset and tree(sym, j, {}, None) is None:
+                    continue
+                for each in itertools.product(
+                        *[through[tag].items() for tag in uset]):
+                    below, above = {}, None
+                    for _, (b, a) in each:
+                        below.update(b)
+                        above = above or a
+                    gamma = frozenset().union(*(g for g, _ in each))
+                    realized.setdefault(_g2name(sym, j, uset, gamma),
+                                        (sym, j, below, above))
+    assert set(realized) == set(d2.remainder.input_alphabet)
+    guards = {r.rhs.label: r.test for r in d2.pruner.stages[1].rules
+              if r.kind == "output"}
+    for name, (sym, j, below, above) in realized.items():
+        that, u = tree(sym, j, below, above)
+        assert _g2name(sym, j, *_monadic_ghost(Mn, that, u)) == name
+        assert eval_test(guards[name], that, u), (name, that)
+    return len(realized)
+
+
+def test_phases_build_exactly_the_symbols_the_pruners_place():
+    """Each phase of the factorization builds exactly the gamma symbols
+    its pruner places on the explored witnesses (``_leaves_exactly``,
+    ``_monadic_exactly``), and every one it places on an input of up to
+    7 nodes: for the monadic phase, every hatting of every output of the
+    leaves pruner on those inputs."""
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer()]
+    for det in (True, False):
+        machines += [random_transducer(seed, kind="local", deterministic=det,
+                                       output=OUT3) for seed in range(30)]
+    built = placed = 0
+    for M in machines:
+        inputs = all_trees(M.input_alphabet, 7)
+        front, Ml = split_lookaround(M) if _distinct_tests(M) else (None, M)
+        if front is not None:
+            inputs = [eval_deterministic(front, t)[0] for t in inputs]
+        d1 = _leaves_phase(Ml)
+        fits = _leaves_fits(d1.pruner.stages[0])
+        d2 = _monadic_phase(d1.remainder, fits)
+        built += _leaves_exactly(Ml, d1)
+        built += _monadic_exactly(d1.remainder, d2, fits)
+        Mn1, Mn2 = (_normalize_for_pruning(m) for m in (Ml, d1.remainder))
+        have1 = set(d1.remainder.input_alphabet)
+        have2 = set(d2.remainder.input_alphabet)
+        pruned = set()
+        for t in inputs:
+            pruned |= enumerate_outputs(d1.pruner.stages[0], t, 7)
+            for u, node in preorder(t):
+                for picks in _subsets(range(1, len(node.children) + 1)):
+                    assert _gname(node.label, child_number(u), picks,
+                                  _leaves_ghost(Mn1, t, u, picks)) in have1
+                    placed += 1
+        for s in pruned:
+            for that in enumerate_outputs(d2.pruner.stages[0], s, 7):
+                for u, node in preorder(that):
+                    if not node.label.endswith("~h"):
+                        assert _g2name(node.label, child_number(u), *(
+                            _monadic_ghost(Mn2, that, u))) in have2
+                        placed += 1
+    assert built >= 7000 and placed >= 60000, (built, placed)
 
 
 def test_lookahead_matches_the_reference():

@@ -5,7 +5,8 @@ replaced gave.  Those loops are kept below as reference implementations,
 as are the domain automaton that reran its claims fixpoint for every
 context class, the grammar enumeration that re-expanded every rule
 against the full languages in every round, and the exit summaries of the
-productivity phases that ``_least_sets`` now grounds as Horn clauses."""
+productivity phases' old over-approximations, which ``_least_sets`` (in
+``phase_reference``) grounds as Horn clauses."""
 
 import ast
 import itertools
@@ -14,6 +15,7 @@ import random
 
 import pytest
 
+import phase_reference
 from artifact import constructions, regular, transducer
 from artifact.constructions import (
     _marked_product, _product_automaton, _stay_closure_groups,
@@ -933,9 +935,9 @@ def _local_machines(n=30):
 def test_exit_summaries_match_round_robin():
     nonempty = 0
     for Mn in _local_machines():
-        ex = constructions._abstract_exits(Mn)
+        ex = phase_reference._abstract_exits(Mn)
         assert ex == _abstract_exits_by_rounds(Mn)
-        ends = constructions._chain_endpoints(Mn)
+        ends = phase_reference._chain_endpoints(Mn)
         assert ends == _chain_endpoints_by_rounds(Mn)
         nonempty += any(ex.values()) and any(ends[0].values()) \
             and any(ends[1].values())

