@@ -151,29 +151,41 @@ def _assemble(input_alphabet, output_alphabet, initials, rules_for):
                       rules)
 
 
-def _chi_augment(M):
-    """Pair every state with the child number its computation's next
-    output node will take; output rules pass position k to their k-th
-    call.  Needs a machine without general rules."""
-    width = M.output_alphabet.max_rank
+def _chi_augment(M, classes=None):
+    """Pair every state with the class of the child number its next output
+    node will take, named by its least member: ``classes[k]`` for number k,
+    each number its own class by default.  Output rules pass the class of
+    position k to their k-th call.  Needs no general rules."""
+    classes = classes or range(M.output_alphabet.max_rank + 1)
+    reps = sorted(set(classes))
     rules = []
     for r in M.rules:
         if r.kind == "general":
             raise ContractError(
                 "child-index augmentation needs move and output rules only")
-        for i in range(width + 1):
+        if r.kind == "output":  # one body for every class of the state
+            rhs = Tree(r.rhs.label,
+                       [call((c.label.state, classes[k]), c.label.instr)
+                        for k, c in enumerate(r.rhs.children, 1)])
+        for i in reps:
             if r.kind == "move":
                 c = r.rhs.label
                 rhs = call((c.state, i), c.instr)
-            else:
-                rhs = Tree(r.rhs.label,
-                           [call((c.label.state, k), c.label.instr)
-                            for k, c in enumerate(r.rhs.children, 1)])
             rules.append(Rule((r.state, i), r.symbol, r.child_no, r.test,
                               rhs))
-    states = [(q, i) for q in M.states for i in range(width + 1)]
+    states = [(q, i) for q in M.states for i in reps]
     return Transducer(M.input_alphabet, M.output_alphabet, states,
-                      [(q0, 0) for q0 in M.initials], rules)
+                      [(q0, classes[0]) for q0 in M.initials], rules)
+
+
+def _child_classes(M):
+    """For each child number, the least one at which M has the same rules,
+    by state, test object and rhs, at every (state, symbol)."""
+    at = [{} for _ in range(M.input_alphabet.max_rank + 1)]
+    for r in M.rules:
+        at[r.child_no].setdefault((r.state, r.symbol), []).append(
+            (id(r.test), r.rhs))
+    return [at.index(rules) for rules in at]
 
 
 _SINK = "~product-sink~"
@@ -408,9 +420,7 @@ def _identity_on(L):
     that a guess from a final state can reach become rules."""
     alphabet = L.alphabet
     if not L.finals:
-        dead = Transducer(alphabet, alphabet, ["q0"], ["q0"],
-                          [])
-        return dead
+        return Transducer(alphabet, alphabet, ["q0"], ["q0"], [])
     into = {}
     for (sym, combo), p in L.delta.items():
         into.setdefault(p, []).append(combo)
@@ -733,7 +743,7 @@ def compose_with_pruning(M1, M2):
         raise ContractError("second machine must be local here")
     if not is_pruning(M2):
         raise ContractError("second machine must be pruning here")
-    M1a = _chi_augment(normalize_general(M1))
+    M1a = _chi_augment(normalize_general(M1), _child_classes(M2))
     prod = productive_configs_nondet(M1a)
 
     def deletion_test(calls1, deleted):
@@ -812,7 +822,7 @@ def compose_det_topdown(M1, M2):
             raise ContractError("this composition needs a single initial "
                                 "state on the first machine")
         prodM = compose_with_pruning(M1, M2)
-        dom = _domain_oracle(_chi_augment(normalize_general(M1)))
+        dom = _domain_oracle(M1)
         return _guard_initial(prodM, dom)
     _check_product(M1, M2)
     if not is_top_down(M2):

@@ -144,13 +144,15 @@ class Tree:
         self.children = tuple(children)
         size = 1
         height = 0
+        key = [label]
         for c in self.children:
             size += c.size
             if c.height >= height:
                 height = c.height + 1
+            key.append(c._hash)
         self.size = size
         self.height = height
-        self._hash = hash((label,) + tuple(c._hash for c in self.children))
+        self._hash = hash(tuple(key))
 
     def __hash__(self):
         return self._hash
@@ -531,7 +533,7 @@ class TreeIndex:
 class Instruction:
     """A walking instruction: stay, up, or down_i (i >= 1)."""
 
-    __slots__ = ("kind", "index")
+    __slots__ = ("kind", "index", "_hash")
 
     def __init__(self, kind, index=None):
         if kind not in ("stay", "up", "down"):
@@ -542,13 +544,14 @@ class Instruction:
             raise ValueError("down index must be >= 1")
         self.kind = kind
         self.index = index
+        self._hash = hash((kind, index))
 
     def __eq__(self, other):
         return (isinstance(other, Instruction)
                 and self.kind == other.kind and self.index == other.index)
 
     def __hash__(self):
-        return hash((self.kind, self.index))
+        return self._hash
 
     def __repr__(self):
         if self.kind == "down":

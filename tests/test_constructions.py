@@ -18,17 +18,18 @@ from artifact.constructions import (
     lookahead_of_topdown, pipeline_outputs, productivity_decompose,
     productive_configs_nondet, pruning_image, rename_states, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
-    _assemble, _automaton_tests, _chain_behaviours, _distinct_tests,
-    _excursion_exits, _is_deterministic_local, _leaves_fits, _leaves_phase,
-    _marked_product, _monadic_phase, _move_tables, _normalize_for_pruning,
-    _per_tree, _product_automaton, _rebuild, _restrict_domain_test,
-    _rules_by, _subtree_behaviours,
+    _assemble, _automaton_tests, _chain_behaviours, _child_classes,
+    _distinct_tests, _excursion_exits, _is_deterministic_local,
+    _leaves_fits, _leaves_phase, _marked_product, _monadic_phase,
+    _move_tables, _normalize_for_pruning, _per_tree, _product_automaton,
+    _rebuild, _restrict_domain_test, _rules_by, _subtree_behaviours,
 )
-from artifact import transducer
+from artifact import constructions, transducer
 from artifact.fixtures import (
-    OUT3, SIGMA_E, comb_tree, identity_relabeler, internal_sigma_test,
-    leaf_chooser, left_projection, m_exp, query_transducer,
-    random_automaton, random_marked_test, random_subtest, random_transducer,
+    OUT3, SIGMA_E, comb_tree, full_binary, identity_relabeler,
+    internal_sigma_test, leaf_chooser, left_projection, m_exp,
+    query_transducer, random_automaton, random_marked_test, random_subtest,
+    random_transducer,
 )
 from artifact.regular import (
     AutomatonTest, BottomUpAutomaton, NodeTest, OracleTest,
@@ -48,6 +49,10 @@ from corpus import (
 )
 from phase_reference import (
     _abstract_exits, _chain_endpoints, _gamma_candidates, _rank1_symbols,
+)
+from chi_reference import (
+    compose_det_topdown_pruning_reference, compose_with_pruning_reference,
+    restrict_range_reference,
 )
 
 import random
@@ -389,6 +394,116 @@ def test_compose_with_pruning_random():
         for t in SIG_TREES_5:
             assert enumerate_outputs(C, t, 6) == \
                 sequential_outputs(M1, M2, t, 6, intermediate_size=12), t
+
+
+def _rule_key(r):
+    return (r.state, r.symbol, r.child_no, r.rhs, repr(r.test))
+
+
+def test_pruning_composition_matches_the_full_chi_reference():
+    """A pruner that tells every child number apart keeps the full
+    augmentation: the composition is the reference's, rule for rule."""
+    for det in (True, False):
+        firsts = collect_machines(30, "local", det)
+        seconds = collect_machines(
+            30, "pruning", det, alphabet=OUT3, output=OUT3, max_tests=0,
+            pred=lambda M: _child_classes(M) == [0, 1, 2])
+        for M1, M2 in zip(firsts, seconds):
+            got = compose_with_pruning(M1, M2)
+            want = compose_with_pruning_reference(M1, M2)
+            assert got.states == want.states
+            assert got.initials == want.initials
+            assert [_rule_key(r) for r in got.rules] == \
+                [_rule_key(r) for r in want.rules]
+
+
+def _two_class_pruner():
+    """A pruner over OUT3 that keeps both children of a sigma at the root
+    and only the first one below it: child numbers 1 and 2 are alike."""
+    rules = [Rule("q", "sigma", 0, None,
+                  out("sigma", call("q", down(1)), call("q", down(2))))]
+    keep_first = out("tau", call("q", down(1)))
+    for j in (1, 2):
+        rules.append(Rule("q", "sigma", j, None, keep_first))
+    rules += relabel_rules(OUT3, "q", "tau", "tau", ["q"])
+    rules += relabel_rules(OUT3, "q", "e", "e", [])
+    return Transducer(OUT3, OUT3, ["q"], ["q"], rules)
+
+
+def test_pruning_composition_with_a_partial_class_collapse():
+    M2 = _two_class_pruner()
+    assert _child_classes(M2) == [0, 1, 1]
+    assert _child_classes(left_projection()) == [0, 1, 1]
+    smaller = 0
+    for M1 in collect_machines(8, "local", False):
+        C = compose_with_pruning(M1, M2)
+        ref = compose_with_pruning_reference(M1, M2)
+        assert {q[1][1] for q in C.states} <= {0, 1}
+        assert len(C.rules) <= len(ref.rules)
+        smaller += len(C.rules) < len(ref.rules)
+        for t in all_trees(SIGMA_E, 7):
+            got = enumerate_outputs(C, t, 8)
+            assert got == enumerate_outputs(ref, t, 8), t
+            assert got == sequential_outputs(M1, M2, t, 8,
+                                             intermediate_size=14), t
+    assert smaller
+
+
+def _range_cases():
+    rng = random.Random("chi-range")
+    machines = [m_exp(), identity_relabeler(), left_projection(),
+                query_transducer(), leaf_chooser()]
+    machines += collect_machines(30, "local", False)
+    machines += collect_machines(30, "topdown", True)
+    return [(M, random_automaton(rng, M.output_alphabet)) for M in machines]
+
+
+def test_restrict_range_matches_the_full_chi_reference():
+    sig7 = all_trees(SIGMA_E, 7)
+    for M, L in _range_cases():
+        got, want = restrict_range(M, L), restrict_range_reference(M, L)
+        for t in SIG_TREES_5:
+            assert enumerate_outputs(got, t, 8) == \
+                enumerate_outputs(want, t, 8), t
+        A, B = inverse_image(M, L), domain_automaton(want)
+        assert [A.accepts(t) for t in sig7] == [B.accepts(t) for t in sig7]
+
+
+def test_restricted_m_exp_has_one_copy_per_state():
+    """The identity on a language never reads child numbers, so the
+    restricted machine of m_exp keeps one copy of each of its states."""
+    for h, sizes, full in ((2, (9, 27), (17, 48)), (4, (17, 49), (33, 92))):
+        L = singleton_automaton(full_binary(h), SIGMA_E)
+        R = restrict_range(m_exp(), L)
+        ref = restrict_range_reference(m_exp(), L)
+        assert (len(R.states), len(R.rules)) == sizes
+        assert (len(ref.states), len(ref.rules)) == full
+
+
+def test_compose_det_topdown_augments_the_first_machine_once(monkeypatch):
+    """The domain guard evaluates the first machine itself."""
+    calls = []
+    augment = constructions._chi_augment
+
+    def counted(*args):
+        calls.append(args)
+        return augment(*args)
+    monkeypatch.setattr(constructions, "_chi_augment", counted)
+    sig7 = all_trees(SIGMA_E, 7)
+    pruners = [left_projection()] + collect_machines(
+        3, "pruning", True, alphabet=SIGMA_E, output=SIGMA_E, max_tests=0)
+    query = query_transducer()
+    pairs = [(M1, M2) for M1 in (m_exp(), identity_relabeler(),
+                                 left_projection()) for M2 in pruners]
+    pairs.append((query, identity_like(query.output_alphabet)))
+    for M1, M2 in pairs:
+        del calls[:]
+        C = compose_det_topdown(M1, M2)
+        assert len(calls) == 1
+        ref = compose_det_topdown_pruning_reference(M1, M2)
+        for t in sig7:
+            assert enumerate_outputs(C, t, 40) == \
+                enumerate_outputs(ref, t, 40), t
 
 
 def test_compose_su_identity_right():
