@@ -420,7 +420,9 @@ def _identity_on(L):
     that a guess from a final state can reach become rules."""
     alphabet = L.alphabet
     if not L.finals:
-        return Transducer(alphabet, alphabet, ["q0"], ["q0"], [])
+        dead = Transducer(alphabet, alphabet, ["q0"], ["q0"],
+                          [])
+        return dead
     into = {}
     for (sym, combo), p in L.delta.items():
         into.setdefault(p, []).append(combo)

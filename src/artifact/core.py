@@ -533,7 +533,7 @@ class TreeIndex:
 class Instruction:
     """A walking instruction: stay, up, or down_i (i >= 1)."""
 
-    __slots__ = ("kind", "index", "_hash")
+    __slots__ = ("kind", "index")
 
     def __init__(self, kind, index=None):
         if kind not in ("stay", "up", "down"):
@@ -544,14 +544,13 @@ class Instruction:
             raise ValueError("down index must be >= 1")
         self.kind = kind
         self.index = index
-        self._hash = hash((kind, index))
 
     def __eq__(self, other):
         return (isinstance(other, Instruction)
                 and self.kind == other.kind and self.index == other.index)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.kind, self.index))
 
     def __repr__(self):
         if self.kind == "down":

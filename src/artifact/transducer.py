@@ -35,21 +35,20 @@ class ContractError(RuntimeError):
 class Call:
     """A call leaf (state, instruction) in a rule right-hand side."""
 
-    __slots__ = ("state", "instr", "_hash")
+    __slots__ = ("state", "instr")
 
     def __init__(self, state, instr):
         if not isinstance(instr, Instruction):
             raise ValueError("call needs an Instruction, got %r" % (instr,))
         self.state = state
         self.instr = instr
-        self._hash = hash((state, instr))
 
     def __eq__(self, other):
         return (isinstance(other, Call)
                 and self.state == other.state and self.instr == other.instr)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.state, self.instr))
 
     def __repr__(self):
         return "<%s,%r>" % (self.state, self.instr)
@@ -143,7 +142,7 @@ class Transducer:
     """M = (input alphabet, output alphabet, states, initials, rules)."""
 
     __slots__ = ("input_alphabet", "output_alphabet", "states", "initials",
-                 "rules", "_index", "_overlaps", "_corpus_verdicts")
+                 "rules", "_index", "_overlaps")
 
     def __init__(self, input_alphabet, output_alphabet, states, initials,
                  rules):
@@ -158,7 +157,6 @@ class Transducer:
             raise ValueError("initials must be states")
         self._index = {}
         self._overlaps = None  # filled by _overlap_record on first use
-        self._corpus_verdicts = {}  # classify's, per (r1, r2, corpus bound)
         # a rule validated under these very alphabet and state objects is
         # valid here; a rhs is walked once per (child number 0?, rank)
         sig = (input_alphabet, output_alphabet, self.states)
@@ -496,15 +494,9 @@ def classify(M, corpus_bound=6):
     """Compute the class flags of M by rule inspection; the determinism
     flag additionally needs pairwise test disjointness, read from the
     overlap record where its product decides and tried on a bounded input
-    corpus otherwise; a corpus verdict is kept on M."""
-    known = M._corpus_verdicts
-
-    def disjoint(*key):
-        if key not in known:
-            known[key] = _tests_disjoint(M, *key)
-        return known[key]
+    corpus otherwise."""
     deterministic = len(M.initials) == 1 and all(
-        overlap is None and disjoint(r1, r2, corpus_bound)
+        overlap is None and _tests_disjoint(M, r1, r2, corpus_bound)
         for pairs in _overlap_record(M).values()
         for r1, r2, overlap in pairs)
     return ClassFlags(

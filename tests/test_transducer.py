@@ -10,8 +10,7 @@ import pytest
 import engine_reference as reference
 from artifact import regular, transducer
 from artifact.constructions import (
-    deterministic_values, linear_bounded_factorization, lookahead_of_topdown,
-    rename_states,
+    deterministic_values, lookahead_of_topdown, rename_states,
 )
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
@@ -1078,57 +1077,11 @@ def test_classify_again_takes_no_product(monkeypatch):
     assert decided and all(overlap for _, _, overlap in decided)
 
 
-def _afresh(M):
-    """M's rules in a new machine, which has no verdicts kept."""
-    return Transducer(M.input_alphabet, M.output_alphabet, M.states,
-                      M.initials, M.rules)
-
-
-def test_classify_keeps_its_corpus_verdicts(monkeypatch):
-    """A second ``classify`` at one corpus bound reads no corpus tree; a
-    new bound reads the corpus again.  On the leaves pruner of the query
-    factorization, whose guards are oracles."""
-    corpora = []
-    real_all_trees = transducer.all_trees
-    monkeypatch.setattr(transducer, "all_trees", lambda *args: (
-        corpora.append(args) or real_all_trees(*args)))
-    N = linear_bounded_factorization(query_transducer()).pruner.stages[1]
-    first = classify(N, corpus_bound=4)
-    assert corpora
-    del corpora[:]
-    assert classify(N, corpus_bound=4) == first and corpora == []
-    other = classify(N, corpus_bound=3)
-    assert corpora
-    assert other == classify(_afresh(N), corpus_bound=3)
-    del corpora[:]
-    assert classify(N, corpus_bound=3) == other and corpora == []
-
-
-def test_classify_with_kept_verdicts_gives_the_flags_of_a_new_machine():
-    """Flags at bounds 3 and 4, each asked twice in turn, equal those of
-    a machine classified once, on the fixtures, the partial guards and 30
-    random machines per kind."""
-    machines = [m_exp(), identity_relabeler(), left_projection(),
-                query_transducer(), leaf_chooser(), loop_transducer()]
-    machines += _partial_query_machines()
-    machines += [random_transducer(seed, kind, seed % 2 == 0)
-                 for kind in DET_KINDS for seed in range(30)]
-    undecided = 0
-    for M in machines:
-        want = {b: classify(_afresh(M), corpus_bound=b) for b in (3, 4)}
-        for b in (3, 4, 3, 4):
-            assert classify(M, corpus_bound=b) == want[b]
-        undecided += bool(M._corpus_verdicts)
-    assert undecided
-
-
-def test_core_objects_hash_as_their_field_tuples():
-    """Instructions, calls and trees hash as the tuples of their fields,
-    as they did when each hash was taken on demand."""
+def test_tree_hash_is_the_hash_of_its_label_and_child_hashes():
+    """Set orders depend on it: a tree hashes as the tuple of its label
+    and its children's hashes, on random trees with call labels."""
     rng = random.Random("hash")
     instrs = [STAY, UP, down(1), down(2)]
-    for i in instrs:
-        assert hash(i) == hash((i.kind, i.index))
 
     def grow(depth):
         label = Call(rng.choice(["q", ("p", 1)]), rng.choice(instrs))
@@ -1141,10 +1094,6 @@ def test_core_objects_hash_as_their_field_tuples():
         for _, node in preorder(grow(5)):
             assert hash(node) == hash(
                 (node.label,) + tuple(hash(c) for c in node.children))
-            if isinstance(node.label, Call):
-                c = node.label
-                assert hash(c) == hash((c.state, c.instr))
-                assert hash(Call(c.state, c.instr)) == hash(c)
 
 
 def _both_hold_somewhere(r1, r2, corpus):
