@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .core import (
     MarkedAlphabet, RankedAlphabet, Tree, child_number, down, leaf,
     marked_name, navigate, preorder, split_marked_name, substitute_leaves,
-    subtree_at, tree_key, try_navigate, STAY, UP,
+    tree_key, try_navigate, STAY, UP,
 )
 from .regular import (
     AutomatonTest, BottomUpAutomaton, OracleTest,
@@ -42,11 +42,11 @@ from .transducer import (
 def rename_states(M, prefix="q"):
     """An isomorphic copy of M whose states are short strings, numbered in
     a repr-sorted order; M itself when its states have those names."""
+    if M.states == {"%s%d" % (prefix, k) for k in range(len(M.states))}:
+        return M
     names = {}
     for s in sorted(M.states, key=repr):
         names[s] = "%s%d" % (prefix, len(names))
-    if all(names[s] == s for s in names):
-        return M
 
     def fill(c):
         if isinstance(c, Call):
@@ -80,12 +80,19 @@ def intersect_tests(a, b):
 
 
 def _per_tree(fn):
-    """Memoize a per-input-tree computation on its arguments."""
-    cache = {}
+    """Memoize a per-input-tree computation ``fn(t, *args)`` for the last
+    tree object asked about, on ``args``.  Another tree object, even an
+    equal one, drops the entries: trees are told apart by identity, never
+    compared."""
+    cache, last = {}, None
 
-    def get(*args):
+    def get(t, *args):
+        nonlocal last
+        if t is not last:
+            cache.clear()
+            last = t
         if args not in cache:
-            cache[args] = fn(*args)
+            cache[args] = fn(t, *args)
         return cache[args]
     return get
 
@@ -1420,33 +1427,6 @@ def pipeline_outputs(stages, t, max_size, intermediate_size=None):
 # ---------------------------------------------------------------------------
 # Productivity decomposition
 
-def _excursion_exits(Mn, t, u, label, inside):
-    """The move-only excursions from node u of t: every (q, s, x) such
-    that a move rule of state q at u enters a node where ``inside`` holds
-    and a run of move rules through such nodes first reaches a node x
-    where it does not, in state s.  ``label`` maps the labels of t to
-    symbols of Mn.  A validated rule moves up only below the root and
-    down only within the rank, so every move applies."""
-    def moves(s, v, node):
-        for r in Mn.rules_at(s, label(node.label), child_number(v)):
-            if r.kind == "move":
-                c = r.rhs.label
-                yield c.state, navigate(t, v, c.instr)
-
-    top = subtree_at(t, u)
-    for q in sorted(Mn.states, key=repr):
-        stack = [(s, v) for s, v in moves(q, u, top) if inside(v)]
-        seen = set(stack)
-        while stack:
-            p, v = stack.pop()
-            for s, x in moves(p, v, subtree_at(t, v)):
-                if not inside(x):
-                    yield q, s, x
-                elif (s, x) not in seen:
-                    seen.add((s, x))
-                    stack.append((s, x))
-
-
 # The most excursion behaviours a productivity phase explores.
 _BEHAVIOUR_CEILING = 4096
 
@@ -1502,13 +1482,13 @@ def _exit_masks(rows, regions, n):
 
 
 def _through(rows, k, rels, order, tag=None):
-    """Per behaviour in ``rels``, the excursions from a node's ``rows`` into
-    its region k (-1: up): pairs (q, s), or with a ``tag`` (q, (s, "s"))
-    back and (q, (s, tag)) through."""
+    """Per behaviour rel in ``rels``, the excursions from a node's ``rows``
+    into its region k (-1: up) when it behaves as rel: pairs (q, s), or
+    with a ``tag`` (q, (s, "s")) back and (q, (s, tag)) through."""
     n = len(order)
     pairs = [(order[q], p) for q, row in enumerate(rows) for kk, p in row
              if kk == k]
-    return {frozenset((q, order[s] if tag is None else (
+    return {rel: frozenset((q, order[s] if tag is None else (
         order[s % n], "s" if s < n else tag)) for q, p in pairs
         for s in _bits(rel[p])) for rel in rels}
 
@@ -1542,12 +1522,13 @@ def _closure(found, step):
 
 def _chain_behaviours(Mn, tables, fits, sits):
     """The behaviours of chains of rank-1 nodes, each a child 1 as ``fits``
-    allows, with least witnesses: (down, up).  ``down`` has (top, masks),
-    masks[c-1] for the chain entered at its top at child number c, left
-    back up (low bits) or out of its bottom; witnesses list the bottom
-    first.  ``up`` has (bottom, masks) for the chain entered from below,
-    left back down (low bits) or out of its top at a child number c where
-    ``sits(top, c)``; witnesses list the top first."""
+    allows, with least witnesses, and the steps that grow them: (down, up,
+    rise, fall).  ``down`` has (top, masks), masks[c-1] for the chain
+    entered at its top at child number c, left back up (low bits) or out
+    of its bottom; witnesses list the bottom first.  ``up`` has (bottom,
+    masks) for the chain entered from below, left back down (low bits) or
+    out of its top at a child number c where ``sits(top, c)``; witnesses
+    list the top first.  The chain rel None is the empty one."""
     alphabet, n = Mn.input_alphabet, len(Mn.states)
     syms1 = [a for a in alphabet if alphabet.rank(a) == 1]
     positions = range(1, alphabet.max_rank + 1)
@@ -1555,29 +1536,29 @@ def _chain_behaviours(Mn, tables, fits, sits):
 
     @functools.lru_cache(maxsize=None)
     def rise(a, rel):  # a over the chain rel, at each child number
-        return tuple(_exit_masks(tables[(a, c)], [rel], n)
+        return tuple(_exit_masks(tables[(a, c)], [rel or end], n)
                      for c in positions)
 
     @functools.lru_cache(maxsize=None)
     def fall(a, c, rel):  # a under the chain rel: up enters it
         return _exit_masks([[(-k, s) for k, s in row]
-                            for row in tables[(a, c)]], [rel], n)
+                            for row in tables[(a, c)]], [rel or end], n)
 
-    down = _closure({(a, rise(a, end)): (a,) for a in syms1},
+    down = _closure({(a, rise(a, None)): (a,) for a in syms1},
                     lambda x: (((a, rise(a, x[1][0])), a)
                                for a in syms1 if fits(a, 1, x[0])))
-    up = _closure({(a, fall(a, c, end)): (a,) for a in syms1
+    up = _closure({(a, fall(a, c, None)): (a,) for a in syms1
                    for c in positions if sits(a, c)},
                   lambda x: (((b, fall(b, 1, x[1])), b)
                              for b in syms1 if fits(x[0], 1, b)))
-    return down, up
+    return down, up, rise, fall
 
 
 def _rebuild(t, kept, make):
-    """Rebuild t bottom-up without recursion: ``kept(u, node)`` gives the
-    child numbers of the node at u whose subtrees stay, and
-    ``make(u, node, picks, kids)`` builds the image of that node from
-    the images of those children."""
+    """Rebuild t bottom-up without recursion: ``kept(u, node)``, asked
+    about a node before its children, gives the child numbers of the node
+    at u whose subtrees stay, and ``make(u, node, picks, kids)`` builds
+    the image of that node from the images of those children."""
     order = []
     stack = [((), t)]
     while stack:
@@ -1626,14 +1607,6 @@ def _leaves_phase(M):
     det = _is_deterministic_local(Mn)
     alphabet = Mn.input_alphabet
 
-    def ghost_rel(t, u, picks):
-        def inside(v):  # below a child of u that is not picked
-            return len(v) > len(u) and v[len(u)] not in picks
-        return frozenset((q, s) for q, s, x in _excursion_exits(
-            Mn, t, u, lambda label: label, inside) if x == u)
-
-    ghost = _per_tree(ghost_rel)
-
     def gname(sym, j, picks, gamma):
         ps = "".join(str(i) for i in picks) or "0"
         gs = "-".join("%s.%s" % p
@@ -1642,11 +1615,30 @@ def _leaves_phase(M):
 
     by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
     tables, order = _move_tables(Mn), sorted(Mn.states)
-    behaviours, _ = _subtree_behaviours(Mn, tables)
+    behaviours, delta = _subtree_behaviours(Mn, tables)
 
     through = functools.lru_cache(maxsize=None)(  # into child i
-        lambda sym, j, i: _through(tables[(sym, j)], i, {
-            b[i - 1] for b in behaviours}, order))
+        lambda sym, j, i: set(_through(tables[(sym, j)], i, {
+            b[i - 1] for b in behaviours}, order).values()))
+    into = functools.lru_cache(maxsize=None)(  # the guards' own: they
+        lambda sym, j, i, rel: _through(  # keep no cache of the build
+            tables[(sym, j)], i, [rel], order)[rel])
+
+    @_per_tree
+    def excursions(t):  # per node of t: the excursions into each child
+        table = {}
+
+        def make(u, node, picks, kids):  # kids: the children's behaviours
+            sym, j = node.label, child_number(u)
+            table[u] = [into(sym, j, i, b[i - 1])
+                        for i, b in enumerate(kids, 1)]
+            return delta[(sym, tuple(kids))]
+        _rebuild(t, lambda u, node: range(1, len(node.children) + 1), make)
+        return table
+
+    def ghost(t, u, picks):  # the excursions into the unpicked children
+        return frozenset().union(*(
+            g for i, g in enumerate(excursions(t)[u], 1) if i not in picks))
 
     gamma_syms = {}
     nrules = []
@@ -1744,26 +1736,6 @@ def _monadic_phase(M, fits=None):
         return fits(None, 0, sym) if j == 0 else any(
             fits(x, j, sym) for x in alphabet if alphabet.rank(x) >= j)
 
-    hatted = set(hat.values())
-
-    def base_label(label):
-        return label[:-2] if label in hatted else label
-
-    @_per_tree
-    def ghost(that, u):
-        return frozenset((q, (s, "s" if x == u else "u" if len(x) < len(u)
-                              else "d%d" % x[len(u)]))
-                         for q, s, x in _excursion_exits(
-                             Mn, that, u, base_label,
-                             lambda v: subtree_at(that, v).label in hatted))
-
-    @_per_tree
-    def adjacency(that, u):
-        up = u and subtree_at(that, u[:-1]).label in hatted
-        return frozenset(["u"] * bool(up) + [
-            "d%d" % i for i, c in enumerate(subtree_at(that, u).children, 1)
-            if c.label in hatted])
-
     def g2name(sym, j, uset, gamma):
         us = "".join(sorted(uset)) or "0"
         gs = "-".join("%s.%s.%s" % (q, p[0], p[1])
@@ -1772,19 +1744,44 @@ def _monadic_phase(M, fits=None):
 
     by_sym = _rules_by(Mn, lambda r: (r.symbol, r.child_no))
     tables, order = _move_tables(Mn), sorted(Mn.states)
-    down_chains, up_chains = _chain_behaviours(Mn, tables, fits, sits)
+    down_chains, up_chains, rise, fall = _chain_behaviours(Mn, tables, fits,
+                                                           sits)
+
+    def region(tag):  # the neighbour's region: -1 above, i at child i
+        return -1 if tag == "u" else int(tag[1:])
 
     @functools.lru_cache(maxsize=None)
-    def neighbours(sym, k):  # the behaviours of a hatted neighbour
-        if k < 0:
-            return {rel for b, rel in up_chains if fits(b, 1, sym)}
-        return {rel[k - 1] for a, rel in down_chains if fits(sym, k, a)}
+    def through(sym, j, tag):  # the excursions into a hatted neighbour,
+        k = region(tag)        # per behaviour it can have
+        rels = {rel for b, rel in up_chains if fits(b, 1, sym)} if k < 0 \
+            else {rel[k - 1] for a, rel in down_chains if fits(sym, k, a)}
+        return set(_through(tables[(sym, j)], k, rels, order, tag).values())
+    into = functools.lru_cache(maxsize=None)(  # the guards' own
+        lambda sym, j, tag, rel: _through(tables[(sym, j)], region(tag),
+                                          [rel], order, tag)[rel])
+    base = {h: a for a, h in hat.items()}
 
-    @functools.lru_cache(maxsize=None)
-    def through(sym, j, tag):  # the excursions into it, per behaviour
-        k = -1 if tag == "u" else int(tag[1:])
-        return _through(tables[(sym, j)], k, neighbours(sym, k), order,
-                        tag)
+    @_per_tree
+    def around(that):  # per unhatted node: (hatted neighbours, excursions)
+        ups, table = {}, {}
+
+        def kept(u, node):  # top-down: the hatted chain above each node
+            if node.label in base:
+                ups[u + (1,)] = fall(base[node.label], child_number(u),
+                                     ups.pop(u, None))
+            return range(1, len(node.children) + 1)
+
+        def make(u, node, picks, kids):  # bottom-up: the chains below
+            if node.label in base:
+                return rise(base[node.label], kids[0] and kids[0][0])
+            near = {"d%d" % i: d[i - 1] for i, d in enumerate(kids, 1) if d}
+            if u in ups:
+                near["u"] = ups.pop(u)
+            sym, j = node.label, child_number(u)
+            table[u] = frozenset(near), frozenset().union(*(
+                into(sym, j, tag, rel) for tag, rel in near.items()))
+        _rebuild(that, kept, make)
+        return table
 
     gamma_syms = {}
     n2rules = [Rule("p", h, j, None, calls("p", down(1)))
@@ -1808,8 +1805,7 @@ def _monadic_phase(M, fits=None):
                         gamma_syms[name] = (sym, j, uset, gamma)
 
                         def fn(t, u, uset=uset, gamma=gamma):
-                            return adjacency(t, u) == uset and \
-                                ghost(t, u) == gamma
+                            return around(t)[u] == (uset, gamma)
                         n2rules.append(Rule(
                             "p", sym, j,
                             OracleTest(fn, "exact-chain-excursions"),

@@ -2,12 +2,40 @@
 gamma symbols from before they explored the exact excursion behaviours,
 kept as references: ``_abstract_exits`` and ``_chain_endpoints`` bound
 the exits of move-only excursions, and ``_gamma_candidates`` makes every
-candidate summary over them."""
+candidate summary over them.  ``_excursion_exits`` is the per-node search
+that the phases' guards ran before they read the explored behaviours."""
 
 import itertools
 
-from artifact.core import STAY
+from artifact.core import STAY, child_number, navigate, subtree_at
 from artifact.regular import ResourceError, least_model
+
+
+def _excursion_exits(Mn, t, u, label, inside):
+    """The move-only excursions from node u of t: every (q, s, x) such
+    that a move rule of state q at u enters a node where ``inside`` holds
+    and a run of move rules through such nodes first reaches a node x
+    where it does not, in state s.  ``label`` maps the labels of t to
+    symbols of Mn.  A validated rule moves up only below the root and
+    down only within the rank, so every move applies."""
+    def moves(s, v, node):
+        for r in Mn.rules_at(s, label(node.label), child_number(v)):
+            if r.kind == "move":
+                c = r.rhs.label
+                yield c.state, navigate(t, v, c.instr)
+
+    top = subtree_at(t, u)
+    for q in sorted(Mn.states, key=repr):
+        stack = [(s, v) for s, v in moves(q, u, top) if inside(v)]
+        seen = set(stack)
+        while stack:
+            p, v = stack.pop()
+            for s, x in moves(p, v, subtree_at(t, v)):
+                if not inside(x):
+                    yield q, s, x
+                elif (s, x) not in seen:
+                    seen.add((s, x))
+                    stack.append((s, x))
 
 
 def _rank1_symbols(alphabet):

@@ -19,10 +19,10 @@ from artifact.constructions import (
     productive_configs_nondet, pruning_image, rename_states, restrict_range,
     split_lookaround, split_lookaround_nondet, stay_free, uniformize,
     _assemble, _automaton_tests, _chain_behaviours, _child_classes,
-    _distinct_tests, _excursion_exits, _is_deterministic_local,
-    _leaves_fits, _leaves_phase, _marked_product, _monadic_phase,
-    _move_tables, _normalize_for_pruning, _per_tree, _product_automaton,
-    _rebuild, _restrict_domain_test, _rules_by, _subtree_behaviours,
+    _distinct_tests, _is_deterministic_local, _leaves_fits, _leaves_phase,
+    _marked_product, _monadic_phase, _move_tables, _normalize_for_pruning,
+    _per_tree, _product_automaton, _rebuild, _restrict_domain_test,
+    _rules_by, _subtree_behaviours,
 )
 from artifact import constructions, transducer
 from artifact.fixtures import (
@@ -48,7 +48,8 @@ from corpus import (
     sequential_outputs, single_use_on, stay_acyclic,
 )
 from phase_reference import (
-    _abstract_exits, _chain_endpoints, _gamma_candidates, _rank1_symbols,
+    _abstract_exits, _chain_endpoints, _excursion_exits, _gamma_candidates,
+    _rank1_symbols,
 )
 from chi_reference import (
     compose_det_topdown_pruning_reference, compose_with_pruning_reference,
@@ -940,7 +941,8 @@ def test_decompose_names_the_behaviour_ceiling_and_the_count(monkeypatch):
 
 
 # The two move-only excursion searches that the phases carried before
-# ``_excursion_exits`` replaced them, kept as references.
+# ``_excursion_exits`` replaced them and the pruners' guards came to read
+# the explored behaviours, kept as references.
 
 def _leaves_excursions_reference(Mn, t, u, picks):
     node = subtree_at(t, u)
@@ -1027,57 +1029,62 @@ def _hat(t, chosen, v=()):
 
 
 def _excursion_cases():
-    """(normalized machine, tree) pairs: the local fixtures on all trees of
-    up to 7 nodes over SIGMA_E, and seeded local machines over OUT3 also
-    on all trees of up to 6 nodes over OUT3."""
-    sig, out3 = all_trees(SIGMA_E, 7), all_trees(OUT3, 6)
+    """(machine, trees) pairs: the local fixtures on all trees of up to 7
+    nodes over SIGMA_E, and seeded local machines over OUT3 on those and
+    on all trees of up to 7 nodes over OUT3."""
+    sig, out3 = all_trees(SIGMA_E, 7), all_trees(OUT3, 7)
     for M in (m_exp(), identity_relabeler(), left_projection()):
-        Mn = _normalize_for_pruning(M)
-        yield from ((Mn, t) for t in sig)
+        yield M, sig
     for det in (True, False):
         for seed in range(30):
-            Mn = _normalize_for_pruning(random_transducer(
-                seed, kind="local", deterministic=det, alphabet=OUT3,
-                output=OUT3))
-            yield from ((Mn, t) for t in sig + out3)
+            yield random_transducer(seed, kind="local", deterministic=det,
+                                    alphabet=OUT3, output=OUT3), sig + out3
 
 
-def test_excursion_exits_match_both_old_searches():
+def _holding(N, t, u):
+    """The gamma symbols of the pruner N whose guards hold at u of t."""
+    rules = N.rules_at("p", subtree_at(t, u).label, child_number(u))
+    return {r.rhs.label for r in rules if eval_test(r.test, t, u)}
+
+
+def test_excursion_guards_match_both_old_searches():
+    """At every node u of every case tree, the leaves pruner's guards that
+    hold are those of the symbols that name, for each choice of picks, the
+    excursions the old leaves search finds; and under every hatting of
+    the tree's non-root unary nodes, the monadic pruner's guard that holds
+    at an unhatted u is the one of the symbol that names u's hatted
+    neighbours and the excursions the old monadic search finds."""
     cases = nonempty = 0
-    for Mn, t in _excursion_cases():
-        nodes = preorder(t)
-        for u, node in nodes:
-            rank = len(node.children)
-            for picks in itertools.chain.from_iterable(
-                    itertools.combinations(range(1, rank + 1), n)
-                    for n in range(rank + 1)):
-                def inside(v):
-                    return len(v) > len(u) and v[len(u)] not in picks
-                got = list(_excursion_exits(
-                    Mn, t, u, lambda label: label, inside))
-                assert {x for _, _, x in got} <= {u}
-                want = _leaves_excursions_reference(Mn, t, u, picks)
-                assert {(q, s) for q, s, _ in got} == want, (t, u, picks)
-                cases += 1
-                nonempty += bool(want)
-        monadic = [v for v, n in nodes if v and n.label == "tau"]
-        hatted = {"tau~h"}
-        for n in range(len(monadic) + 1):
-            for chosen in itertools.combinations(monadic, n):
-                that = _hat(t, set(chosen))
-                for u, _ in nodes:
-                    def inside(v):
-                        return subtree_at(that, v).label in hatted
-                    got = {(q, (s, "s" if x == u else "u" if len(x) < len(u)
-                                else "d%d" % x[len(u)]))
-                           for q, s, x in _excursion_exits(
-                               Mn, that, u,
-                               lambda label: label.replace("~h", ""),
-                               inside)}
-                    want = _monadic_excursions_reference(Mn, that, u, hatted)
-                    assert got == want, (that, u)
+    hatted = {"tau~h"}
+    for M, trees in _excursion_cases():
+        Mn = _normalize_for_pruning(M)
+        N = _leaves_phase(M).pruner.stages[0]
+        N2 = _monadic_phase(M).pruner.stages[1]
+        for t in trees:
+            nodes = preorder(t)
+            for u, node in nodes:
+                want = set()
+                for picks in _subsets(range(1, len(node.children) + 1)):
+                    rel = _leaves_excursions_reference(Mn, t, u, picks)
+                    want.add(_gname(node.label, child_number(u), picks, rel))
                     cases += 1
-                    nonempty += bool(want)
+                    nonempty += bool(rel)
+                assert _holding(N, t, u) == want, (t, u)
+            monadic = [v for v, n in nodes if v and n.label == "tau"]
+            for chosen in _subsets(monadic):
+                that = _hat(t, set(chosen))
+                for u, node in preorder(that):
+                    if node.label in hatted:
+                        continue
+                    uset = {"d%d" % i for i, c in enumerate(node.children, 1)
+                            if c.label in hatted}
+                    if u and subtree_at(that, u[:-1]).label in hatted:
+                        uset.add("u")
+                    rel = _monadic_excursions_reference(Mn, that, u, hatted)
+                    assert _holding(N2, that, u) == {_g2name(
+                        node.label, child_number(u), uset, rel)}, (that, u)
+                    cases += 1
+                    nonempty += bool(rel)
     assert cases >= 70000 and nonempty >= 5000, (cases, nonempty)
 
 
@@ -1104,11 +1111,14 @@ def check_factorization(M, corpus, bound=8, ibound=14):
 
 def test_factorization_witness_on_a_deep_comb():
     # every node of the identity's input draws output, so the witness
-    # keeps them all; both phases build it without recursion
+    # keeps them all; both phases build it without recursion, and read a
+    # fresh equal comb anew, in the same time, to the same witness
+    witness = linear_bounded_factorization(identity_relabeler()).witness_map
     t = comb_tree(3000)
-    w = linear_bounded_factorization(identity_relabeler()).witness_map(t)
+    w = witness(t)
     assert (w.size, w.height) == (t.size, t.height)
     assert w.label.startswith("sigma~")
+    assert witness(comb_tree(3000)) == w
 
 
 def test_factorization_m_exp():
@@ -1186,6 +1196,26 @@ def test_rename_states_preserves_semantics():
     same_outputs(M, Mr, SIG_TREES_5, 20)
     assert all(q.startswith("q") for q in Mr.states)
     assert rename_states(Mr) is Mr  # already named so
+    # q10 sorts before q2, and the names stay all the same
+    Mr = rename_states(random_transducer(0, n_states=12))
+    assert len(Mr.states) == 12 and rename_states(Mr) is Mr
+
+
+def test_per_tree_keeps_only_the_last_tree_object(monkeypatch):
+    """A memo answers again for the same tree object without calling its
+    function; a fresh equal tree is computed anew, and no tree is ever
+    compared with another."""
+    calls, compared = [], []
+    eq = Tree.__eq__
+    monkeypatch.setattr(Tree, "__eq__", lambda a, b: (
+        compared.append((a, b)) or eq(a, b)))
+    get = _per_tree(lambda t, k: calls.append((t, k)) or t.size + k)
+    t, copy = comb_tree(50), comb_tree(50)
+    assert [get(t, 1), get(t, 1), get(t, 2), get(t, 1)] == [100, 100, 101, 100]
+    assert len(calls) == 2
+    assert get(copy, 1) == 100 and len(calls) == 3 and calls[-1][0] is copy
+    assert get(t, 1) == 100 and len(calls) == 4  # copy replaced t
+    assert compared == []
 
 
 def test_intersect_tests_none_absorbs():
@@ -1975,7 +2005,7 @@ def _monadic_exactly(Mm, d2, fits):
         return fits(None, 0, sym) if j == 0 else any(
             fits(x, j, sym) for x in alphabet if alphabet.rank(x) >= j)
     down_chains, up_chains = _chain_behaviours(Mn, _move_tables(Mn), fits,
-                                               sits)
+                                               sits)[:2]
     full = min_witnesses(  # the least subtree at each child of each symbol
         [(x, x, tuple(("kid", x, k) for k in range(1, alphabet.rank(x) + 1)))
          for x in alphabet],

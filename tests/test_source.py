@@ -103,6 +103,24 @@ def test_every_public_function_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_productivity_phases_read_no_addresses():
+    """The productivity phases read the behaviours they explore, one pass
+    over a tree: no function of ``constructions`` named ``_leaves_phase``,
+    ``_monadic_phase`` or ``_chain_`` at the start, nor any function
+    nested in one, names ``subtree_at``, ``navigate`` or
+    ``try_navigate``."""
+    tree = _parse(SRC / "constructions.py")
+    phases = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name.startswith(
+                  ("_leaves_phase", "_monadic_phase", "_chain_"))]
+    assert {"_leaves_phase", "_monadic_phase", "_chain_behaviours"} <= {
+        node.name for node in phases}
+    found = ["%s: %s" % (node.name, name) for node in phases
+             for name in sorted(_used_names(node) & {
+                 "subtree_at", "navigate", "try_navigate"})]
+    assert found == []
+
+
 # Each of these still calls itself, so an input deep enough raises
 # RecursionError in it.  A walk made iterative leaves the list, and a new
 # recursive function fails the test below.
