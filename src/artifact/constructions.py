@@ -39,14 +39,14 @@ from .transducer import (
 # ---------------------------------------------------------------------------
 # Shared helpers
 
-def rename_states(M, prefix="q"):
+def rename_states(M):
     """An isomorphic copy of M whose states are short strings, numbered in
     a repr-sorted order; M itself when its states have those names."""
-    if M.states == {"%s%d" % (prefix, k) for k in range(len(M.states))}:
+    if M.states == {"q%d" % k for k in range(len(M.states))}:
         return M
     names = {}
     for s in sorted(M.states, key=repr):
-        names[s] = "%s%d" % (prefix, len(names))
+        names[s] = "q%d" % len(names)
 
     def fill(c):
         if isinstance(c, Call):
@@ -196,9 +196,10 @@ def _child_classes(M):
 
 
 _SINK = "~product-sink~"
+_PRODUCT_CEILING = 4096  # the most states a product of test automata has
 
 
-def _product_automaton(auts, ceiling=4096, alphabet=None):
+def _product_automaton(auts, alphabet=None):
     """The reachable product of several automata over a shared alphabet
     (given for no automata), totalized with a sink state.  Returns
     (states, delta, sink)."""
@@ -211,7 +212,8 @@ def _product_automaton(auts, ceiling=4096, alphabet=None):
         except KeyError:
             return None
 
-    states, delta = explore(alphabet, step, ceiling, "product automaton")
+    states, delta = explore(alphabet, step, _PRODUCT_CEILING,
+                            "product automaton")
     allstates = sorted(states, key=repr) + [_SINK]
     for sym in alphabet:
         rank = alphabet.rank(sym)
@@ -303,7 +305,7 @@ def _automaton_tests(M, message):
     return tests
 
 
-def disjoint_tests(M, ceiling=4096):
+def disjoint_tests(M):
     """Replace the tests of M by atoms of the boolean algebra they
     generate, so that any two rule tests are identical or disjoint.  Rules
     without a test are copied once per atom.  Semantics is unchanged;
@@ -316,7 +318,7 @@ def disjoint_tests(M, ceiling=4096):
         kind, auts = SubTest, [t.aut for t in tests]
     else:
         kind, auts = AutomatonTest, [marked_automaton(t) for t in tests]
-    states, delta, sink = _product_automaton(auts, ceiling)
+    states, delta, sink = _product_automaton(auts)
     whole = BottomUpAutomaton(auts[0].alphabet, states, [], delta,
                               check_total=False)
     pattern = {p: tuple(p != sink and p[i] in a.finals
@@ -342,16 +344,17 @@ def disjoint_tests(M, ceiling=4096):
 # ---------------------------------------------------------------------------
 # Stay removal
 
-def stay_free(M, finitary_asserted=True, search_ceiling=512,
-              enumeration_ceiling=256):
+_STAY_SEARCH_CEILING = 512  # the most restrictions the search checks
+_STAY_ENUMERATION_CEILING = 256  # the most trees of one closure grammar
+
+
+def stay_free(M):
     """Remove the stay instruction.  Every left-hand side gets the family
     of trees its stay-closure derives; an infinite family is cut back to
     the union of its maximal finite restrictions of the occurring
     outward-call symbols (the fixpoint of removing members with infinite
     families).  Enumerating one closure grammar raises ResourceError
-    once it finds more than ``enumeration_ceiling`` trees."""
-    if not finitary_asserted:
-        raise ContractError("stay removal needs the finitary assertion")
+    once it finds more than ``_STAY_ENUMERATION_CEILING`` trees."""
     if all(c.instr != STAY for r in M.rules for c in r.calls()):
         return M
     Md = disjoint_tests(M)
@@ -365,7 +368,7 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
             members = set()
             if grammar_finite(g):
                 members = enumerate_grammar(
-                    g, math.inf, max_count=enumeration_ceiling)
+                    g, math.inf, max_count=_STAY_ENUMERATION_CEILING)
             else:
                 occ = frozenset(_occurring_dnames(
                     [rhs for _, rhs in grules], dmap))
@@ -378,10 +381,10 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
                     if any(keep <= f for f in finite_sets):
                         continue
                     checks += 1
-                    if checks > search_ceiling:
+                    if checks > _STAY_SEARCH_CEILING:
                         raise ResourceError(
                             "stay-removal search: %d checks exceed the "
-                            "ceiling of %d" % (checks, search_ceiling))
+                            "ceiling of %d" % (checks, _STAY_SEARCH_CEILING))
                     sub_rules = _productive_rules(nts, [
                         (lhs, rhs) for lhs, rhs in grules
                         if _occurring_dnames([rhs], dmap) <= keep])
@@ -390,7 +393,7 @@ def stay_free(M, finitary_asserted=True, search_ceiling=512,
                     if grammar_finite(gk):
                         finite_sets.append(keep)
                         members |= enumerate_grammar(
-                            gk, math.inf, max_count=enumeration_ceiling)
+                            gk, math.inf, max_count=_STAY_ENUMERATION_CEILING)
                     else:
                         for d in keep:
                             smaller = keep - {d}
@@ -541,7 +544,29 @@ def _marked_product(tests, base):
     return auts, pdelta, sink, frozenset(p0), frozenset(p1), proj
 
 
-def lookahead_of_topdown(M, state_ceiling=4096):
+def _context_step(tests, base):
+    """The look-around step (Bloem and Engelfriet): a context class holds,
+    per test, the P1 states the context above maps to acceptance.  Returns
+    the ``_marked_product``, the root's class, the sorted P0 profiles and
+    ``step(sbar, sym, prof)``: each test's truth, and each child's class,
+    at a node in class sbar whose children have prof."""
+    product = auts, pdelta, _, p0, p1, _ = _marked_product(tests, base)
+    root = tuple(frozenset(p for p in p1 if p[i] in a.finals)
+                 for i, a in enumerate(auts))
+
+    def step(sbar, sym, prof):
+        here, mk0 = pdelta[(marked_name(sym, 1), prof)], marked_name(sym, 0)
+        return tuple(here in s for s in sbar), tuple(
+            tuple(frozenset(p for p in p1 if pdelta[
+                (mk0, prof[:c] + (p,) + prof[c + 1:])] in s) for s in sbar)
+            for c in range(len(prof)))
+    return product, root, sorted(p0, key=repr), step
+
+
+_LOOKAHEAD_STATE_CEILING = 4096  # the most states a conversion builds
+
+
+def lookahead_of_topdown(M):
     """Convert the look-around tests of a machine without up-moves into
     look-ahead: states carry, per test, the set of marked-run product
     states the context above maps to acceptance, and rules carry
@@ -553,11 +578,9 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     if not tests:
         return M
     base = M.input_alphabet
-    auts, pdelta, sink, p0, p1, proj = _marked_product(tests, base)
+    (*_, proj), finals0, profiles, step = _context_step(tests, base)
+    step = functools.lru_cache(maxsize=None)(step)  # a state's rules reread it
     tindex = {id(t): i for i, t in enumerate(tests)}
-    finals0 = tuple(frozenset(p for p in p1 if p[i] in a.finals)
-                    for i, a in enumerate(auts))
-    profiles = sorted(p0, key=repr)
     # a node's guard state is its proj key: (label, children's proj states)
     gstates, gdelta = explore(base, lambda sym, kids: (sym, tuple(
         proj.delta[k] for k in kids)), len(proj.delta), "look-ahead guards")
@@ -571,33 +594,21 @@ def lookahead_of_topdown(M, state_ceiling=4096):
     by_state = _rules_by(M, lambda r: r.state)
     calls = functools.lru_cache(maxsize=None)(call)  # shared leaves
 
-    @functools.lru_cache(maxsize=None)
-    def child_contexts(mk0, prof, sbar):
-        """Per child, per test, the children's states the context above
-        (sbar at this node, siblings in prof) maps to acceptance."""
-        return tuple(tuple(frozenset(p for p in p1 if pdelta[
-            (mk0, prof[:c] + (p,) + prof[c + 1:])] in s) for s in sbar)
-            for c in range(len(prof)))
-
     def rules_for(state):
         q, sbar = state
         seen_ceiling[0] += 1
-        if seen_ceiling[0] > state_ceiling:
+        if seen_ceiling[0] > _LOOKAHEAD_STATE_CEILING:
             raise ResourceError(
                 "look-ahead conversion: %d states exceed the ceiling of %d"
-                % (seen_ceiling[0], state_ceiling))
+                % (seen_ceiling[0], _LOOKAHEAD_STATE_CEILING))
         made = []
         for r in by_state.get(q, ()):
             sym = r.symbol
             m = base.rank(sym)
-            mk1 = marked_name(sym, 1)
-            mk0 = marked_name(sym, 0)
             for prof in itertools.product(profiles, repeat=m):
-                if r.test is not None:
-                    i = tindex[id(r.test)]
-                    if pdelta[(mk1, prof)] not in sbar[i]:
-                        continue
-                ctx = child_contexts(mk0, prof, sbar)
+                truths, ctx = step(sbar, sym, prof)
+                if r.test is not None and not truths[tindex[id(r.test)]]:
+                    continue
 
                 def fill(cl):
                     if not isinstance(cl, Call):
@@ -1138,7 +1149,11 @@ def _claims(rules_at, maxr, sym, truths, kid_beh):
     return frozenset(beh)
 
 
-def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
+_DOMAIN_STATE_CEILING = 2048  # the most states a domain automaton has
+_CONTEXT_CEILING = 512  # the most context classes it reaches
+
+
+def domain_automaton(M):
     """The bottom-up automaton accepting dom(M).  A state records the
     joint test-automaton state of the subtree and, for every reachable
     context class, the subtree's behavior summary: which (child number,
@@ -1162,10 +1177,8 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
     # guard truths at the node and the context class of each child
     rows = {}
     if tests:
-        auts, pdelta, sink, p0, p1, _proj = _marked_product(tests, base)
-        root_ctx = tuple(frozenset(p for p in p1 if p[i] in a.finals)
-                         for i, a in enumerate(auts))
-        profiles0 = sorted(p0, key=repr)
+        (_, pdelta, sink, *_), root_ctx, profiles0, step = _context_step(
+            tests, base)
         # closure of the reachable context classes, each mapped to one
         # shared copy so that the rows and the summaries key on it
         contexts = {root_ctx: root_ctx}
@@ -1173,30 +1186,20 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
         while frontier:
             sbar = frontier.pop()
             for sym in base:
-                m = base.rank(sym)
-                mk0 = marked_name(sym, 0)
-                mk1 = marked_name(sym, 1)
-                for prof in itertools.product(profiles0, repeat=m):
-                    kid_ctx = []
-                    for c in range(m):
-                        ctx = tuple(
-                            frozenset(p for p in p1
-                                      if pdelta[(mk0, prof[:c] + (p,)
-                                                 + prof[c + 1:])] in s)
-                            for s in sbar)
+                for prof in itertools.product(profiles0,
+                                              repeat=base.rank(sym)):
+                    truths, kids = step(sbar, sym, prof)
+                    for ctx in kids:
                         if ctx not in contexts:
                             contexts[ctx] = ctx
                             frontier.append(ctx)
-                            if len(contexts) > context_ceiling:
+                            if len(contexts) > _CONTEXT_CEILING:
                                 raise ResourceError(
                                     "context closure: %d context classes "
                                     "exceed the ceiling of %d"
-                                    % (len(contexts), context_ceiling))
-                        kid_ctx.append(contexts[ctx])
-                    p_here = pdelta[(mk1, prof)]
+                                    % (len(contexts), _CONTEXT_CEILING))
                     rows.setdefault((sym, prof), []).append(
-                        (sbar, tuple(p_here in s for s in sbar),
-                         tuple(kid_ctx)))
+                        (sbar, truths, tuple(contexts[c] for c in kids)))
     else:
         root_ctx = ()
         for sym in base:
@@ -1222,7 +1225,7 @@ def domain_automaton(M, state_ceiling=2048, context_ceiling=512):
             entries.append((sbar, memo[key]))
         return (a0, frozenset(entries))
 
-    dstates, delta = explore(base, transition, state_ceiling,
+    dstates, delta = explore(base, transition, _DOMAIN_STATE_CEILING,
                              "domain automaton")
     finals = []
     for s in dstates:
@@ -1243,7 +1246,10 @@ def inverse_image(M, L):
 # ---------------------------------------------------------------------------
 # Image of a pruning machine
 
-def pruning_image(M, L=None, ceiling=4096):
+_IMAGE_CEILING = 4096  # the most states, or nonterminals, of each stage
+
+
+def pruning_image(M, L=None):
     """The automaton for the set of outputs of a pruning machine on
     inputs from L (all inputs when L is None)."""
     if not is_pruning(M):
@@ -1266,7 +1272,7 @@ def pruning_image(M, L=None, ceiling=4096):
         if move is not None:
             return move[0], L.delta[(sym, tuple(c[1] for c in combo))]
 
-    pairs, delta = explore(base, step, ceiling, "image closure")
+    pairs, delta = explore(base, step, _IMAGE_CEILING, "image closure")
     prodlist = {}
     for key, pair in delta.items():
         prodlist.setdefault(pair, []).append(key)
@@ -1284,10 +1290,10 @@ def pruning_image(M, L=None, ceiling=4096):
         if nt in nts:
             continue
         nts.add(nt)
-        if len(nts) > ceiling:
+        if len(nts) > _IMAGE_CEILING:
             raise ResourceError(
                 "image grammar: %d nonterminals exceed the ceiling of %d"
-                % (len(nts), ceiling))
+                % (len(nts), _IMAGE_CEILING))
         _, q, b, la, j = nt
         for (sym, combo) in prodlist.get((b, la), ()):
             passed = patterns[moves[(sym, tuple(c[0] for c in combo))][1]]
@@ -1302,13 +1308,16 @@ def pruning_image(M, L=None, ceiling=4096):
                 else:
                     prods.append((nt, r.rhs.label, subs))
     return rules_to_automaton(Ms.output_alphabet, prods, chains, initials,
-                              ceiling)
+                              _IMAGE_CEILING)
 
 
 # ---------------------------------------------------------------------------
 # Uniformization
 
-def uniformize(M, subset_ceiling=6):
+_UNIFORMIZE_SUBSET_CEILING = 6  # the most outward calls, 2**6 subsets
+
+
+def uniformize(M):
     """A machine computing a function contained in M's relation, with the
     same domain: per left-hand side the least output shape, guarded by an
     oracle pinning the exact productivity pattern of the outward calls."""
@@ -1341,10 +1350,10 @@ def uniformize(M, subset_ceiling=6):
                         reach.add(nxt)
                         frontier.append(nxt)
             occ = sorted(x for x in reach if x in dmap)
-            if len(occ) > subset_ceiling:
+            if len(occ) > _UNIFORMIZE_SUBSET_CEILING:
                 raise ResourceError(
                     "uniformization: %d outward calls exceed the ceiling "
-                    "of %d" % (len(occ), subset_ceiling))
+                    "of %d" % (len(occ), _UNIFORMIZE_SUBSET_CEILING))
             for bits in itertools.product((0, 1), repeat=len(occ)):
                 D = frozenset(n for n, b in zip(occ, bits) if b)
                 wit = min_witnesses(
@@ -1427,8 +1436,7 @@ def pipeline_outputs(stages, t, max_size, intermediate_size=None):
 # ---------------------------------------------------------------------------
 # Productivity decomposition
 
-# The most excursion behaviours a productivity phase explores.
-_BEHAVIOUR_CEILING = 4096
+_BEHAVIOUR_CEILING = 4096  # the most behaviours a productivity phase explores
 
 
 def _bits(mask):

@@ -274,7 +274,7 @@ VALUATIONS = RankedAlphabet({"a": 2, "0": 2, "1": 2, "c": 1, "d": 1,
                              "e": 0})
 
 
-def word_tree(word, alphabet=WORDS):
+def word_tree(word):
     """The monadic tree spelling the word from root to leaf; the last
     letter must have rank 0."""
     t = leaf(word[-1])

@@ -507,11 +507,14 @@ def parse_member(rules, chains, initials, s):
     return not derives[id(s)].isdisjoint(initials)
 
 
-def grammar_to_automaton(g, ceiling=4096):
+_SUBSET_CEILING = 4096  # the most subset states of a grammar's automaton
+
+
+def grammar_to_automaton(g):
     """``rules_to_automaton`` on the grammar's flattened rules and chain
     edges."""
     return rules_to_automaton(g.terminals, *_flatten_rules(g), g.initials,
-                              ceiling)
+                              _SUBSET_CEILING)
 
 
 def rules_to_automaton(terminals, rules, chains, initials, ceiling):

@@ -524,9 +524,10 @@ def _rule_reader(M, t, ix):
     def holds(test, i, u):
         if test is None:
             return True
+        if test.aut is None:
+            return test.eval(t, u)
         if test not in tables:
-            tables[test] = node_verdicts(test, ix, runs) \
-                or [None] * len(ix.nodes)
+            tables[test] = node_verdicts(test, ix, runs)
         verdict = tables[test][i]
         return test.eval(t, u) if verdict is None else verdict
 
@@ -641,12 +642,9 @@ class _Computation:
     whether it is productive (None while on the search path).  ``order``
     is the post-order of the productive ones, ``roots`` each root's number.
 
-    With ``run`` absent the choice must be unique (two applicable rules
-    raise ContractError); otherwise ``run`` maps configurations to the
-    rule to apply and is validated against applicability.  Only the keys
-    of M's overlap record can be ambiguous, so they and the run's
-    configurations are checked at every node up front, in pre-order and
-    in ``M.states`` order.
+    Two applicable rules raise ContractError.  Only the keys of M's
+    overlap record can be ambiguous, so they are checked at every node up
+    front, in pre-order and in ``M.states`` order.
 
     A configuration is productive iff it has a chosen rule, all of its
     successors are productive, and it does not reach itself.  A reached
@@ -656,29 +654,21 @@ class _Computation:
 
     __slots__ = ("cfgs", "rules", "succs", "status", "order", "roots")
 
-    def __init__(self, M, t, roots, run=None):
+    def __init__(self, M, t, roots):
         ix = TreeIndex(t)
         applicable = _rule_reader(M, t, ix)
         overlaps = _overlap_record(M)
 
         def choose(cfg, i):  # cfg at node i
             cands = applicable(cfg[0], i, cfg[1])
-            if run is not None and cfg in run:
-                if run[cfg] not in cands:
-                    raise ContractError(
-                        "run chooses an inapplicable rule at %r" % (cfg,))
-                return run[cfg]
             if len(cands) > 1:
-                raise ContractError((
-                    "two rules applicable at configuration %r" if run is None
-                    else "ambiguous configuration %r needs a run choice")
-                    % (cfg,))
+                raise ContractError(
+                    "two rules applicable at configuration %r" % (cfg,))
             return cands[0] if cands else None
 
-        for i, u in enumerate(ix.addrs if overlaps or run else ()):
+        for i, u in enumerate(ix.addrs if overlaps else ()):
             for q in M.states:
-                key = (q, ix.nodes[i].label, ix.child_nos[i])
-                if key in overlaps or run and (q, u) in run:
+                if (q, ix.nodes[i].label, ix.child_nos[i]) in overlaps:
                     choose((q, u), i)
 
         cfgs, rules, succs, status = [], {}, {}, {}
@@ -837,13 +827,11 @@ def check_single_use(M, corpus):
     return True, None
 
 
-def trace_productive(M, t, run=None):
-    """The frozenset of input nodes at which the (chosen) accepting
-    computation applies a rule that emits at least one output symbol.
-
-    ``run`` optionally maps configurations to the rule to apply there; for
-    deterministic M it may be omitted."""
-    tab = _Computation(M, t, [(q0, 0) for q0 in M.initials], run)
+def trace_productive(M, t):
+    """The frozenset of input nodes at which the one deterministic
+    computation of M (as in ``eval_deterministic``) applies a rule that
+    emits at least one output symbol."""
+    tab = _Computation(M, t, [(q0, 0) for q0 in M.initials])
     live = {n for n in tab.roots if tab.status[n]}
     if not live:
         raise ContractError("no accepting computation on this input")

@@ -17,36 +17,26 @@ from artifact.transducer import (
 
 class _Choice:
     """The rule (or None) at each configuration of M on t, chosen when the
-    search first asks (``get``) and kept in ``rules``.  With ``run`` absent
-    the choice must be unique (two applicable rules raise ContractError);
-    otherwise ``run`` maps configurations to the rule to apply and is
-    validated against applicability.  Only the keys of M's overlap record
-    can be ambiguous, so they and the run's configurations are checked at
-    every node up front, in pre-order and in ``M.states`` order."""
+    search first asks (``get``) and kept in ``rules``.  The choice must be
+    unique (two applicable rules raise ContractError).  Only the keys of
+    M's overlap record can be ambiguous, so they are checked at every node
+    up front, in pre-order and in ``M.states`` order."""
 
-    def __init__(self, M, t, run=None):
+    def __init__(self, M, t):
         self.ix = ix = TreeIndex(t)
         self.applicable = _rule_reader(M, t, ix)
-        self.run, self.rules, self.ids = run, {}, {(): 0}
+        self.rules, self.ids = {}, {(): 0}
         overlaps = _overlap_record(M)
-        for i, u in enumerate(ix.addrs if overlaps or run else ()):
+        for i, u in enumerate(ix.addrs if overlaps else ()):
             for q in M.states:
-                key = (q, ix.nodes[i].label, ix.child_nos[i])
-                if key in overlaps or run and (q, u) in run:
+                if (q, ix.nodes[i].label, ix.child_nos[i]) in overlaps:
                     self.choose((q, u), i)
 
     def choose(self, cfg, i):  # cfg at node i
         cands = self.applicable(cfg[0], i, cfg[1])
-        run = self.run
-        if run is not None and cfg in run:
-            if run[cfg] not in cands:
-                raise ContractError(
-                    "run chooses an inapplicable rule at %r" % (cfg,))
-            cands = [run[cfg]]
-        elif len(cands) > 1:
-            raise ContractError((
-                "two rules applicable at configuration %r" if run is None
-                else "ambiguous configuration %r needs a run choice") % (cfg,))
+        if len(cands) > 1:
+            raise ContractError(
+                "two rules applicable at configuration %r" % (cfg,))
         rule = self.rules[cfg] = cands[0] if cands else None
         return rule
 
@@ -104,10 +94,10 @@ def _productive_from(roots, rmap, t):
     return prod, order, succs
 
 
-def _computation(M, t, roots, run=None):
+def _computation(M, t, roots):
     """(chosen rules, productive set, post-order, successor lists) of M on
     t from ``roots``, (state, address) configurations."""
-    choice = _Choice(M, t, run)
+    choice = _Choice(M, t)
     return (choice.rules,) + _productive_from(roots, choice, t)
 
 
@@ -187,9 +177,9 @@ def check_single_use(M, corpus):
     return True, None
 
 
-def trace_productive(M, t, run=None):
+def trace_productive(M, t):
     roots = [(q0, ()) for q0 in M.initials]
-    rmap, prod, order, succs = _computation(M, t, roots, run)
+    rmap, prod, order, succs = _computation(M, t, roots)
     live = {cfg for cfg in roots if cfg in prod}
     if not live:
         raise ContractError("no accepting computation on this input")

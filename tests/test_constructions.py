@@ -102,7 +102,7 @@ def test_disjoint_tests_random_lookaround_machines():
         same_outputs(M, Md, SIG_TREES_5)
 
 
-def _disjoint_tests_reference(M, ceiling=4096):
+def _disjoint_tests_reference(M):
     """``disjoint_tests`` as it was, taking the realizable product states
     from a least witness tree per state."""
     tests = _automaton_tests(M, "cannot disjointify {!r}")
@@ -113,7 +113,7 @@ def _disjoint_tests_reference(M, ceiling=4096):
         kind, auts = SubTest, [t.aut for t in tests]
     else:
         kind, auts = AutomatonTest, [marked_automaton(t) for t in tests]
-    states, delta, sink = _product_automaton(auts, ceiling)
+    states, delta, sink = _product_automaton(auts)
     whole = BottomUpAutomaton(auts[0].alphabet, states, [], delta,
                               check_total=False)
     pattern = {p: tuple(p != sink and p[i] in a.finals
@@ -158,11 +158,6 @@ def test_disjoint_tests_match_the_reference():
 # ---------------------------------------------------------------------------
 # Stay removal
 
-def test_stay_free_requires_assertion():
-    with pytest.raises(ContractError):
-        stay_free(m_exp(), finitary_asserted=False)
-
-
 def test_stay_free_m_exp():
     M = m_exp()
     Ms = stay_free(M)
@@ -191,7 +186,7 @@ def test_stay_free_random_sub_machines():
         same_outputs(M, Ms, SIG_TREES_5)
 
 
-def test_stay_free_bounds_the_number_of_trees():
+def test_stay_free_bounds_the_number_of_trees(monkeypatch):
     # every closure grammar of this machine is finite from its initial
     # nonterminal; ("S", "q1") derives ever larger trees but is not
     # reachable from ("S", "q0"), so it is not enumerated
@@ -200,9 +195,10 @@ def test_stay_free_bounds_the_number_of_trees():
     assert len(Ms.rules) == 12
     same_outputs(M, Ms, SIG_TREES_5)
     # the ceiling still counts the trees of the reachable nonterminals
+    monkeypatch.setattr(constructions, "_STAY_ENUMERATION_CEILING", 2)
     with pytest.raises(ResourceError, match=r"^grammar enumeration: 3 "
                                             r"trees exceed the ceiling of 2$"):
-        stay_free(M, enumeration_ceiling=2)
+        stay_free(M)
     g = RegularTreeGrammar(["S"], SIGMA_E, ["S"],
                            [("S", leaf("e")),
                             ("S", Tree("sigma", [leaf("S"), leaf("S")]))])
@@ -707,7 +703,7 @@ def _same_language(A, B):
     return all((a in A.finals) == (b in B.finals) for a, b in pairs)
 
 
-def _pruning_image_reference(M, L=None, ceiling=4096):
+def _pruning_image_reference(M, L=None):
     """``pruning_image`` as it was, building a grammar with one rhs tree
     per rule for ``grammar_to_automaton`` to flatten again, over the
     profile automaton of the reference look-ahead conversion."""
@@ -725,7 +721,8 @@ def _pruning_image_reference(M, L=None, ceiling=4096):
                     for i, a in enumerate(auts))
         return tup, L.delta[(sym, tuple(c[1] for c in combo))]
 
-    pairs, delta = explore(base, step, ceiling, "image closure")
+    pairs, delta = explore(base, step, constructions._IMAGE_CEILING,
+                           "image closure")
     prodlist = {}
     for key, pair in delta.items():
         prodlist.setdefault(pair, []).append(key)
@@ -766,7 +763,7 @@ def _pruning_image_reference(M, L=None, ceiling=4096):
                    if isinstance(l, tuple) and l and l[0] == "I")
     g = RegularTreeGrammar(pending | nts, Ms.output_alphabet, initials,
                            grules)
-    return grammar_to_automaton(g, ceiling)
+    return grammar_to_automaton(g)
 
 
 def test_pruning_image_matches_the_grammar_reference():
@@ -2143,13 +2140,19 @@ def test_phases_build_exactly_the_symbols_the_pruners_place():
 def test_lookahead_matches_the_reference():
     """The same machines as the reference conversion, and each sub-test
     guard holds where its reference profile test does, at every node of
-    every tree of up to 7 nodes."""
+    every tree of up to 7 nodes over SIGMA_E, and of up to 6 nodes over
+    OUT3 for the machines over OUT3."""
     converted = 0
     machines = [m_exp(), query_transducer()]
     for det in (True, False):
         machines += collect_machines(30, "topdown", det, pred=has_tests)
-    trees = all_trees(SIGMA_E, 7)
-    for M in machines:
+    out3 = [random_transducer(seed, kind="topdown", deterministic=det,
+                              alphabet=OUT3, output=OUT3, max_tests=1)
+            for det in (True, False) for seed in range(10)]
+    assert all(has_tests(M) for M in out3)
+    cases = [(M, all_trees(SIGMA_E, 7)) for M in machines]
+    cases += [(M, all_trees(OUT3, 6)) for M in out3]
+    for M, trees in cases:
         got = assert_same_result(lookahead_of_topdown,
                                  _lookahead_of_topdown_reference, M)
         if got is None or got is M:
@@ -2163,7 +2166,7 @@ def test_lookahead_matches_the_reference():
             for t in trees:
                 for u in addresses(t):
                     assert eval_test(a, t, u) == eval_test(b, t, u), (a, t, u)
-    assert converted >= 60, converted
+    assert converted >= 80, converted
 
 
 def test_shared_guard_shortcut_agrees_with_the_product(monkeypatch):

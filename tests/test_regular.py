@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from artifact import regular
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeIndex,
     addresses, all_trees, leaf, marked_name, parse_tree,
@@ -263,10 +264,11 @@ def test_grammar_member_agrees_with_enumeration():
         assert bad not in enumerate_grammar(g, 4)
 
 
-def test_subset_construction_ceiling():
+def test_subset_construction_ceiling(monkeypatch):
     g = _random_grammar(random.Random(0))
+    monkeypatch.setattr(regular, "_SUBSET_CEILING", 1)
     with pytest.raises(ResourceError):
-        grammar_to_automaton(g, ceiling=1)
+        grammar_to_automaton(g)
 
 
 # ---------------------------------------------------------------------------

@@ -616,6 +616,21 @@ def _by_rounds(monkeypatch, fn):
     return new, old
 
 
+# The ceiling constants of ``domain_automaton``, by the keywords of its
+# per-context reference
+DOMAIN_CEILINGS = {"state_ceiling": "_DOMAIN_STATE_CEILING",
+                   "context_ceiling": "_CONTEXT_CEILING"}
+
+
+def _domain_automaton(M, **ceilings):
+    """``domain_automaton(M)`` with the ceilings named by the reference's
+    keywords set to the given values."""
+    with pytest.MonkeyPatch.context() as m:
+        for kw, value in ceilings.items():
+            m.setattr(constructions, DOMAIN_CEILINGS[kw], value)
+        return domain_automaton(M)
+
+
 def _assert_same_automaton(A, B):
     assert A.states == B.states
     assert A.finals == B.finals
@@ -673,8 +688,9 @@ def test_grammar_to_automaton_ceiling_is_hit_as_before(monkeypatch):
     for g in _random_grammars(30, "ceiling"):
         n = len(grammar_to_automaton(g).states)
         for c in range(n + 1):
-            new, old = _by_rounds(
-                monkeypatch, lambda: grammar_to_automaton(g, ceiling=c))
+            with monkeypatch.context() as m:
+                m.setattr(regular, "_SUBSET_CEILING", c)
+                new, old = _by_rounds(m, lambda: grammar_to_automaton(g))
             assert new[0] == old[0] == ("ok" if c >= n else "ResourceError")
 
 
@@ -706,7 +722,7 @@ def test_product_and_marked_product_match_round_robin(monkeypatch):
 def test_domain_automaton_matches_round_robin(monkeypatch):
     for M in _machines():
         new, old = _by_rounds(
-            monkeypatch, lambda: domain_automaton(M, state_ceiling=400))
+            monkeypatch, lambda: _domain_automaton(M, state_ceiling=400))
         _assert_same(new, old)
 
 
@@ -715,14 +731,19 @@ def test_domain_automaton_ceiling_is_hit_as_before(monkeypatch):
         n = len(domain_automaton(M).states)
         for c in (n - 1, n):
             new, old = _by_rounds(
-                monkeypatch, lambda: domain_automaton(M, state_ceiling=c))
+                monkeypatch, lambda: _domain_automaton(M, state_ceiling=c))
             assert new[0] == old[0] == ("ok" if c >= n else "ResourceError")
 
 
 def test_domain_automaton_matches_per_context_reference():
     topdown = _machines(("topdown",))[len(FIXTURES):]
     assert sum(bool(_distinct_tests(M)) for M in topdown) >= 25
-    for M in _machines():
+    # 10 top-down machines over OUT3 per determinism flag, each with a test
+    out3 = [random_transducer(seed, kind="topdown", deterministic=det,
+                              alphabet=OUT3, output=OUT3, max_tests=1)
+            for det in (True, False) for seed in range(10)]
+    assert all(_distinct_tests(M) for M in out3)
+    for M in _machines() + out3:
         new = _outcome(lambda: domain_automaton(M))
         old = _outcome(lambda: _domain_automaton_per_context(M))
         _assert_same(new, old)
@@ -741,20 +762,20 @@ def test_domain_automaton_ceilings_match_per_context_reference():
     for M in _machines(("topdown", "sub"), 10):
         n = len(domain_automaton(M).states)
         k = next(c for c in itertools.count() if _resource_failure(
-            lambda: domain_automaton(M, context_ceiling=c)) is None)
+            lambda: _domain_automaton(M, context_ceiling=c)) is None)
         contexts.append(k)
         if k:
             assert _resource_failure(
-                lambda: domain_automaton(M, context_ceiling=k - 1)) == \
+                lambda: _domain_automaton(M, context_ceiling=k - 1)) == \
                 "context closure: %d context classes exceed the ceiling " \
                 "of %d" % (k, k - 1)
         for kw in ({"state_ceiling": n - 1}, {"state_ceiling": n},
                    {"context_ceiling": k - 1}, {"context_ceiling": k}):
-            new = _resource_failure(lambda: domain_automaton(M, **kw))
+            new = _resource_failure(lambda: _domain_automaton(M, **kw))
             assert new == _resource_failure(
                 lambda: _domain_automaton_per_context(M, **kw))
         assert _resource_failure(
-            lambda: domain_automaton(M, state_ceiling=n - 1)) == \
+            lambda: _domain_automaton(M, state_ceiling=n - 1)) == \
             "domain automaton: %d states exceed the ceiling of %d" % (n, n - 1)
     assert max(contexts) >= 2
 
@@ -873,19 +894,20 @@ def test_enumerate_grammar_growth():
 # ---------------------------------------------------------------------------
 # Ceilings and the loops that remain
 
-def test_resource_errors_name_ceiling_and_count():
+def test_resource_errors_name_ceiling_and_count(monkeypatch):
     M = query_transducer()
     n = len(domain_automaton(M).states)
     with pytest.raises(ResourceError,
                        match=r"^domain automaton: %d states exceed the "
                              r"ceiling of %d$" % (n, n - 1)):
-        domain_automaton(M, state_ceiling=n - 1)
+        _domain_automaton(M, state_ceiling=n - 1)
     g = _random_grammars(1, "message")[0]
     assert len(grammar_to_automaton(g).states) >= 2
     with pytest.raises(ResourceError,
                        match=r"^subset construction: 2 states exceed the "
                              r"ceiling of 1$"):
-        grammar_to_automaton(g, ceiling=1)
+        monkeypatch.setattr(regular, "_SUBSET_CEILING", 1)
+        grammar_to_automaton(g)
 
 
 # No loop remains: every saturation is an exploration, a Horn least

@@ -103,6 +103,54 @@ def test_every_public_function_is_used_outside_the_tests():
     assert unused == []
 
 
+def _defaulted(fn):
+    """(position or None, name) of each parameter of ``fn`` that has a
+    default; keyword-only ones have no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return [(k, a.arg) for k, a in enumerate(positional) if k >= first] + [
+        (None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if d is not None]
+
+
+def test_every_option_is_set_outside_the_tests():
+    """Every defaulted parameter of a module-level function in ``src/`` is
+    passed, by keyword or by position, by some call in ``src/`` outside
+    the function's own ``def``, in ``bench/*.py`` or in
+    ``test_acceptance.py``; none is there only for the other tests.  A
+    call is matched by the called name, and one with ``*args`` or
+    ``**kwargs`` passes every parameter.  ``fixtures.py``, whose
+    generators the CLI and the benchmark draw examples from, and nested
+    functions, whose defaults bind loop variables, are exempt."""
+    trees = {path: _parse(path) for path in MODULES}
+    outside = [tree for path in [ROOT / "tests" / "test_acceptance.py"]
+               + sorted((ROOT / "bench").glob("*.py"))
+               for tree in [_parse(path)]]
+    calls = {}  # called name -> [(the call, the statement it sits in)]
+    for tree in list(trees.values()) + outside:
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else \
+                        f.attr if isinstance(f, ast.Attribute) else None
+                    calls.setdefault(name, []).append((node, stmt))
+
+    def passes(call, k, name):
+        return any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg in (None, name) for kw in call.keywords) or (
+            k is not None and k < len(call.args))
+
+    unset = [
+        "%s: %s(%s)" % (path.name, fn.name, name)
+        for path, tree in trees.items() if path.name != "fixtures.py"
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for k, name in _defaulted(fn)
+        if not any(stmt is not fn and passes(call, k, name)
+                   for call, stmt in calls.get(fn.name, ()))]
+    assert unset == []
+
+
 def test_productivity_phases_read_no_addresses():
     """The productivity phases read the behaviours they explore, one pass
     over a tree: no function of ``constructions`` named ``_leaves_phase``,

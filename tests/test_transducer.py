@@ -10,7 +10,8 @@ import pytest
 import engine_reference as reference
 from artifact import regular, transducer
 from artifact.constructions import (
-    deterministic_values, lookahead_of_topdown, rename_states,
+    deterministic_values, linear_bounded_factorization, lookahead_of_topdown,
+    rename_states,
 )
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
@@ -682,21 +683,13 @@ def test_shared_output_is_cheap_to_measure():
 # ---------------------------------------------------------------------------
 # demand-driven productivity
 
-def _choice_map(M, t, run=None):
+def _choice_map(M, t):
     """Reference: the eager rule choice the on-demand ``_Choice``
     replaced.  It picks a rule at every configuration, reading every guard
     on the whole tree, and raises at the first ambiguous one."""
     rmap = {}
     for cfg, cands in _applicable_all(M, t):
-        if run is not None and cfg in run:
-            if run[cfg] not in cands:
-                raise ContractError(
-                    "run chooses an inapplicable rule at %r" % (cfg,))
-            rmap[cfg] = run[cfg]
-        elif len(cands) > 1:
-            if run is not None:
-                raise ContractError(
-                    "ambiguous configuration %r needs a run choice" % (cfg,))
+        if len(cands) > 1:
             raise ContractError(
                 "two rules applicable at configuration %r" % (cfg,))
         elif cands:
@@ -858,11 +851,11 @@ def test_eval_deep_comb():
 # ---------------------------------------------------------------------------
 # rules chosen on demand
 
-def _eager_computation(M, t, roots, run=None):
+def _eager_computation(M, t, roots):
     """Reference for ``engine_reference._computation``: the eager pair it
     replaced, a rule chosen at every configuration by ``_choice_map``,
     then ``_productive_from`` over that dict."""
-    rmap = _choice_map(M, t, run)
+    rmap = _choice_map(M, t)
     return (rmap,) + reference._productive_from(roots, rmap, t)
 
 
@@ -929,34 +922,6 @@ def test_rules_chosen_on_demand_match_the_eager_engine(monkeypatch):
                     answered += 1
     assert ("raised", ContractError) in kinds
     assert answered == ANSWERED_WHERE_EAGER_RAISED
-
-
-def test_run_choices_match_the_eager_engine(monkeypatch):
-    """trace_productive with a run: the first applicable rule everywhere,
-    the same with one configuration left out, and with one choice that
-    does not apply, on nondeterministic machines."""
-    machines = [leaf_chooser()] + [
-        random_transducer(seed, kind, deterministic=False)
-        for kind in ("local", "lookaround") for seed in range(10)]
-    messages = set()
-    for M in machines:
-        for t in all_trees(SIGMA_E, 5):
-            first = {cfg: rs[0] for cfg, rs in _applicable_all(M, t) if rs}
-            if not first:
-                continue
-            some = dict(list(first.items())[1:])
-            wrong = dict(first)
-            wrong[next(iter(first))] = Rule(
-                next(iter(M.states)), "tau", 0, None, leaf("e"))
-            for run in (first, some, wrong):
-                got = _answer(lambda: trace_productive(M, t, run))
-                with monkeypatch.context() as m:
-                    m.setattr(reference, "_computation", _eager_computation)
-                    assert _answer(
-                        lambda: reference.trace_productive(M, t, run)) == got
-                messages.add(got[2].split(" ")[0] if got[0] == "raised"
-                             else "answer")
-    assert messages == {"answer", "no", "ambiguous", "run"}
 
 
 def test_guards_are_read_on_demand(monkeypatch):
@@ -1343,10 +1308,10 @@ def test_successors_run_once_per_entered_configuration(monkeypatch):
 
 
 def test_table_engine_matches_the_reference_engine():
-    """Every configuration's output (``deterministic_values``), traces with
-    and without a run, and single-use verdicts, on machines with one
-    initial state and with every state initial, or the same exception and
-    message, as the reference engine."""
+    """Every configuration's output (``deterministic_values``), traces and
+    single-use verdicts, on machines with one initial state and with every
+    state initial, or the same exception and message, as the reference
+    engine."""
     machines = [m_exp(), identity_relabeler(), left_projection(),
                 query_transducer(), leaf_chooser(), loop_transducer()]
     machines += [random_transducer(seed, kind, deterministic=det)
@@ -1360,16 +1325,11 @@ def test_table_engine_matches_the_reference_engine():
     for M in machines:
         values = deterministic_values(M)
         for t in trees:
-            first = _result(lambda: {cfg: rs[0] for cfg, rs
-                                     in _applicable_all(M, t) if rs})
-            run = first[1] if first[0] == "answer" else None
             for new, old in (
                     (lambda: values(t),
                      lambda: reference.deterministic_values(M, t)),
                     (lambda: trace_productive(M, t),
                      lambda: reference.trace_productive(M, t)),
-                    (lambda: trace_productive(M, t, run),
-                     lambda: reference.trace_productive(M, t, run)),
                     (lambda: check_single_use(M, [t]),
                      lambda: reference.check_single_use(M, [t]))):
                 got = _result(new)
@@ -1404,6 +1364,34 @@ def test_guards_over_one_table_share_one_bottom_up_run(monkeypatch):
             assert node_verdicts(g, ix, runs) == node_verdicts(g, ix)
         most = max(most, len(reads))
     assert most == len(guards)
+
+
+def test_oracle_guards_are_read_without_a_verdict_table(monkeypatch):
+    """The leaves pruner of the query transducer's factorization has only
+    oracle guards: reading its rules and enumerating its outputs ask
+    ``node_verdicts`` for nothing, its rules apply where each guard,
+    evaluated on its own, says they do, and on small trees its outputs are
+    those that rewriting gives."""
+    F = linear_bounded_factorization(query_transducer())
+    front, P = F.pruner.stages[:2]
+    assert P.rules and all(r.test is not None and r.test.aut is None
+                           for r in P.rules)
+    trees = [eval_deterministic(front, t)[0]
+             for t in all_trees(SIGMA_E, 9) + [full_binary(8), comb_tree(30)]]
+    reads = []
+    node_verdicts = transducer.node_verdicts
+    monkeypatch.setattr(transducer, "node_verdicts", lambda *a: (
+        reads.append(a) or node_verdicts(*a)))
+    nonempty = 0
+    for t in trees:
+        want = [((q, u), _applicable_rules(P, q, t, u))
+                for u in addresses(t) for q in P.states]
+        assert list(_applicable_all(P, t)) == want
+        if t.size <= 9:
+            outputs = enumerate_outputs(P, t, t.size)
+            assert outputs == _outputs_by_rewriting(P, t, t.size)
+            nonempty += bool(outputs)
+    assert reads == [] and nonempty
 
 
 # ---------------------------------------------------------------------------
