@@ -770,42 +770,60 @@ def node_verdicts(test, ix, runs=None):
 
     A ``SubTest`` needs only the bottom-up run, and its verdicts are a
     list.  An ``AutomatonTest`` runs bottom-up once with every label
-    unmarked; its verdicts are a ``LookAround``, which builds the top-down
-    contexts on demand.  ``runs``, a dict kept only while the tests read
-    with it live, holds the bottom-up run of each transition table, so
-    that tests differing only in their final states share one run."""
+    unmarked; a verdict says if its table's ``LookAround`` gives a final
+    root state.  ``runs``, kept only while the tests read with it live,
+    holds each table's run, or if marked its ``LookAround`` (None for a
+    label outside the alphabet), shared by tests differing only in finals."""
     aut = test.aut
     if aut is None:
         return None
     delta, symbols = aut.delta, aut.alphabet.symbols
     marked = not test.subtest
-    labels = ix.marked if marked else [n.label for n in ix.nodes]
-    if marked and not symbols.keys() >= set(labels):
-        return [None] * len(labels)  # every marked run reads the whole tree
     runs = {} if runs is None else runs
     key = (id(delta), id(aut.alphabet), marked)
     if key not in runs:
-        # state[i] is None where the run on node i's subtree raises;
-        # combos[i] holds the states of node i's children
-        state, combos = runs[key] = [None] * len(labels), [None] * len(labels)
-        for i in reversed(range(len(labels))):  # children before parents
-            combo = combos[i] = tuple([state[j] for j in ix.kids[i]])
-            if labels[i] in symbols and None not in combo:
-                state[i] = delta.get((labels[i], combo))
-    state, combos = runs[key]
+        labels = ix.marked if marked else [n.label for n in ix.nodes]
+        runs[key] = None  # every marked run reads the whole tree
+        if not marked or symbols.keys() >= set(labels):
+            # state[i] is None where the run on node i's subtree raises;
+            # combos[i] holds the states of node i's children
+            state, combos = [None] * len(labels), [None] * len(labels)
+            for i in reversed(range(len(labels))):  # children first
+                combo = combos[i] = tuple([state[j] for j in ix.kids[i]])
+                if labels[i] in symbols and None not in combo:
+                    state[i] = delta.get((labels[i], combo))
+            runs[key] = LookAround(aut, ix, combos) if marked else state
+    shared = runs[key]
+    if shared is None:
+        return [None] * len(ix.nodes)
     if not marked:
-        return [None if p is None else p in aut.finals for p in state]
-    return LookAround(aut, ix, combos)
+        return [None if p is None else p in aut.finals for p in shared]
+    return _FinalVerdicts(shared, aut.finals)
+
+
+class _FinalVerdicts(dict):
+    """An ``AutomatonTest``'s verdicts by node id, each read when first
+    asked: whether the root state ``around[i]`` is in ``finals``."""
+
+    __slots__ = ("around", "finals")
+
+    def __init__(self, around, finals):
+        self.around, self.finals = around, finals
+
+    def __missing__(self, i):
+        p = self.around[i]
+        verdict = self[i] = None if p is None else p in self.finals
+        return verdict
 
 
 class LookAround:
-    """The verdicts of an ``AutomatonTest`` on an indexed tree, each
-    computed when first read (``self[i]``) and then kept.
+    """The root state ``self[i]`` of an automaton's run on an indexed tree
+    marked at node i, None where the run hits a missing transition.
 
-    A node's context maps a state of its subtree to whether the run then
-    ends in a final state; a state whose run up hits a missing transition
-    has no entry.  The verdict at node i is the outcome of the state its
-    subtree takes when i is marked (look-around by relabeling, Bloem and
+    A node's context maps a state of its subtree to the root state the
+    run then reaches; a state whose run up hits a missing transition has
+    no entry.  Node i's root state is the image of the state its subtree
+    takes when i is marked (look-around by relabeling, Bloem and
     Engelfriet).  Reading node i climbs ``ix.parents`` to the nearest node
     with a context and builds the contexts back down that path, so each
     node's context is built at most once, in any read order, and only on
@@ -816,18 +834,14 @@ class LookAround:
 
     def __init__(self, aut, ix, combos):
         self.aut, self.ix, self.combos = aut, ix, combos
-        root = {p: p in aut.finals for p in aut.states}
+        root = {p: p for p in aut.states}
         self.contexts = [root] + [None] * (len(combos) - 1)
         self.interned = {frozenset(root.items()): root}
-        self.made, self.verdicts = {}, {}
+        self.made = {}
 
     def __getitem__(self, i):
-        verdicts = self.verdicts
-        if i in verdicts:
-            return verdicts[i]
-        verdict = verdicts[i] = self.context(i).get(self.aut.delta.get(
+        return self.context(i).get(self.aut.delta.get(
             (marked_name(self.ix.nodes[i].label, 1), self.combos[i])))
-        return verdict
 
     def context(self, i):
         """Node i's context, built down from its nearest ancestor with

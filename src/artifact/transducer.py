@@ -142,7 +142,7 @@ class Transducer:
     """M = (input alphabet, output alphabet, states, initials, rules)."""
 
     __slots__ = ("input_alphabet", "output_alphabet", "states", "initials",
-                 "rules", "_index", "_overlaps")
+                 "rules", "_index", "_overlaps", "_guarded")
 
     def __init__(self, input_alphabet, output_alphabet, states, initials,
                  rules):
@@ -157,6 +157,7 @@ class Transducer:
             raise ValueError("initials must be states")
         self._index = {}
         self._overlaps = None  # filled by _overlap_record on first use
+        self._guarded = None  # the keys with a guard, kept by _rule_reader
         # a rule validated under these very alphabet and state objects is
         # valid here; a rhs is walked once per (child number 0?, rank)
         sig = (input_alphabet, output_alphabet, self.states)
@@ -511,14 +512,14 @@ def classify(M, corpus_bound=6):
 
 def _rule_reader(M, t, ix):
     """``applicable(q, i, u)``: the rules of M applicable at configuration
-    (q, u) of t, where u is node i of t's index ``ix``.  Each automaton or
-    sub-test guard gets one verdict lookup (``node_verdicts``) the first
-    time a rule asks about it, read by node id: the guards over one
-    transition table share one bottom-up run, and an automaton guard
-    builds its top-down contexts only on the root paths of the nodes
-    asked about.  Oracle guards are evaluated per node (``test.eval``, on
-    the address the index gave), and so is a node without a verdict,
-    where the evaluation raises its own exception."""
+    (q, u) of t, where u is node i of t's index ``ix``; M's own list, read
+    only, at a key without a guard.  Each automaton or sub-test guard gets
+    one verdict lookup (``node_verdicts``) the first time a rule asks
+    about it, read by node id: the guards over one transition table share
+    one bottom-up run and one set of top-down contexts, built only on the
+    root paths of the nodes asked about.  Oracle guards are evaluated per
+    node (``test.eval``, on the address the index gave), and so is a node
+    without a verdict, where the evaluation raises its own exception."""
     tables, runs = {}, {}
 
     def holds(test, i, u):
@@ -532,10 +533,14 @@ def _rule_reader(M, t, ix):
         return test.eval(t, u) if verdict is None else verdict
 
     rules_at, nodes, child_nos = M._index.get, ix.nodes, ix.child_nos
+    if M._guarded is None:
+        M._guarded = {k for k, g in M._index.items() if any(r.test for r in g)}
 
     def applicable(q, i, u):
-        return [r for r in rules_at((q, nodes[i].label, child_nos[i]), ())
-                if holds(r.test, i, u)]
+        key = (q, nodes[i].label, child_nos[i])
+        if key not in M._guarded:
+            return rules_at(key, ())
+        return [r for r in rules_at(key) if holds(r.test, i, u)]
     return applicable
 
 
@@ -546,7 +551,7 @@ def _applicable_all(M, t):
     applicable = _rule_reader(M, t, ix)
     for i, u in enumerate(ix.addrs):
         for q in M.states:
-            yield (q, u), applicable(q, i, u)
+            yield (q, u), list(applicable(q, i, u))
 
 
 def config_grammar(M, t):
@@ -734,9 +739,15 @@ def _values(tab):
     Repeated configurations share their output subtree."""
     value, steps = [None] * len(tab.cfgs), 0
     for n in tab.order:  # every successor comes first
-        rule = tab.rules[n]
+        rule, ss = tab.rules[n], tab.succs[n]
         # the successors are listed in the rhs pre-order of their calls
-        value[n] = _plug(rule.rhs, [value[s] for s in tab.succs[n]])
+        if rule.kind == "move":
+            value[n] = value[ss[0]]
+        elif rule.kind == "general":
+            value[n] = _plug(rule.rhs, [value[s] for s in ss])
+        else:  # an output rule; a constant one is its own rhs
+            value[n] = Tree(rule.rhs.label, [value[s] for s in ss]) if ss \
+                else rule.rhs
         # a rule instantiation, a chain edge for a move, the output nodes
         steps += 1 + (rule.kind == "move") + rule.output_symbol_count()
     return value, steps

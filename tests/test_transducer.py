@@ -15,8 +15,8 @@ from artifact.constructions import (
 )
 from artifact.core import (
     AlphabetError, MarkedAlphabet, RankedAlphabet, Tree, TreeError,
-    addresses, all_trees, child_number, depth1_productions, down, leaf,
-    mark_node, navigate, parse_tree, preorder, serialize_tree,
+    TreeIndex, addresses, all_trees, child_number, depth1_productions, down,
+    leaf, mark_node, navigate, parse_tree, preorder, serialize_tree,
     substitute_leaves, subtree_at, tree_from_preorder, STAY, UP,
 )
 from artifact.fixtures import (
@@ -34,6 +34,7 @@ from artifact.transducer import (
     marked_position_automaton, normalize_general, normalize_outputs_stay,
     out, trace_productive, _applicable_all, _format_rhs,
 )
+from test_regular import _eval_test_all_reference
 
 DET_KINDS = ("local", "sub", "lookaround", "topdown", "pruning", "relabeling")
 
@@ -258,9 +259,34 @@ def _walks(rhs):
     return kind, calls, len(nodes) - len(calls)
 
 
-def test_cached_rule_walks_match_fresh_walks():
-    general = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [Rule(
+def _general_machines():
+    """Three one-state machines with a general rule: one rewrites the
+    root sigma node into sigma(sigma(left, right), e); one emits
+    sigma(e, itself) at the root leaf and so loops there; and one turns
+    every sigma node into sigma(right, sigma(left, e)), so that its
+    outputs tell the order of the plugged values apart."""
+    nested = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [
+        Rule("q", "sigma", 0, None,
+             out("sigma", out("sigma", call("q", down(1)),
+                              call("q", down(2))),
+                 leaf("e"))),
+        Rule("q", "e", 0, None, leaf("e")),
+        Rule("q", "e", 1, None, leaf("e")),
+        Rule("q", "e", 2, None, leaf("e")),
+    ])
+    looping = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [Rule(
         "q", "e", 0, None, out("sigma", out("e"), call("q", STAY)))])
+    mirror = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [
+        r for j in (0, 1, 2) for r in (
+            Rule("q", "sigma", j, None, out(
+                "sigma", call("q", down(2)),
+                out("sigma", call("q", down(1)), leaf("e")))),
+            Rule("q", "e", j, None, leaf("e")))])
+    return [nested, looping, mirror]
+
+
+def test_cached_rule_walks_match_fresh_walks():
+    general = _general_machines()[1]
     machines = [m_exp(), identity_relabeler(), left_projection(),
                 query_transducer(), leaf_chooser(), loop_transducer(),
                 general, normalize_general(general)]
@@ -962,10 +988,11 @@ def test_guards_are_read_on_demand(monkeypatch):
 
 
 def test_contexts_only_on_the_root_paths_asked_about(monkeypatch):
-    """On the tree above, eval_deterministic builds a look-around guard's
-    top-down contexts only on the root paths of the nodes it asks that
-    guard about, and at fewer than |t| nodes.  The bank machine asks no
-    guard there, so the first 40 random look-around machines run too."""
+    """On the tree above, eval_deterministic builds the top-down contexts
+    that the look-around guards over one table share only on the root
+    paths of the nodes it asks those guards about, and at fewer than |t|
+    nodes.  The bank machine asks no guard there, so the first 40 random
+    look-around machines run too."""
     lookups = []
     node_verdicts = transducer.node_verdicts
     monkeypatch.setattr(transducer, "node_verdicts", lambda test, ix, *runs: (
@@ -977,21 +1004,27 @@ def test_contexts_only_on_the_root_paths_asked_about(monkeypatch):
     assert lookups == []
     for seed in range(40):
         eval_deterministic(random_transducer(seed, kind="lookaround"), t)
-    built = asked = 0
+    # the guards over one table share its LookAround: count each once,
+    # with the nodes any of them asked about
+    arounds = {}
     for ix, verdicts in lookups:
-        assert isinstance(verdicts, regular.LookAround)
+        assert isinstance(verdicts.around, regular.LookAround)
+        arounds.setdefault(verdicts.around, (ix, set()))[1].update(verdicts)
+    built = asked = 0
+    for around, (ix, nodes) in arounds.items():
         paths = set()
-        for i in verdicts.verdicts:
+        for i in nodes:
             while i is not None and i not in paths:
                 paths.add(i)
                 i = ix.parents[i]
-        made = {i for i, c in enumerate(verdicts.contexts) if c is not None}
+        made = {i for i, c in enumerate(around.contexts) if c is not None}
         assert made <= paths
         assert len(made) < t.size
-        built, asked = built + len(made), asked + len(verdicts.verdicts)
-    # 30 guard lookups ask 33 verdicts and build 54 contexts, where every
-    # node's context was built for each guard before
-    assert asked and built * 10 < len(lookups) * t.size
+        built, asked = built + len(made), asked + len(nodes)
+    # 30 guard lookups share 18 LookArounds, ask 21 nodes and build 32
+    # contexts (54 with one set per guard); before contexts were built on
+    # demand, every node's context was built for each guard
+    assert asked and built * 10 < len(arounds) * t.size
 
 
 def _classify_every_pair(M):
@@ -1320,6 +1353,9 @@ def test_table_engine_matches_the_reference_engine():
     machines += _partial_query_machines()
     machines += [Transducer(M.input_alphabet, M.output_alphabet, M.states,
                             M.states, M.rules) for M in machines[6:30]]
+    # general rules, whose values are plugged into a copy of their rhs;
+    # their one state is already every state
+    machines += _general_machines()
     trees = all_trees(SIGMA_E, 5) + A_LEAF_TREES + [ILL_RANKED]
     seen = set()
     for M in machines:
@@ -1364,6 +1400,48 @@ def test_guards_over_one_table_share_one_bottom_up_run(monkeypatch):
             assert node_verdicts(g, ix, runs) == node_verdicts(g, ix)
         most = max(most, len(reads))
     assert most == len(guards)
+
+
+def test_guards_over_one_table_share_one_look_around(monkeypatch):
+    """Read through the ``LookAround`` shared by the guards over one
+    table, in a random order over guards and nodes, every look-around
+    guard's verdict at every node is the reference's; and one evaluation
+    builds at most one ``LookAround`` per distinct (table, marked
+    alphabet), one for the query transducer's two guards."""
+    built = []
+
+    class Counting(regular.LookAround):
+        def __init__(self, aut, *args):
+            built.append((id(aut.delta), id(aut.alphabet)))
+            super().__init__(aut, *args)
+
+    monkeypatch.setattr(regular, "LookAround", Counting)
+    machines = [query_transducer()] + _partial_query_machines() + [
+        random_transducer(seed, kind="lookaround") for seed in range(40)]
+    rng = random.Random(21)
+    trees = all_trees(SIGMA_E, 7) + [
+        _random_binary_tree(rng, rng.randint(11, 61)) for _ in range(50)]
+    assert {t.size for t in trees[-50:]} <= set(range(21, 122))
+    for k, M in enumerate(machines):
+        guards = list(dict.fromkeys(r.test for r in M.rules
+                                    if isinstance(r.test, AutomatonTest)))
+        tables = {(id(g.aut.delta), id(g.aut.alphabet)) for g in guards}
+        for t in trees:
+            ix, runs, verdicts = TreeIndex(t), {}, {}
+            want = {g: _eval_test_all_reference(g, t) for g in guards}
+            reads = [(g, i) for g in guards for i in range(t.size)]
+            rng.shuffle(reads)
+            built.clear()
+            for g, i in reads:
+                if g not in verdicts:
+                    verdicts[g] = regular.node_verdicts(g, ix, runs)
+                assert verdicts[g][i] == want[g].get(ix.addrs[i]), (k, t, i)
+            assert len(built) == len(runs) == len(tables)
+            built.clear()
+            _result(lambda: eval_deterministic(M, t))
+            assert len(set(built)) == len(built) <= len(tables)
+            if k == 0 and t.size > 1:  # both query guards read at the root
+                assert len(guards) == 2 and len(built) == 1
 
 
 def test_oracle_guards_are_read_without_a_verdict_table(monkeypatch):
@@ -1544,15 +1622,7 @@ def test_trace_productive_size_relation():
 # normalizers
 
 def test_normalize_general_equivalent():
-    gen = Transducer(SIGMA_E, SIGMA_E, ["q"], ["q"], [
-        Rule("q", "sigma", 0, None,
-             out("sigma", out("sigma", call("q", down(1)),
-                              call("q", down(2))),
-                 leaf("e"))),
-        Rule("q", "e", 0, None, leaf("e")),
-        Rule("q", "e", 1, None, leaf("e")),
-        Rule("q", "e", 2, None, leaf("e")),
-    ])
+    gen = _general_machines()[0]
     norm = normalize_general(gen)
     assert all(r.kind != "general" for r in norm.rules)
     for t in all_trees(SIGMA_E, 5):
